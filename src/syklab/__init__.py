@@ -3,7 +3,7 @@
 Submodules
 ----------
 pauli        exact symplectic Pauli-string algebra and signed-permutation action
-fermions     Jordan-Wigner Majoranas and k-local term operators
+fermions     Jordan-Wigner Majoranas, k-local term operators, cached term tables
 model        hyperedge ordering and dense/sparse disorder sampling
 linalg       dense backend: assembly, exact evolution, Schatten norms, MC averages
 trotter      Lie-Trotter-Suzuki schedules and Trotterized evolution

@@ -15,13 +15,14 @@ import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import bounds, chains, model, trotter
 from .fermions import hilbert_dim
 from .linalg import NormEstimate, assemble, exact_evolution, expected_norm, worker_count
+from .pauli import commutes
 
 __all__ = [
     "ExperimentConfig",
@@ -145,23 +146,28 @@ def _sparse_bound(config: ExperimentConfig, n: int, t: float, l: int) -> float:
     return bounds.delta_l_sparse(inp).value
 
 
-def _observed_dense(config: ExperimentConfig, n: int, t: float, seed: int):
-    """Disorder-averaged normalized Trotter error for the dense model."""
-    dim = hilbert_dim(n)
+def _trotter_statistic(config: ExperimentConfig, n: int, t: float):
+    """instance -> exp(iHt) - S_l(t/r)**r, the matrix whose norm is averaged."""
     schedule = trotter.build_schedule(config.l, math.comb(n, config.k))
-
-    def sampler(i: int):
-        return model.sample_dense(n, config.k, config.energy_constant, seed, i)
 
     def statistic(instance):
         exact = exact_evolution(assemble(instance), t)
         return exact - trotter.trotterized(instance, schedule, t, config.r)
 
+    return statistic
+
+
+def _observed_dense(config: ExperimentConfig, n: int, t: float, seed: int):
+    """Disorder-averaged normalized Trotter error for the dense model."""
+    dim = hilbert_dim(n)
+
+    def sampler(i: int):
+        return model.sample_dense(n, config.k, config.energy_constant, seed, i)
+
+    statistic = _trotter_statistic(config, n, t)
     est = expected_norm(sampler, statistic, config.p, config.N_disorder, workers=1)
     scale = dim ** (1.0 / config.p)
-    est.value /= scale
-    est.stderr /= scale
-    return est
+    return replace(est, value=est.value / scale, stderr=est.stderr / scale)
 
 
 def _observed_sparse(config: ExperimentConfig, n: int, t: float, seed: int):
@@ -171,7 +177,7 @@ def _observed_sparse(config: ExperimentConfig, n: int, t: float, seed: int):
     masks is taken outside, matching the averaged-error definition.
     """
     dim = hilbert_dim(n)
-    schedule = trotter.build_schedule(config.l, math.comb(n, config.k))
+    statistic = _trotter_statistic(config, n, t)
     scale = dim ** (1.0 / config.p)
     per_mask: list[float] = []
     for b in range(config.N_bernoulli):
@@ -182,10 +188,6 @@ def _observed_sparse(config: ExperimentConfig, n: int, t: float, seed: int):
                 n, config.k, config.energy_constant, config.kappa, seed,
                 coupling_index=_b * config.N_disorder + i, mask=_mask,
             )
-
-        def statistic(instance):
-            exact = exact_evolution(assemble(instance), t)
-            return exact - trotter.trotterized(instance, schedule, t, config.r)
 
         est = expected_norm(sampler, statistic, config.p, config.N_disorder, workers=1)
         per_mask.append(est.value / scale)
@@ -350,9 +352,7 @@ def cmd_oracle(config: ExperimentConfig) -> tuple[str, bool]:
                 a, b = ts.terms[i], ts.terms[j]
                 m_overlap = len(set(om.edges[i]) & set(om.edges[j]))
                 expect_commute = (k + m_overlap) % 2 == 0
-                from .pauli import commutes as _commutes
-
-                if _commutes(a, b) != expect_commute:
+                if commutes(a, b) != expect_commute:
                     bad += 1
     checks.append(("anti-commutation sign law (n=8, k=2,3,4)", bad == 0,
                    f"{bad} violations"))

@@ -10,17 +10,31 @@ n Majoranas act on n/2 qubits, so the Hilbert-space dimension is D = 2**(n/2).
 A hyperedge {i_1 < ... < i_k} maps to the Hermitian, involutory term operator
 
     K = i**(k(k-1)/2) * chi_{i_1} ... chi_{i_k}.
+
+:func:`term_table` holds the signed-permutation data of all C(n,k) term
+operators, built once per (n, k) and shared by assembly and Trotterization.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
+import numpy as np
+
+from .model import ordering_map
 from .pauli import PauliString, is_hermitian, multiply
 
-__all__ = ["jordan_wigner", "term_operator", "TermOperator", "hilbert_dim"]
+__all__ = [
+    "jordan_wigner",
+    "term_operator",
+    "TermOperator",
+    "TermTable",
+    "term_table",
+    "hilbert_dim",
+]
 
 
 def _check_n(n: int) -> None:
@@ -78,3 +92,69 @@ def term_operator(hyperedge: Sequence[int], n: int) -> TermOperator:
     )
     assert is_hermitian(pauli), "term operator construction must be Hermitian"
     return TermOperator(edge, pauli)
+
+
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """Read-only signed-permutation data of all C(n,k) SYK term operators.
+
+    Row g belongs to the g-th hyperedge of ``model.ordering_map(n, k)``.  Its
+    term operator K_g has one nonzero entry per row of the D x D matrix,
+
+        K_g[b, perm[b]] = coeff[b],  perm = permutation(g),
+                                     coeff = permuted_coefficients(g),
+
+    so (K_g @ M)[b] = coeff[b] * M[perm[b]].  Stored compactly: perm[b] is
+    b ^ x_masks[g], derived on use, and coeff[b] = phases[g] * signs[g, b]
+    with int8 signs, about Gamma * (D + 24) bytes in all.
+    """
+
+    n: int
+    k: int
+    rows: np.ndarray  # (D,) intp, 0 .. D-1
+    x_masks: np.ndarray  # (Gamma,) intp
+    phases: np.ndarray  # (Gamma,) complex, i**phase_exp
+    signs: np.ndarray  # (Gamma, D) int8, +-1
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def permutation(self, g: int, out: np.ndarray | None = None) -> np.ndarray:
+        """perm[b] = b ^ x_g, written to ``out`` when given."""
+        return np.bitwise_xor(self.rows, self.x_masks[g], out=out)
+
+    def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
+        """scale * coeff: the nonzero entries of scale * K_g, row by row."""
+        return (scale * self.phases[g]) * self.signs[g]
+
+
+_TABLE_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=32)
+def _build_term_table(n: int, k: int) -> TermTable:
+    edges = ordering_map(n, k).edges
+    rows = np.arange(hilbert_dim(n))
+    x_masks = np.empty(len(edges), dtype=np.intp)
+    phases = np.empty(len(edges), dtype=complex)
+    signs = np.empty((len(edges), len(rows)), dtype=np.int8)
+    for g, edge in enumerate(edges):
+        pauli = term_operator(edge, n).pauli
+        x_masks[g] = pauli.x_mask
+        phases[g] = 1j**pauli.phase_exp
+        parity = np.bitwise_count((rows ^ pauli.x_mask) & pauli.z_mask) & 1
+        signs[g] = 1 - 2 * parity.astype(np.int8)
+    for array in (rows, x_masks, phases, signs):
+        array.flags.writeable = False
+    return TermTable(n, k, rows, x_masks, phases, signs)
+
+
+def term_table(n: int, k: int) -> TermTable:
+    """The cached :class:`TermTable` of all C(n,k) terms among n Majoranas.
+
+    Built on first use and shared afterwards; the lock makes concurrent
+    first calls build it once.
+    """
+    with _TABLE_LOCK:
+        return _build_term_table(n, k)

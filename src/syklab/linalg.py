@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fermions import hilbert_dim, term_operator
+from .fermions import hilbert_dim, term_table
 from .model import SykInstance
-from .pauli import _coefficients
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -46,7 +46,8 @@ def worker_count() -> int:
 def assemble(instance: SykInstance, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Dense Hermitian H = sum_i b_i J_i K_i (b_i = 1 when no mask).
 
-    Each Pauli term is written into H along its signed permutation; the term
+    Each active term is written into H along its signed permutation, read
+    from the cached :func:`~syklab.fermions.term_table` of (n, k); the term
     matrices are never materialized individually.
     """
     dim = hilbert_dim(instance.n)
@@ -54,18 +55,14 @@ def assemble(instance: SykInstance, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarra
         raise ResourceError(
             f"dimension {dim} exceeds cap {dim_cap}; raise dim_cap explicitly"
         )
-    ordering = instance.ordering()
+    table = term_table(instance.n, instance.k)
     ham = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for i, edge in enumerate(ordering.edges):
+    for i, coupling in enumerate(instance.couplings):
         if instance.mask is not None and instance.mask[i] == 0:
             continue
-        coupling = instance.couplings[i]
         if coupling == 0.0:
             continue
-        pauli = term_operator(edge, instance.n).pauli
-        perm, coeff = _coefficients(pauli)
-        ham[rows, perm] += coupling * coeff[perm]
+        ham[table.rows, table.permutation(i)] += table.permuted_coefficients(i, coupling)
     return ham
 
 
@@ -105,22 +102,14 @@ def schatten_norm(mat: np.ndarray, p: float) -> float:
     return float(np.sum(svals**p) ** (1.0 / p))
 
 
+@dataclass(frozen=True)
 class NormEstimate:
     """Monte-Carlo estimate of (E ||A||_p^p)**(1/p) with a delta-method stderr."""
 
-    __slots__ = ("value", "stderr", "num_samples", "p")
-
-    def __init__(self, value: float, stderr: float, num_samples: int, p: float):
-        self.value = value
-        self.stderr = stderr
-        self.num_samples = num_samples
-        self.p = p
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NormEstimate(value={self.value!r}, stderr={self.stderr!r}, "
-            f"num_samples={self.num_samples}, p={self.p})"
-        )
+    value: float
+    stderr: float
+    num_samples: int
+    p: float
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:

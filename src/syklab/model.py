@@ -98,7 +98,10 @@ def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class SykInstance:
-    """One sampled Hamiltonian: couplings (and, if sparse, the Bernoulli mask)."""
+    """One sampled Hamiltonian: couplings (and, if sparse, the Bernoulli mask).
+
+    The arrays are read-only copies, so a frozen instance stays unchanged.
+    """
 
     n: int
     k: int
@@ -110,6 +113,14 @@ class SykInstance:
     seed: int = 0
     clamped: bool = field(default=False)
 
+    def __post_init__(self) -> None:
+        for name in ("couplings", "mask"):
+            value = getattr(self, name)
+            if value is not None:
+                array = np.array(value)
+                array.flags.writeable = False
+                object.__setattr__(self, name, array)
+
     @property
     def gamma_count(self) -> int:
         return len(self.couplings)
@@ -120,15 +131,6 @@ class SykInstance:
 
     def ordering(self) -> OrderingMap:
         return ordering_map(self.n, self.k)
-
-
-_STREAM_TAGS = (
-    "dense_couplings",
-    "sparse_mask",
-    "sparse_couplings",
-    "state",
-    "scan_point",
-)
 
 
 def stream_rng(master_seed: int, stream_tag: str, sample_index: int) -> np.random.Generator:
@@ -221,15 +223,43 @@ def to_json(instance: SykInstance) -> str:
 
 
 def from_json(text: str) -> SykInstance:
+    """Parse an instance written by :func:`to_json`, rejecting inconsistent
+    documents (ValueError): wrong array lengths, a mask that is not 0/1,
+    non-finite couplings, or a sigma / p_B that does not match the model."""
     doc = json.loads(text)
+    n, k = doc["n"], doc["k"]
+    _validate_nk(n, k)
+    gamma_count = math.comb(n, k)
+    couplings = np.asarray(doc["couplings"], dtype=float)
+    if couplings.shape != (gamma_count,):
+        raise ValueError(f"{couplings.size} couplings != C(n,k) = {gamma_count}")
+    if not np.all(np.isfinite(couplings)):
+        raise ValueError("couplings must be finite")
+    mask, p_b = doc["mask"], doc["p_B"]
+    sigma = sigma_dense(n, k, doc["energy_constant"])
+    if mask is None:
+        if p_b is not None:
+            raise ValueError("a dense instance (no mask) must have p_B = null")
+    else:
+        mask = np.asarray(mask)
+        if mask.shape != (gamma_count,):
+            raise ValueError(f"mask length {mask.size} != C(n,k) = {gamma_count}")
+        if not np.all((mask == 0) | (mask == 1)):
+            raise ValueError("mask entries must be 0 or 1")
+        if p_b is None or not 0.0 <= p_b <= 1.0:
+            raise ValueError(f"a sparse instance needs 0 <= p_B <= 1, got {p_b!r}")
+        sigma = sigma / math.sqrt(p_b) if p_b > 0.0 else 0.0
+    if not math.isclose(doc["sigma"], sigma, rel_tol=1e-12):
+        raise ValueError(f"sigma {doc['sigma']!r} != {sigma!r} implied by n, k, "
+                         "energy_constant and p_B")
     return SykInstance(
-        n=doc["n"],
-        k=doc["k"],
+        n=n,
+        k=k,
         energy_constant=doc["energy_constant"],
         sigma=doc["sigma"],
-        couplings=np.asarray(doc["couplings"], dtype=float),
-        mask=None if doc["mask"] is None else np.asarray(doc["mask"], dtype=np.int8),
-        p_B=doc["p_B"],
+        couplings=couplings,
+        mask=None if mask is None else mask.astype(np.int8),
+        p_B=p_b,
         seed=doc["seed"],
         clamped=doc["clamped"],
     )

@@ -26,7 +26,6 @@ __all__ = [
     "is_hermitian",
     "to_dense",
     "apply_dense",
-    "apply_to_state",
     "apply_exponential",
     "apply_exponential_state",
 ]
@@ -166,11 +165,6 @@ def apply_dense(p: PauliString, target: np.ndarray) -> np.ndarray:
     out = target[perm]
     out *= coeff[perm][(...,) + (None,) * (target.ndim - 1)]
     return out
-
-
-def apply_to_state(p: PauliString, state: np.ndarray) -> np.ndarray:
-    """P @ state for a vector (O(D) signed permutation)."""
-    return apply_dense(p, state)
 
 
 def _require_hermitian(p: PauliString) -> None:

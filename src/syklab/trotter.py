@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fermions import hilbert_dim, term_operator
+from .fermions import hilbert_dim, term_table
 from .linalg import evolution_factory, schatten_norm
 from .model import SykInstance
-from .pauli import _coefficients, apply_exponential_state
+from .pauli import apply_exponential_state
 
 __all__ = [
     "Schedule",
@@ -83,23 +83,16 @@ def build_schedule(order: int, gamma_count: int) -> Schedule:
     return Schedule(order, stages, gamma_count, steps)
 
 
-def _term_data(instance: SykInstance) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-term signed-permutation data (perm, permuted coefficients)."""
-    data = []
-    for edge in instance.ordering().edges:
-        perm, coeff = _coefficients(term_operator(edge, instance.n).pauli)
-        data.append((perm, coeff[perm]))
-    return data
-
-
 def _round_matrix(
     instance: SykInstance, schedule: Schedule, tau: float
 ) -> np.ndarray:
-    """One round S_l(tau) as a dense matrix, built column-block-wise by
-    applying each step exponential to the accumulating matrix."""
-    dim = hilbert_dim(instance.n)
-    terms = _term_data(instance)
-    mat = np.eye(dim, dtype=complex)
+    """One round S_l(tau) as a dense matrix, built by applying each step
+    exponential cos(theta) + i sin(theta) K_g to the accumulating matrix in
+    place, with K_g read from the cached term table."""
+    table = term_table(instance.n, instance.k)
+    mat = np.eye(table.dim, dtype=complex)
+    buf = np.empty_like(mat)
+    perm = np.empty_like(table.rows)
     mask = instance.mask
     couplings = instance.couplings
     for a_j, b_j in schedule.steps:
@@ -109,10 +102,13 @@ def _round_matrix(
         theta = a_j * couplings[i] * tau
         if theta == 0.0:
             continue
-        perm, pcoeff = terms[i]
-        mat = np.cos(theta) * mat + (1j * np.sin(theta)) * (
-            pcoeff[:, None] * mat[perm]
-        )
+        table.permutation(i, out=perm)
+        # perm is in range by construction; mode="clip" skips the copy that
+        # take() makes for out= under the default bounds check.
+        np.take(mat, perm, axis=0, out=buf, mode="clip")
+        buf *= table.permuted_coefficients(i, 1j * np.sin(theta))[:, None]
+        mat *= np.cos(theta)
+        mat += buf
     return mat
 
 
@@ -186,10 +182,14 @@ def fixed_state_error(
     exact_state = evolution_factory(assemble(instance))(t) @ state
 
     schedule = build_schedule(order, instance.gamma_count)
-    terms = _term_data(instance)
+    table = term_table(instance.n, instance.k)
     tau = t / r
     mask = instance.mask
     couplings = instance.couplings
+    terms = [
+        (table.permutation(i), table.permuted_coefficients(i))
+        for i in range(instance.gamma_count)
+    ]
     # Pre-resolve the per-step work once; repeat it r times.
     active = [
         (a_j * couplings[b_j - 1] * tau,) + terms[b_j - 1]

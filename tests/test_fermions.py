@@ -1,12 +1,19 @@
 """Jordan-Wigner Majoranas and term operators: exact algebraic identities."""
 
+import math
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from syklab.fermions import hilbert_dim, jordan_wigner, term_operator
-from syklab.pauli import commutes, is_hermitian, multiply, to_dense
+from syklab import fermions
+from syklab.fermions import hilbert_dim, jordan_wigner, term_operator, term_table
+from syklab.linalg import assemble
+from syklab.model import ordering_map, sample_dense, sample_sparse
+from syklab.pauli import _coefficients, commutes, is_hermitian, multiply, to_dense
+from syklab.trotter import build_schedule, trotterized
 
 from conftest import dense_oracle
 
@@ -109,3 +116,76 @@ def test_anticommutation_sign_law(k):
             assert (ab.x_mask, ab.z_mask) == (ba.x_mask, ba.z_mask)
             expected_shift = 0 if should_commute else 2
             assert (ab.phase_exp - ba.phase_exp) % 4 == expected_shift
+
+
+@pytest.fixture
+def term_operator_calls(monkeypatch):
+    """Edges passed to term_operator from here on, with an empty table cache."""
+    calls = []
+    original = fermions.term_operator
+
+    def counting(edge, n):
+        calls.append(edge)
+        return original(edge, n)
+
+    monkeypatch.setattr(fermions, "term_operator", counting)
+    fermions._build_term_table.cache_clear()
+    return calls
+
+
+class TestTermTable:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_rows_match_term_operators(self, n):
+        for k in range(1, min(5, n) + 1):
+            table = term_table(n, k)
+            edges = ordering_map(n, k).edges
+            assert table.signs.shape == (len(edges), hilbert_dim(n))
+            for g, edge in enumerate(edges):
+                perm, coeff = _coefficients(term_operator(edge, n).pauli)
+                assert np.array_equal(table.permutation(g), perm)
+                assert np.array_equal(table.permuted_coefficients(g), coeff[perm])
+
+    def test_arrays_are_read_only(self):
+        table = term_table(8, 4)
+        for array in (table.x_masks, table.phases, table.signs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_cached_per_n_k(self):
+        assert term_table(8, 4) is term_table(8, 4)
+        assert term_table(8, 3) is not term_table(8, 4)
+
+    def test_term_operator_runs_once_per_term(self, term_operator_calls):
+        n, k = 8, 4
+        schedule = build_schedule(2, math.comb(n, k))
+        for i in range(3):
+            for inst in (sample_dense(n, k, seed=i), sample_sparse(n, k, seed=i)):
+                assemble(inst)
+                trotterized(inst, schedule, 1.0, 4)
+        assert len(term_operator_calls) == math.comb(n, k)
+
+    def test_concurrent_first_calls_build_one_table(self, term_operator_calls):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                fermions._build_term_table.cache_clear()
+                term_operator_calls.clear()
+                tables = []
+                start = threading.Barrier(8, timeout=60)
+
+                def first_call():
+                    start.wait()
+                    tables.append(term_table(10, 3))
+
+                threads = [threading.Thread(target=first_call) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(tables) == 8 and all(t is tables[0] for t in tables)
+                assert len(term_operator_calls) == math.comb(10, 3)
+        finally:
+            sys.setswitchinterval(interval)

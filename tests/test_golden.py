@@ -1,0 +1,40 @@
+"""Golden CSVs: scan output must stay byte-identical across refactors.
+
+The files under ``tests/golden/`` were written by the commands below before
+the term table replaced the per-term loops in ``assemble`` and the round
+matrix.  Any change to these bytes is a numerical change and must be a
+deliberate one (regenerate the files with the same commands and say why).
+The byte identity is promised within one numpy/BLAS build.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from syklab import fermions
+from syklab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "scan_n_dense.csv": ["scan-n", "--model", "dense", "--n", "6,8,10", "--k", "4",
+                         "--l", "2", "--r", "100"],
+    "scan_n_sparse.csv": ["scan-n", "--model", "sparse", "--kappa", "4",
+                          "--n", "6,8,10", "--k", "4", "--l", "2", "--r", "100",
+                          "--n-bernoulli", "3"],
+    "scan_t.csv": ["scan-t", "--model", "dense", "--n", "8", "--k", "4", "--l", "1",
+                   "--p", "4", "--t-min", "0.1", "--t-max", "10", "--t-points", "4",
+                   "--r", "100", "--n-disorder", "8"],
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_scan_matches_golden_bytes(name, workers, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYKLAB_WORKERS", workers)
+    # Start from an empty term-table cache, so that with two workers the
+    # tables are built while the pool runs.
+    fermions._build_term_table.cache_clear()
+    out = tmp_path / name
+    assert main(CASES[name] + ["-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 
 from syklab.fermions import hilbert_dim, term_operator
 from syklab.linalg import (
+    NormEstimate,
     ResourceError,
     assemble,
     exact_evolution,
@@ -179,3 +180,10 @@ class TestExpectedNorm:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             expected_norm(lambda i: None, lambda _: np.eye(2), 2, 1)
+
+
+def test_norm_estimate_is_frozen_with_positional_fields():
+    est = NormEstimate(0.5, 0.01, 4, 2.0)
+    assert (est.value, est.stderr, est.num_samples, est.p) == (0.5, 0.01, 4, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.value = 1.0

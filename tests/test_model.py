@@ -1,5 +1,6 @@
 """Ordering map, disorder sampling statistics, and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -112,6 +113,16 @@ class TestSampling:
         assert np.array_equal(a.mask, b.mask)
         assert not np.array_equal(a.couplings, b.couplings)
 
+    def test_instance_arrays_are_read_only_copies(self):
+        mask, _, _ = sample_bernoulli_mask(8, 3, 4.0, seed=5, sample_index=0)
+        inst = sample_sparse(8, 3, kappa=4.0, seed=5, mask=mask)
+        for array in (inst.couplings, inst.mask):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        mask[0] ^= 1  # the caller's array stays writable and detached
+        assert inst.mask[0] != mask[0]
+
 
 class TestSerialization:
     def test_dense_roundtrip_exact(self):
@@ -129,3 +140,50 @@ class TestSerialization:
         assert np.array_equal(back.mask, inst.mask)
         assert back.p_B == inst.p_B
         assert back.clamped == inst.clamped
+
+
+def _doc(instance) -> dict:
+    return json.loads(to_json(instance))
+
+
+class TestFromJsonValidation:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_round_trip_is_accepted(self, sparse):
+        inst = sample_sparse(8, 3, seed=2) if sparse else sample_dense(8, 3, seed=2)
+        assert from_json(json.dumps(_doc(inst))).gamma_count == 56
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: d.update(couplings=d["couplings"][:-1]), id="short-couplings"),
+            pytest.param(lambda d: d.update(mask=d["mask"] + [0]), id="long-mask"),
+            pytest.param(lambda d: d["mask"].__setitem__(0, 2), id="mask-not-0/1"),
+            pytest.param(lambda d: d["couplings"].__setitem__(3, float("nan")), id="nan-coupling"),
+            pytest.param(lambda d: d["couplings"].__setitem__(3, float("inf")), id="inf-coupling"),
+            pytest.param(lambda d: d.update(sigma=2 * d["sigma"]), id="sigma-mismatch"),
+            pytest.param(lambda d: d.update(p_B=None), id="sparse-without-p_B"),
+            pytest.param(lambda d: d.update(p_B=1.5), id="p_B-above-one"),
+            pytest.param(lambda d: d.update(p_B=0.5), id="p_B-inconsistent-with-sigma"),
+            pytest.param(lambda d: d.update(n=7), id="odd-n"),
+            pytest.param(lambda d: d.update(energy_constant=-1.0), id="energy-constant"),
+        ],
+    )
+    def test_rejects_inconsistent_sparse_document(self, edit):
+        doc = _doc(sample_sparse(8, 3, kappa=4.0, seed=3))
+        edit(doc)
+        with pytest.raises(ValueError):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: d.update(p_B=0.5), id="dense-with-p_B"),
+            pytest.param(lambda d: d.update(sigma=d["sigma"] * (1 + 1e-9)), id="sigma-mismatch"),
+            pytest.param(lambda d: d.update(couplings=d["couplings"] + [0.1]), id="long-couplings"),
+        ],
+    )
+    def test_rejects_inconsistent_dense_document(self, edit):
+        doc = _doc(sample_dense(8, 3, seed=4))
+        edit(doc)
+        with pytest.raises(ValueError):
+            from_json(json.dumps(doc))

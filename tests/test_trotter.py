@@ -188,6 +188,20 @@ class TestFixedStateError:
         spectral = observed_error(inst, 1, 1.0, 9, np.inf)
         assert fixed <= spectral + 1e-10
 
+    def test_matches_state_difference_on_masked_sparse(self):
+        inst = sample_sparse(8, 4, kappa=2.0, seed=41)
+        assert 0 < inst.mask.sum() < inst.gamma_count
+        rng = np.random.default_rng(42)
+        state = rng.normal(size=16) + 1j * rng.normal(size=16)
+        state /= np.linalg.norm(state)
+        t, r = 1.1, 5
+        sched = build_schedule(2, inst.gamma_count)
+        ref = np.linalg.norm(
+            exact_evolution(assemble(inst), t) @ state
+            - trotterized(inst, sched, t, r) @ state
+        )
+        assert fixed_state_error(inst, 2, t, r, state) == pytest.approx(ref, rel=1e-10)
+
     def test_rejects_unnormalized(self):
         inst = sample_dense(6, 2, seed=38)
         with pytest.raises(ValueError):
