@@ -1,29 +1,38 @@
-"""Brute-force combinatorics of nested-commutator chains.
+"""Exact combinatorics of nested-commutator chains.
 
-Everything here is oracle-grade: literal enumeration at small sizes, used to
-verify the counting lemmas behind the higher-order bounds.
+Everything here is oracle-grade: exact counts at small sizes, used to verify
+the counting lemmas behind the higher-order bounds.
 
 For a chain (j_0, ..., j_{g-1}) over a set of m Pauli terms, the nested
 commutator L_{j_{g-1}} ... L_{j_1}[H_{j_0}] (L_a = [H_a, .]) is nonzero iff
 at every step the next term anticommutes with the accumulated product, since
-a commutator of Pauli strings is either 0 or 2x their product.
+a commutator of Pauli strings is either 0 or 2x their product.  The
+symplectic form is bilinear over GF(2), so the anticommutation row of a
+product (bit j set iff term j anticommutes with it) is the XOR of its
+factors' rows: chains are followed on the termset's rows
+(:attr:`TermSet.anticommuting`) and no Pauli product is formed.
 
 G_w(H) = sum over weight vectors w_vec with |w_vec| = w of
     ( sum over pi in S_g, v_vec with |w_vec| + 2|v_vec| = g of
         ind(pi[eta(w_vec, 2 v_vec)]) )^2,
 
 with eta the unary encoding (term i repeated w_vec_i times, then term j
-repeated 2 v_vec_j times).  The Bernoulli average <G_w> weights each w_vec
-by prod_{i in Supp(w_vec)} b_i outside the square and each v_vec by
-prod_{j in Supp(v_vec) \\ Supp(w_vec)} b_j inside; the mask enumeration below
-realizes this literally and is exact.
+repeated 2 v_vec_j times).  The sum over pi in S_g is an exact integer
+count: a depth-first search over orderings of the multiset eta that picks
+the next term only while it anticommutes with the product so far, weighted
+by the copies of that term left (so copies count apart, as in S_g).  The
+Bernoulli average <G_w> weights each w_vec by prod_{i in Supp(w_vec)} b_i
+outside the square and each v_vec by prod_{j in Supp(v_vec) \\ Supp(w_vec)}
+b_j inside; the enumeration of all 2^m masks below realizes this literally
+and is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,6 +69,15 @@ class TermSet:
     def m(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def anticommuting(self) -> tuple[int, ...]:
+        """Anticommutation rows: bit j of entry i is set iff terms i and j
+        anticommute (a term commutes with itself, so bit i is clear)."""
+        ts = self.terms
+        return tuple(
+            sum(1 << j for j, b in enumerate(ts) if not commutes(a, b)) for a in ts
+        )
+
 
 def syk_termset(n: int, k: int, edges: Sequence[Sequence[int]] | None = None) -> TermSet:
     """Termset of SYK term operators; all C(n,k) hyperedges by default."""
@@ -68,31 +86,24 @@ def syk_termset(n: int, k: int, edges: Sequence[Sequence[int]] | None = None) ->
     return TermSet(tuple(term_operator(e, n).pauli for e in edges))
 
 
-def _anticommutes(a: PauliString, b: PauliString) -> bool:
-    return not commutes(a, b)
-
-
 def indicator(chain: Sequence[int], terms: TermSet) -> int:
     """1 iff the nested commutator over ``chain`` (0-based indices,
     chain[0] innermost) is nonzero."""
     if len(chain) == 0:
         raise ValueError("chain must be non-empty")
-    acc = terms.terms[chain[0]]
+    rows = terms.anticommuting
+    acc = rows[chain[0]]
     for j in chain[1:]:
-        nxt = terms.terms[j]
-        if commutes(nxt, acc):
+        row = rows[j]  # an index outside the termset raises here
+        if not acc >> j & 1:
             return 0
-        acc = nxt * acc
+        acc ^= row
     return 1
 
 
 def q_max(terms: TermSet) -> int:
     """max over terms of the number of anticommuting partners."""
-    ts = terms.terms
-    return max(
-        (sum(_anticommutes(a, b) for b in ts if b is not a) for a in ts),
-        default=0,
-    )
+    return max((row.bit_count() for row in terms.anticommuting), default=0)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -110,35 +121,59 @@ def _check_guards(terms: TermSet, g: int, w: int, max_terms: int) -> None:
         raise ValueError(f"cost guard: chain length g <= {MAX_CHAIN_LENGTH}")
     if terms.m > max_terms:
         raise ValueError(f"cost guard: m <= {max_terms} terms")
+    if g < 1:
+        raise ValueError(f"chains need length g >= 1, got g={g}")
     if not 0 <= w <= g:
         raise ValueError(f"need 0 <= w <= g, got w={w}, g={g}")
 
 
-def _unary(vec: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, c in enumerate(vec) for _ in range(c))
+def _support(vec: Sequence[int]) -> int:
+    """Bit mask of the indices where ``vec`` is nonzero."""
+    return sum(1 << i for i, c in enumerate(vec) if c)
 
 
-def _chain_sum(
-    terms: TermSet, g: int, w_vec: tuple[int, ...], weights: Sequence[float],
-    w_support: frozenset[int], cache: dict,
-) -> float:
-    """sum over pi, v_vec of (inner Bernoulli weight) * ind(pi[eta])."""
-    m = terms.m
-    total = 0.0
-    for v_vec in _compositions((g - sum(w_vec)) // 2, m):
-        inner_weight = 1.0
-        for j, c in enumerate(v_vec):
-            if c > 0 and j not in w_support:
-                inner_weight *= weights[j]
-        if inner_weight == 0.0:
-            continue
-        eta = _unary(w_vec) + _unary(tuple(2 * c for c in v_vec))
-        count = cache.get(eta)
-        if count is None:
-            count = sum(indicator(chain, terms) for chain in permutations(eta))
-            cache[eta] = count
-        total += inner_weight * count
+def _surviving_orderings(
+    rows: tuple[int, ...], counts: list[int], acc: int | None = None
+) -> int:
+    """Orderings of the multiset holding term i counts[i] times (copies of a
+    term told apart, as in S_g) that keep the nested commutator nonzero when
+    they extend a chain whose product has anticommutation row ``acc`` (None:
+    an empty chain, so the result is sum of indicator(pi[eta]) over S_g).
+    ``counts`` is restored before returning."""
+    if not any(counts):
+        return 1
+    total = 0
+    for j, c in enumerate(counts):
+        if c and (acc is None or acc >> j & 1):
+            counts[j] = c - 1
+            nxt = rows[j] if acc is None else acc ^ rows[j]
+            total += c * _surviving_orderings(rows, counts, nxt)
+            counts[j] = c
     return total
+
+
+def _chain_counts(
+    terms: TermSet, g: int, w: int
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """For each w_vec with |w_vec| = w: its support mask, and for each v_vec
+    with |w_vec| + 2|v_vec| = g whose chains survive, the mask of the terms
+    that only v_vec uses and the count of surviving orderings of eta."""
+    rows = terms.anticommuting
+    v_vecs = [(v_vec, _support(v_vec)) for v_vec in _compositions((g - w) // 2, terms.m)]
+    cache: dict[tuple[int, ...], int] = {}
+    table = []
+    for w_vec in _compositions(w, terms.m):
+        w_mask = _support(w_vec)
+        inner = []
+        for v_vec, v_mask in v_vecs:
+            counts = tuple(a + 2 * b for a, b in zip(w_vec, v_vec))
+            count = cache.get(counts)
+            if count is None:
+                count = cache[counts] = _surviving_orderings(rows, list(counts))
+            if count:
+                inner.append((v_mask & ~w_mask, count))
+        table.append((w_mask, inner))
+    return table
 
 
 def gw_bruteforce(terms: TermSet, g: int, w: int) -> int:
@@ -146,13 +181,9 @@ def gw_bruteforce(terms: TermSet, g: int, w: int) -> int:
     _check_guards(terms, g, w, MAX_TERMS_GW)
     if (g - w) % 2 != 0:
         return 0
-    ones = [1.0] * terms.m
-    cache: dict = {}
-    total = 0.0
-    for w_vec in _compositions(w, terms.m):
-        inner = _chain_sum(terms, g, w_vec, ones, frozenset(), cache)
-        total += inner * inner
-    return round(total)
+    return sum(
+        sum(count for _, count in inner) ** 2 for _, inner in _chain_counts(terms, g, w)
+    )
 
 
 def avg_gw_exact(terms: TermSet, g: int, w: int, p_b: float) -> float:
@@ -163,25 +194,22 @@ def avg_gw_exact(terms: TermSet, g: int, w: int, p_b: float) -> float:
     if (g - w) % 2 != 0:
         return 0.0
     m = terms.m
-    cache: dict = {}
-    w_vecs = list(_compositions(w, m))
+    table = _chain_counts(terms, g, w)
     expectation = 0.0
     for bits in range(1 << m):
-        b = [(bits >> i) & 1 for i in range(m)]
-        ones = b.count(1)
+        ones = bits.bit_count()
         prob = p_b**ones * (1.0 - p_b) ** (m - ones)
         if prob == 0.0:
             continue
         value = 0.0
-        for w_vec in w_vecs:
-            support = frozenset(i for i, c in enumerate(w_vec) if c > 0)
-            outer = 1.0
-            for i in support:
-                outer *= b[i]
-            if outer == 0.0:
+        for w_mask, inner_counts in table:
+            if w_mask & ~bits:  # a term of w_vec is masked out
                 continue
-            inner = _chain_sum(terms, g, w_vec, [float(x) for x in b], support, cache)
-            value += outer * inner * inner
+            inner = 0.0
+            for only_v_mask, count in inner_counts:
+                if not only_v_mask & ~bits:
+                    inner += count
+            value += inner * inner
         expectation += prob * value
     return expectation
 
@@ -237,13 +265,12 @@ class AntiCommutationGraph:
 
 def build_graph(terms: TermSet) -> AntiCommutationGraph:
     """Anti-commutation graph via vectorized symplectic parities."""
-    m = terms.m
-    x = np.array([t.x_mask for t in terms.terms], dtype=np.uint64)
-    z = np.array([t.z_mask for t in terms.terms], dtype=np.uint64)
-    overlap = np.bitwise_count(x[:, None] & z[None, :]) + np.bitwise_count(
-        z[:, None] & x[None, :]
-    )
-    adj = (overlap % 2).astype(bool)
+    ts = terms.terms
+    dtype = np.min_scalar_type(max((max(t.x_mask, t.z_mask) for t in ts), default=0))
+    x = np.array([t.x_mask for t in ts], dtype=dtype)
+    z = np.array([t.z_mask for t in ts], dtype=dtype)
+    # |x_i & z_j| + |z_i & x_j| = |(x_i & z_j) ^ (z_i & x_j)| (mod 2)
+    adj = (np.bitwise_count((x[:, None] & z) ^ (z[:, None] & x)) & 1).astype(bool)
     np.fill_diagonal(adj, False)
     return AntiCommutationGraph(adj)
 

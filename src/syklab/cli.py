@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from typing import get_type_hints
 
 from .experiments import (
     ExperimentConfig,
@@ -25,12 +26,23 @@ from .experiments import (
     cmd_solve_r,
 )
 
-_BOOL_KEYS = {"bound_only", "timing"}
-_INT_KEYS = {"k", "l", "r", "t_points", "N_disorder", "N_bernoulli", "master_seed"}
-_FLOAT_KEYS = {"p", "t", "t_min", "t_max", "kappa", "energy_constant",
-               "epsilon", "delta"}
-_STR_KEYS = {"model", "prefactor_mode", "overhead", "mode", "output",
-             "instance_path"}
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _keys_annotated(kind: type) -> frozenset[str]:
+    """Config keys whose ExperimentConfig field is annotated ``kind``
+    (``command`` is set by the subcommand, never by a config key)."""
+    return frozenset(
+        name for name, annotation in get_type_hints(ExperimentConfig).items()
+        if annotation is kind and name != "command"
+    )
+
+
+_BOOL_KEYS = _keys_annotated(bool)
+_INT_KEYS = _keys_annotated(int)
+_FLOAT_KEYS = _keys_annotated(float)
+_STR_KEYS = _keys_annotated(str)
 
 
 def _parse_value(key: str, raw: str):
@@ -38,7 +50,13 @@ def _parse_value(key: str, raw: str):
     if key == "n_list":
         return tuple(int(x) for x in raw.split(",") if x.strip())
     if key in _BOOL_KEYS:
-        return raw.lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word not in _TRUE_WORDS + _FALSE_WORDS:
+            raise ValueError(
+                f"config key {key!r} needs one of "
+                f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {raw!r}"
+            )
+        return word in _TRUE_WORDS
     if key in _INT_KEYS:
         return int(raw)
     if key in _FLOAT_KEYS:

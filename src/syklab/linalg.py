@@ -23,6 +23,7 @@ __all__ = [
     "assemble",
     "exact_evolution",
     "evolution_factory",
+    "hermitian_eigh",
     "schatten_norm",
     "expected_norm",
     "worker_count",
@@ -71,14 +72,22 @@ def exact_evolution(ham: np.ndarray, t: float, hermiticity_tol: float = 1e-10) -
     return evolution_factory(ham, hermiticity_tol)(t)
 
 
+def hermitian_eigh(
+    ham: np.ndarray, hermiticity_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """(evals, evecs) of ``ham``, after checking it is Hermitian within
+    ``hermiticity_tol`` relative to its Frobenius norm."""
+    scale = np.linalg.norm(ham) or 1.0
+    if np.linalg.norm(ham - ham.conj().T) > hermiticity_tol * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigh(ham)
+
+
 def evolution_factory(
     ham: np.ndarray, hermiticity_tol: float = 1e-10
 ) -> Callable[[float], np.ndarray]:
     """Return t -> exp(i*H*t), reusing one eigendecomposition across t values."""
-    scale = np.linalg.norm(ham) or 1.0
-    if np.linalg.norm(ham - ham.conj().T) > hermiticity_tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(ham)
+    evals, evecs = hermitian_eigh(ham, hermiticity_tol)
 
     def evolve(t: float) -> np.ndarray:
         phases = np.exp(1j * evals * t)

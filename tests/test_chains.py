@@ -9,6 +9,8 @@ import pytest
 from syklab.bounds import q_of
 from syklab.chains import (
     TermSet,
+    _compositions,
+    _surviving_orderings,
     avg_gw_exact,
     build_graph,
     greedy_coloring,
@@ -20,7 +22,7 @@ from syklab.chains import (
     syk_termset,
 )
 from syklab.fermions import jordan_wigner
-from syklab.pauli import PauliString, to_dense
+from syklab.pauli import PauliString, commutes, to_dense
 
 
 def pauli(nq: int, x: int, z: int, e: int = 0) -> PauliString:
@@ -65,6 +67,77 @@ class TestIndicator:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             indicator([], XZ_PAIR)
+
+    def test_index_outside_termset_rejected(self):
+        with pytest.raises(IndexError):
+            indicator([0, 2], XZ_PAIR)
+        with pytest.raises(IndexError):
+            indicator([3], XZ_PAIR)
+
+
+def reference_indicator(chain, terms):
+    """indicator() from Pauli products: the next term must anticommute with
+    the accumulated product, which is then multiplied out."""
+    acc = terms.terms[chain[0]]
+    for j in chain[1:]:
+        nxt = terms.terms[j]
+        if commutes(nxt, acc):
+            return 0
+        acc = nxt * acc
+    return 1
+
+
+def random_syk_termsets():
+    """Random SYK termsets of 4 to 6 distinct terms (k = 2, 3, 4)."""
+    rng = np.random.default_rng(2718)
+    for n, k in [(6, 2), (6, 3), (8, 3), (8, 4), (10, 4)]:
+        all_edges = list(combinations(range(1, n + 1), k))
+        for m in (4, 6):
+            picked = rng.choice(len(all_edges), m, replace=False)
+            yield syk_termset(n, k, [all_edges[i] for i in sorted(picked)])
+
+
+class TestAnticommutationRows:
+    @pytest.mark.parametrize("terms", list(random_syk_termsets()))
+    def test_indicator_matches_pauli_products(self, terms):
+        for g in range(1, 6):
+            for chain in product(range(terms.m), repeat=g):
+                assert indicator(chain, terms) == reference_indicator(chain, terms), chain
+
+    @pytest.mark.parametrize("terms", list(random_syk_termsets()))
+    def test_multiset_count_matches_permutations(self, terms):
+        """Every eta that gw_bruteforce visits (all g <= 5, w <= g of the
+        same parity): the count equals the sum over permutations(eta)."""
+        rows = terms.anticommuting
+        seen = set()
+        for g in range(1, 6):
+            for w in range(g % 2, g + 1, 2):
+                for w_vec in _compositions(w, terms.m):
+                    for v_vec in _compositions((g - w) // 2, terms.m):
+                        counts = tuple(a + 2 * b for a, b in zip(w_vec, v_vec))
+                        if counts in seen:
+                            continue
+                        seen.add(counts)
+                        eta = [i for i, c in enumerate(counts) for _ in range(c)]
+                        expected = sum(
+                            reference_indicator(c, terms) for c in permutations(eta)
+                        )
+                        assert _surviving_orderings(rows, list(counts)) == expected, counts
+
+    @pytest.mark.parametrize("terms", list(random_syk_termsets()) + [
+        syk_termset(6, 3), syk_termset(8, 4), XZ_PAIR, ZZ_PAIR, TermSet(()),
+    ])
+    def test_rows_match_build_graph(self, terms):
+        adj = build_graph(terms).adjacency
+        rows = terms.anticommuting
+        assert len(rows) == terms.m
+        for i, row in enumerate(rows):
+            assert [bool(row >> j & 1) for j in range(terms.m)] == adj[i].tolist()
+            assert row >> terms.m == 0
+
+    def test_rows_cached(self):
+        terms = syk_termset(6, 3)
+        assert terms.anticommuting is terms.anticommuting
 
 
 class TestQMax:
@@ -138,6 +211,12 @@ class TestGwBruteforce:
             gw_bruteforce(syk_termset(6, 2, list(combinations(range(1, 6), 2))), 2, 2)
         with pytest.raises(ValueError):
             gw_bruteforce(XZ_PAIR, 2, 3)
+
+    def test_empty_chain_length_rejected(self):
+        with pytest.raises(ValueError):
+            gw_bruteforce(XZ_PAIR, 0, 0)
+        with pytest.raises(ValueError):
+            avg_gw_exact(XZ_PAIR, 0, 0, 0.5)
 
 
 class TestAvgGw:
@@ -264,6 +343,20 @@ class TestGraph:
             for j in range(terms.m):
                 expected = i != j and not commutes(terms.terms[i], terms.terms[j])
                 assert bool(g.adjacency[i, j]) == expected
+
+    def test_matches_pairwise_commutes_uint16_masks(self):
+        """n = 18 puts the masks on 9 qubits, past uint8."""
+        rng = np.random.default_rng(18)
+        all_edges = list(combinations(range(1, 19), 4))
+        picked = sorted(rng.choice(len(all_edges), 150, replace=False))
+        terms = syk_termset(18, 4, [all_edges[i] for i in picked])
+        biggest = max(max(t.x_mask, t.z_mask) for t in terms.terms)
+        assert np.min_scalar_type(biggest) == np.uint16
+        adj = build_graph(terms).adjacency
+        for i in range(terms.m):
+            for j in range(terms.m):
+                expected = i != j and not commutes(terms.terms[i], terms.terms[j])
+                assert bool(adj[i, j]) == expected
 
 
 class TestColoring:

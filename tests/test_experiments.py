@@ -278,3 +278,78 @@ class TestCli:
                      "--t", "0.5", "--r", "16"]) == 0
         out = capsys.readouterr().out
         assert "observed normalized error" in out
+
+
+class TestConfigFile:
+    # a value other than the default for every config key
+    NON_DEFAULT = dict(
+        model="sparse", n_list=(8, 12), k=3, l=2, p=4.0, t=0.25, t_min=2.5,
+        t_max=50.0, t_points=5, r=123, kappa=2.5, energy_constant=1.5,
+        N_disorder=7, N_bernoulli=9, master_seed=99, prefactor_mode="unit",
+        overhead="log_n", epsilon=0.05, delta=0.001, mode="fixed_state",
+        bound_only=True, timing=True, output="out.csv", instance_path="inst.json",
+    )
+
+    @staticmethod
+    def _config_from_file(path):
+        class Args:
+            subcommand = "scan-n"
+            config = str(path)
+
+        args = Args()
+        for f in ExperimentConfig.__dataclass_fields__:
+            if not hasattr(args, f):
+                setattr(args, f, None)
+        return build_config(args)
+
+    def test_every_field_has_one_parser(self):
+        from dataclasses import fields
+
+        from syklab import cli
+
+        key_sets = (cli._BOOL_KEYS, cli._INT_KEYS, cli._FLOAT_KEYS, cli._STR_KEYS)
+        for f in fields(ExperimentConfig):
+            owners = sum(f.name in keys for keys in key_sets)
+            if f.name in ("command", "n_list"):
+                assert owners == 0, f.name
+            else:
+                assert owners == 1, f.name
+
+    def test_every_field_round_trips(self, tmp_path):
+        """The CSV's config comment block, uncommented, is a config file
+        that gives back the same config."""
+        from dataclasses import fields
+
+        expected = ExperimentConfig(command="scan-n", **self.NON_DEFAULT)
+        for f in fields(ExperimentConfig):
+            if f.name != "command":
+                assert getattr(expected, f.name) != f.default, f.name
+        lines = [line[2:] for line in expected.as_comment_block().splitlines()
+                 if not line.startswith("# command =")]
+        lines += ["output = out.csv", "instance_path = inst.json"]
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._config_from_file(cfg) == expected
+
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("False", False), ("no", False), ("off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, word, value):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text(f"timing = {word}\nbound_only = {word}\n", encoding="utf-8")
+        config = self._config_from_file(cfg)
+        assert config.timing is value and config.bound_only is value
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "y", "enabled"])
+    def test_other_boolean_spellings_rejected(self, tmp_path, word):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"timing = {word}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="timing"):
+            main(["bounds", "--config", str(cfg)])
+
+    def test_command_is_not_a_config_key(self, tmp_path):
+        cfg = tmp_path / "cmd.cfg"
+        cfg.write_text("command = oracle\n", encoding="utf-8")
+        with pytest.raises(KeyError):
+            main(["bounds", "--config", str(cfg)])

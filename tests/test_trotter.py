@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from syklab.fermions import hilbert_dim, term_operator
-from syklab.linalg import assemble, exact_evolution
+from syklab.fermions import hilbert_dim, term_operator, term_table
+from syklab.linalg import assemble, evolution_factory, exact_evolution
 from syklab.model import sample_dense, sample_sparse
-from syklab.pauli import to_dense
+from syklab.pauli import apply_exponential_state, to_dense
 from syklab.trotter import (
     build_schedule,
     fixed_state_error,
@@ -201,6 +201,35 @@ class TestFixedStateError:
             - trotterized(inst, sched, t, r) @ state
         )
         assert fixed_state_error(inst, 2, t, r, state) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("inst", [
+        sample_dense(8, 3, seed=43),
+        sample_dense(10, 4, seed=44),
+        sample_sparse(8, 4, kappa=2.0, seed=41),
+        sample_sparse(10, 4, kappa=2.0, seed=45),
+    ], ids=["dense-8", "dense-10", "sparse-8", "sparse-10"])
+    def test_matches_matrix_route(self, inst):
+        """The eigenbasis state evolution gives the error of the D x D
+        exp(iHt) @ state route within rel 1e-12."""
+        assert inst.mask is None or 0 < inst.mask.sum() < inst.gamma_count
+        dim = hilbert_dim(inst.n)
+        rng = np.random.default_rng(46)
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        t, r, order = 0.9, 6, 2
+        table = term_table(inst.n, inst.k)
+        psi = state
+        for _ in range(r):
+            for a_j, b_j in build_schedule(order, inst.gamma_count).steps:
+                if inst.mask is not None and inst.mask[b_j - 1] == 0:
+                    continue
+                theta = a_j * inst.couplings[b_j - 1] * t / r
+                psi = apply_exponential_state(
+                    theta, table.permutation(b_j - 1),
+                    table.permuted_coefficients(b_j - 1), psi,
+                )
+        ref = np.linalg.norm(evolution_factory(assemble(inst))(t) @ state - psi)
+        assert fixed_state_error(inst, order, t, r, state) == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_unnormalized(self):
         inst = sample_dense(6, 2, seed=38)
