@@ -6,7 +6,7 @@ pauli        exact symplectic Pauli-string algebra and signed-permutation action
 fermions     Jordan-Wigner Majoranas, k-local term operators, cached term tables
 model        hyperedge ordering and dense/sparse disorder sampling
 linalg       dense backend: assembly, exact evolution, Schatten norms, MC averages
-trotter      Lie-Trotter-Suzuki schedules and Trotterized evolution
+trotter      Lie-Trotter-Suzuki schedules, Trotterized evolution, averaged error
 bounds       Q(n,k), analytical error bounds, Trotter-number solver, gate counts
 chains       brute-force nested-commutator combinatorics and coloring oracles
 experiments  scan drivers, CSV emission, verification reports

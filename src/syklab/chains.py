@@ -107,7 +107,12 @@ def q_max(terms: TermSet) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors of given length summing to total."""
+    """All nonnegative integer vectors of given length summing to total
+    (for no parts, the empty vector iff total is 0)."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         yield (total,)
         return

@@ -2,8 +2,10 @@
 
 Subcommands: scan-n, scan-t, solve-r, gatecount, bounds, oracle, gen, evolve.
 Parameters come from an optional ``key = value`` config file plus flag
-overrides; every CSV embeds the resolved config as a comment block.  The
-worker-pool size is read from the SYKLAB_WORKERS environment variable.
+overrides; every CSV embeds the resolved config as a comment block.  Scans
+evaluate their grid points on a thread pool of SYKLAB_WORKERS workers (an
+environment variable; a positive integer, default 1; anything else is a
+ValueError).
 Exit code is 0 only if every row succeeded and every requested check passed.
 """
 

@@ -3,7 +3,8 @@ verification suites, and CSV emission.
 
 Determinism contract: with a fixed config and master seed the emitted CSV is
 byte-identical regardless of worker count.  Per-point seeds derive from
-(master_seed, point index); grid points are computed by a worker pool but
+(master_seed, point index); grid points are computed by a thread pool of
+SYKLAB_WORKERS workers (default 1; this is the package's only pool) but
 gathered in submission order; wall-clock timing is only recorded when the
 config explicitly enables it (timing breaks byte-reproducibility and is off
 by default).
@@ -13,15 +14,14 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import bounds, chains, model, trotter
-from .fermions import hilbert_dim
-from .linalg import NormEstimate, assemble, exact_evolution, expected_norm, worker_count
 from .pauli import commutes
 
 __all__ = [
@@ -146,55 +146,12 @@ def _sparse_bound(config: ExperimentConfig, n: int, t: float, l: int) -> float:
     return bounds.delta_l_sparse(inp).value
 
 
-def _trotter_statistic(config: ExperimentConfig, n: int, t: float):
-    """instance -> exp(iHt) - S_l(t/r)**r, the matrix whose norm is averaged."""
-    schedule = trotter.build_schedule(config.l, math.comb(n, config.k))
-
-    def statistic(instance):
-        exact = exact_evolution(assemble(instance), t)
-        return exact - trotter.trotterized(instance, schedule, t, config.r)
-
-    return statistic
-
-
-def _observed_dense(config: ExperimentConfig, n: int, t: float, seed: int):
-    """Disorder-averaged normalized Trotter error for the dense model."""
-    dim = hilbert_dim(n)
-
-    def sampler(i: int):
-        return model.sample_dense(n, config.k, config.energy_constant, seed, i)
-
-    statistic = _trotter_statistic(config, n, t)
-    est = expected_norm(sampler, statistic, config.p, config.N_disorder, workers=1)
-    scale = dim ** (1.0 / config.p)
-    return replace(est, value=est.value / scale, stderr=est.stderr / scale)
-
-
-def _observed_sparse(config: ExperimentConfig, n: int, t: float, seed: int):
-    """Bernoulli average (outer) of per-mask disorder-expected norms (inner).
-
-    The inner norm concerns only the Gaussian couplings; the plain mean over
-    masks is taken outside, matching the averaged-error definition.
-    """
-    dim = hilbert_dim(n)
-    statistic = _trotter_statistic(config, n, t)
-    scale = dim ** (1.0 / config.p)
-    per_mask: list[float] = []
-    for b in range(config.N_bernoulli):
-        mask, _, _ = model.sample_bernoulli_mask(n, config.k, config.kappa, seed, b)
-
-        def sampler(i: int, _mask=mask, _b=b):
-            return model.sample_sparse(
-                n, config.k, config.energy_constant, config.kappa, seed,
-                coupling_index=_b * config.N_disorder + i, mask=_mask,
-            )
-
-        est = expected_norm(sampler, statistic, config.p, config.N_disorder, workers=1)
-        per_mask.append(est.value / scale)
-    values = np.asarray(per_mask)
-    mean = float(values.mean())
-    sem = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return NormEstimate(mean, sem, len(values), config.p)
+def worker_count() -> int:
+    """Worker pool size, from the SYKLAB_WORKERS environment variable."""
+    raw = os.environ.get("SYKLAB_WORKERS", "1")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"SYKLAB_WORKERS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _run_points(config: ExperimentConfig, points: list, worker) -> list[ResultRow]:
@@ -208,25 +165,25 @@ def _run_points(config: ExperimentConfig, points: list, worker) -> list[ResultRo
 
 def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) -> ResultRow:
     seed = _point_seed(config.master_seed, point_index)
+    sparse = config.model == "sparse"
     start = time.perf_counter()
     row = ResultRow(
         model=config.model, n=n, k=config.k, l=config.l, p=config.p, t=t,
-        r=config.r, kappa=config.kappa if config.model == "sparse" else 0.0,
+        r=config.r, kappa=config.kappa if sparse else 0.0,
         seed=seed, N_disorder=config.N_disorder,
-        N_bernoulli=config.N_bernoulli if config.model == "sparse" else 0,
+        N_bernoulli=config.N_bernoulli if sparse else 0,
         observed=0.0, observed_stderr=0.0, bound=0.0, ratio=0.0, wall_time_s=0.0,
     )
     try:
-        if config.model == "sparse":
-            row.bound = _sparse_bound(config, n, t, config.l)
-            if not config.bound_only:
-                est = _observed_sparse(config, n, t, seed)
-                row.observed, row.observed_stderr = est.value, est.stderr
-        else:
-            row.bound = _dense_bound(config, n, t, config.l)
-            if not config.bound_only:
-                est = _observed_dense(config, n, t, seed)
-                row.observed, row.observed_stderr = est.value, est.stderr
+        row.bound = (_sparse_bound if sparse else _dense_bound)(config, n, t, config.l)
+        if not config.bound_only:
+            est = trotter.averaged_error(
+                n, config.k, config.l, t, config.r, config.p, seed,
+                config.N_disorder, config.energy_constant,
+                kappa=config.kappa if sparse else None,
+                num_bernoulli=config.N_bernoulli,
+            )
+            row.observed, row.observed_stderr = est.value, est.stderr
         if row.bound > 0:
             row.ratio = row.observed / row.bound
     except Exception as exc:  # a row failure must not kill the run

@@ -7,8 +7,6 @@ default dimension cap (2**10) guards memory.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +24,6 @@ __all__ = [
     "hermitian_eigh",
     "schatten_norm",
     "expected_norm",
-    "worker_count",
 ]
 
 DEFAULT_DIM_CAP = 1 << 10
@@ -34,14 +31,6 @@ DEFAULT_DIM_CAP = 1 << 10
 
 class ResourceError(RuntimeError):
     """Raised when a requested dense computation exceeds the dimension cap."""
-
-
-def worker_count() -> int:
-    """Worker pool size, from the SYKLAB_WORKERS environment variable."""
-    try:
-        return max(1, int(os.environ.get("SYKLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def assemble(instance: SykInstance, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
@@ -122,7 +111,11 @@ class NormEstimate:
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
-    """Fixed-order pairwise tree reduction (parallelism-invariant)."""
+    """Fixed-order pairwise tree reduction: the fixed order the golden CSVs
+    were written with.  ``math.fsum`` (exactly rounded) would be
+    order-invariant too, but it moves the last bits of the means: with it,
+    ``tests/golden/scan_n_dense.csv`` and ``scan_n_sparse.csv`` no longer
+    match (4 of the 6 golden cases fail)."""
     vals = list(values)
     if not vals:
         return 0.0
@@ -139,27 +132,16 @@ def expected_norm(
     statistic: Callable[[object], np.ndarray],
     p: float,
     num_samples: int,
-    workers: int | None = None,
 ) -> NormEstimate:
     """Estimate (E ||statistic(sample_i)||_p^p)**(1/p) over disorder.
 
     ``sampler(i)`` must be pure in the sample index i, so the estimate is
-    deterministic and independent of the worker count: per-sample values are
-    gathered by index and reduced with a fixed-order pairwise tree.
+    deterministic: per-sample values are taken in index order and reduced
+    with a fixed-order pairwise tree.
     """
     if num_samples < 2:
         raise ValueError("need num_samples >= 2 for a standard error")
-    if workers is None:
-        workers = worker_count()
-
-    def one(i: int) -> float:
-        return schatten_norm(statistic(sampler(i)), p) ** p
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            powers = list(pool.map(one, range(num_samples)))
-    else:
-        powers = [one(i) for i in range(num_samples)]
+    powers = [schatten_norm(statistic(sampler(i)), p) ** p for i in range(num_samples)]
 
     mean = _pairwise_sum(powers) / num_samples
     centered = [(x - mean) ** 2 for x in powers]

@@ -13,13 +13,15 @@ or reverse pass over all Gamma terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fermions import hilbert_dim, term_table
-from .linalg import hermitian_eigh, schatten_norm
-from .model import SykInstance
+from .linalg import (NormEstimate, assemble, exact_evolution, expected_norm,
+                     hermitian_eigh, schatten_norm)
+from .model import SykInstance, sample_bernoulli_mask, sample_dense, sample_sparse
 from .pauli import apply_exponential_state
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "build_schedule",
     "trotterized",
     "observed_error",
+    "averaged_error",
     "fixed_state_error",
 ]
 
@@ -150,16 +153,54 @@ def observed_error(
 
     ``exact`` lets t-scans reuse one eigendecomposition-based evolution.
     """
-    from .linalg import assemble, exact_evolution  # local to avoid cycle at import
-
     dim = hilbert_dim(instance.n)
     if exact is None:
         exact = exact_evolution(assemble(instance), t)
     schedule = build_schedule(order, instance.gamma_count)
     approx = trotterized(instance, schedule, t, r)
-    if np.isinf(p):
-        return schatten_norm(exact - approx, p)
     return schatten_norm(exact - approx, p) / dim ** (1.0 / p)
+
+
+def averaged_error(
+    n: int, k: int, order: int, t: float, r: int, p: float, seed: int,
+    num_disorder: int, energy_constant: float = 1.0, kappa: float | None = None,
+    num_bernoulli: int = 32,
+) -> NormEstimate:
+    """Disorder-averaged normalized Trotter error and its standard error.
+
+    Dense (``kappa`` None): (E ||exp(iHt) - S_l(t/r)**r||_p^p)**(1/p) / D**(1/p)
+    over ``sample_dense(n, k, energy_constant, seed, i)``, i < num_disorder.
+    Sparse (Xu-Susskind-Su-Swingle): the plain mean over ``num_bernoulli``
+    masks b (outside) of that Gaussian-disorder expectation (inside), with
+    couplings drawn at ``coupling_index = b * num_disorder + i``.
+    """
+    schedule = build_schedule(order, math.comb(n, k))
+    scale = hilbert_dim(n) ** (1.0 / p)
+
+    def statistic(instance: SykInstance) -> np.ndarray:
+        exact = exact_evolution(assemble(instance), t)
+        return exact - trotterized(instance, schedule, t, r)
+
+    if kappa is None:
+        est = expected_norm(
+            lambda i: sample_dense(n, k, energy_constant, seed, i),
+            statistic, p, num_disorder,
+        )
+        return replace(est, value=est.value / scale, stderr=est.stderr / scale)
+    if num_bernoulli < 2:
+        raise ValueError("need num_bernoulli >= 2 for a standard error")
+    per_mask = []
+    for b in range(num_bernoulli):
+        mask, _, _ = sample_bernoulli_mask(n, k, kappa, seed, b)
+        est = expected_norm(  # the sampler is used up before b and mask move on
+            lambda i: sample_sparse(n, k, energy_constant, kappa, seed,
+                                    coupling_index=b * num_disorder + i, mask=mask),
+            statistic, p, num_disorder,
+        )
+        per_mask.append(est.value / scale)
+    values = np.asarray(per_mask)
+    stderr = float(values.std(ddof=1) / math.sqrt(num_bernoulli))
+    return NormEstimate(float(values.mean()), stderr, num_bernoulli, p)
 
 
 def fixed_state_error(
@@ -175,8 +216,6 @@ def fixed_state_error(
     product-formula side.  The exact side diagonalizes H once and evolves
     the state in the eigenbasis, O(D^2) after ``eigh``.
     """
-    from .linalg import assemble
-
     state = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-12:
         raise ValueError("input state must be normalized to 1 within 1e-12")

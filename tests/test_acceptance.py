@@ -15,7 +15,7 @@ import pytest
 from syklab import bounds, chains, model, trotter
 from syklab.experiments import ExperimentConfig, cmd_scan_n
 from syklab.fermions import jordan_wigner, term_operator
-from syklab.linalg import assemble, exact_evolution, expected_norm
+from syklab.linalg import assemble, exact_evolution
 from syklab.pauli import commutes, multiply
 
 
@@ -99,24 +99,10 @@ def test_criterion_05_dense_bound_validity(criterion_report):
     for k in ks:
         for l in ls:
             for n in ns:
-                sched = trotter.build_schedule(l, math.comb(n, k))
-
-                def sampler(i, _n=n, _k=k):
-                    return model.sample_dense(_n, _k, seed=505, sample_index=i)
-
-                def stat(inst, _sched=sched):
-                    u = exact_evolution(assemble(inst), t)
-                    return u - trotter.trotterized(inst, _sched, t, r)
-
-                est = expected_norm(sampler, stat, 2, n_disorder)
-                dim_scale = math.sqrt(2 ** (n // 2))
+                est = trotter.averaged_error(n, k, l, t, r, 2, 505, n_disorder)
                 inp = bounds.BoundInput(n=n, k=k, l=l, p=2, t=t, r=r)
                 bound = bounds.delta1_dense(inp) if l == 1 else bounds.delta_l_dense(inp)
-                eta, eta_err = bounds.error_ratio(
-                    type(est)(est.value / dim_scale, est.stderr / dim_scale,
-                              est.num_samples, est.p),
-                    bound,
-                )
+                eta, eta_err = bounds.error_ratio(est, bound)
                 etas[(k, l, n)] = eta
                 ok_cells &= eta <= 1 + 2 * eta_err
     decreasing = total = 0
@@ -149,18 +135,10 @@ def test_criterion_06_t_scaling_pinned_scale(criterion_report):
     details = []
     for k in (2, 3, 4):
         for l in (1, 2):
-            sched = trotter.build_schedule(l, math.comb(n, k))
             obs_pts, bound_pts = [], []
             for t in ts:
-                def sampler(i, _k=k):
-                    return model.sample_dense(n, _k, seed=606, sample_index=i)
-
-                def stat(inst, _t=float(t), _sched=sched):
-                    u = exact_evolution(assemble(inst), _t)
-                    return u - trotter.trotterized(inst, _sched, _t, r)
-
-                est = expected_norm(sampler, stat, 2, n_disorder)
-                obs_pts.append((float(t), est.value / 4.0))
+                est = trotter.averaged_error(n, k, l, float(t), r, 2, 606, n_disorder)
+                obs_pts.append((float(t), est.value))
                 inp = bounds.BoundInput(n=n, k=k, l=l, p=2, t=float(t), r=r)
                 bound = bounds.delta1_dense(inp) if l == 1 else bounds.delta_l_dense(inp)
                 bound_pts.append((float(t), bound))
@@ -180,18 +158,10 @@ def test_criterion_06_supplement_paper_scale():
     n, r, n_disorder = 10, 100_000, 8
     k, l = 4, 2
     ts = np.logspace(1, 3, 6)
-    sched = trotter.build_schedule(l, math.comb(n, k))
     obs_pts, bound_pts = [], []
     for t in ts:
-        def sampler(i):
-            return model.sample_dense(n, k, seed=606, sample_index=i)
-
-        def stat(inst, _t=float(t)):
-            u = exact_evolution(assemble(inst), _t)
-            return u - trotter.trotterized(inst, sched, _t, r)
-
-        est = expected_norm(sampler, stat, 2, n_disorder)
-        obs_pts.append((float(t), est.value / math.sqrt(32)))
+        est = trotter.averaged_error(n, k, l, float(t), r, 2, 606, n_disorder)
+        obs_pts.append((float(t), est.value))
         inp = bounds.BoundInput(n=n, k=k, l=l, p=2, t=float(t), r=r)
         bound_pts.append((float(t), bounds.delta_l_dense(inp)))
     diff = abs(bounds.loglog_fit(obs_pts)[0] - bounds.loglog_fit(bound_pts)[0])
@@ -206,32 +176,13 @@ def test_criterion_07_sparse_bound_validity(criterion_report):
     details = []
     for n in (6, 8, 10):
         for k in (3, 4):
-            sched = trotter.build_schedule(l, math.comb(n, k))
-            dim_scale = math.sqrt(2 ** (n // 2))
-            per_mask = []
-            for b in range(n_bernoulli):
-                mask, _, _ = model.sample_bernoulli_mask(n, k, kappa, 707, b)
-
-                def sampler(i, _mask=mask, _b=b, _n=n, _k=k):
-                    return model.sample_sparse(
-                        _n, _k, kappa=kappa, seed=707,
-                        coupling_index=_b * n_disorder + i, mask=_mask,
-                    )
-
-                def stat(inst, _sched=sched):
-                    u = exact_evolution(assemble(inst), t)
-                    return u - trotter.trotterized(inst, _sched, t, r)
-
-                est = expected_norm(sampler, stat, 2, n_disorder)
-                per_mask.append(est.value / dim_scale)
-            values = np.asarray(per_mask)
-            observed = float(values.mean())
-            stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
+            est = trotter.averaged_error(n, k, l, t, r, 2, 707, n_disorder,
+                                         kappa=kappa, num_bernoulli=n_bernoulli)
             bound = bounds.delta_l_sparse(
                 bounds.BoundInput(n=n, k=k, l=l, p=2, t=t, r=r, kappa=kappa)
             ).value
-            details.append(f"n={n} k={k}: eta={observed / bound:.2g}")
-            ok &= observed <= bound + 2 * stderr
+            details.append(f"n={n} k={k}: eta={est.value / bound:.2g}")
+            ok &= est.value <= bound + 2 * est.stderr
     criterion_report(7, "sparse bound validity (kappa=4, l=2)", ok,
                      "; ".join(details))
     assert ok

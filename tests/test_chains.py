@@ -218,6 +218,12 @@ class TestGwBruteforce:
         with pytest.raises(ValueError):
             avg_gw_exact(XZ_PAIR, 0, 0, 0.5)
 
+    @pytest.mark.parametrize("g,w", [(1, 1), (2, 0), (2, 2), (3, 1), (4, 2)])
+    def test_empty_termset_is_zero(self, g, w):
+        # no terms, no chains
+        assert gw_bruteforce(TermSet(()), g, w) == 0
+        assert avg_gw_exact(TermSet(()), g, w, 0.5) == 0.0
+
 
 class TestAvgGw:
     @pytest.mark.parametrize("g,w", [(1, 1), (2, 0), (2, 2), (3, 1), (3, 3)])

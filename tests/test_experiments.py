@@ -78,6 +78,12 @@ class TestDeterminism:
             _, texts[workers] = cmd_scan_n(ExperimentConfig(command="scan-n", **fast))
         assert texts["1"] == texts["8"]
 
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_bad_worker_count_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("SYKLAB_WORKERS", value)
+        with pytest.raises(ValueError, match="SYKLAB_WORKERS"):
+            cmd_scan_n(ExperimentConfig(command="scan-n", **FAST))
+
     def test_repeat_run_identical(self):
         config = ExperimentConfig(command="scan-n", **FAST)
         assert cmd_scan_n(config)[1] == cmd_scan_n(config)[1]
@@ -152,6 +158,15 @@ class TestSparseScan:
         # empty Hamiltonian: S = U = identity
         assert rows[0].error == ""
         assert rows[0].observed == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("num_bernoulli", [0, 1])
+    def test_too_few_masks_is_a_row_error(self, num_bernoulli):
+        # one mask has no spread to take a standard error from
+        config = ExperimentConfig(command="scan-n", model="sparse",
+                                  **dict(FAST, l=2, N_bernoulli=num_bernoulli))
+        rows, _ = cmd_scan_n(config)
+        assert "num_bernoulli" in rows[0].error
+        assert rows[0].observed == 0.0
 
     def test_row_error_captured_not_raised(self):
         # odd l is invalid; the row must record the failure, not raise
@@ -264,6 +279,14 @@ class TestCli:
             "--r", "4", "--n-disorder", "2", "--seed", "7",
         ])
         capsys.readouterr()
+        assert code == 1
+
+    def test_too_few_masks_sets_exit_code(self, capsys):
+        code = main([
+            "scan-n", "--model", "sparse", "--n", "6", "--k", "3", "--l", "2",
+            "--r", "4", "--n-disorder", "2", "--n-bernoulli", "0", "--seed", "7",
+        ])
+        assert "num_bernoulli" in capsys.readouterr().out
         assert code == 1
 
     def test_oracle_subcommand(self, capsys):

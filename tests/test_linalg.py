@@ -156,18 +156,6 @@ class TestExpectedNorm:
                             stat, 2, 3)
         assert est.value == 0.0
 
-    def test_worker_invariance(self):
-        def sampler(i):
-            return sample_dense(6, 3, seed=14, sample_index=i)
-
-        def stat(inst):
-            return assemble(inst)
-
-        serial = expected_norm(sampler, stat, 2, 8, workers=1)
-        parallel = expected_norm(sampler, stat, 2, 8, workers=8)
-        assert serial.value == parallel.value
-        assert serial.stderr == parallel.stderr
-
     def test_stderr_shrinks_with_samples(self):
         def sampler(i):
             return sample_dense(6, 2, seed=15, sample_index=i)

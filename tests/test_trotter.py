@@ -1,7 +1,9 @@
 """Schedules and Trotterized evolution, against straight-line reimplementations."""
 
+import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from syklab.linalg import assemble, evolution_factory, exact_evolution
 from syklab.model import sample_dense, sample_sparse
 from syklab.pauli import apply_exponential_state, to_dense
 from syklab.trotter import (
+    averaged_error,
     build_schedule,
     fixed_state_error,
     observed_error,
@@ -159,6 +162,39 @@ class TestObservedError:
         err_inf = observed_error(inst, 1, 1.0, 16, np.inf)
         err_2 = observed_error(inst, 1, 1.0, 16, 2)
         assert err_inf >= err_2  # normalized p=2 is dominated by p=inf
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_row(name: str, n: int) -> dict:
+    with open(GOLDEN / name, encoding="utf-8") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return next(row for row in rows if int(row["n"]) == n)
+
+
+class TestAveragedError:
+    @pytest.mark.parametrize("name", ["scan_n_dense.csv", "scan_n_sparse.csv"])
+    def test_reproduces_golden_row(self, name):
+        row = _golden_row(name, 8)
+        sparse = row["model"] == "sparse"
+        est = averaged_error(
+            int(row["n"]), int(row["k"]), int(row["l"]), float(row["t"]),
+            int(row["r"]), float(row["p"]), int(row["seed"]),
+            int(row["N_disorder"]),
+            kappa=float(row["kappa"]) if sparse else None,
+            num_bernoulli=int(row["N_bernoulli"]),
+        )
+        assert est.value == float(row["observed"])
+        assert est.stderr == float(row["observed_stderr"])
+
+    def test_dense_is_normalized_mean_over_disorder(self):
+        n, k, t, r, seed = 6, 3, 0.5, 8, 41
+        est = averaged_error(n, k, 1, t, r, 2, seed, 3)
+        powers = [observed_error(sample_dense(n, k, 1.0, seed, i), 1, t, r, 2) ** 2
+                  for i in range(3)]
+        assert est.value == pytest.approx(math.sqrt(sum(powers) / 3), rel=1e-12)
+        assert est.num_samples == 3
 
 
 class TestFixedStateError:
