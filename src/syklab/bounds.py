@@ -332,25 +332,13 @@ def _lambda_factory(inp: SolverInput):
     return lam
 
 
-def _first_order_seed(inp: SolverInput, p_star: float) -> int:
-    """Closed-form bracket start for the first-order family."""
-    base = inp.base
-    sigma = base.dense_sigma()
-    gamma = math.comb(base.n, base.k)
-    q = q_of(base.n, base.k)
-    t = base.t
-    x = math.e * 4.0 * math.sqrt(2.0) * p_star**2 * sigma**2 * math.sqrt(gamma * q) * t**2 / inp.epsilon
-    seed = x / 2.0 + math.sqrt(max(0.0, x * sigma * math.sqrt(q) * t / 3.0))
-    return max(1, math.ceil(seed))
-
-
 def solve_trotter_number(inp: SolverInput) -> int:
     """Minimal Trotter number r with lambda(p_star, r)/epsilon <= 1/(e*p_star).
 
     p_star = log(e^2 2^(n/2)/delta) in operator_norm mode, log(e^2/delta) in
-    fixed_state mode.  Exponential bracketing plus bisection; the first-order
-    closed form seeds the bracket.  The result is verified by back
-    substitution (and r-1 checked to violate the inequality).
+    fixed_state mode.  Exponential bracketing from r = 1 plus bisection.  The
+    result is verified by back substitution (and r-1 checked to violate the
+    inequality).
     """
     p_star = inp.p_star()
     lam = _lambda_factory(inp)
@@ -362,7 +350,7 @@ def solve_trotter_number(inp: SolverInput) -> int:
     def ok(r: int) -> bool:
         return lam(p_star, r) <= target
 
-    hi = _first_order_seed(inp, p_star) if inp.family == "dense_first" else 1
+    hi = 1
     while not ok(hi):
         hi *= 2
         if hi > 1 << 62:

@@ -280,26 +280,14 @@ def build_graph(terms: TermSet) -> AntiCommutationGraph:
     return AntiCommutationGraph(adj)
 
 
-def greedy_coloring(graph: AntiCommutationGraph, order: str = "natural") -> int:
-    """Sequential greedy coloring; returns the number of colors used.
-
-    ``order`` is "natural" (vertex index) or "degree" (degree-descending).
-    Always uses at most maxdegree + 1 colors.
-    """
+def greedy_coloring(graph: AntiCommutationGraph) -> int:
+    """Sequential greedy coloring in vertex-index order (vertex v takes the
+    smallest color that no neighbour u < v has); returns the number of colors
+    used, at most maxdegree + 1."""
     m = graph.num_vertices
-    if order == "natural":
-        sequence = range(m)
-    elif order == "degree":
-        degrees = graph.adjacency.sum(axis=1)
-        sequence = np.argsort(-degrees, kind="stable")
-    else:
-        raise ValueError(f"unknown vertex order {order!r}")
-    colors = np.full(m, -1, dtype=np.int64)
-    for v in sequence:
-        neighbor_colors = colors[graph.adjacency[v]]
-        used = set(neighbor_colors[neighbor_colors >= 0].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
+    colors = np.zeros(m, dtype=np.int64)
+    for v in range(m):
+        taken = np.zeros(v + 1, dtype=bool)  # colors so far are all < v + 1
+        taken[colors[:v][graph.adjacency[v, :v]]] = True
+        colors[v] = taken.argmin()  # the first color not taken
     return int(colors.max()) + 1 if m else 0

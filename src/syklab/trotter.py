@@ -181,6 +181,8 @@ def averaged_error(
         exact = exact_evolution(assemble(instance), t)
         return exact - trotterized(instance, schedule, t, r)
 
+    if num_disorder < 2:
+        raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
     if kappa is None:
         est = expected_norm(
             lambda i: sample_dense(n, k, energy_constant, seed, i),

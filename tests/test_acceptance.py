@@ -7,16 +7,15 @@ quantitative analysis in each test's docstring and printed detail.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
-from syklab import bounds, chains, model, trotter
-from syklab.experiments import ExperimentConfig, cmd_scan_n
-from syklab.fermions import jordan_wigner, term_operator
+from syklab import bounds, model, trotter
+from syklab.experiments import ORACLE_CHECKS, ExperimentConfig, cmd_scan_n
+from syklab.fermions import jordan_wigner
 from syklab.linalg import assemble, exact_evolution
-from syklab.pauli import commutes, multiply
+from syklab.pauli import multiply
 
 
 def test_criterion_01_majorana_algebra_exact(criterion_report):
@@ -35,38 +34,20 @@ def test_criterion_01_majorana_algebra_exact(criterion_report):
     assert ok
 
 
+def _assert_oracle_check(criterion_report, number: int, name: str) -> None:
+    ok, detail = dict(ORACLE_CHECKS)[name]()
+    criterion_report(number, name, ok, detail)
+    assert ok
+
+
 def test_criterion_02_sign_law(criterion_report):
     """T_a T_b = (-1)**(k+m) T_b T_a at n = 8 for k in {2,3,4}."""
-    n = 8
-    ok = True
-    for k in (2, 3, 4):
-        edges = list(combinations(range(1, n + 1), k))
-        terms = [term_operator(e, n).pauli for e in edges]
-        for i, ea in enumerate(edges):
-            for j in range(i, len(edges)):
-                m = len(set(ea) & set(edges[j]))
-                ok &= commutes(terms[i], terms[j]) == ((k + m) % 2 == 0)
-    criterion_report(2, "anticommutation sign law (n=8, k=2,3,4)", ok)
-    assert ok
+    _assert_oracle_check(criterion_report, 2, "anti-commutation sign law (n=8, k=2,3,4)")
 
 
 def test_criterion_03_q_formula(criterion_report):
     """Q(n,k) equals the brute-force partner count, n <= 14 even, k <= 5."""
-    def brute(n, k):
-        fixed = set(range(1, k + 1))
-        return sum(
-            1
-            for other in combinations(range(1, n + 1), k)
-            if set(other) != fixed and (k + len(fixed & set(other))) % 2 == 1
-        )
-
-    ok = bounds.q_of(6, 4) == 8
-    for n in range(2, 15, 2):
-        ok &= bounds.q_of(n, 1) == n - 1
-        for k in range(1, min(5, n) + 1):
-            ok &= bounds.q_of(n, k) == brute(n, k)
-    criterion_report(3, "Q(n,k) formula vs brute force, n <= 14", ok)
-    assert ok
+    _assert_oracle_check(criterion_report, 3, "Q(n,k) = anticommuting-partner count (n<=12)")
 
 
 def test_criterion_04_convergence_order(criterion_report):
@@ -191,45 +172,13 @@ def test_criterion_07_sparse_bound_validity(criterion_report):
 def test_criterion_08_lemma_d(criterion_report):
     """G_w <= g^(3g-2) m^2 Q_max^(g-2) on all small SYK-drawn termsets;
     pinned anticommuting pair gives exactly 4."""
-    ok = chains.gw_bruteforce(
-        chains.TermSet((jordan_wigner(1, 2), jordan_wigner(2, 2))), 2, 2
-    ) == 4
-    rng = np.random.default_rng(808)
-    all_edges = list(combinations(range(1, 7), 3))
-    for m in (2, 3, 4, 5):
-        for _ in range(4):
-            picked = [all_edges[i]
-                      for i in rng.choice(len(all_edges), m, replace=False)]
-            terms = chains.syk_termset(6, 3, picked)
-            qm = chains.q_max(terms)
-            for g in (2, 3, 4):
-                cap = chains.lemma_d_bound(g, m, qm)
-                for w in range(g % 2, g + 1, 2):
-                    ok &= chains.gw_bruteforce(terms, g, w) <= cap
-    criterion_report(8, "Lemma-D oracle (G_w counting bound + pinned 4)", ok)
-    assert ok
+    _assert_oracle_check(criterion_report, 8, "Lemma D bound on G_w")
 
 
 def test_criterion_09_lemma_e(criterion_report):
     """<G_w> <= the averaged bound for p_B in {0.1,0.5,0.9,1.0}; p_B = 1
     reduces exactly to the unaveraged count."""
-    ok = True
-    rng = np.random.default_rng(909)
-    all_edges = list(combinations(range(1, 7), 3))
-    for m in (2, 3, 4, 5):
-        picked = [all_edges[i]
-                  for i in rng.choice(len(all_edges), m, replace=False)]
-        terms = chains.syk_termset(6, 3, picked)
-        qm = max(chains.q_max(terms), 1)
-        for g in (2, 3, 4):
-            for w in range(g % 2, g + 1, 2):
-                exact_one = chains.avg_gw_exact(terms, g, w, 1.0)
-                ok &= exact_one == float(chains.gw_bruteforce(terms, g, w))
-                for p_b in (0.1, 0.5, 0.9, 1.0):
-                    avg = chains.avg_gw_exact(terms, g, w, p_b)
-                    ok &= avg <= chains.lemma_e_bound(g, w, m, qm, p_b) + 1e-9
-    criterion_report(9, "Lemma-E oracle (averaged G_w bound, p_B grid)", ok)
-    assert ok
+    _assert_oracle_check(criterion_report, 9, "Lemma E bound on <G_w>")
 
 
 def test_criterion_10_solver_soundness(criterion_report):
@@ -260,21 +209,7 @@ def test_criterion_10_solver_soundness(criterion_report):
 def test_criterion_11_coloring(criterion_report):
     """Greedy colors <= Q(n,4)+1 for even n in [6,16], with strict < Q+1
     for at least one n."""
-    ok = True
-    strict = False
-    details = []
-    for n in range(6, 17, 2):
-        colors = chains.greedy_coloring(
-            chains.build_graph(chains.syk_termset(n, 4))
-        )
-        q = bounds.q_of(n, 4)
-        details.append(f"n={n}: {colors}/{q + 1}")
-        ok &= colors <= q + 1
-        strict |= colors <= q
-    ok &= strict
-    criterion_report(11, "greedy coloring <= Q(n,4)+1 with separation", ok,
-                     "; ".join(details))
-    assert ok
+    _assert_oracle_check(criterion_report, 11, "greedy coloring <= Q(n,4)+1 (n=6..16)")
 
 
 @pytest.mark.xfail(

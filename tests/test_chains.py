@@ -380,11 +380,9 @@ class TestColoring:
             assert len(g.edges) == m * (m - 1) // 2
             assert greedy_coloring(g) == m
 
-    @pytest.mark.parametrize("order", ["natural", "degree"])
-    @pytest.mark.parametrize("n", [6, 8, 10, 12])
-    def test_at_most_q_plus_one(self, n, order):
-        g = build_graph(syk_termset(n, 4))
-        colors = greedy_coloring(g, order=order)
+    @pytest.mark.parametrize("n", [6, 8, 10, 12], ids=lambda n: f"{n}-natural")
+    def test_at_most_q_plus_one(self, n):
+        colors = greedy_coloring(build_graph(syk_termset(n, 4)))
         assert 1 <= colors <= q_of(n, 4) + 1
 
     def test_proper_coloring_reconstruction(self):
@@ -402,7 +400,3 @@ class TestColoring:
         assert int(colors.max()) + 1 == greedy_coloring(g)
         for i, j in g.edges:
             assert colors[i] != colors[j]
-
-    def test_unknown_order(self):
-        with pytest.raises(ValueError):
-            greedy_coloring(build_graph(XZ_PAIR), order="random")

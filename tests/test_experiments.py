@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from syklab import experiments
 from syklab.cli import build_config, main
 from syklab.experiments import (
     ExperimentConfig,
@@ -24,6 +25,14 @@ from syklab.model import from_json
 
 FAST = dict(n_list=(6,), k=3, l=1, t=0.5, r=16, N_disorder=3, N_bernoulli=3,
             master_seed=7)
+# perfbench/references.json matches the oracle report's lines by position
+ORACLE_NAMES = [
+    "anti-commutation sign law (n=8, k=2,3,4)",
+    "Q(n,k) = anticommuting-partner count (n<=12)",
+    "Lemma D bound on G_w",
+    "Lemma E bound on <G_w>",
+    "greedy coloring <= Q(n,4)+1 (n=6..16)",
+]
 
 
 class TestCsv:
@@ -201,8 +210,17 @@ class TestReports:
     def test_oracle_all_pass(self):
         report, all_ok = cmd_oracle(ExperimentConfig(command="oracle"))
         assert all_ok
-        assert "[FAIL]" not in report
-        assert report.count("[PASS]") == 5
+        assert report.splitlines()[1:] == [f"  [PASS] {name}" for name in ORACLE_NAMES]
+
+    def test_oracle_failure_is_reported(self, monkeypatch):
+        checks = [(name, lambda: (True, "x")) for name in ORACLE_NAMES]
+        checks[3] = (ORACLE_NAMES[3], lambda: (False, "x"))
+        monkeypatch.setattr(experiments, "ORACLE_CHECKS", tuple(checks))
+        report, all_ok = cmd_oracle(ExperimentConfig(command="oracle"))
+        assert not all_ok
+        assert report.splitlines()[4] == f"  [FAIL] {ORACLE_NAMES[3]} (x)"
+        assert report.count("(x)") == 1  # a passing check's detail stays out
+        assert main(["oracle"]) == 1
 
 
 class TestGenEvolve:
@@ -287,6 +305,16 @@ class TestCli:
             "--r", "4", "--n-disorder", "2", "--n-bernoulli", "0", "--seed", "7",
         ])
         assert "num_bernoulli" in capsys.readouterr().out
+        assert code == 1
+
+    @pytest.mark.parametrize("num_disorder", [0, 1])
+    def test_too_few_disorder_samples_is_a_row_error(self, num_disorder, capsys):
+        rows, _ = cmd_scan_n(ExperimentConfig(command="scan-n",
+                                              **dict(FAST, N_disorder=num_disorder)))
+        assert rows[0].error.startswith("ValueError: need N_disorder >= 2")
+        code = main(["scan-n", "--n", "6", "--k", "3", "--r", "4",
+                     "--n-disorder", str(num_disorder)])
+        assert "need N_disorder >= 2" in capsys.readouterr().out
         assert code == 1
 
     def test_oracle_subcommand(self, capsys):
