@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-pauli        exact symplectic Pauli-string algebra and signed-permutation action
+pauli        exact symplectic Pauli-string algebra and its dense view
 fermions     Jordan-Wigner Majoranas, k-local term operators, cached term tables
 model        hyperedge ordering and dense/sparse disorder sampling
 linalg       dense backend: assembly, exact evolution, Schatten norms, MC averages

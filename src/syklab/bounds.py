@@ -84,8 +84,11 @@ class BoundInput:
     prefactor_mode: str = "full"  # "full" | "unit"
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError("norm order p must be >= 2")
+        if not 2 <= self.p < math.inf:
+            raise ValueError(
+                f"norm order p (--p) must satisfy 2 <= p < inf (got {self.p}); "
+                "for the operator norm use solve-r's finite p* = log(e^2 D/delta)"
+            )
         if self.t < 0:
             raise ValueError("time t must be nonnegative")
         if self.r < 1:

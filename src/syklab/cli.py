@@ -90,7 +90,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated even n values, e.g. 6,8,10")
     parser.add_argument("--k", type=int)
     parser.add_argument("--l", type=int, help="product-formula order (1 or even)")
-    parser.add_argument("--p", type=float, help="Schatten order (>= 2)")
+    parser.add_argument("--p", type=float,
+                        help="Schatten order, 2 <= p < inf (evolve also takes inf, "
+                             "the operator norm of one instance)")
     parser.add_argument("--t", type=float)
     parser.add_argument("--t-min", dest="t_min", type=float)
     parser.add_argument("--t-max", dest="t_max", type=float)

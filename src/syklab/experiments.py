@@ -240,8 +240,8 @@ def cmd_solve_r(config: ExperimentConfig) -> str:
         "sparse" if config.model == "sparse"
         else ("dense_first" if config.l == 1 else "dense_higher")
     )
-    base = bounds.BoundInput(
-        n=n, k=config.k, l=config.l, p=config.p, t=config.t, r=1,
+    base = bounds.BoundInput(  # the solver sets its own p = p* and r
+        n=n, k=config.k, l=config.l, p=2.0, t=config.t, r=1,
         energy_constant=config.energy_constant,
         kappa=config.kappa if config.model == "sparse" else None,
         prefactor_mode=config.prefactor_mode,
@@ -285,9 +285,6 @@ def cmd_bounds(config: ExperimentConfig) -> str:
     if config.model == "sparse":
         value = _sparse_bound(config, n, config.t, config.l)
         kind = f"Delta_{config.l}^sparse"
-    elif config.l == 1:
-        value = _dense_bound(config, n, config.t, 1)
-        kind = "Delta_1"
     else:
         value = _dense_bound(config, n, config.t, config.l)
         kind = f"Delta_{config.l}"
@@ -412,18 +409,19 @@ def cmd_oracle(config: ExperimentConfig) -> tuple[str, bool]:
     return "\n".join(lines), all_ok
 
 
-def cmd_gen(config: ExperimentConfig) -> str:
-    """Sample one instance and return its JSON serialization."""
+def _sample_instance(config: ExperimentConfig) -> model.SykInstance:
+    """The dense or sparse instance of the config's first n and master seed."""
     n = config.n_list[0]
     if config.model == "sparse":
-        inst = model.sample_sparse(
+        return model.sample_sparse(
             n, config.k, config.energy_constant, config.kappa, config.master_seed
         )
-    else:
-        inst = model.sample_dense(
-            n, config.k, config.energy_constant, config.master_seed
-        )
-    return model.to_json(inst)
+    return model.sample_dense(n, config.k, config.energy_constant, config.master_seed)
+
+
+def cmd_gen(config: ExperimentConfig) -> str:
+    """Sample one instance and return its JSON serialization."""
+    return model.to_json(_sample_instance(config))
 
 
 def cmd_evolve(config: ExperimentConfig) -> str:
@@ -432,15 +430,7 @@ def cmd_evolve(config: ExperimentConfig) -> str:
         with open(config.instance_path, "r", encoding="utf-8") as fh:
             inst = model.from_json(fh.read())
     else:
-        n = config.n_list[0]
-        if config.model == "sparse":
-            inst = model.sample_sparse(
-                n, config.k, config.energy_constant, config.kappa, config.master_seed
-            )
-        else:
-            inst = model.sample_dense(
-                n, config.k, config.energy_constant, config.master_seed
-            )
+        inst = _sample_instance(config)
     err = trotter.observed_error(inst, config.l, config.t, config.r, config.p)
     return (
         f"observed normalized error (n={inst.n}, k={inst.k}, l={config.l}, "

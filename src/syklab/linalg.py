@@ -21,12 +21,12 @@ __all__ = [
     "assemble",
     "exact_evolution",
     "evolution_factory",
-    "hermitian_eigh",
     "schatten_norm",
     "expected_norm",
 ]
 
 DEFAULT_DIM_CAP = 1 << 10
+_HERMITICITY_TOL = 1e-10  # relative to the Frobenius norm
 
 
 class ResourceError(RuntimeError):
@@ -56,27 +56,20 @@ def assemble(instance: SykInstance, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarra
     return ham
 
 
-def exact_evolution(ham: np.ndarray, t: float, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def exact_evolution(ham: np.ndarray, t: float) -> np.ndarray:
     """U = exp(i*H*t) from the Hermitian eigendecomposition."""
-    return evolution_factory(ham, hermiticity_tol)(t)
+    return evolution_factory(ham)(t)
 
 
-def hermitian_eigh(
-    ham: np.ndarray, hermiticity_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """(evals, evecs) of ``ham``, after checking it is Hermitian within
-    ``hermiticity_tol`` relative to its Frobenius norm."""
+def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Return t -> exp(i*H*t), reusing one eigendecomposition across t values.
+
+    ``ham`` must be Hermitian within 1e-10 relative to its Frobenius norm.
+    """
     scale = np.linalg.norm(ham) or 1.0
-    if np.linalg.norm(ham - ham.conj().T) > hermiticity_tol * scale:
+    if np.linalg.norm(ham - ham.conj().T) > _HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(ham)
-
-
-def evolution_factory(
-    ham: np.ndarray, hermiticity_tol: float = 1e-10
-) -> Callable[[float], np.ndarray]:
-    """Return t -> exp(i*H*t), reusing one eigendecomposition across t values."""
-    evals, evecs = hermitian_eigh(ham, hermiticity_tol)
+    evals, evecs = np.linalg.eigh(ham)
 
     def evolve(t: float) -> np.ndarray:
         phases = np.exp(1j * evals * t)

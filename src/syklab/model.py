@@ -125,10 +125,6 @@ class SykInstance:
     def gamma_count(self) -> int:
         return len(self.couplings)
 
-    @property
-    def is_sparse(self) -> bool:
-        return self.mask is not None
-
     def ordering(self) -> OrderingMap:
         return ordering_map(self.n, self.k)
 

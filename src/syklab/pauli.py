@@ -7,8 +7,9 @@ A Pauli string is stored in the symplectic representation
 where ``X**x_mask`` denotes the tensor product of X on every qubit whose bit
 is set in ``x_mask`` (qubit j <-> bit j-1), and likewise for Z.  All algebra
 (multiplication, commutation) is exact integer arithmetic on the masks and
-the phase exponent; dense matrices only enter through the signed-permutation
-action :func:`apply_dense` / :func:`apply_exponential`.
+the phase exponent.  :func:`to_dense` is the one dense view, built from the
+signed permutation P|b> = coeff[b] |b ^ x_mask>; the Hamiltonian and the
+product formulas read that permutation from ``fermions.term_table``.
 """
 
 from __future__ import annotations
@@ -19,15 +20,10 @@ import numpy as np
 
 __all__ = [
     "PauliString",
-    "identity",
-    "single_qubit",
     "multiply",
     "commutes",
     "is_hermitian",
     "to_dense",
-    "apply_dense",
-    "apply_exponential",
-    "apply_exponential_state",
 ]
 
 
@@ -74,25 +70,6 @@ class PauliString:
         shown = (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4
         pref = {0: "", 1: "(i) ", 2: "(-) ", 3: "(-i) "}[shown]
         return pref + "".join(chars)
-
-
-def identity(num_qubits: int) -> PauliString:
-    """The identity string on ``num_qubits`` qubits."""
-    return PauliString(num_qubits, 0, 0, 0)
-
-
-def single_qubit(num_qubits: int, qubit: int, kind: str) -> PauliString:
-    """A single X, Y, or Z on 1-based ``qubit`` (Y carries phase_exp 1: Y = iXZ)."""
-    if not 1 <= qubit <= num_qubits:
-        raise ValueError(f"qubit {qubit} out of range [1, {num_qubits}]")
-    bit = 1 << (qubit - 1)
-    if kind == "X":
-        return PauliString(num_qubits, bit, 0, 0)
-    if kind == "Z":
-        return PauliString(num_qubits, 0, bit, 0)
-    if kind == "Y":
-        return PauliString(num_qubits, bit, bit, 1)
-    raise ValueError(f"unknown Pauli kind {kind!r}")
 
 
 def _check_same_size(a: PauliString, b: PauliString) -> None:
@@ -152,49 +129,3 @@ def to_dense(p: PauliString) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[np.arange(dim), perm] = coeff[perm]
     return mat
-
-
-def apply_dense(p: PauliString, target: np.ndarray) -> np.ndarray:
-    """P @ target via one signed-permutation pass (never materializes P)."""
-    dim = 1 << p.num_qubits
-    if target.shape[0] != dim:
-        raise DimensionError(
-            f"target has leading dimension {target.shape[0]}, expected {dim}"
-        )
-    perm, coeff = _coefficients(p)
-    out = target[perm]
-    out *= coeff[perm][(...,) + (None,) * (target.ndim - 1)]
-    return out
-
-
-def _require_hermitian(p: PauliString) -> None:
-    if not is_hermitian(p):
-        raise ValueError(
-            f"Pauli string {p.label()} is not Hermitian; cannot exponentiate"
-        )
-
-
-def apply_exponential(theta: float, p: PauliString, target: np.ndarray) -> np.ndarray:
-    """exp(i*theta*P) @ target = cos(theta)*target + i*sin(theta)*(P@target).
-
-    Requires a Hermitian ``p`` (then P**2 = I and the two-term formula is
-    exact); never forms exp(i*theta*P) densely.
-    """
-    _require_hermitian(p)
-    if theta == 0.0:
-        return target.copy()
-    return np.cos(theta) * target + 1j * np.sin(theta) * apply_dense(p, target)
-
-
-def apply_exponential_state(
-    theta: float, perm: np.ndarray, permuted_coeff: np.ndarray, state: np.ndarray
-) -> np.ndarray:
-    """Fast path used in tight loops.
-
-    ``perm``/``permuted_coeff`` come from :func:`_coefficients` as
-    ``perm, coeff`` with ``permuted_coeff = coeff[perm]``; returns
-    exp(i*theta*P) @ state.
-    """
-    return np.cos(theta) * state + (1j * np.sin(theta)) * (
-        permuted_coeff * state[perm]
-    )

@@ -19,10 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fermions import hilbert_dim, term_table
-from .linalg import (NormEstimate, assemble, exact_evolution, expected_norm,
-                     hermitian_eigh, schatten_norm)
+from .linalg import NormEstimate, assemble, exact_evolution, expected_norm, schatten_norm
 from .model import SykInstance, sample_bernoulli_mask, sample_dense, sample_sparse
-from .pauli import apply_exponential_state
 
 __all__ = [
     "Schedule",
@@ -141,24 +139,19 @@ def trotterized(
     return _matrix_power(_round_matrix(instance, schedule, t / r), r)
 
 
-def observed_error(
-    instance: SykInstance,
-    order: int,
-    t: float,
-    r: int,
-    p: float,
-    exact: np.ndarray | None = None,
-) -> float:
-    """Normalized Trotter error ||exp(iHt) - S_l(t/r)**r||_p / D**(1/p).
+def _error_operator(
+    instance: SykInstance, schedule: Schedule, t: float, r: int
+) -> np.ndarray:
+    """The Trotter error operator E = exp(iHt) - S_l(t/r)**r, the one
+    definition behind every error this module reports."""
+    return exact_evolution(assemble(instance), t) - trotterized(instance, schedule, t, r)
 
-    ``exact`` lets t-scans reuse one eigendecomposition-based evolution.
-    """
-    dim = hilbert_dim(instance.n)
-    if exact is None:
-        exact = exact_evolution(assemble(instance), t)
+
+def observed_error(instance: SykInstance, order: int, t: float, r: int, p: float) -> float:
+    """Normalized Trotter error ||E||_p / D**(1/p); p = inf is the operator norm."""
     schedule = build_schedule(order, instance.gamma_count)
-    approx = trotterized(instance, schedule, t, r)
-    return schatten_norm(exact - approx, p) / dim ** (1.0 / p)
+    err = _error_operator(instance, schedule, t, r)
+    return schatten_norm(err, p) / hilbert_dim(instance.n) ** (1.0 / p)
 
 
 def averaged_error(
@@ -174,12 +167,16 @@ def averaged_error(
     masks b (outside) of that Gaussian-disorder expectation (inside), with
     couplings drawn at ``coupling_index = b * num_disorder + i``.
     """
+    if not 2 <= p < math.inf:
+        raise ValueError(
+            f"need 2 <= p < inf for the disorder-averaged error (--p; got {p}); "
+            "for the operator norm use solve-r's finite p* = log(e^2 D/delta)"
+        )
     schedule = build_schedule(order, math.comb(n, k))
     scale = hilbert_dim(n) ** (1.0 / p)
 
     def statistic(instance: SykInstance) -> np.ndarray:
-        exact = exact_evolution(assemble(instance), t)
-        return exact - trotterized(instance, schedule, t, r)
+        return _error_operator(instance, schedule, t, r)
 
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
@@ -212,35 +209,15 @@ def fixed_state_error(
     r: int,
     state: np.ndarray,
 ) -> float:
-    """l2 norm of (exp(iHt) - S_l(t/r)**r) |state>, by state-vector sweeps.
+    """l2 norm of E |state> = (exp(iHt) - S_l(t/r)**r) |state>.
 
-    Cost is O(D) per Pauli exponential; no D x D matrix is formed for the
-    product-formula side.  The exact side diagonalizes H once and evolves
-    the state in the eigenbasis, O(D^2) after ``eigh``.
+    Costs what one ``observed_error`` does before its norm: one ``eigh`` of
+    H, one round matrix (Upsilon * Gamma in-place term updates) and its r-th
+    power by repeated squaring (log2 r squarings plus one product per set bit
+    of r), then one matrix-vector product.
     """
     state = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-12:
         raise ValueError("input state must be normalized to 1 within 1e-12")
-    evals, evecs = hermitian_eigh(assemble(instance))
-    exact_state = evecs @ (np.exp(1j * evals * t) * (evecs.conj().T @ state))
-
     schedule = build_schedule(order, instance.gamma_count)
-    table = term_table(instance.n, instance.k)
-    tau = t / r
-    mask = instance.mask
-    couplings = instance.couplings
-    terms = [
-        (table.permutation(i), table.permuted_coefficients(i))
-        for i in range(instance.gamma_count)
-    ]
-    # Pre-resolve the per-step work once; repeat it r times.
-    active = [
-        (a_j * couplings[b_j - 1] * tau,) + terms[b_j - 1]
-        for a_j, b_j in schedule.steps
-        if not (mask is not None and mask[b_j - 1] == 0)
-    ]
-    psi = state
-    for _ in range(r):
-        for theta, perm, pcoeff in active:
-            psi = apply_exponential_state(theta, perm, pcoeff, psi)
-    return float(np.linalg.norm(exact_state - psi))
+    return float(np.linalg.norm(_error_operator(instance, schedule, t, r) @ state))

@@ -103,6 +103,11 @@ class TestDelta1:
         with pytest.raises(ValueError):
             delta1_dense(BoundInput(n=8, k=4, l=2, p=2, t=1.0, r=10))
 
+    @pytest.mark.parametrize("p", [1.5, math.inf, math.nan])
+    def test_p_outside_two_to_inf_rejected(self, p):
+        with pytest.raises(ValueError, match=r"norm order p \(--p\)"):
+            BoundInput(n=8, k=4, l=1, p=p, t=1.0, r=10)
+
     def test_monotonicity(self):
         base = dict(n=8, k=3, l=1, p=2, t=1.0, r=100)
         d = delta1_dense(BoundInput(**base))

@@ -317,6 +317,22 @@ class TestCli:
         assert "need N_disorder >= 2" in capsys.readouterr().out
         assert code == 1
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_p_outside_two_to_inf_is_a_row_error(self, p, capsys):
+        rows, _ = cmd_scan_n(ExperimentConfig(command="scan-n", **dict(FAST, p=float(p))))
+        assert rows[0].error.startswith("ValueError: norm order p (--p)")
+        assert (rows[0].observed, rows[0].bound, rows[0].ratio) == (0.0, 0.0, 0.0)
+        code = main(["scan-n", "--n", "6,8", "--k", "4", "--l", "1", "--r", "100",
+                     "--p", p, "--n-disorder", "4"])
+        assert capsys.readouterr().out.count("norm order p (--p)") == 2
+        assert code == 1
+
+    def test_solve_r_ignores_p(self, capsys):
+        assert main(["solve-r", "--n", "8", "--k", "4"]) == 0
+        default = capsys.readouterr().out
+        assert main(["solve-r", "--n", "8", "--k", "4", "--p", "inf"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_oracle_subcommand(self, capsys):
         assert main(["oracle"]) == 0
         assert "[PASS]" in capsys.readouterr().out

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from syklab.pauli import (
     DimensionError,
     PauliString,
-    apply_dense,
-    apply_exponential,
     commutes,
-    identity,
     is_hermitian,
     multiply,
-    single_qubit,
     to_dense,
 )
 
@@ -34,13 +30,13 @@ def pauli_strategy(num_qubits: int):
 
 class TestMultiply:
     def test_involution(self):
-        x1 = single_qubit(3, 1, "X")
+        x1 = PauliString(3, 0b001, 0)  # X on qubit 1
         prod = multiply(x1, x1)
         assert (prod.x_mask, prod.z_mask, prod.phase_exp) == (0, 0, 0)
 
     def test_x_times_z_is_minus_i_y(self):
-        x1 = single_qubit(1, 1, "X")
-        z1 = single_qubit(1, 1, "Z")
+        x1 = PauliString(1, 1, 0)
+        z1 = PauliString(1, 0, 1)
         prod = multiply(x1, z1)
         # dense oracle: XZ = -i Y
         y = np.array([[0, -1j], [1j, 0]])
@@ -70,7 +66,7 @@ class TestMultiply:
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
-            multiply(identity(2), identity(3))
+            multiply(PauliString(2, 0, 0), PauliString(3, 0, 0))
 
 
 class TestCommutes:
@@ -79,7 +75,7 @@ class TestCommutes:
         assert commutes(p, p)
 
     def test_x_z_anticommute(self):
-        assert not commutes(single_qubit(1, 1, "X"), single_qubit(1, 1, "Z"))
+        assert not commutes(PauliString(1, 1, 0), PauliString(1, 0, 1))
 
     def test_exhaustive_two_qubits_against_dense(self):
         paulis = [
@@ -146,53 +142,3 @@ class TestDense:
             mat = to_dense(p)
             assert np.allclose(mat, mat.conj().T)
             assert np.allclose(mat @ mat, np.eye(8))
-
-    def test_apply_dense_is_left_multiplication(self):
-        rng = np.random.default_rng(10)
-        target = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        for _ in range(20):
-            p = random_pauli(rng, 4)
-            assert np.allclose(apply_dense(p, target), dense_oracle(p) @ target)
-
-
-class TestApplyExponential:
-    def test_theta_zero_is_identity(self):
-        target = np.arange(4.0).reshape(2, 2) + 0j
-        out = apply_exponential(0.0, single_qubit(1, 1, "X"), target)
-        assert np.array_equal(out, target)
-
-    def test_pi_flip_against_expm(self):
-        from scipy.linalg import expm
-
-        p = single_qubit(1, 1, "X")
-        out = apply_exponential(np.pi, p, np.eye(2, dtype=complex))
-        ref = expm(1j * np.pi * dense_oracle(p))
-        assert np.allclose(out, ref, atol=1e-12)
-
-    def test_random_against_expm(self):
-        from scipy.linalg import expm
-
-        rng = np.random.default_rng(11)
-        target = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        for _ in range(25):
-            p = random_pauli(rng, 3)
-            if not is_hermitian(p):
-                p = PauliString(3, p.x_mask, p.z_mask,
-                                (p.x_mask & p.z_mask).bit_count() % 2)
-            theta = rng.uniform(-3, 3)
-            out = apply_exponential(theta, p, target)
-            ref = expm(1j * theta * dense_oracle(p)) @ target
-            assert np.linalg.norm(out - ref) < 1e-12 * max(1, np.linalg.norm(ref))
-
-    def test_inverse_restores_target(self):
-        rng = np.random.default_rng(12)
-        target = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        p = PauliString(3, 0b011, 0b110, 1)
-        assert is_hermitian(p)
-        roundtrip = apply_exponential(-0.7, p, apply_exponential(0.7, p, target))
-        assert np.linalg.norm(roundtrip - target) < 1e-12 * np.linalg.norm(target)
-
-    def test_rejects_non_hermitian(self):
-        p = PauliString(1, 1, 1, 0)  # XZ, anti-Hermitian
-        with pytest.raises(ValueError, match="Hermitian"):
-            apply_exponential(0.5, p, np.eye(2, dtype=complex))

@@ -10,9 +10,9 @@ import pytest
 from scipy.linalg import expm
 
 from syklab.fermions import hilbert_dim, term_operator, term_table
-from syklab.linalg import assemble, evolution_factory, exact_evolution
+from syklab.linalg import assemble, exact_evolution
 from syklab.model import sample_dense, sample_sparse
-from syklab.pauli import apply_exponential_state, to_dense
+from syklab.pauli import to_dense
 from syklab.trotter import (
     averaged_error,
     build_schedule,
@@ -69,6 +69,23 @@ def _naive_product(instance, order, t, r):
     for _ in range(r):
         total = round_mat @ total
     return total
+
+
+def _sweep_state(instance, schedule, t, r, state):
+    """Reference kernel: S_l(t/r)**r |state> by r sweeps of state-vector
+    exponentials cos(theta) + i sin(theta) K_b, K_b read from the term table."""
+    table = term_table(instance.n, instance.k)
+    psi = state
+    for _ in range(r):
+        for a_j, b_j in schedule.steps:
+            if instance.mask is not None and instance.mask[b_j - 1] == 0:
+                continue
+            theta = a_j * instance.couplings[b_j - 1] * t / r
+            coeff = table.permuted_coefficients(b_j - 1)
+            psi = np.cos(theta) * psi + (1j * np.sin(theta)) * (
+                coeff * psi[table.permutation(b_j - 1)]
+            )
+    return psi
 
 
 class TestTrotterized:
@@ -136,9 +153,8 @@ class TestObservedError:
     @pytest.mark.parametrize("order", [1, 2])
     def test_convergence_order(self, order):
         inst = sample_dense(8, 4, seed=29)
-        exact = exact_evolution(assemble(inst), 1.0)
         errs = {
-            r: observed_error(inst, order, 1.0, r, 2, exact=exact)
+            r: observed_error(inst, order, 1.0, r, 2)
             for r in (64, 128, 256, 512)
         }
         for r in (64, 128, 256):
@@ -147,9 +163,8 @@ class TestObservedError:
 
     def test_second_order_beats_first(self):
         inst = sample_dense(8, 3, seed=30)
-        exact = exact_evolution(assemble(inst), 1.0)
-        e1 = observed_error(inst, 1, 1.0, 64, 2, exact=exact)
-        e2 = observed_error(inst, 2, 1.0, 64, 2, exact=exact)
+        e1 = observed_error(inst, 1, 1.0, 64, 2)
+        e2 = observed_error(inst, 2, 1.0, 64, 2)
         assert e2 <= e1
 
     def test_error_in_valid_range(self):
@@ -187,6 +202,11 @@ class TestAveragedError:
         )
         assert est.value == float(row["observed"])
         assert est.stderr == float(row["observed_stderr"])
+
+    @pytest.mark.parametrize("p", [1.5, math.inf, math.nan])
+    def test_rejects_p_outside_two_to_inf(self, p):
+        with pytest.raises(ValueError, match=r"need 2 <= p < inf .*\(--p"):
+            averaged_error(6, 3, 1, 0.5, 4, p, 41, 3)
 
     def test_dense_is_normalized_mean_over_disorder(self):
         n, k, t, r, seed = 6, 3, 0.5, 8, 41
@@ -245,27 +265,36 @@ class TestFixedStateError:
         sample_sparse(10, 4, kappa=2.0, seed=45),
     ], ids=["dense-8", "dense-10", "sparse-8", "sparse-10"])
     def test_matches_matrix_route(self, inst):
-        """The eigenbasis state evolution gives the error of the D x D
-        exp(iHt) @ state route within rel 1e-12."""
+        """S^r psi from the round matrix matches a state-vector sweep of the
+        same schedule, and the error is ||U psi - S^r psi||.  The error
+        (~1e-4) is a difference of two unit vectors, so the states, not the
+        error, are compared absolutely."""
         assert inst.mask is None or 0 < inst.mask.sum() < inst.gamma_count
         dim = hilbert_dim(inst.n)
         rng = np.random.default_rng(46)
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
         t, r, order = 0.9, 6, 2
-        table = term_table(inst.n, inst.k)
-        psi = state
-        for _ in range(r):
-            for a_j, b_j in build_schedule(order, inst.gamma_count).steps:
-                if inst.mask is not None and inst.mask[b_j - 1] == 0:
-                    continue
-                theta = a_j * inst.couplings[b_j - 1] * t / r
-                psi = apply_exponential_state(
-                    theta, table.permutation(b_j - 1),
-                    table.permuted_coefficients(b_j - 1), psi,
-                )
-        ref = np.linalg.norm(evolution_factory(assemble(inst))(t) @ state - psi)
+        sched = build_schedule(order, inst.gamma_count)
+        approx = trotterized(inst, sched, t, r) @ state
+        assert np.linalg.norm(approx - _sweep_state(inst, sched, t, r, state)) <= 1e-13
+        ref = np.linalg.norm(exact_evolution(assemble(inst), t) @ state - approx)
         assert fixed_state_error(inst, order, t, r, state) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("inst", [
+        sample_dense(8, 4, seed=47),
+        sample_sparse(8, 4, kappa=2.0, seed=41),
+    ], ids=["dense-8", "sparse-8"])
+    def test_basis_sum_is_frobenius(self, inst):
+        """sum_b ||E e_b||^2 = ||E||_F^2 = D * observed_error(p=2)^2: the
+        Haar average of the fixed-state error squared is the p=2 column."""
+        assert inst.mask is None or 0 < inst.mask.sum() < inst.gamma_count
+        dim = hilbert_dim(inst.n)
+        t, r, order = 0.9, 6, 2
+        total = sum(fixed_state_error(inst, order, t, r, basis) ** 2
+                    for basis in np.eye(dim, dtype=complex))
+        frob = dim * observed_error(inst, order, t, r, 2) ** 2
+        assert total == pytest.approx(frob, rel=1e-12)
 
     def test_rejects_unnormalized(self):
         inst = sample_dense(6, 2, seed=38)
