@@ -46,9 +46,9 @@ print(f"{{chi_i, chi_j}} = 2 delta_ij violations: {violations}")
 # i**(k(k-1)/2) chi_{i1} ... chi_{ik} is Hermitian and involutory; two terms
 # commute iff k + |hyperedge overlap| is even.
 k = 4
-a = term_operator((1, 2, 3, 4), n).pauli
-b = term_operator((1, 2, 5, 6), n).pauli   # overlap 2 -> k + m even -> commute
-c = term_operator((1, 2, 3, 5), n).pauli   # overlap 3 -> odd -> anticommute
+a = term_operator((1, 2, 3, 4), n)
+b = term_operator((1, 2, 5, 6), n)   # overlap 2 -> k + m even -> commute
+c = term_operator((1, 2, 3, 5), n)   # overlap 3 -> odd -> anticommute
 print(f"\nterm (1,2,3,4) hermitian: {is_hermitian(a)}")
 print("overlap 2 commutes:", commutes(a, b))
 print("overlap 3 commutes:", commutes(a, c))

@@ -2,10 +2,12 @@
 
 The first-order bound Delta_1 and the higher-order bounds Delta_l (dense and
 sparse) are closed-form functions of (n, k, l, p, t, r); they are evaluated
-in log space so the huge order-dependent prefactors never overflow.  The
-solver inverts a concentration inequality: it finds the minimal r such that
-the error exceeds epsilon with probability at most delta, then the gate
-count is stages * terms * r times a fermion-to-qubit overhead.
+in log space so the huge order-dependent prefactors never overflow.
+``error_bound`` picks the one that applies to an input: the sparse bound when
+kappa is set, otherwise Delta_1 for l = 1 and Delta_l for even l.  The
+solver inverts a concentration inequality on that bound: it finds the
+minimal r such that the error exceeds epsilon with probability at most delta,
+then the gate count is stages * terms * r times a fermion-to-qubit overhead.
 
 Run:  python demos/04_bounds_solver_and_gatecounts.py
 """
@@ -18,6 +20,7 @@ from syklab.bounds import (
     delta1_dense,
     delta_l_dense,
     delta_l_sparse,
+    error_bound,
     gate_count,
     loglog_fit,
     q_of,
@@ -43,12 +46,14 @@ slope, intercept, residual = loglog_fit(pts)
 print(f"\nDelta_1 t-slope over [10, 1000]: {slope:.3f} "
       f"(t^2 term at small t, t^3 at large t)")
 
-# solve for the minimal r guaranteeing error < epsilon w.p. >= 1 - delta
+# solve for the minimal r guaranteeing error < epsilon w.p. >= 1 - delta;
+# l = 1 and no kappa, so error_bound (and with it the solver) uses Delta_1
 epsilon, delta = 0.1, 0.01
 base = BoundInput(n=n, k=k, l=1, p=2, t=t, r=1)
+assert error_bound(base) == delta1_dense(base)
 print(f"\nminimal Trotter number for epsilon={epsilon}, delta={delta}:")
 for mode in ("operator_norm", "fixed_state"):
-    r = solve_trotter_number(SolverInput(epsilon, delta, mode, "dense_first", base))
+    r = solve_trotter_number(SolverInput(epsilon, delta, mode, base))
     gates = {ov: gate_count(1, math.comb(n, k), r, ov, n)
              for ov in ("none", "log_n", "linear_n")}
     print(f"  {mode:>14}: r = {r:>8}  gates = {gates['none']:.3e} "

@@ -17,13 +17,17 @@ prefactor mode replaces the purely l-dependent constant by 1 (the practice
 used when plotting, where the constant is astronomically large).
 
 The generalized-model entry points (``*_general``) take (Gamma, Q_max)
-directly; the SYK wrappers specialize them with Gamma = C(n,k), Q = Q(n,k).
+directly; the SYK wrappers specialize them with Gamma = C(n,k), Q = Q(n,k)
+and take sigma and p_B from ``model`` (sigma_dense, and for the sparse model
+p_B = kappa n / C(n,k) with sigma inflated by 1/sqrt(p_B)), as the sampler
+does.  :func:`error_bound` is the one place that picks the bound for an
+input: the sparse bound when kappa is set, else Delta_1 or Delta_l by l.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +47,7 @@ __all__ = [
     "delta1_dense",
     "delta_l_dense",
     "delta_l_sparse",
+    "error_bound",
     "solve_trotter_number",
     "gate_count",
     "error_ratio",
@@ -78,9 +83,7 @@ class BoundInput:
     t: float
     r: int
     energy_constant: float = 1.0
-    sigma: float | None = None
-    p_B: float | None = None
-    kappa: float | None = None
+    kappa: float | None = None  # set for the sparse model
     prefactor_mode: str = "full"  # "full" | "unit"
 
     def __post_init__(self) -> None:
@@ -95,26 +98,6 @@ class BoundInput:
             raise ValueError("Trotter number r must be >= 1")
         if self.prefactor_mode not in ("full", "unit"):
             raise ValueError(f"unknown prefactor_mode {self.prefactor_mode!r}")
-
-    def dense_sigma(self) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        return sigma_dense(self.n, self.k, self.energy_constant)
-
-    def sparse_sigma(self) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        p_b = self.resolved_p_b()
-        if p_b == 0.0:
-            return 0.0
-        return sigma_dense(self.n, self.k, self.energy_constant) / math.sqrt(p_b)
-
-    def resolved_p_b(self) -> float:
-        if self.p_B is not None:
-            return self.p_B
-        if self.kappa is not None:
-            return bernoulli_probability(self.n, self.k, self.kappa)[0]
-        raise ValueError("sparse bound needs p_B or kappa")
 
 
 @dataclass(frozen=True)
@@ -264,36 +247,52 @@ def delta1_dense(inp: BoundInput) -> float:
     """Delta_1 for the dense SYK model."""
     if inp.l != 1:
         raise ValueError("delta1_dense requires l = 1")
-    gamma = math.comb(inp.n, inp.k)
-    return delta1_general(gamma, q_of(inp.n, inp.k), inp.dense_sigma(), inp.p, inp.t, inp.r)
+    return delta1_general(
+        math.comb(inp.n, inp.k), q_of(inp.n, inp.k),
+        sigma_dense(inp.n, inp.k, inp.energy_constant), inp.p, inp.t, inp.r,
+    )
 
 
 def delta_l_dense(inp: BoundInput) -> float:
     """Delta_l for the dense SYK model (even l >= 2)."""
-    gamma = math.comb(inp.n, inp.k)
     return delta_l_general(
-        gamma, q_of(inp.n, inp.k), inp.dense_sigma(), inp.l, inp.p, inp.t, inp.r,
+        math.comb(inp.n, inp.k), q_of(inp.n, inp.k),
+        sigma_dense(inp.n, inp.k, inp.energy_constant), inp.l, inp.p, inp.t, inp.r,
         inp.prefactor_mode,
     )
 
 
 def delta_l_sparse(inp: BoundInput) -> BoundValue:
-    """Average sparse-SYK bound (even l >= 2); needs p_B (or kappa)."""
-    gamma = math.comb(inp.n, inp.k)
+    """Average sparse-SYK bound (even l >= 2); needs kappa."""
+    gamma, q = math.comb(inp.n, inp.k), q_of(inp.n, inp.k)
+    if inp.kappa is None:
+        raise ValueError("sparse bound needs kappa")
+    p_b = bernoulli_probability(inp.n, inp.k, inp.kappa)[0]
+    sigma = sigma_dense(inp.n, inp.k, inp.energy_constant) / math.sqrt(p_b) if p_b else 0.0
     return delta_l_sparse_general(
-        gamma, q_of(inp.n, inp.k), inp.sparse_sigma(), inp.resolved_p_b(),
-        inp.l, inp.p, inp.t, inp.r, inp.prefactor_mode,
+        gamma, q, sigma, p_b, inp.l, inp.p, inp.t, inp.r, inp.prefactor_mode
     )
+
+
+def error_bound(inp: BoundInput) -> float:
+    """The bound that applies to ``inp``: the sparse bound when kappa is set,
+    otherwise Delta_1 for l = 1 and Delta_l for other l."""
+    if inp.kappa is not None:
+        return delta_l_sparse(inp).value
+    return delta1_dense(inp) if inp.l == 1 else delta_l_dense(inp)
 
 
 @dataclass(frozen=True)
 class SolverInput:
-    """Inputs for the concentration-inequality Trotter-number solver."""
+    """Inputs for the concentration-inequality Trotter-number solver.
+
+    The solver bounds the error by ``error_bound`` at ``base`` with its p and
+    r replaced, so ``base.kappa`` alone selects the sparse bound.
+    """
 
     epsilon: float
     delta: float
     mode: str  # "operator_norm" | "fixed_state"
-    family: str  # "dense_first" | "dense_higher" | "sparse"
     base: BoundInput  # r is ignored; p is replaced by p_star
 
     def __post_init__(self) -> None:
@@ -303,8 +302,6 @@ class SolverInput:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in ("operator_norm", "fixed_state"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.family not in ("dense_first", "dense_higher", "sparse"):
-            raise ValueError(f"unknown bound family {self.family!r}")
 
     def p_star(self) -> float:
         """log(e^2 ||I||_p^p / delta): D = 2^(n/2) in operator mode, 1 fixed-state."""
@@ -313,26 +310,12 @@ class SolverInput:
 
 
 class ContractError(RuntimeError):
-    """The bound family violated the solver's monotonicity contract."""
+    """The bound violated the solver's monotonicity contract."""
 
 
 def _lambda_factory(inp: SolverInput):
-    """lambda(p, r) = Delta(p, r)/p for the selected bound family."""
-    base = inp.base
-
-    def lam(p: float, r: int) -> float:
-        b = BoundInput(
-            n=base.n, k=base.k, l=base.l, p=p, t=base.t, r=r,
-            energy_constant=base.energy_constant, sigma=base.sigma,
-            p_B=base.p_B, kappa=base.kappa, prefactor_mode=base.prefactor_mode,
-        )
-        if inp.family == "dense_first":
-            return delta1_dense(b) / p
-        if inp.family == "dense_higher":
-            return delta_l_dense(b) / p
-        return delta_l_sparse(b).value / p
-
-    return lam
+    """lambda(p, r) = Delta(p, r)/p for the bound of ``inp.base``."""
+    return lambda p, r: error_bound(replace(inp.base, p=p, r=r)) / p
 
 
 def solve_trotter_number(inp: SolverInput) -> int:

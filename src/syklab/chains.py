@@ -32,12 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .fermions import term_operator
+from .model import ordering_map
 from .pauli import PauliString, commutes
 
 __all__ = [
@@ -82,8 +82,8 @@ class TermSet:
 def syk_termset(n: int, k: int, edges: Sequence[Sequence[int]] | None = None) -> TermSet:
     """Termset of SYK term operators; all C(n,k) hyperedges by default."""
     if edges is None:
-        edges = list(combinations(range(1, n + 1), k))
-    return TermSet(tuple(term_operator(e, n).pauli for e in edges))
+        edges = ordering_map(n, k).edges
+    return TermSet(tuple(term_operator(e, n) for e in edges))
 
 
 def indicator(chain: Sequence[int], terms: TermSet) -> int:

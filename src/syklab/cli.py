@@ -4,9 +4,12 @@ Subcommands: scan-n, scan-t, solve-r, gatecount, bounds, oracle, gen, evolve.
 Parameters come from an optional ``key = value`` config file plus flag
 overrides; every CSV embeds the resolved config as a comment block.  Scans
 evaluate their grid points on a thread pool of SYKLAB_WORKERS workers (an
-environment variable; a positive integer, default 1; anything else is a
-ValueError).
-Exit code is 0 only if every row succeeded and every requested check passed.
+environment variable; a positive integer, default 1; anything else is
+rejected).
+Invalid input (a flag value, config key or file, instance or environment
+setting that syklab rejects) ends the run with a one-line ``syklab: error:``
+message on stderr and exit code 2.  Otherwise the exit code is 0 only if
+every row succeeded and every requested check passed.
 """
 
 from __future__ import annotations
@@ -160,8 +163,16 @@ def main(argv: list[str] | None = None) -> int:
         _add_common_flags(sub.add_parser(name, help=helptext))
 
     args = parser.parse_args(argv)
-    config = build_config(args)
+    try:
+        return _run(args)
+    except (ValueError, KeyError, OSError) as exc:
+        # a KeyError's str() is the repr of its message
+        parser.error(exc.args[0] if isinstance(exc, KeyError) else str(exc))
 
+
+def _run(args: argparse.Namespace) -> int:
+    """Build the config and run the subcommand; returns the exit code."""
+    config = build_config(args)
     status = 0
     if args.subcommand == "scan-n":
         rows, csv_text = cmd_scan_n(config)

@@ -12,6 +12,7 @@ by default).
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import os
@@ -115,13 +116,15 @@ def _format_value(value) -> str:
 
 def rows_to_csv(config: ExperimentConfig, rows: list[ResultRow], extra_comments: list[str] | None = None) -> str:
     """CSV text: '#'-commented resolved config, header, rows (LF endings,
-    shortest round-trip float formatting)."""
+    shortest round-trip float formatting; a field holding a comma, such as an
+    error message, is quoted)."""
     buf = io.StringIO()
     buf.write(config.as_comment_block() + "\n")
     names = [f.name for f in fields(ResultRow)]
-    buf.write(",".join(names) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
     for row in rows:
-        buf.write(",".join(_format_value(getattr(row, name)) for name in names) + "\n")
+        writer.writerow([_format_value(getattr(row, name)) for name in names])
     for line in extra_comments or []:
         buf.write(f"# {line}\n")
     return buf.getvalue()
@@ -132,21 +135,14 @@ def _point_seed(master_seed: int, point_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _dense_bound(config: ExperimentConfig, n: int, t: float, l: int) -> float:
-    inp = bounds.BoundInput(
-        n=n, k=config.k, l=l, p=config.p, t=t, r=config.r,
-        energy_constant=config.energy_constant, prefactor_mode=config.prefactor_mode,
-    )
-    return bounds.delta1_dense(inp) if l == 1 else bounds.delta_l_dense(inp)
-
-
-def _sparse_bound(config: ExperimentConfig, n: int, t: float, l: int) -> float:
-    inp = bounds.BoundInput(
-        n=n, k=config.k, l=l, p=config.p, t=t, r=config.r,
-        energy_constant=config.energy_constant, kappa=config.kappa,
+def _bound(config: ExperimentConfig, n: int, t: float) -> float:
+    """The config's error bound at (n, t): sparse for the sparse model."""
+    return bounds.error_bound(bounds.BoundInput(
+        n=n, k=config.k, l=config.l, p=config.p, t=t, r=config.r,
+        energy_constant=config.energy_constant,
+        kappa=config.kappa if config.model == "sparse" else None,
         prefactor_mode=config.prefactor_mode,
-    )
-    return bounds.delta_l_sparse(inp).value
+    ))
 
 
 def worker_count() -> int:
@@ -178,7 +174,7 @@ def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) ->
         observed=0.0, observed_stderr=0.0, bound=0.0, ratio=0.0, wall_time_s=0.0,
     )
     try:
-        row.bound = (_sparse_bound if sparse else _dense_bound)(config, n, t, config.l)
+        row.bound = _bound(config, n, t)
         if not config.bound_only:
             est = trotter.averaged_error(
                 n, config.k, config.l, t, config.r, config.p, seed,
@@ -236,10 +232,6 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
 def cmd_solve_r(config: ExperimentConfig) -> str:
     """Minimal Trotter numbers and implied gate counts, both solver modes."""
     n = config.n_list[0]
-    family = (
-        "sparse" if config.model == "sparse"
-        else ("dense_first" if config.l == 1 else "dense_higher")
-    )
     base = bounds.BoundInput(  # the solver sets its own p = p* and r
         n=n, k=config.k, l=config.l, p=2.0, t=config.t, r=1,
         energy_constant=config.energy_constant,
@@ -252,7 +244,7 @@ def cmd_solve_r(config: ExperimentConfig) -> str:
         f"epsilon={config.epsilon} delta={config.delta}"
     ]
     for mode in ("operator_norm", "fixed_state"):
-        sinp = bounds.SolverInput(config.epsilon, config.delta, mode, family, base)
+        sinp = bounds.SolverInput(config.epsilon, config.delta, mode, base)
         r = bounds.solve_trotter_number(sinp)
         p_star = sinp.p_star()
         lam = bounds._lambda_factory(sinp)(p_star, r)
@@ -282,12 +274,8 @@ def cmd_gatecount(config: ExperimentConfig) -> str:
 def cmd_bounds(config: ExperimentConfig) -> str:
     """Evaluate the analytical bound for the configured parameters."""
     n = config.n_list[0]
-    if config.model == "sparse":
-        value = _sparse_bound(config, n, config.t, config.l)
-        kind = f"Delta_{config.l}^sparse"
-    else:
-        value = _dense_bound(config, n, config.t, config.l)
-        kind = f"Delta_{config.l}"
+    value = _bound(config, n, config.t)
+    kind = f"Delta_{config.l}" + ("^sparse" if config.model == "sparse" else "")
     return (
         f"{kind}(n={n}, k={config.k}, p={config.p}, t={config.t}, "
         f"r={config.r}, prefactor={config.prefactor_mode}) = {value!r}"

@@ -189,8 +189,7 @@ def test_criterion_10_solver_soundness(criterion_report):
                 base = bounds.BoundInput(n=n, k=4, l=1, p=2, t=1.0, r=1)
                 rs = {}
                 for mode in ("operator_norm", "fixed_state"):
-                    sinp = bounds.SolverInput(epsilon, delta, mode,
-                                              "dense_first", base)
+                    sinp = bounds.SolverInput(epsilon, delta, mode, base)
                     r = bounds.solve_trotter_number(sinp)
                     rs[mode] = r
                     lam = bounds._lambda_factory(sinp)

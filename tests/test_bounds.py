@@ -15,6 +15,7 @@ from syklab.bounds import (
     delta_l_general,
     delta_l_sparse,
     delta_l_sparse_general,
+    error_bound,
     error_ratio,
     gate_count,
     log_prefactor_higher,
@@ -24,7 +25,7 @@ from syklab.bounds import (
     solve_trotter_number,
 )
 from syklab.linalg import NormEstimate
-from syklab.model import sigma_dense
+from syklab.model import bernoulli_probability, sigma_dense
 from syklab.trotter import stage_count
 
 
@@ -156,7 +157,7 @@ class TestDeltaL:
 
 class TestDeltaSparse:
     def test_t_zero(self):
-        v = delta_l_sparse(BoundInput(n=8, k=4, l=2, p=2, t=0.0, r=10, p_B=0.5))
+        v = delta_l_sparse(BoundInput(n=8, k=4, l=2, p=2, t=0.0, r=10, kappa=4.0))
         assert v.value == 0.0
 
     def test_needs_p_b(self):
@@ -165,12 +166,14 @@ class TestDeltaSparse:
 
     def test_p_b_one_ratio_to_dense_is_constant(self):
         """At p_B = 1 the sparse/dense ratio is beta(l)/C(l), independent of
-        n, t, r."""
+        n, t, r (kappa = C(n,4)/n makes p_B exactly 1)."""
         expected = math.exp(log_prefactor_sparse(2) - log_prefactor_higher(2))
         for n, t, r in [(8, 1.0, 100), (10, 3.0, 500), (12, 0.2, 10**4)]:
+            kappa = math.comb(n, 4) / n
+            assert bernoulli_probability(n, 4, kappa)[0] == 1.0
             dense = delta_l_dense(BoundInput(n=n, k=4, l=2, p=2, t=t, r=r))
             sparse = delta_l_sparse(
-                BoundInput(n=n, k=4, l=2, p=2, t=t, r=r, p_B=1.0)
+                BoundInput(n=n, k=4, l=2, p=2, t=t, r=r, kappa=kappa)
             )
             assert sparse.value / dense == pytest.approx(expected, rel=1e-10)
 
@@ -188,11 +191,26 @@ class TestDeltaSparse:
 
     def test_kappa_resolution(self):
         v1 = delta_l_sparse(BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=100, kappa=4.0))
-        v2 = delta_l_sparse(
-            BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=100, p_B=40 / 210,
-                       sigma=sigma_dense(10, 4) / math.sqrt(40 / 210))
+        v2 = delta_l_sparse_general(
+            math.comb(10, 4), q_of(10, 4), sigma_dense(10, 4) / math.sqrt(40 / 210),
+            40 / 210, 2, 2, 1.0, 100,
         )
         assert v1.value == pytest.approx(v2.value, rel=1e-12)
+        assert v1.regime == v2.regime
+
+
+class TestErrorBound:
+    def test_picks_the_bound_from_the_input(self):
+        dense1 = BoundInput(n=10, k=4, l=1, p=2, t=1.0, r=50)
+        dense2 = BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=50)
+        sparse = BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=50, kappa=4.0)
+        assert error_bound(dense1) == delta1_dense(dense1)
+        assert error_bound(dense2) == delta_l_dense(dense2)
+        assert error_bound(sparse) == delta_l_sparse(sparse).value
+
+    def test_sparse_rejects_first_order(self):
+        with pytest.raises(ValueError, match="even l"):
+            error_bound(BoundInput(n=10, k=4, l=1, p=2, t=1.0, r=50, kappa=4.0))
 
 
 class TestGeneralizedEntryPoints:
@@ -216,7 +234,7 @@ class TestSolver:
     def test_algebraic_inversion_first_order(self):
         """For lambda ~ a/r (t/r**2 term negligible) r ~ ceil(e p* a / eps)."""
         inp = SolverInput(
-            epsilon=1e-3, delta=0.01, mode="operator_norm", family="dense_first",
+            epsilon=1e-3, delta=0.01, mode="operator_norm",
             base=BoundInput(n=10, k=4, l=1, p=2, t=0.01, r=1),
         )
         r = solve_trotter_number(inp)
@@ -227,13 +245,13 @@ class TestSolver:
         r_closed = math.ceil(math.e * p_star * a / 1e-3)
         assert abs(r - r_closed) <= 1
 
-    @pytest.mark.parametrize("family,l", [("dense_first", 1), ("dense_higher", 2)])
+    @pytest.mark.parametrize("l", [1, 2])
     @pytest.mark.parametrize("mode", ["operator_norm", "fixed_state"])
-    def test_minimality_and_back_substitution(self, family, l, mode):
+    def test_minimality_and_back_substitution(self, l, mode):
         from syklab.bounds import _lambda_factory
 
         inp = SolverInput(
-            epsilon=0.05, delta=0.02, mode=mode, family=family,
+            epsilon=0.05, delta=0.02, mode=mode,
             base=BoundInput(n=10, k=4, l=l, p=2, t=1.0, r=1),
         )
         r = solve_trotter_number(inp)
@@ -249,7 +267,7 @@ class TestSolver:
             base = BoundInput(n=n, k=4, l=1, p=2, t=1.0, r=1)
             rs = {
                 mode: solve_trotter_number(
-                    SolverInput(0.1, 0.01, mode, "dense_first", base)
+                    SolverInput(0.1, 0.01, mode, base)
                 )
                 for mode in ("operator_norm", "fixed_state")
             }
@@ -259,7 +277,7 @@ class TestSolver:
         base = BoundInput(n=10, k=4, l=1, p=2, t=1.0, r=1)
         rs = [
             solve_trotter_number(
-                SolverInput(eps, 0.01, "operator_norm", "dense_first", base)
+                SolverInput(eps, 0.01, "operator_norm", base)
             )
             for eps in (0.01, 0.05, 0.1, 0.5)
         ]
@@ -267,9 +285,14 @@ class TestSolver:
 
     def test_sparse_family(self):
         base = BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=1, kappa=4.0)
-        inp = SolverInput(0.1, 0.01, "operator_norm", "sparse", base)
+        inp = SolverInput(0.1, 0.01, "operator_norm", base)
         r = solve_trotter_number(inp)
         assert r >= 1
+
+    def test_kappa_selects_the_sparse_bound(self):
+        """A base with kappa solves against the sparse bound, whatever l."""
+        base = BoundInput(n=10, k=4, l=2, p=2, t=1, r=1, kappa=4)
+        assert solve_trotter_number(SolverInput(0.1, 0.01, "operator_norm", base)) == 4_159_544
 
 
 class TestGateCount:

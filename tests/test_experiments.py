@@ -1,5 +1,6 @@
 """Experiment drivers and CLI: CSV schema, determinism, config plumbing."""
 
+import csv
 import json
 import math
 
@@ -69,6 +70,18 @@ class TestCsv:
         config = ExperimentConfig(command="scan-n", timing=True, **FAST)
         rows, _ = cmd_scan_n(config)
         assert rows[0].wall_time_s > 0.0
+
+    def test_error_with_a_comma_is_quoted(self, capsys):
+        code = main(["scan-n", "--n", "6", "--k", "3", "--r", "4", "--n-disorder", "1"])
+        assert code == 1
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        header, *data = list(csv.reader(lines))
+        assert len(header) == 17 and len(data) == 1
+        assert all(len(record) == 17 for record in data)
+        row, _ = cmd_scan_n(ExperimentConfig(
+            command="scan-n", n_list=(6,), k=3, r=4, N_disorder=1))
+        assert "," in row[0].error
+        assert data[0][header.index("error")] == row[0].error
 
     def test_ratio_times_bound_is_observed(self):
         config = ExperimentConfig(command="scan-n", **FAST)
@@ -285,11 +298,27 @@ class TestCli:
         assert config.n_list == (6, 8)
         assert config.k == 3 and config.r == 32 and config.t == 0.5
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n", encoding="utf-8")
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["bounds", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "syklab: error: unknown config key 'frobnicate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bounds", "--n", "8", "--k", "4", "--p", "1"], "norm order p (--p)"),
+        (["solve-r", "--epsilon", "-1"], "epsilon must be positive"),
+        (["evolve", "--n", "7"], "n must be even"),
+        (["scan-n", "--n", "6,x"], "invalid literal"),
+    ])
+    def test_input_error_is_a_one_line_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"syklab: error: {message}" in err
 
     def test_row_error_sets_exit_code(self, capsys):
         code = main([
@@ -409,14 +438,18 @@ class TestConfigFile:
         assert config.timing is value and config.bound_only is value
 
     @pytest.mark.parametrize("word", ["ture", "", "2", "y", "enabled"])
-    def test_other_boolean_spellings_rejected(self, tmp_path, word):
+    def test_other_boolean_spellings_rejected(self, tmp_path, word, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"timing = {word}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="timing"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["bounds", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "syklab: error: config key 'timing' needs" in capsys.readouterr().err
 
-    def test_command_is_not_a_config_key(self, tmp_path):
+    def test_command_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cmd.cfg"
         cfg.write_text("command = oracle\n", encoding="utf-8")
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["bounds", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert "syklab: error: unknown config key 'command'" in capsys.readouterr().err

@@ -1,7 +1,10 @@
-"""Every name a syklab module exports in ``__all__`` exists in it."""
+"""Every name a syklab module exports in ``__all__`` exists in it, and every
+function the benchmark's tracer wraps still exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,22 @@ def test_all_names_exist(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve():
+    """A renamed or deleted function the tracer wraps fails here, not only
+    when the benchmark runs with tracing on."""
+    tracer = _load_tracer()
+    names = [q for table in (tracer.SPANS, tracer.COUNTED)
+             for qualnames in table.values() for q in qualnames]
+    assert names
+    for qualname in names:
+        assert callable(tracer.resolve(qualname)), qualname

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,14 @@ from syklab import fermions
 from syklab.fermions import hilbert_dim, jordan_wigner, term_operator, term_table
 from syklab.linalg import assemble
 from syklab.model import ordering_map, sample_dense, sample_sparse
-from syklab.pauli import _coefficients, commutes, is_hermitian, multiply, to_dense
+from syklab.pauli import (
+    PauliString,
+    _coefficients,
+    commutes,
+    is_hermitian,
+    multiply,
+    to_dense,
+)
 from syklab.trotter import build_schedule, trotterized
 
 from conftest import dense_oracle
@@ -69,12 +77,10 @@ def test_majorana_anticommutation_dense_n8():
 
 class TestTermOperator:
     def test_k1_is_bare_majorana(self):
-        term = term_operator((3,), 8)
-        assert term.pauli == jordan_wigner(3, 8)
+        assert term_operator((3,), 8) == jordan_wigner(3, 8)
 
     def test_k2_prefactor_makes_hermitian(self):
-        term = term_operator((1, 2), 4)
-        mat = to_dense(term.pauli)
+        mat = to_dense(term_operator((1, 2), 4))
         assert np.allclose(mat, mat.conj().T)
         assert np.allclose(mat @ mat, np.eye(4))
         # i * chi1 chi2 from the dense side
@@ -86,11 +92,23 @@ class TestTermOperator:
         rng = np.random.default_rng(n * 10 + k)
         edges = list(combinations(range(1, n + 1), k))
         for idx in rng.choice(len(edges), size=min(12, len(edges)), replace=False):
-            mat = to_dense(term_operator(edges[idx], n).pauli)
+            mat = to_dense(term_operator(edges[idx], n))
             assert np.allclose(mat, mat.conj().T, atol=1e-13)
             assert np.allclose(mat @ mat, np.eye(len(mat)), atol=1e-13)
             svals = np.linalg.svd(mat, compute_uv=False)
             assert np.allclose(svals, 1.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_closed_form_matches_majorana_product(self, n):
+        """The closed form equals i**(k(k-1)/2) chi_{i_1} ... chi_{i_k}
+        multiplied out in exact Pauli algebra, for every edge with k <= 6."""
+        for k in range(1, min(6, n) + 1):
+            for edge in combinations(range(1, n + 1), k):
+                prod = reduce(multiply, (jordan_wigner(i, n) for i in edge))
+                ref = multiply(PauliString(n // 2, 0, 0, k * (k - 1) // 2), prod)
+                term = term_operator(edge, n)
+                assert term == ref, edge
+                assert is_hermitian(term)
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):
@@ -104,7 +122,7 @@ def test_anticommutation_sign_law(k):
     """T_a T_b = (-1)**(k+m) T_b T_a with m the hyperedge overlap (n = 8)."""
     n = 8
     edges = list(combinations(range(1, n + 1), k))
-    terms = {e: term_operator(e, n).pauli for e in edges}
+    terms = {e: term_operator(e, n) for e in edges}
     for i, ea in enumerate(edges):
         for eb in edges[i:]:
             m = len(set(ea) & set(eb))
@@ -141,7 +159,7 @@ class TestTermTable:
             edges = ordering_map(n, k).edges
             assert table.signs.shape == (len(edges), hilbert_dim(n))
             for g, edge in enumerate(edges):
-                perm, coeff = _coefficients(term_operator(edge, n).pauli)
+                perm, coeff = _coefficients(term_operator(edge, n))
                 assert np.array_equal(table.permutation(g), perm)
                 assert np.array_equal(table.permuted_coefficients(g), coeff[perm])
 

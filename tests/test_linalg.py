@@ -33,13 +33,13 @@ class TestAssemble:
         couplings[0] = 1.7
         single = dataclasses.replace(inst, couplings=couplings)
         edge = inst.ordering().edges[0]
-        expected = 1.7 * to_dense(term_operator(edge, 6).pauli)
+        expected = 1.7 * to_dense(term_operator(edge, 6))
         assert np.allclose(assemble(single), expected)
 
     def test_sum_of_terms_matches_naive(self):
         inst = sample_dense(6, 2, seed=3)
         naive = sum(
-            inst.couplings[i] * to_dense(term_operator(e, 6).pauli)
+            inst.couplings[i] * to_dense(term_operator(e, 6))
             for i, e in enumerate(inst.ordering().edges)
         )
         assert np.allclose(assemble(inst), naive, atol=1e-13)
@@ -51,7 +51,7 @@ class TestAssemble:
     def test_mask_respected(self):
         inst = sample_sparse(6, 3, kappa=2.0, seed=5)
         kept = sum(
-            inst.couplings[i] * to_dense(term_operator(e, 6).pauli)
+            inst.couplings[i] * to_dense(term_operator(e, 6))
             for i, e in enumerate(inst.ordering().edges)
             if inst.mask[i]
         )

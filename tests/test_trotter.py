@@ -63,7 +63,7 @@ def _naive_product(instance, order, t, r):
     for a, b in sched.steps:
         if instance.mask is not None and instance.mask[b - 1] == 0:
             continue
-        ham_b = instance.couplings[b - 1] * to_dense(term_operator(edges[b - 1], instance.n).pauli)
+        ham_b = instance.couplings[b - 1] * to_dense(term_operator(edges[b - 1], instance.n))
         round_mat = expm(1j * a * (t / r) * ham_b) @ round_mat
     total = np.eye(dim, dtype=complex)
     for _ in range(r):
