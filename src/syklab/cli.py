@@ -50,10 +50,22 @@ _FLOAT_KEYS = _keys_annotated(float)
 _STR_KEYS = _keys_annotated(str)
 
 
+# what a number-valued config key needs, for its error message
+_NEEDS = {"n_list": "comma-separated integers",
+          **dict.fromkeys(_INT_KEYS, "an integer"),
+          **dict.fromkeys(_FLOAT_KEYS, "a number")}
+
+
+def _flag(key: str) -> str:
+    """The command-line flag that sets config key ``key``, e.g. ``--n``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_common_flags(parser)
+    return next(action.option_strings[0] for action in parser._actions
+                if action.dest == key)
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key == "n_list":
-        return tuple(int(x) for x in raw.split(",") if x.strip())
     if key in _BOOL_KEYS:
         word = raw.lower()
         if word not in _TRUE_WORDS + _FALSE_WORDS:
@@ -62,13 +74,16 @@ def _parse_value(key: str, raw: str):
                 f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {raw!r}"
             )
         return word in _TRUE_WORDS
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
     if key in _STR_KEYS:
         return raw
-    raise KeyError(f"unknown config key {key!r}")
+    if key not in _NEEDS:
+        raise KeyError(f"unknown config key {key!r}")
+    try:
+        if key == "n_list":
+            return tuple(int(x) for x in raw.split(",") if x.strip())
+        return int(raw) if key in _INT_KEYS else float(raw)
+    except ValueError:
+        raise ValueError(f"{key} ({_flag(key)}) needs {_NEEDS[key]}, got {raw!r}") from None
 
 
 def _read_config_file(path: str) -> dict:

@@ -124,7 +124,8 @@ class TermTable:
         return np.bitwise_xor(self.rows, self.x_masks[g], out=out)
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
-        """scale * coeff: the nonzero entries of scale * K_g, row by row."""
+        """scale * coeff: the nonzero entries of scale * K_g, row by row; an
+        (N, 1) array of scales gives the (N, D) entries of N multiples."""
         return (scale * self.phases[g]) * self.signs[g]
 
 

@@ -8,7 +8,7 @@ default dimension cap (2**10) guards memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -120,22 +120,20 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return vals[0]
 
 
-def expected_norm(
-    sampler: Callable[[int], object],
-    statistic: Callable[[object], np.ndarray],
-    p: float,
-    num_samples: int,
-) -> NormEstimate:
-    """Estimate (E ||statistic(sample_i)||_p^p)**(1/p) over disorder.
+def expected_norm(matrices: Iterable[np.ndarray], p: float) -> NormEstimate:
+    """Estimate (E ||A_i||_p^p)**(1/p) from per-sample matrices A_i.
 
-    ``sampler(i)`` must be pure in the sample index i, so the estimate is
-    deterministic: per-sample values are taken in index order and reduced
-    with a fixed-order pairwise tree.
+    ``matrices`` is consumed once, in index order, and its p-th powers are
+    reduced with a fixed-order pairwise tree, so the estimate is
+    deterministic.  Each matrix is dropped before the next one is asked
+    for, so a generator keeps one of them alive at a time.
     """
+    # map() releases each matrix before it asks for the next one; the loop
+    # variable of a list comprehension would still hold the previous one
+    powers = list(map(lambda mat: schatten_norm(mat, p) ** p, matrices))
+    num_samples = len(powers)
     if num_samples < 2:
         raise ValueError("need num_samples >= 2 for a standard error")
-    powers = [schatten_norm(statistic(sampler(i)), p) ** p for i in range(num_samples)]
-
     mean = _pairwise_sum(powers) / num_samples
     centered = [(x - mean) ** 2 for x in powers]
     var_mean = _pairwise_sum(centered) / (num_samples - 1) / num_samples

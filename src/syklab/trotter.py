@@ -9,12 +9,26 @@ application order (steps[0] acts on the state first).  The recursion
 
 flattens to Upsilon = 2 * 5**(l/2 - 1) sweeps per round, each sweep a forward
 or reverse pass over all Gamma terms.
+
+Round matrices are built by one kernel, ``_round_matrices``, on a stack of N
+samples that share (n, k, mask): each schedule step is one ``take`` of the
+stack's rows along K_g's permutation, one coefficient multiply, one cos scale
+and one add for all N samples.  For even k every x_g has even popcount, so
+S_l(tau) keeps the parity of the basis index; each sample is then held in a
+(D, D/2) row-compressed layout (row b keeps only the columns of its own
+parity) and expanded to D x D once at the end.  Odd k keeps the full width.
+``trotterized`` is the N = 1 call; ``averaged_error`` passes the samples of
+one average in stacks of at most ``_STACK_BYTES``.  Every entry goes through
+the same floating-point operations as a one-matrix, full-D build, so the
+results are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +45,10 @@ __all__ = [
     "averaged_error",
     "fixed_state_error",
 ]
+
+# Bytes of row-compressed round matrices in one stack: with its take() buffer
+# it stays well inside a 2 MiB L2, and at D = 256 a stack holds one sample.
+_STACK_BYTES = 256 * 1024
 
 
 def stage_count(order: int) -> int:
@@ -84,33 +102,61 @@ def build_schedule(order: int, gamma_count: int) -> Schedule:
     return Schedule(order, stages, gamma_count, steps)
 
 
-def _round_matrix(
-    instance: SykInstance, schedule: Schedule, tau: float
+@lru_cache(maxsize=32)
+def _layout_columns(n: int, k: int) -> np.ndarray:
+    """(D, W) full-D column of each entry of the row-compressed layout.
+
+    For even k, row b of S_l(tau) is zero outside the W = D/2 columns whose
+    index has the parity of b, listed in increasing order; odd k keeps every
+    column (W = D).
+    """
+    rows = term_table(n, k).rows
+    if k % 2:
+        cols = np.broadcast_to(rows, (len(rows), len(rows)))
+    else:
+        parity = np.bitwise_count(rows) & 1
+        cols = np.stack([rows[parity == 0], rows[parity == 1]])[parity]
+        cols.flags.writeable = False
+    return cols
+
+
+def _round_matrices(
+    n: int, k: int, couplings: np.ndarray, mask: np.ndarray | None,
+    schedule: Schedule, tau: float,
 ) -> np.ndarray:
-    """One round S_l(tau) as a dense matrix, built by applying each step
-    exponential cos(theta) + i sin(theta) K_g to the accumulating matrix in
-    place, with K_g read from the cached term table."""
-    table = term_table(instance.n, instance.k)
-    mat = np.eye(table.dim, dtype=complex)
-    buf = np.empty_like(mat)
+    """S_l(tau) for each row of ``couplings`` (N, Gamma), all sharing (n, k,
+    mask), as an (N, D, D) stack.
+
+    Each step exponential cos(theta) + i sin(theta) K_g is applied to the
+    whole stack in place, with K_g read from the cached term table; a step
+    is skipped when its term is masked out or theta is 0 for every sample.
+    """
+    table = term_table(n, k)
+    cols = _layout_columns(n, k)
+    # Allocated before the stack, the output does not land in the memory the
+    # stack frees; at D = 256 that keeps the peak RSS of a scan lower.
+    rounds = np.zeros((len(couplings), table.dim, table.dim), dtype=complex)
+    identity = (cols == table.rows[:, None]).astype(complex)
+    stack = np.repeat(identity[None], len(couplings), axis=0)
+    buf = np.empty_like(stack)
     perm = np.empty_like(table.rows)
-    mask = instance.mask
-    couplings = instance.couplings
     for a_j, b_j in schedule.steps:
         i = b_j - 1
         if mask is not None and mask[i] == 0:
             continue
-        theta = a_j * couplings[i] * tau
-        if theta == 0.0:
+        theta = a_j * couplings[:, i] * tau
+        if not theta.any():
             continue
         table.permutation(i, out=perm)
         # perm is in range by construction; mode="clip" skips the copy that
-        # take() makes for out= under the default bounds check.
-        np.take(mat, perm, axis=0, out=buf, mode="clip")
-        buf *= table.permuted_coefficients(i, 1j * np.sin(theta))[:, None]
-        mat *= np.cos(theta)
-        mat += buf
-    return mat
+        # take() makes for out= under the default bounds check.  perm keeps
+        # the parity of the row, so compressed rows permute as full ones.
+        np.take(stack, perm, axis=1, out=buf, mode="clip")
+        buf *= table.permuted_coefficients(i, 1j * np.sin(theta)[:, None])[:, :, None]
+        stack *= np.cos(theta)[:, None, None]
+        stack += buf
+    rounds[:, table.rows[:, None], cols] = stack
+    return rounds
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
@@ -136,15 +182,42 @@ def trotterized(
         )
     if r < 1:
         raise ValueError("Trotter number r must be >= 1")
-    return _matrix_power(_round_matrix(instance, schedule, t / r), r)
+    rounds = _round_matrices(instance.n, instance.k, instance.couplings[None],
+                             instance.mask, schedule, t / r)
+    return _matrix_power(rounds[0], r)
 
 
 def _error_operator(
     instance: SykInstance, schedule: Schedule, t: float, r: int
 ) -> np.ndarray:
-    """The Trotter error operator E = exp(iHt) - S_l(t/r)**r, the one
-    definition behind every error this module reports."""
+    """The Trotter error operator E = exp(iHt) - S_l(t/r)**r of one
+    instance; ``_error_operators`` forms it for the samples of an average."""
     return exact_evolution(assemble(instance), t) - trotterized(instance, schedule, t, r)
+
+
+def _error_operators(
+    instances: list[SykInstance], schedule: Schedule, t: float, r: int
+) -> Iterator[np.ndarray]:
+    """E of each instance, in order, for instances that share (n, k, mask).
+
+    The round matrices are built in stacks whose compressed layout takes at
+    most ``_STACK_BYTES`` (at least one sample), after the exp(iHt) of the
+    stack's samples, as for one instance.  Each exp(iHt) and round matrix is
+    dropped once its E is formed, and E is yielded without a reference kept
+    here: a consumer that drops each E holds one stack and one E at a time.
+    """
+    n, k, mask = instances[0].n, instances[0].k, instances[0].mask
+    per_sample = np.dtype(complex).itemsize * hilbert_dim(n) * _layout_columns(n, k).shape[1]
+    size = max(1, _STACK_BYTES // per_sample)
+    for start in range(0, len(instances), size):
+        chunk = instances[start:start + size]
+        # exp(iHt) first, as for one instance: its eigh then runs while no
+        # round matrix is live
+        evolutions = [exact_evolution(assemble(instance), t) for instance in chunk]
+        couplings = np.array([instance.couplings for instance in chunk])
+        rounds = list(_round_matrices(n, k, couplings, mask, schedule, t / r))
+        for _ in chunk:
+            yield evolutions.pop(0) - _matrix_power(rounds.pop(0), r)
 
 
 def observed_error(instance: SykInstance, order: int, t: float, r: int, p: float) -> float:
@@ -174,28 +247,25 @@ def averaged_error(
         )
     schedule = build_schedule(order, math.comb(n, k))
     scale = hilbert_dim(n) ** (1.0 / p)
-
-    def statistic(instance: SykInstance) -> np.ndarray:
-        return _error_operator(instance, schedule, t, r)
-
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
+    if r < 1:
+        raise ValueError("Trotter number r must be >= 1")
     if kappa is None:
-        est = expected_norm(
-            lambda i: sample_dense(n, k, energy_constant, seed, i),
-            statistic, p, num_disorder,
-        )
+        instances = [sample_dense(n, k, energy_constant, seed, i) for i in range(num_disorder)]
+        est = expected_norm(_error_operators(instances, schedule, t, r), p)
         return replace(est, value=est.value / scale, stderr=est.stderr / scale)
     if num_bernoulli < 2:
         raise ValueError("need num_bernoulli >= 2 for a standard error")
     per_mask = []
     for b in range(num_bernoulli):
         mask, _, _ = sample_bernoulli_mask(n, k, kappa, seed, b)
-        est = expected_norm(  # the sampler is used up before b and mask move on
-            lambda i: sample_sparse(n, k, energy_constant, kappa, seed,
-                                    coupling_index=b * num_disorder + i, mask=mask),
-            statistic, p, num_disorder,
-        )
+        instances = [
+            sample_sparse(n, k, energy_constant, kappa, seed,
+                          coupling_index=b * num_disorder + i, mask=mask)
+            for i in range(num_disorder)
+        ]
+        est = expected_norm(_error_operators(instances, schedule, t, r), p)
         per_mask.append(est.value / scale)
     values = np.asarray(per_mask)
     stderr = float(values.std(ddof=1) / math.sqrt(num_bernoulli))

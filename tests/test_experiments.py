@@ -310,7 +310,7 @@ class TestCli:
         (["bounds", "--n", "8", "--k", "4", "--p", "1"], "norm order p (--p)"),
         (["solve-r", "--epsilon", "-1"], "epsilon must be positive"),
         (["evolve", "--n", "7"], "n must be even"),
-        (["scan-n", "--n", "6,x"], "invalid literal"),
+        (["scan-n", "--n", "6,x"], "n_list (--n) needs"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -319,6 +319,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"syklab: error: {message}" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("k = x", "k (--k) needs an integer, got 'x'"),
+        ("N_disorder = 3.5", "N_disorder (--n-disorder) needs an integer, got '3.5'"),
+        ("t = 1.5.0", "t (--t) needs a number, got '1.5.0'"),
+        ("n_list = 6,x", "n_list (--n) needs comma-separated integers, got '6,x'"),
+    ])
+    def test_bad_number_in_config_names_key_and_flag(self, line, message, tmp_path,
+                                                    capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scan-n", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"syklab: error: {message}"
 
     def test_row_error_sets_exit_code(self, capsys):
         code = main([

@@ -1,8 +1,10 @@
 """Every name a syklab module exports in ``__all__`` exists in it, and every
-function the benchmark's tracer wraps still exists."""
+function the benchmark's tracer wraps still exists and takes the arguments
+the tracer reads."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -41,3 +43,18 @@ def test_traced_names_resolve():
     assert names
     for qualname in names:
         assert callable(tracer.resolve(qualname)), qualname
+
+
+def test_trotterized_binds_what_the_tracer_reads():
+    """The tracer computes the work of each ``trotterized`` call from its
+    bound arguments ``(instance, schedule, t, r)``."""
+    from syklab.model import sample_dense
+    from syklab.trotter import build_schedule, trotterized
+
+    tracer = _load_tracer()
+    inst = sample_dense(6, 2, seed=1)
+    sched = build_schedule(2, inst.gamma_count)
+    bound = inspect.signature(trotterized).bind(inst, sched, 0.5, 3).arguments
+    assert list(bound) == ["instance", "schedule", "t", "r"]
+    work = tracer._trotter_work(**bound)
+    assert work["trotter.exponentials"] == sched.stages * inst.gamma_count

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -135,16 +136,12 @@ class TestSchattenNorm:
 
 class TestExpectedNorm:
     def test_identity_statistic(self):
-        est = expected_norm(
-            lambda i: None, lambda _: np.eye(8, dtype=complex), 2, 4
-        )
+        est = expected_norm((np.eye(8, dtype=complex) for _ in range(4)), 2)
         assert est.value == pytest.approx(math.sqrt(8))
         assert est.stderr == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_statistic(self):
-        est = expected_norm(
-            lambda i: None, lambda _: np.zeros((4, 4)), 2, 4
-        )
+        est = expected_norm([np.zeros((4, 4))] * 4, 2)
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_self_difference(self):
@@ -152,22 +149,38 @@ class TestExpectedNorm:
             ham = assemble(inst)
             return exact_evolution(ham, 1.0) - exact_evolution(ham, 1.0)
 
-        est = expected_norm(lambda i: sample_dense(6, 3, seed=13, sample_index=i),
-                            stat, 2, 3)
+        est = expected_norm(
+            (stat(sample_dense(6, 3, seed=13, sample_index=i)) for i in range(3)), 2
+        )
         assert est.value == 0.0
 
     def test_stderr_shrinks_with_samples(self):
-        def sampler(i):
-            return sample_dense(6, 2, seed=15, sample_index=i)
+        def hamiltonians(num):
+            return (assemble(sample_dense(6, 2, seed=15, sample_index=i))
+                    for i in range(num))
 
-        small = expected_norm(sampler, assemble, 2, 24)
-        large = expected_norm(sampler, assemble, 2, 96)
+        small = expected_norm(hamiltonians(24), 2)
+        large = expected_norm(hamiltonians(96), 2)
         # ratio should be ~ 1/2; allow generous statistical slack
         assert large.stderr < small.stderr
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
-            expected_norm(lambda i: None, lambda _: np.eye(2), 2, 1)
+            expected_norm([np.eye(2)], 2)
+
+    def test_drops_each_matrix_before_the_next(self):
+        refs = []
+
+        def matrices():
+            for i in range(4):
+                mat = np.full((4, 4), i + 1.0)
+                refs.append(weakref.ref(mat))
+                yield mat
+                del mat
+                assert refs[-1]() is None, "the previous matrix is still held"
+
+        est = expected_norm(matrices(), 2)
+        assert est.num_samples == 4
 
 
 def test_norm_estimate_is_frozen_with_positional_fields():

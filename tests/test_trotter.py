@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from syklab import trotter
 from syklab.fermions import hilbert_dim, term_operator, term_table
 from syklab.linalg import assemble, exact_evolution
-from syklab.model import sample_dense, sample_sparse
+from syklab.model import sample_bernoulli_mask, sample_dense, sample_sparse
 from syklab.pauli import to_dense
 from syklab.trotter import (
     averaged_error,
@@ -133,6 +134,85 @@ class TestTrotterized:
             trotterized(inst, build_schedule(1, 5), 1.0, 1)
 
 
+def _round_matrix_reference(instance, schedule, tau):
+    """Reference kernel: one round S_l(tau) as a full D x D matrix, built by
+    applying each step exponential cos(theta) + i sin(theta) K_g to the
+    accumulating matrix in place, K_g read from the term table."""
+    table = term_table(instance.n, instance.k)
+    mat = np.eye(table.dim, dtype=complex)
+    buf = np.empty_like(mat)
+    perm = np.empty_like(table.rows)
+    for a_j, b_j in schedule.steps:
+        i = b_j - 1
+        if instance.mask is not None and instance.mask[i] == 0:
+            continue
+        theta = a_j * instance.couplings[i] * tau
+        if theta == 0.0:
+            continue
+        table.permutation(i, out=perm)
+        np.take(mat, perm, axis=0, out=buf, mode="clip")
+        buf *= table.permuted_coefficients(i, 1j * np.sin(theta))[:, None]
+        mat *= np.cos(theta)
+        mat += buf
+    return mat
+
+
+def _stack(instances, schedule, tau):
+    first = instances[0]
+    couplings = np.array([inst.couplings for inst in instances])
+    return trotter._round_matrices(first.n, first.k, couplings, first.mask, schedule, tau)
+
+
+def _assert_stack_is_separate_calls(instances, schedule, tau):
+    stack = _stack(instances, schedule, tau)
+    assert stack.shape == (len(instances),) + (hilbert_dim(instances[0].n),) * 2
+    for inst, mat in zip(instances, stack):
+        assert np.array_equal(mat, _stack([inst], schedule, tau)[0])
+    return stack
+
+
+class TestRoundMatrices:
+    """The stack kernel: N samples at once equal N one-sample calls, and the
+    parity layout equals the full-D reference entry for entry."""
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (10, 4), (8, 3)])
+    def test_dense_stack_is_separate_calls(self, n, k):
+        instances = [sample_dense(n, k, seed=50, sample_index=i) for i in range(5)]
+        sched = build_schedule(2, instances[0].gamma_count)
+        _assert_stack_is_separate_calls(instances, sched, 0.3)
+
+    def test_sparse_stack_shares_one_mask(self):
+        mask, _, _ = sample_bernoulli_mask(10, 4, 4.0, 51, 0)
+        assert 0 < mask.sum() < len(mask)
+        instances = [sample_sparse(10, 4, kappa=4.0, seed=51, coupling_index=i, mask=mask)
+                     for i in range(4)]
+        _assert_stack_is_separate_calls(instances, build_schedule(2, len(mask)), 0.4)
+
+    def test_all_zero_coupling_row_gives_identity(self):
+        instances = [sample_dense(8, 4, seed=52, sample_index=i) for i in range(3)]
+        instances[1] = dataclasses.replace(
+            instances[1], couplings=np.zeros(instances[1].gamma_count))
+        stack = _assert_stack_is_separate_calls(
+            instances, build_schedule(2, instances[0].gamma_count), 0.5)
+        assert np.array_equal(stack[1], np.eye(16))
+        assert not np.array_equal(stack[0], np.eye(16))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_t_zero_is_identity(self, k):
+        instances = [sample_dense(8, k, seed=53, sample_index=i) for i in range(3)]
+        stack = _stack(instances, build_schedule(2, instances[0].gamma_count), 0.0)
+        assert np.array_equal(stack, np.broadcast_to(np.eye(16), stack.shape))
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_parity_layout_matches_full_reference(self, n, k):
+        inst = sample_dense(n, k, seed=54)
+        sched = build_schedule(2, inst.gamma_count)
+        ours = _stack([inst], sched, 0.7)[0]
+        assert np.array_equal(ours, _round_matrix_reference(inst, sched, 0.7))
+        assert np.array_equal(ours, trotterized(inst, sched, 0.7, 1))
+
+
 class TestObservedError:
     def test_t_zero(self):
         inst = sample_dense(6, 2, seed=26)
@@ -215,6 +295,25 @@ class TestAveragedError:
                   for i in range(3)]
         assert est.value == pytest.approx(math.sqrt(sum(powers) / 3), rel=1e-12)
         assert est.num_samples == 3
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
+    def test_stack_size_does_not_move_bits(self, monkeypatch, kappa, p):
+        """Stacks of one sample, the default budget (8 samples at n = 12, so
+        10 samples make a stack of 8 and one of 2) and one stack give the
+        same bits."""
+        def estimate(stack_bytes):
+            monkeypatch.setattr(trotter, "_STACK_BYTES", stack_bytes)
+            return averaged_error(12, 4, 1, 1.0, 20, p, 55, 10, kappa=kappa,
+                                  num_bernoulli=2)
+
+        default = estimate(trotter._STACK_BYTES)
+        assert estimate(1) == default
+        assert estimate(1 << 40) == default
+
+    def test_rejects_r_below_one(self):
+        with pytest.raises(ValueError, match="Trotter number"):
+            averaged_error(6, 3, 1, 0.5, 0, 2, 41, 3)
 
 
 class TestFixedStateError:
