@@ -1,8 +1,11 @@
 """Dense complex backend: Hamiltonian assembly, exact evolution, Schatten
 norms, and the Monte-Carlo expected-norm estimator.
 
-Everything here works on D x D complex matrices with D = 2**(n/2); the
-default dimension cap (2**10) guards memory.
+``assemble`` builds the D x D Hamiltonian, D = 2**(n/2); the default
+dimension cap (2**10) guards memory.  Evolution and norms take one W x W
+matrix or a stack (..., W, W) of the diagonal blocks of a block-diagonal
+operator, such as its parity sectors: exp(iHt) is formed block by block and
+the norm is that of the whole block-diagonal operator.
 """
 
 from __future__ import annotations
@@ -64,16 +67,18 @@ def exact_evolution(ham: np.ndarray, t: float) -> np.ndarray:
 def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
     """Return t -> exp(i*H*t), reusing one eigendecomposition across t values.
 
-    ``ham`` must be Hermitian within 1e-10 relative to its Frobenius norm.
+    ``ham`` is one matrix or a stack (..., W, W) of blocks, each evolved on
+    its own.  The stack must be Hermitian within 1e-10 relative to its
+    Frobenius norm (both taken over the whole stack).
     """
     scale = np.linalg.norm(ham) or 1.0
-    if np.linalg.norm(ham - ham.conj().T) > _HERMITICITY_TOL * scale:
+    if np.linalg.norm(ham - ham.conj().swapaxes(-1, -2)) > _HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(ham)
 
     def evolve(t: float) -> np.ndarray:
         phases = np.exp(1j * evals * t)
-        return (evecs * phases) @ evecs.conj().T
+        return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
     return evolve
 
@@ -81,7 +86,10 @@ def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
 def schatten_norm(mat: np.ndarray, p: float) -> float:
     """Schatten p-norm (sum of p-th powers of singular values)**(1/p).
 
-    p = 2 is the Frobenius norm (no SVD); p = inf the largest singular value.
+    ``mat`` is one matrix or a stack (..., W, W) of the diagonal blocks of a
+    block-diagonal operator, whose singular values are those of all blocks
+    together.  p = 2 is the Frobenius norm of the stack (no SVD); p = inf the
+    largest singular value of any block.
     """
     if p < 1:
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
@@ -89,7 +97,7 @@ def schatten_norm(mat: np.ndarray, p: float) -> float:
         return float(np.linalg.norm(mat))
     svals = np.linalg.svd(mat, compute_uv=False)
     if np.isinf(p):
-        return float(svals[0]) if len(svals) else 0.0
+        return float(svals.max(initial=0.0))
     return float(np.sum(svals**p) ** (1.0 / p))
 
 
@@ -121,7 +129,8 @@ def _pairwise_sum(values: Sequence[float]) -> float:
 
 
 def expected_norm(matrices: Iterable[np.ndarray], p: float) -> NormEstimate:
-    """Estimate (E ||A_i||_p^p)**(1/p) from per-sample matrices A_i.
+    """Estimate (E ||A_i||_p^p)**(1/p) from per-sample matrices A_i (each
+    one matrix or a block stack, as :func:`schatten_norm` takes).
 
     ``matrices`` is consumed once, in index order, and its p-th powers are
     reduced with a fixed-order pairwise tree, so the estimate is

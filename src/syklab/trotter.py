@@ -13,14 +13,18 @@ or reverse pass over all Gamma terms.
 Round matrices are built by one kernel, ``_round_matrices``, on a stack of N
 samples that share (n, k, mask): each schedule step is one ``take`` of the
 stack's rows along K_g's permutation, one coefficient multiply, one cos scale
-and one add for all N samples.  For even k every x_g has even popcount, so
-S_l(tau) keeps the parity of the basis index; each sample is then held in a
-(D, D/2) row-compressed layout (row b keeps only the columns of its own
-parity) and expanded to D x D once at the end.  Odd k keeps the full width.
-``trotterized`` is the N = 1 call; ``averaged_error`` passes the samples of
-one average in stacks of at most ``_STACK_BYTES``.  Every entry goes through
-the same floating-point operations as a one-matrix, full-D build, so the
-results are bit-identical to it.
+and one add for all N samples.  For even k every x_g has even popcount, so H,
+exp(iHt) and S_l(tau) keep the parity of the basis index: each is block
+diagonal with B = 2 parity sectors of width W = D/2.  Odd k maps one parity
+to the other and has one sector, B = 1 and W = D, in the same code.  A round
+is advanced in a (D, W) row-compressed layout (row b keeps only the columns
+of its own sector) and read out as its (B, W, W) stack of diagonal blocks by
+a row gather.  The error operator E = exp(iHt) - S_l(t/r)**r, its power and
+its Schatten norm are all formed on that block stack; only ``trotterized``
+places the blocks into a D x D matrix.  ``averaged_error`` passes the samples
+of one average in stacks of at most ``_STACK_BYTES``.  Every round-matrix
+entry goes through the same floating-point operations as a one-matrix, full-D
+build, so the rounds are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -103,21 +107,33 @@ def build_schedule(order: int, gamma_count: int) -> Schedule:
 
 
 @lru_cache(maxsize=32)
-def _layout_columns(n: int, k: int) -> np.ndarray:
-    """(D, W) full-D column of each entry of the row-compressed layout.
+def _sectors(n: int, k: int) -> np.ndarray:
+    """(B, W) basis indices of each parity sector, in increasing order.
 
-    For even k, row b of S_l(tau) is zero outside the W = D/2 columns whose
-    index has the parity of b, listed in increasing order; odd k keeps every
-    column (W = D).
+    For even k these are the W = D/2 indices of even and of odd popcount;
+    odd k has the single sector of all D indices.
     """
     rows = term_table(n, k).rows
     if k % 2:
-        cols = np.broadcast_to(rows, (len(rows), len(rows)))
+        sectors = rows[None]
     else:
         parity = np.bitwise_count(rows) & 1
-        cols = np.stack([rows[parity == 0], rows[parity == 1]])[parity]
-        cols.flags.writeable = False
-    return cols
+        sectors = np.stack([rows[parity == 0], rows[parity == 1]])
+        sectors.flags.writeable = False
+    return sectors
+
+
+def _blocks(mat: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """The (B, W, W) diagonal blocks of a D x D matrix on ``sectors``."""
+    return mat[sectors[:, :, None], sectors[:, None, :]]
+
+
+def _from_blocks(blocks: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """The D x D block-diagonal matrix whose blocks on ``sectors`` are
+    ``blocks`` (B, W, W)."""
+    full = np.zeros((sectors.size, sectors.size), dtype=complex)
+    full[sectors[:, :, None], sectors[:, None, :]] = blocks
+    return full
 
 
 def _round_matrices(
@@ -125,19 +141,17 @@ def _round_matrices(
     schedule: Schedule, tau: float,
 ) -> np.ndarray:
     """S_l(tau) for each row of ``couplings`` (N, Gamma), all sharing (n, k,
-    mask), as an (N, D, D) stack.
+    mask), as an (N, B, W, W) stack of parity blocks (see ``_sectors``).
 
     Each step exponential cos(theta) + i sin(theta) K_g is applied to the
     whole stack in place, with K_g read from the cached term table; a step
     is skipped when its term is masked out or theta is 0 for every sample.
     """
     table = term_table(n, k)
-    cols = _layout_columns(n, k)
-    # Allocated before the stack, the output does not land in the memory the
-    # stack frees; at D = 256 that keeps the peak RSS of a scan lower.
-    rounds = np.zeros((len(couplings), table.dim, table.dim), dtype=complex)
-    identity = (cols == table.rows[:, None]).astype(complex)
-    stack = np.repeat(identity[None], len(couplings), axis=0)
+    sectors = _sectors(n, k)
+    # row sectors[q, j] of the compressed layout holds columns sectors[q]
+    stack = np.zeros((len(couplings), table.dim, sectors.shape[1]), dtype=complex)
+    stack[:, sectors, np.arange(sectors.shape[1])] = 1.0
     buf = np.empty_like(stack)
     perm = np.empty_like(table.rows)
     for a_j, b_j in schedule.steps:
@@ -155,51 +169,61 @@ def _round_matrices(
         buf *= table.permuted_coefficients(i, 1j * np.sin(theta)[:, None])[:, :, None]
         stack *= np.cos(theta)[:, None, None]
         stack += buf
-    rounds[:, table.rows[:, None], cols] = stack
-    return rounds
+    del buf  # freed before the gather copies the stack
+    return stack[:, sectors]
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
-    """Repeated-squaring power for the r rounds S_l(t/r)**r."""
-    result = np.eye(mat.shape[0], dtype=complex)
+    """Repeated-squaring power (power >= 1) of a matrix or of each block of
+    a (..., W, W) stack, for the r rounds S_l(t/r)**r: log2(power) squarings
+    and one product per further set bit."""
+    result = None
     base = mat
-    while power:
+    while True:
         if power & 1:
-            result = base @ result
-        base = base @ base
+            result = base if result is None else base @ result
         power >>= 1
-    return result
+        if not power:
+            return result
+        base = base @ base
+
+
+def _check_trotter_number(r: int) -> None:
+    if r < 1:
+        raise ValueError("Trotter number r must be >= 1")
 
 
 def trotterized(
     instance: SykInstance, schedule: Schedule, t: float, r: int
 ) -> np.ndarray:
-    """S_l(t/r)**r as a dense unitary."""
+    """S_l(t/r)**r as a dense D x D unitary, placed from its parity blocks."""
     if schedule.gamma_count != instance.gamma_count:
         raise ValueError(
             f"schedule has {schedule.gamma_count} terms, instance has "
             f"{instance.gamma_count}"
         )
-    if r < 1:
-        raise ValueError("Trotter number r must be >= 1")
+    _check_trotter_number(r)
     rounds = _round_matrices(instance.n, instance.k, instance.couplings[None],
                              instance.mask, schedule, t / r)
-    return _matrix_power(rounds[0], r)
+    return _from_blocks(_matrix_power(rounds[0], r), _sectors(instance.n, instance.k))
 
 
 def _error_operator(
     instance: SykInstance, schedule: Schedule, t: float, r: int
 ) -> np.ndarray:
-    """The Trotter error operator E = exp(iHt) - S_l(t/r)**r of one
-    instance; ``_error_operators`` forms it for the samples of an average."""
-    return exact_evolution(assemble(instance), t) - trotterized(instance, schedule, t, r)
+    """The (B, W, W) parity blocks of the Trotter error operator
+    E = exp(iHt) - S_l(t/r)**r of one instance."""
+    _check_trotter_number(r)
+    return next(_error_operators([instance], schedule, t, r))
 
 
 def _error_operators(
     instances: list[SykInstance], schedule: Schedule, t: float, r: int
 ) -> Iterator[np.ndarray]:
-    """E of each instance, in order, for instances that share (n, k, mask).
+    """The (B, W, W) parity blocks of E of each instance, in order, for
+    instances that share (n, k, mask).
 
+    exp(iHt) is formed from the diagonal blocks of H, one eigh per block.
     The round matrices are built in stacks whose compressed layout takes at
     most ``_STACK_BYTES`` (at least one sample), after the exp(iHt) of the
     stack's samples, as for one instance.  Each exp(iHt) and round matrix is
@@ -207,13 +231,15 @@ def _error_operators(
     here: a consumer that drops each E holds one stack and one E at a time.
     """
     n, k, mask = instances[0].n, instances[0].k, instances[0].mask
-    per_sample = np.dtype(complex).itemsize * hilbert_dim(n) * _layout_columns(n, k).shape[1]
+    sectors = _sectors(n, k)
+    per_sample = np.dtype(complex).itemsize * sectors.size * sectors.shape[1]
     size = max(1, _STACK_BYTES // per_sample)
     for start in range(0, len(instances), size):
         chunk = instances[start:start + size]
         # exp(iHt) first, as for one instance: its eigh then runs while no
         # round matrix is live
-        evolutions = [exact_evolution(assemble(instance), t) for instance in chunk]
+        evolutions = [exact_evolution(_blocks(assemble(instance), sectors), t)
+                      for instance in chunk]
         couplings = np.array([instance.couplings for instance in chunk])
         rounds = list(_round_matrices(n, k, couplings, mask, schedule, t / r))
         for _ in chunk:
@@ -249,8 +275,7 @@ def averaged_error(
     scale = hilbert_dim(n) ** (1.0 / p)
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
-    if r < 1:
-        raise ValueError("Trotter number r must be >= 1")
+    _check_trotter_number(r)
     if kappa is None:
         instances = [sample_dense(n, k, energy_constant, seed, i) for i in range(num_disorder)]
         est = expected_norm(_error_operators(instances, schedule, t, r), p)
@@ -281,13 +306,24 @@ def fixed_state_error(
 ) -> float:
     """l2 norm of E |state> = (exp(iHt) - S_l(t/r)**r) |state>.
 
-    Costs what one ``observed_error`` does before its norm: one ``eigh`` of
-    H, one round matrix (Upsilon * Gamma in-place term updates) and its r-th
-    power by repeated squaring (log2 r squarings plus one product per set bit
-    of r), then one matrix-vector product.
+    ``state`` must be a normalized vector of shape (D,).  Costs what one
+    ``observed_error`` does before its norm: one ``eigh`` per parity block of
+    H (two D/2 blocks for even k, one D block for odd k), one round matrix
+    (Upsilon * Gamma in-place term updates) and its r-th power on the blocks
+    by repeated squaring (log2 r squarings plus one product per further set
+    bit of r), then one block matrix-vector product: the state splits by
+    parity, ||E psi||^2 = sum_q ||E_q psi_q||^2.
     """
+    dim = hilbert_dim(instance.n)
     state = np.asarray(state, dtype=complex)
+    if state.shape != (dim,):
+        raise ValueError(
+            f"input state must have shape (D,) = ({dim},) for n = {instance.n}, "
+            f"got {state.shape}"
+        )
     if abs(np.linalg.norm(state) - 1.0) > 1e-12:
         raise ValueError("input state must be normalized to 1 within 1e-12")
     schedule = build_schedule(order, instance.gamma_count)
-    return float(np.linalg.norm(_error_operator(instance, schedule, t, r) @ state))
+    err = _error_operator(instance, schedule, t, r)
+    psi = state[_sectors(instance.n, instance.k), None]
+    return float(np.linalg.norm(err @ psi))

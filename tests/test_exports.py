@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,30 @@ def test_trotterized_binds_what_the_tracer_reads():
     assert list(bound) == ["instance", "schedule", "t", "r"]
     work = tracer._trotter_work(**bound)
     assert work["trotter.exponentials"] == sched.stages * inst.gamma_count
+
+
+@pytest.mark.parametrize("kappa,samples", [(None, 3), (4.0, 6)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_error_stages_are_called_where_the_tracer_wraps_them(monkeypatch, k, kappa, samples):
+    """The tracer rebinds ``linalg.exact_evolution`` and ``linalg.schatten_norm``
+    at every syklab module that binds them; one ``averaged_error`` call must
+    reach each of them through those bindings once per disorder sample, so
+    that a traced run times both stages."""
+    from syklab import linalg, trotter
+
+    calls = {}
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "syklab" or n.startswith("syklab.")]
+    for func in (linalg.exact_evolution, linalg.schatten_norm):
+        calls[func.__name__] = 0
+
+        def counted(*args, _func=func, **kwargs):
+            calls[_func.__name__] += 1
+            return _func(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    trotter.averaged_error(8, k, 1, 0.5, 4, 2.0, 71, 3, kappa=kappa, num_bernoulli=2)
+    assert calls == {"exact_evolution": samples, "schatten_norm": samples}

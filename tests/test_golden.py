@@ -1,8 +1,9 @@
 """Golden CSVs: scan output must stay byte-identical across refactors.
 
-The files under ``tests/golden/`` were written by the commands below before
-the term table replaced the per-term loops in ``assemble`` and the round
-matrix.  Any change to these bytes is a numerical change and must be a
+The files under ``tests/golden/`` were last written by the commands below
+when eigh, the Trotter power and the Schatten norm moved onto the parity
+blocks of the error operator (observed values moved by at most 3.4e-11
+relative).  Any change to these bytes is a numerical change and must be a
 deliberate one (regenerate the files with the same commands and say why).
 The byte identity is promised within one numpy/BLAS build.
 """

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.stats import unitary_group
 
 from syklab.fermions import hilbert_dim, term_operator
@@ -101,6 +102,24 @@ class TestExactEvolution:
         with pytest.raises(ValueError):
             exact_evolution(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    def test_stack_is_separate_calls(self):
+        rng = np.random.default_rng(16)
+        mats = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+        stack = (mats + mats.conj().swapaxes(-1, -2)) / 2
+        evolve = evolution_factory(stack)
+        for t in (0.4, 2.5):
+            got = evolve(t)
+            assert got.shape == (2, 8, 8)
+            for block, ham in zip(got, stack):
+                assert np.allclose(block, evolution_factory(ham)(t), rtol=0, atol=1e-14)
+
+    def test_rejects_stack_with_one_non_hermitian_block(self):
+        stack = np.zeros((2, 2, 2), dtype=complex)
+        stack[0] = np.eye(2)
+        stack[1, 0, 1] = 1.0
+        with pytest.raises(ValueError):
+            evolution_factory(stack)
+
 
 class TestSchattenNorm:
     def test_identity(self):
@@ -132,6 +151,19 @@ class TestSchattenNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.5)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, np.inf])
+    def test_stack_is_its_block_diagonal_matrix(self, p):
+        """A (B, W, W) stack has the norm of the block-diagonal matrix of its
+        blocks; the largest singular value sits in the last block."""
+        rng = np.random.default_rng(17)
+        stack = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        stack[2] *= 4.0
+        assert schatten_norm(stack, p) == pytest.approx(
+            schatten_norm(block_diag(*stack), p), rel=1e-12
+        )
+        if p == np.inf:
+            assert schatten_norm(stack, p) == max(schatten_norm(b, p) for b in stack)
 
 
 class TestExpectedNorm:

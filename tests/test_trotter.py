@@ -158,9 +158,13 @@ def _round_matrix_reference(instance, schedule, tau):
 
 
 def _stack(instances, schedule, tau):
+    """The kernel's (N, B, W, W) parity blocks, each sample placed into D x D."""
     first = instances[0]
     couplings = np.array([inst.couplings for inst in instances])
-    return trotter._round_matrices(first.n, first.k, couplings, first.mask, schedule, tau)
+    blocks = trotter._round_matrices(first.n, first.k, couplings, first.mask, schedule, tau)
+    sectors = trotter._sectors(first.n, first.k)
+    assert blocks.shape == (len(instances),) + sectors.shape + sectors.shape[-1:]
+    return np.array([trotter._from_blocks(mat, sectors) for mat in blocks])
 
 
 def _assert_stack_is_separate_calls(instances, schedule, tau):
@@ -257,6 +261,67 @@ class TestObservedError:
         err_inf = observed_error(inst, 1, 1.0, 16, np.inf)
         err_2 = observed_error(inst, 1, 1.0, 16, 2)
         assert err_inf >= err_2  # normalized p=2 is dominated by p=inf
+
+
+def _svals_full_reference(instance, order, t, r):
+    """Singular values of the full D x D error operator, built without the
+    block path: a full-width exp(iHt) and the reference round's r-th power."""
+    sched = build_schedule(order, instance.gamma_count)
+    rounds = np.linalg.matrix_power(_round_matrix_reference(instance, sched, t / r), r)
+    err = exact_evolution(assemble(instance), t) - rounds
+    return np.linalg.svd(err, compute_uv=False)
+
+
+BLOCK_CASES = [
+    sample_dense(8, 2, seed=60),
+    sample_dense(8, 3, seed=61),
+    sample_dense(8, 4, seed=62),
+    sample_sparse(10, 4, kappa=2.0, seed=63),
+]
+BLOCK_IDS = ["dense-k2", "dense-k3", "dense-k4", "sparse-k4"]
+
+
+class TestBlockPath:
+    """The error operator is carried as parity blocks (two D/2 blocks for
+    even k, one D block for odd k); its norms match the full-D operator."""
+
+    @pytest.mark.parametrize("p", [2, 4, math.inf])
+    @pytest.mark.parametrize("inst", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_norm_matches_full_reference(self, inst, p):
+        assert inst.mask is None or 0 < inst.mask.sum() < inst.gamma_count
+        t, r, order = 0.9, 5, 2
+        svals = _svals_full_reference(inst, order, t, r)
+        ref = svals[0] if p == math.inf else np.sum(svals**p) ** (1 / p)
+        dim = hilbert_dim(inst.n)
+        got = observed_error(inst, order, t, r, p) * dim ** (1 / p)
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("inst", [sample_dense(8, 4, seed=64), sample_dense(8, 3, seed=65)],
+                             ids=["even-k", "odd-k"])
+    def test_operator_norm_is_largest_over_blocks(self, inst):
+        t, r, order = 1.0, 3, 1
+        got = observed_error(inst, order, t, r, math.inf)
+        assert got == pytest.approx(_svals_full_reference(inst, order, t, r)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("inst", [
+        sample_dense(8, 2, seed=66),
+        sample_dense(10, 4, seed=67),
+        sample_sparse(10, 4, kappa=2.0, seed=63),
+    ], ids=["dense-k2", "dense-k4", "sparse-k4"])
+    def test_even_k_hamiltonian_has_no_cross_parity_entries(self, inst):
+        """The block path rests on this: H is exactly zero between the basis
+        states of even and of odd popcount."""
+        ham = assemble(inst)
+        parity = np.array([bin(b).count("1") % 2 for b in range(len(ham))])
+        cross = parity[:, None] != parity[None, :]
+        assert np.count_nonzero(ham[~cross]) > 0
+        assert np.count_nonzero(ham[cross]) == 0
+
+    @pytest.mark.parametrize("k,blocks", [(2, 2), (4, 2), (3, 1)])
+    def test_sector_shape(self, k, blocks):
+        sectors = trotter._sectors(8, k)
+        assert sectors.shape == (blocks, 16 // blocks)
+        assert sorted(sectors.ravel()) == list(range(16))
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -399,6 +464,18 @@ class TestFixedStateError:
         inst = sample_dense(6, 2, seed=38)
         with pytest.raises(ValueError):
             fixed_state_error(inst, 1, 1.0, 2, np.ones(8, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(8,), (16, 1), (32,)])
+    def test_rejects_wrong_shape_before_any_work(self, monkeypatch, shape):
+        def no_work(*args):
+            raise AssertionError("the error operator was formed")
+
+        monkeypatch.setattr(trotter, "_error_operator", no_work)
+        inst = sample_dense(8, 4, seed=48)  # D = 16
+        state = np.zeros(shape, dtype=complex)
+        state.flat[0] = 1.0
+        with pytest.raises(ValueError, match=r"shape \(D,\) = \(16,\)"):
+            fixed_state_error(inst, 1, 1.0, 2, state)
 
 
 def test_term_order_changes_s_but_not_u():
