@@ -302,6 +302,8 @@ class SolverInput:
             raise ValueError("delta must lie in (0, 1)")
         if self.mode not in ("operator_norm", "fixed_state"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.base.t <= 0:  # at t = 0 every r meets any epsilon
+            raise ValueError(f"the solver needs time t (--t) > 0, got {self.base.t}")
 
     def p_star(self) -> float:
         """log(e^2 ||I||_p^p / delta): D = 2^(n/2) in operator mode, 1 fixed-state."""

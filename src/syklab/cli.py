@@ -1,23 +1,22 @@
 """Command-line front end.
 
-Subcommands: scan-n, scan-t, solve-r, gatecount, bounds, oracle, gen, evolve.
-Parameters come from an optional ``key = value`` config file plus flag
-overrides; every CSV embeds the resolved config as a comment block.  Scans
-evaluate their grid points on a thread pool of SYKLAB_WORKERS workers (an
-environment variable; a positive integer, default 1; anything else is
-rejected).
-Invalid input (a flag value, config key or file, instance or environment
-setting that syklab rejects) ends the run with a one-line ``syklab: error:``
-message on stderr and exit code 2.  Otherwise the exit code is 0 only if
-every row succeeded and every requested check passed.
+The subcommands are the ``_SUBCOMMANDS`` table.  Parameters come from an
+optional ``key = value`` config file plus flag overrides; every CSV embeds
+the resolved config as a comment block.  Each config key is the dest of one
+flag in ``_add_common_flags``, whose type and choices check the key's
+config-file value too, so a file rejects exactly what the flag rejects.
+Scans evaluate their grid points on a thread pool of SYKLAB_WORKERS workers
+(an environment variable; a positive integer, default 1; anything else is
+rejected).  Invalid input (a flag value, config key or file, instance or
+environment setting that syklab rejects) ends the run with a one-line
+``syklab: error:`` message on stderr and exit code 2.  Otherwise the exit
+code is 0 only if every row succeeded and every requested check passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
-from typing import get_type_hints
 
 from .experiments import (
     ExperimentConfig,
@@ -35,38 +34,24 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-def _keys_annotated(kind: type) -> frozenset[str]:
-    """Config keys whose ExperimentConfig field is annotated ``kind``
-    (``command`` is set by the subcommand, never by a config key)."""
-    return frozenset(
-        name for name, annotation in get_type_hints(ExperimentConfig).items()
-        if annotation is kind and name != "command"
-    )
+def _comma_ints(raw: str) -> tuple[int, ...]:
+    """The value of ``--n``: comma-separated integers, e.g. ``6,8,10``."""
+    return tuple(int(x) for x in raw.split(","))
 
 
-_BOOL_KEYS = _keys_annotated(bool)
-_INT_KEYS = _keys_annotated(int)
-_FLOAT_KEYS = _keys_annotated(float)
-_STR_KEYS = _keys_annotated(str)
-
-
-# what a number-valued config key needs, for its error message
-_NEEDS = {"n_list": "comma-separated integers",
-          **dict.fromkeys(_INT_KEYS, "an integer"),
-          **dict.fromkeys(_FLOAT_KEYS, "a number")}
-
-
-def _flag(key: str) -> str:
-    """The command-line flag that sets config key ``key``, e.g. ``--n``."""
-    parser = argparse.ArgumentParser(add_help=False)
-    _add_common_flags(parser)
-    return next(action.option_strings[0] for action in parser._actions
-                if action.dest == key)
+# what a converter needs, for the message that rejects a value
+_NEEDS = {int: "an integer", float: "a number",
+          _comma_ints: "comma-separated integers"}
 
 
 def _parse_value(key: str, raw: str):
+    """``raw`` converted and checked as the value of config key ``key``'s flag
+    (argparse leaves ``--n`` a string, so its flag value comes here too)."""
+    action = _ACTIONS.get(key)
+    if action is None:
+        raise KeyError(f"unknown config key {key!r}")
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    if action.nargs == 0:  # a store_true flag
         word = raw.lower()
         if word not in _TRUE_WORDS + _FALSE_WORDS:
             raise ValueError(
@@ -74,16 +59,15 @@ def _parse_value(key: str, raw: str):
                 f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {raw!r}"
             )
         return word in _TRUE_WORDS
-    if key in _STR_KEYS:
-        return raw
-    if key not in _NEEDS:
-        raise KeyError(f"unknown config key {key!r}")
+    convert = _comma_ints if key == "n_list" else action.type or str
+    name = f"{key} ({action.option_strings[0]})"
     try:
-        if key == "n_list":
-            return tuple(int(x) for x in raw.split(",") if x.strip())
-        return int(raw) if key in _INT_KEYS else float(raw)
+        value = convert(raw)
     except ValueError:
-        raise ValueError(f"{key} ({_flag(key)}) needs {_NEEDS[key]}, got {raw!r}") from None
+        raise ValueError(f"{name} needs {_NEEDS[convert]}, got {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{name} needs one of {'/'.join(action.choices)}, got {raw!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -123,10 +107,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", dest="master_seed", type=int)
     parser.add_argument("--prefactor-mode", dest="prefactor_mode",
                         choices=["full", "unit"])
-    parser.add_argument("--overhead", choices=["none", "log_n", "linear_n"])
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--delta", type=float)
-    parser.add_argument("--mode", choices=["operator_norm", "fixed_state"])
     parser.add_argument("--bound-only", dest="bound_only", action="store_true",
                         default=None)
     parser.add_argument("--timing", action="store_true", default=None)
@@ -135,20 +117,21 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="replay a serialized instance (evolve)")
 
 
+# the parent parser of every subcommand
+_COMMON = argparse.ArgumentParser(add_help=False)
+_add_common_flags(_COMMON)
+# config key -> the flag that sets it (``--config`` names the file, not a key)
+_ACTIONS = {action.dest: action for action in _COMMON._actions
+            if action.dest != "config"}
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    valid = {f.name for f in fields(ExperimentConfig)}
-    for key in valid:
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _ACTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = _parse_value(key, str(flag)) if key == "n_list" else flag
-    values["command"] = args.subcommand
-    unknown = set(values) - valid
-    if unknown:
-        raise KeyError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**values)
+            values[key] = _parse_value(key, flag) if key == "n_list" else flag
+    return ExperimentConfig(command=args.subcommand, **values)
 
 
 def _emit(text: str, output: str) -> None:
@@ -159,58 +142,57 @@ def _emit(text: str, output: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="syklab",
-        description="SYK / sparse-SYK Trotterization laboratory",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, helptext in [
-        ("scan-n", "observed error vs bound over a list of n"),
-        ("scan-t", "observed error vs bound over a log-spaced t grid"),
-        ("solve-r", "minimal Trotter number from the concentration bound"),
-        ("gatecount", "gate-complexity calculator"),
-        ("bounds", "evaluate an analytical error bound"),
-        ("oracle", "run the combinatorics verification suites"),
-        ("gen", "sample an instance and serialize it to JSON"),
-        ("evolve", "one-off Trotter-error evaluation"),
-    ]:
-        _add_common_flags(sub.add_parser(name, help=helptext))
+def _scan(result) -> tuple[str, int]:
+    rows, csv_text = result
+    return csv_text, int(any(row.error for row in rows))
 
+
+def _checks(result) -> tuple[str, int]:
+    report, all_ok = result
+    return report, int(not all_ok)
+
+
+def _text(result) -> tuple[str, int]:
+    return result, 0
+
+
+# name -> (help, command, outcome); outcome(command(config)) gives the output
+# text and the exit code
+_SUBCOMMANDS = {
+    "scan-n": ("observed error vs bound over a list of n", cmd_scan_n, _scan),
+    "scan-t": ("observed error vs bound over a log-spaced t grid", cmd_scan_t, _scan),
+    "solve-r": ("minimal Trotter number from the concentration bound",
+                cmd_solve_r, _text),
+    "gatecount": ("gate-complexity calculator", cmd_gatecount, _text),
+    "bounds": ("evaluate an analytical error bound", cmd_bounds, _text),
+    "oracle": ("run the combinatorics verification suites", cmd_oracle, _checks),
+    "gen": ("sample an instance and serialize it to JSON", cmd_gen, _text),
+    "evolve": ("one-off Trotter-error evaluation", cmd_evolve, _text),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per ``_SUBCOMMANDS`` entry, each with the common flags."""
+    parser = argparse.ArgumentParser(
+        prog="syklab", description="SYK / sparse-SYK Trotterization laboratory")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (helptext, _, _) in _SUBCOMMANDS.items():
+        # no abbreviations: a flag is spelled in full, as its config key is
+        sub.add_parser(name, help=helptext, parents=[_COMMON], allow_abbrev=False)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
+    _, command, outcome = _SUBCOMMANDS[args.subcommand]
     try:
-        return _run(args)
+        config = build_config(args)
+        text, status = outcome(command(config))
+        _emit(text, config.output)
     except (ValueError, KeyError, OSError) as exc:
         # a KeyError's str() is the repr of its message
         parser.error(exc.args[0] if isinstance(exc, KeyError) else str(exc))
-
-
-def _run(args: argparse.Namespace) -> int:
-    """Build the config and run the subcommand; returns the exit code."""
-    config = build_config(args)
-    status = 0
-    if args.subcommand == "scan-n":
-        rows, csv_text = cmd_scan_n(config)
-        _emit(csv_text, config.output)
-        status = 1 if any(row.error for row in rows) else 0
-    elif args.subcommand == "scan-t":
-        rows, csv_text = cmd_scan_t(config)
-        _emit(csv_text, config.output)
-        status = 1 if any(row.error for row in rows) else 0
-    elif args.subcommand == "solve-r":
-        _emit(cmd_solve_r(config), config.output)
-    elif args.subcommand == "gatecount":
-        _emit(cmd_gatecount(config), config.output)
-    elif args.subcommand == "bounds":
-        _emit(cmd_bounds(config), config.output)
-    elif args.subcommand == "oracle":
-        report, all_ok = cmd_oracle(config)
-        _emit(report, config.output)
-        status = 0 if all_ok else 1
-    elif args.subcommand == "gen":
-        _emit(cmd_gen(config), config.output)
-    elif args.subcommand == "evolve":
-        _emit(cmd_evolve(config), config.output)
     return status
 
 

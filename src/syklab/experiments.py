@@ -64,10 +64,8 @@ class ExperimentConfig:
     N_bernoulli: int = 32
     master_seed: int = 2024
     prefactor_mode: str = "full"
-    overhead: str = "none"
     epsilon: float = 0.1
     delta: float = 0.01
-    mode: str = "operator_norm"
     bound_only: bool = False
     timing: bool = False
     output: str = ""
@@ -202,9 +200,13 @@ def cmd_scan_n(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
 
 
 def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
-    """Rows over a log-spaced t grid plus a trailing log-log fit block."""
+    """Rows over a log-spaced t grid plus a trailing log-log fit block, fitted
+    to the rows without an error (skipped, with the reason, if under 3)."""
     if config.t_points < 3:
         raise ValueError("t scan needs at least 3 points for the fit")
+    if not 0 < config.t_min < config.t_max < math.inf:
+        raise ValueError("t scan needs 0 < t_min (--t-min) < t_max (--t-max) < inf, "
+                         f"got t_min={config.t_min}, t_max={config.t_max}")
     n = config.n_list[0]
     ts = np.logspace(
         math.log10(config.t_min), math.log10(config.t_max), config.t_points
@@ -212,13 +214,14 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     rows = _run_points(
         config, list(ts), lambda i, t: _scan_point(config, i, n, float(t))
     )
-    comments = []
-    bound_fit = bounds.loglog_fit([(row.t, row.bound) for row in rows])
-    comments.append(
-        "fit bound: slope=%r intercept=%r residual=%r" % bound_fit
-    )
+    fitted = [row for row in rows if not row.error]
+    if len(fitted) < 3:
+        return rows, rows_to_csv(config, rows, [
+            f"fit skipped: {len(fitted)} of {len(rows)} rows have no error, the fit needs 3"])
+    bound_fit = bounds.loglog_fit([(row.t, row.bound) for row in fitted])
+    comments = ["fit bound: slope=%r intercept=%r residual=%r" % bound_fit]
     if not config.bound_only:
-        positive = [(row.t, row.observed) for row in rows if row.observed > 0]
+        positive = [(row.t, row.observed) for row in fitted if row.observed > 0]
         observed_fit = bounds.loglog_fit(positive)
         comments.append(
             "fit observed: slope=%r intercept=%r residual=%r" % observed_fit

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -218,11 +218,31 @@ def to_json(instance: SykInstance) -> str:
     return json.dumps(doc)
 
 
+# the JSON value of each instance key whose type numpy does not check
+_DOC_TYPES = {
+    "n": ("an integer", int), "k": ("an integer", int), "seed": ("an integer", int),
+    "clamped": ("true or false", bool),
+    "energy_constant": ("a number", int, float), "sigma": ("a number", int, float),
+    "p_B": ("a number or null", int, float, type(None)),
+}
+
+
 def from_json(text: str) -> SykInstance:
-    """Parse an instance written by :func:`to_json`, rejecting inconsistent
-    documents (ValueError): wrong array lengths, a mask that is not 0/1,
-    non-finite couplings, or a sigma / p_B that does not match the model."""
+    """Parse an instance written by :func:`to_json`, rejecting malformed or
+    inconsistent documents (ValueError): a missing, unknown or mistyped key,
+    wrong array lengths, a mask that is not 0/1, non-finite couplings, or a
+    sigma / p_B that does not match the model."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
+    keys = [f.name for f in fields(SykInstance)]
+    bad_keys = sorted(set(keys) ^ set(doc))
+    if bad_keys:
+        raise ValueError(f"instance key {bad_keys[0]!r} is "
+                         + ("missing" if bad_keys[0] in keys else "unknown"))
+    for key, (needs, *kinds) in _DOC_TYPES.items():
+        if type(doc[key]) not in kinds:  # so a bool is not a number
+            raise ValueError(f"instance key {key!r} needs {needs}, got {doc[key]!r}")
     n, k = doc["n"], doc["k"]
     _validate_nk(n, k)
     gamma_count = math.comb(n, k)
@@ -248,14 +268,6 @@ def from_json(text: str) -> SykInstance:
     if not math.isclose(doc["sigma"], sigma, rel_tol=1e-12):
         raise ValueError(f"sigma {doc['sigma']!r} != {sigma!r} implied by n, k, "
                          "energy_constant and p_B")
-    return SykInstance(
-        n=n,
-        k=k,
-        energy_constant=doc["energy_constant"],
-        sigma=doc["sigma"],
-        couplings=couplings,
-        mask=None if mask is None else mask.astype(np.int8),
-        p_B=p_b,
-        seed=doc["seed"],
-        clamped=doc["clamped"],
-    )
+    # the keys are the fields, checked above
+    return SykInstance(**dict(doc, couplings=couplings,
+                              mask=None if mask is None else mask.astype(np.int8)))

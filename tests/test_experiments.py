@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from syklab import experiments
+from syklab import bounds, cli, experiments
 from syklab.cli import build_config, main
 from syklab.experiments import (
     ExperimentConfig,
@@ -141,6 +143,29 @@ class TestScanT:
         rows, csv_text = cmd_scan_t(config)
         assert all(row.observed == 0.0 for row in rows)
         assert "# fit observed" not in csv_text
+
+    def test_fit_leaves_out_rows_with_an_error(self, monkeypatch):
+        scan_point = experiments._scan_point
+
+        def last_row_fails(config, i, n, t):
+            row = scan_point(config, i, n, t)
+            if i == 3:
+                row.error, row.bound, row.observed = "ValueError: boom", 0.0, 0.0
+            return row
+
+        monkeypatch.setattr(experiments, "_scan_point", last_row_fails)
+        config = ExperimentConfig(
+            command="scan-t", t_min=1.0, t_max=8.0, t_points=4,
+            **{k: v for k, v in FAST.items() if k != "t"},
+        )
+        rows, csv_text = cmd_scan_t(config)
+        assert [bool(row.error) for row in rows] == [False, False, False, True]
+        bound_fit = bounds.loglog_fit([(row.t, row.bound) for row in rows[:3]])
+        observed_fit = bounds.loglog_fit([(row.t, row.observed) for row in rows[:3]])
+        assert csv_text.splitlines()[-3:-1] == [
+            "# fit bound: slope=%r intercept=%r residual=%r" % bound_fit,
+            "# fit observed: slope=%r intercept=%r residual=%r" % observed_fit,
+        ]
 
     def test_too_few_points_refused(self):
         config = ExperimentConfig(
@@ -311,6 +336,11 @@ class TestCli:
         (["solve-r", "--epsilon", "-1"], "epsilon must be positive"),
         (["evolve", "--n", "7"], "n must be even"),
         (["scan-n", "--n", "6,x"], "n_list (--n) needs"),
+        (["bounds", "--n", ","], "n_list (--n) needs comma-separated integers, got ','"),
+        (["solve-r", "--t", "0"], "the solver needs time t (--t) > 0"),
+        (["scan-t", "--t-min", "0"], "t scan needs 0 < t_min (--t-min) < t_max (--t-max)"),
+        (["scan-t", "--t-min", "1", "--t-max", "1"],
+         "t scan needs 0 < t_min (--t-min) < t_max (--t-max)"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -320,11 +350,24 @@ class TestCli:
         assert "Traceback" not in err
         assert f"syklab: error: {message}" in err
 
+    def test_malformed_instance_is_a_one_line_message(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text('{"n": "8"}', encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evolve", "--instance", str(inst_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "syklab: error: instance key 'clamped' is missing"
+
     @pytest.mark.parametrize("line,message", [
         ("k = x", "k (--k) needs an integer, got 'x'"),
         ("N_disorder = 3.5", "N_disorder (--n-disorder) needs an integer, got '3.5'"),
         ("t = 1.5.0", "t (--t) needs a number, got '1.5.0'"),
         ("n_list = 6,x", "n_list (--n) needs comma-separated integers, got '6,x'"),
+        ("model = dnese", "model (--model) needs one of dense/sparse, got 'dnese'"),
+        ("prefactor_mode = bar",
+         "prefactor_mode (--prefactor-mode) needs one of full/unit, got 'bar'"),
     ])
     def test_bad_number_in_config_names_key_and_flag(self, line, message, tmp_path,
                                                     capsys):
@@ -373,6 +416,31 @@ class TestCli:
         assert capsys.readouterr().out.count("norm order p (--p)") == 2
         assert code == 1
 
+    def test_scan_t_with_every_row_failed_keeps_its_csv(self, capsys):
+        code = main(["scan-t", "--n", "6", "--k", "3", "--p", "inf", "--t-min", "0.1",
+                     "--t-max", "1", "--t-points", "3", "--r", "4", "--n-disorder", "2"])
+        out = capsys.readouterr().out
+        assert out.count("norm order p (--p)") == 3
+        assert out.splitlines()[-1] == (
+            "# fit skipped: 0 of 3 rows have no error, the fit needs 3")
+        assert code == 1
+
+    @pytest.mark.parametrize("key,flag,value", [
+        ("mode", "--mode", "fixed_state"),
+        ("overhead", "--overhead", "log_n"),
+    ])
+    def test_deleted_keys_rejected(self, key, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gatecount", flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gatecount", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert f"syklab: error: unknown config key '{key}'" in capsys.readouterr().err
+
     def test_solve_r_ignores_p(self, capsys):
         assert main(["solve-r", "--n", "8", "--k", "4"]) == 0
         default = capsys.readouterr().out
@@ -393,14 +461,33 @@ class TestCli:
         assert "observed normalized error" in out
 
 
+def _readme_commands() -> list[str]:
+    """The ``syklab ...`` lines of the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("syklab ")]
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    """Each README example is accepted by the parser and builds a config
+    (the command itself is not run)."""
+    argv = shlex.split(line, comments=True)
+    config = build_config(cli._parser().parse_args(argv[1:]))
+    assert config.command == argv[1]
+
+
 class TestConfigFile:
     # a value other than the default for every config key
     NON_DEFAULT = dict(
         model="sparse", n_list=(8, 12), k=3, l=2, p=4.0, t=0.25, t_min=2.5,
         t_max=50.0, t_points=5, r=123, kappa=2.5, energy_constant=1.5,
         N_disorder=7, N_bernoulli=9, master_seed=99, prefactor_mode="unit",
-        overhead="log_n", epsilon=0.05, delta=0.001, mode="fixed_state",
-        bound_only=True, timing=True, output="out.csv", instance_path="inst.json",
+        epsilon=0.05, delta=0.001, bound_only=True, timing=True, output="out.csv", instance_path="inst.json",
     )
 
     @staticmethod
@@ -416,17 +503,16 @@ class TestConfigFile:
         return build_config(args)
 
     def test_every_field_has_one_parser(self):
+        """Every config key is the dest of exactly one flag, which alone
+        declares its type and choices, and every flag but ``--config`` sets
+        a config key."""
+        from collections import Counter
         from dataclasses import fields
 
-        from syklab import cli
-
-        key_sets = (cli._BOOL_KEYS, cli._INT_KEYS, cli._FLOAT_KEYS, cli._STR_KEYS)
-        for f in fields(ExperimentConfig):
-            owners = sum(f.name in keys for keys in key_sets)
-            if f.name in ("command", "n_list"):
-                assert owners == 0, f.name
-            else:
-                assert owners == 1, f.name
+        dests = Counter(action.dest for action in cli._COMMON._actions)
+        keys = {f.name for f in fields(ExperimentConfig)} - {"command"}
+        assert {key: dests[key] for key in keys} == dict.fromkeys(keys, 1)
+        assert set(dests) - {"config"} == keys
 
     def test_every_field_round_trips(self, tmp_path):
         """The CSV's config comment block, uncommented, is a config file

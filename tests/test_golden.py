@@ -1,10 +1,14 @@
 """Golden CSVs: scan output must stay byte-identical across refactors.
 
 The files under ``tests/golden/`` were last written by the commands below
-when eigh, the Trotter power and the Schatten norm moved onto the parity
-blocks of the error operator (observed values moved by at most 3.4e-11
-relative).  Any change to these bytes is a numerical change and must be a
-deliberate one (regenerate the files with the same commands and say why).
+when the config keys ``overhead`` and ``mode``, which no command read, were
+deleted: only their two comment lines (``# overhead = none`` and
+``# mode = operator_norm``) went, and every data row and fit line stayed
+byte-identical.  Their numbers were last written when eigh, the Trotter
+power and the Schatten norm moved onto the parity blocks of the error
+operator (observed values moved by at most 3.4e-11 relative).  Any change
+to these bytes is a numerical or format change and must be a deliberate one
+(regenerate the files with the same commands and say why).
 The byte identity is promised within one numpy/BLAS build.
 """
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,40 @@ class TestFromJsonValidation:
         edit(doc)
         with pytest.raises(ValueError):
             from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(lambda d: [d], "an instance must be a JSON object, got list",
+                         id="array"),
+            pytest.param(lambda d: d.__delitem__("n"), "instance key 'n' is missing",
+                         id="missing-n"),
+            pytest.param(lambda d: d.update(spin=0.5), "instance key 'spin' is unknown",
+                         id="unknown-key"),
+            pytest.param(lambda d: d.update(n="8"), "'n' needs an integer, got '8'",
+                         id="n-string"),
+            pytest.param(lambda d: d.update(k=3.0), "'k' needs an integer, got 3.0",
+                         id="k-float"),
+            pytest.param(lambda d: d.update(n=True), "'n' needs an integer, got True",
+                         id="n-bool"),
+            pytest.param(lambda d: d.update(seed="x"), "'seed' needs an integer, got 'x'",
+                         id="seed-string"),
+            pytest.param(lambda d: d.update(clamped="yes"),
+                         "'clamped' needs true or false, got 'yes'", id="clamped-string"),
+            pytest.param(lambda d: d.update(clamped=1),
+                         "'clamped' needs true or false, got 1", id="clamped-int"),
+            pytest.param(lambda d: d.update(sigma="x"), "'sigma' needs a number, got 'x'",
+                         id="sigma-string"),
+            pytest.param(lambda d: d.update(p_B="x"),
+                         "'p_B' needs a number or null, got 'x'", id="p_B-string"),
+        ],
+    )
+    def test_rejects_malformed_document(self, edit, message):
+        """``edit`` changes the document in place or returns its replacement."""
+        doc = _doc(sample_sparse(8, 3, kappa=4.0, seed=3))
+        replacement = edit(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_json(json.dumps(doc if replacement is None else replacement))
 
     @pytest.mark.parametrize(
         "edit",
