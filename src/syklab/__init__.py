@@ -3,8 +3,9 @@
 Submodules
 ----------
 pauli        exact symplectic Pauli-string algebra and its dense view
-fermions     Jordan-Wigner Majoranas, k-local term operators, cached term tables
-model        hyperedge ordering and dense/sparse disorder sampling
+fermions     Jordan-Wigner Majoranas, k-local term operators, and term_table(n, k),
+             the one cached SYK term set that linalg, trotter and chains read
+model        lexicographic hyperedge order and dense/sparse disorder sampling
 linalg       dense backend: assembly, exact evolution, Schatten norms, MC averages
 trotter      Lie-Trotter-Suzuki schedules, Trotterized evolution, averaged error
 bounds       Q(n,k), analytical error bounds, Trotter-number solver, gate counts

@@ -156,9 +156,9 @@ def delta1_general(
     )
 
 
-def _check_even_order(order: int) -> None:
+def _check_even_order(order: int, bound: str) -> None:
     if order < 2 or order % 2 != 0:
-        raise ValueError(f"higher-order bound needs even l >= 2, got {order}")
+        raise ValueError(f"no {bound} bound for l = {order}: it needs even l >= 2 (--l)")
 
 
 def delta_l_general(
@@ -172,7 +172,7 @@ def delta_l_general(
     prefactor_mode: str = "full",
 ) -> float:
     """Higher-order bound for a generalized Gaussian model (log-space eval)."""
-    _check_even_order(order)
+    _check_even_order(order, "higher-order")
     if t == 0.0 or sigma == 0.0:
         return 0.0
     if q <= 0:
@@ -209,7 +209,7 @@ def delta_l_sparse_general(
     """Bernoulli-averaged sparse bound; ``sigma`` is the renormalized
     (1/sqrt(p_B)-inflated) per-term deviation.  The regime splits at
     p_B * q = 1; the two displays agree exactly on the boundary."""
-    _check_even_order(order)
+    _check_even_order(order, "sparse-SYK")
     if not 0.0 <= p_b <= 1.0:
         raise ValueError(f"p_B must lie in [0, 1], got {p_b}")
     if q <= 0:
@@ -373,7 +373,8 @@ def gate_count(
 
 
 def error_ratio(observed, bound: float) -> tuple[float, float]:
-    """eta = observed/bound with propagated stderr; observed is a NormEstimate."""
+    """eta = observed/bound with propagated stderr; observed is a NormEstimate.
+    The one ratio definition: scan rows and the acceptance criteria use it."""
     if bound <= 0:
         if observed.value == 0:
             return 0.0, 0.0

@@ -36,9 +36,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fermions import term_operator
-from .model import ordering_map
-from .pauli import PauliString, commutes
+from .fermions import term_operator, term_table
+from .pauli import PauliString
 
 __all__ = [
     "TermSet",
@@ -72,17 +71,17 @@ class TermSet:
     @cached_property
     def anticommuting(self) -> tuple[int, ...]:
         """Anticommutation rows: bit j of entry i is set iff terms i and j
-        anticommute (a term commutes with itself, so bit i is clear)."""
-        ts = self.terms
-        return tuple(
-            sum(1 << j for j, b in enumerate(ts) if not commutes(a, b)) for a in ts
-        )
+        anticommute (a term commutes with itself, so bit i is clear); the
+        rows of :func:`build_graph`'s adjacency, packed into integers."""
+        packed = np.packbits(build_graph(self).adjacency, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def syk_termset(n: int, k: int, edges: Sequence[Sequence[int]] | None = None) -> TermSet:
-    """Termset of SYK term operators; all C(n,k) hyperedges by default."""
+    """Termset of SYK term operators: those of ``edges``, in order, or by
+    default all C(n,k) terms of the cached ``fermions.term_table(n, k)``."""
     if edges is None:
-        edges = ordering_map(n, k).edges
+        return TermSet(term_table(n, k).terms)
     return TermSet(tuple(term_operator(e, n) for e in edges))
 
 

@@ -171,9 +171,15 @@ def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) ->
         N_bernoulli=config.N_bernoulli if sparse else 0,
         observed=0.0, observed_stderr=0.0, bound=0.0, ratio=0.0, wall_time_s=0.0,
     )
+    # a row keeps whichever of bound and observed error exists; its error is
+    # the first that failed
+    errors = []
     try:
         row.bound = _bound(config, n, t)
-        if not config.bound_only:
+    except Exception as exc:  # a row failure must not kill the run
+        errors.append(exc)
+    if not config.bound_only:
+        try:
             est = trotter.averaged_error(
                 n, config.k, config.l, t, config.r, config.p, seed,
                 config.N_disorder, config.energy_constant,
@@ -181,10 +187,12 @@ def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) ->
                 num_bernoulli=config.N_bernoulli,
             )
             row.observed, row.observed_stderr = est.value, est.stderr
-        if row.bound > 0:
-            row.ratio = row.observed / row.bound
-    except Exception as exc:  # a row failure must not kill the run
-        row.error = f"{type(exc).__name__}: {exc}"
+            if not errors:
+                row.ratio = bounds.error_ratio(est, row.bound)[0]
+        except Exception as exc:
+            errors.append(exc)
+    if errors:
+        row.error = f"{type(errors[0]).__name__}: {errors[0]}"
     if config.timing:
         row.wall_time_s = time.perf_counter() - start
     return row
@@ -200,8 +208,10 @@ def cmd_scan_n(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
 
 
 def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
-    """Rows over a log-spaced t grid plus a trailing log-log fit block, fitted
-    to the rows without an error (skipped, with the reason, if under 3)."""
+    """Rows over a log-spaced t grid plus a trailing log-log fit block.  Each
+    fit (bound, and observed unless bound-only) reads the rows without an
+    error whose value is > 0 and is skipped, with the reason, if under 3
+    remain; the slope difference is written when both fits ran."""
     if config.t_points < 3:
         raise ValueError("t scan needs at least 3 points for the fit")
     if not 0 < config.t_min < config.t_max < math.inf:
@@ -218,17 +228,19 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     if len(fitted) < 3:
         return rows, rows_to_csv(config, rows, [
             f"fit skipped: {len(fitted)} of {len(rows)} rows have no error, the fit needs 3"])
-    bound_fit = bounds.loglog_fit([(row.t, row.bound) for row in fitted])
-    comments = ["fit bound: slope=%r intercept=%r residual=%r" % bound_fit]
-    if not config.bound_only:
-        positive = [(row.t, row.observed) for row in fitted if row.observed > 0]
-        observed_fit = bounds.loglog_fit(positive)
-        comments.append(
-            "fit observed: slope=%r intercept=%r residual=%r" % observed_fit
-        )
-        comments.append(
-            "fit slope difference = %r" % abs(observed_fit[0] - bound_fit[0])
-        )
+    comments = []
+    fits = {}
+    for name in ("bound",) if config.bound_only else ("bound", "observed"):
+        points = [(row.t, getattr(row, name)) for row in fitted if getattr(row, name) > 0]
+        if len(points) < 3:
+            comments.append(f"fit {name} skipped: {len(points)} of {len(fitted)} rows "
+                            f"without an error have {name} > 0, the fit needs 3")
+            continue
+        fits[name] = bounds.loglog_fit(points)
+        comments.append("fit %s: slope=%r intercept=%r residual=%r" % (name, *fits[name]))
+    if len(fits) == 2:
+        comments.append("fit slope difference = %r"
+                        % abs(fits["observed"][0] - fits["bound"][0]))
     return rows, rows_to_csv(config, rows, comments)
 
 
@@ -290,10 +302,10 @@ def _check_sign_law() -> tuple[bool, str]:
     included) at n = 8, k = 2, 3, 4."""
     bad = 0
     for k in (2, 3, 4):
-        ts, om = chains.syk_termset(8, k), model.ordering_map(8, k)
+        ts, edges = chains.syk_termset(8, k), model.ordering_map(8, k)
         for i in range(ts.m):
             for j in range(i, ts.m):
-                m_overlap = len(set(om.edges[i]) & set(om.edges[j]))
+                m_overlap = len(set(edges[i]) & set(edges[j]))
                 bad += commutes(ts.terms[i], ts.terms[j]) != ((k + m_overlap) % 2 == 0)
     return bad == 0, f"{bad} violations"
 

@@ -17,15 +17,17 @@ for an even index, Y = iXZ), and its phase exponent the number of even
 indices plus k(k-1)/2.  In increasing order no factor's Z string reaches a
 later factor's qubit, so moving the Zs past the Xs costs no sign.
 
-:func:`term_table` holds the signed-permutation data of all C(n,k) term
-operators, built once per (n, k) and shared by assembly and Trotterization.
+:func:`term_table` is the one term set of each (n, k): the C(n,k) term
+operators as Pauli strings, which ``chains`` reads, and their
+signed-permutation data and parity sectors, which assembly and
+Trotterization read.  It is built once per (n, k) and shared.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -95,29 +97,45 @@ def term_operator(hyperedge: Sequence[int], n: int) -> PauliString:
 
 @dataclass(frozen=True, eq=False)
 class TermTable:
-    """Read-only signed-permutation data of all C(n,k) SYK term operators.
+    """Read-only term set of all C(n,k) SYK term operators.
 
-    Row g belongs to the g-th hyperedge of ``model.ordering_map(n, k)``.  Its
-    term operator K_g has one nonzero entry per row of the D x D matrix,
+    Term g belongs to the g-th hyperedge of ``model.ordering_map(n, k)``;
+    ``terms[g]`` is its :class:`PauliString` K_g.  K_g has one nonzero entry
+    per row of the D x D matrix,
 
         K_g[b, perm[b]] = coeff[b],  perm = permutation(g),
                                      coeff = permuted_coefficients(g),
 
     so (K_g @ M)[b] = coeff[b] * M[perm[b]].  Stored compactly: perm[b] is
     b ^ x_masks[g], derived on use, and coeff[b] = phases[g] * signs[g, b]
-    with int8 signs, about Gamma * (D + 24) bytes in all.
+    with int8 signs.  ``signs`` (Gamma * D bytes, most of the table) is built
+    on first read, so a caller that reads only ``terms`` never pays for it;
+    the rest takes about Gamma * 88 + D * 16 bytes (64 per term).  ``sectors``
+    holds the (B, W) basis indices of the parity sectors that every K_g
+    keeps: even and odd popcount for even k, all D indices for odd k.
     """
 
     n: int
     k: int
+    terms: tuple[PauliString, ...]
     rows: np.ndarray  # (D,) intp, 0 .. D-1
     x_masks: np.ndarray  # (Gamma,) intp
     phases: np.ndarray  # (Gamma,) complex, i**phase_exp
-    signs: np.ndarray  # (Gamma, D) int8, +-1
+    sectors: np.ndarray  # (B, W) intp
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """(Gamma, D) int8 +-1: the sign of K_g's entry in row b."""
+        signs = np.empty((len(self.terms), self.dim), dtype=np.int8)
+        for g, pauli in enumerate(self.terms):
+            parity = np.bitwise_count((self.rows ^ pauli.x_mask) & pauli.z_mask) & 1
+            signs[g] = 1 - 2 * parity.astype(np.int8)
+        signs.flags.writeable = False
+        return signs
 
     def permutation(self, g: int, out: np.ndarray | None = None) -> np.ndarray:
         """perm[b] = b ^ x_g, written to ``out`` when given."""
@@ -134,20 +152,15 @@ _TABLE_LOCK = threading.Lock()
 
 @lru_cache(maxsize=32)
 def _build_term_table(n: int, k: int) -> TermTable:
-    edges = ordering_map(n, k).edges
+    terms = tuple(term_operator(edge, n) for edge in ordering_map(n, k))
     rows = np.arange(hilbert_dim(n))
-    x_masks = np.empty(len(edges), dtype=np.intp)
-    phases = np.empty(len(edges), dtype=complex)
-    signs = np.empty((len(edges), len(rows)), dtype=np.int8)
-    for g, edge in enumerate(edges):
-        pauli = term_operator(edge, n)
-        x_masks[g] = pauli.x_mask
-        phases[g] = 1j**pauli.phase_exp
-        parity = np.bitwise_count((rows ^ pauli.x_mask) & pauli.z_mask) & 1
-        signs[g] = 1 - 2 * parity.astype(np.int8)
-    for array in (rows, x_masks, phases, signs):
+    x_masks = np.array([pauli.x_mask for pauli in terms], dtype=np.intp)
+    phases = np.array([1j**pauli.phase_exp for pauli in terms], dtype=complex)
+    parity = np.bitwise_count(rows) & 1 if k % 2 == 0 else np.zeros_like(rows)
+    sectors = np.stack([rows[parity == q] for q in np.unique(parity)])
+    for array in (rows, x_masks, phases, sectors):
         array.flags.writeable = False
-    return TermTable(n, k, rows, x_masks, phases, signs)
+    return TermTable(n, k, terms, rows, x_masks, phases, sectors)
 
 
 def term_table(n: int, k: int) -> TermTable:

@@ -1,11 +1,11 @@
 """Dense complex backend: Hamiltonian assembly, exact evolution, Schatten
 norms, and the Monte-Carlo expected-norm estimator.
 
-``assemble`` builds the D x D Hamiltonian, D = 2**(n/2); the default
-dimension cap (2**10) guards memory.  Evolution and norms take one W x W
-matrix or a stack (..., W, W) of the diagonal blocks of a block-diagonal
-operator, such as its parity sectors: exp(iHt) is formed block by block and
-the norm is that of the whole block-diagonal operator.
+``assemble`` builds the D x D Hamiltonian, D = 2**(n/2); ``DEFAULT_DIM_CAP``
+(2**10) caps D to guard memory.  Evolution and norms take one W x W matrix or
+a stack (..., W, W) of the diagonal blocks of a block-diagonal operator, such
+as its parity sectors: exp(iHt) is formed block by block and the norm is that
+of the whole block-diagonal operator.
 """
 
 from __future__ import annotations
@@ -36,17 +36,18 @@ class ResourceError(RuntimeError):
     """Raised when a requested dense computation exceeds the dimension cap."""
 
 
-def assemble(instance: SykInstance, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def assemble(instance: SykInstance) -> np.ndarray:
     """Dense Hermitian H = sum_i b_i J_i K_i (b_i = 1 when no mask).
 
     Each active term is written into H along its signed permutation, read
     from the cached :func:`~syklab.fermions.term_table` of (n, k); the term
-    matrices are never materialized individually.
+    matrices are never materialized individually.  Raises
+    :class:`ResourceError` when D exceeds ``DEFAULT_DIM_CAP``.
     """
     dim = hilbert_dim(instance.n)
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise ResourceError(
-            f"dimension {dim} exceeds cap {dim_cap}; raise dim_cap explicitly"
+            f"dimension {dim} (n = {instance.n}) exceeds the dense cap {DEFAULT_DIM_CAP}"
         )
     table = term_table(instance.n, instance.k)
     ham = np.zeros((dim, dim), dtype=complex)

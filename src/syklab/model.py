@@ -29,7 +29,6 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
-    "OrderingMap",
     "SykInstance",
     "ordering_map",
     "sigma_dense",
@@ -49,28 +48,11 @@ def _validate_nk(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
 
-@dataclass(frozen=True)
-class OrderingMap:
-    """Lexicographic enumeration gamma of all C(n,k) hyperedges, 1-based,
-    extended periodically: gamma(r + q*Gamma) = gamma(r)."""
-
-    n: int
-    k: int
-    edges: tuple[tuple[int, ...], ...]
-
-    @property
-    def gamma_count(self) -> int:
-        return len(self.edges)
-
-    def gamma(self, i: int) -> tuple[int, ...]:
-        """Hyperedge gamma(i) for 1-based i, periodic in i."""
-        return self.edges[(i - 1) % len(self.edges)]
-
-
-def ordering_map(n: int, k: int) -> OrderingMap:
+def ordering_map(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The C(n,k) hyperedges of n Majoranas, 1-based, in lexicographic
+    order: term g of every instance and term table is the g-th of them."""
     _validate_nk(n, k)
-    edges = tuple(combinations(range(1, n + 1), k))
-    return OrderingMap(n, k, edges)
+    return tuple(combinations(range(1, n + 1), k))
 
 
 def sigma_dense(n: int, k: int, energy_constant: float = 1.0) -> float:
@@ -125,9 +107,6 @@ class SykInstance:
     def gamma_count(self) -> int:
         return len(self.couplings)
 
-    def ordering(self) -> OrderingMap:
-        return ordering_map(self.n, self.k)
-
 
 def stream_rng(master_seed: int, stream_tag: str, sample_index: int) -> np.random.Generator:
     """Counter-based (Philox) generator keyed by (seed, tag, index)."""
@@ -171,21 +150,20 @@ def sample_sparse(
     energy_constant: float = 1.0,
     kappa: float = 4.0,
     seed: int = 0,
-    mask_index: int = 0,
     coupling_index: int = 0,
     mask: np.ndarray | None = None,
 ) -> SykInstance:
     """Sample a sparse SYK instance.
 
     The mask and coupling streams are keyed separately so drivers can hold a
-    mask fixed (``mask=...`` or a fixed ``mask_index``) while redrawing the
-    Gaussian disorder, as required by the nested sparse averaging.
+    mask fixed (``mask=...``; by default the mask at sample index 0) while
+    redrawing the Gaussian disorder, as required by the nested sparse
+    averaging.
     """
     p_b, clamped = bernoulli_probability(n, k, kappa)
     if mask is None:
-        mask, p_b, clamped = sample_bernoulli_mask(n, k, kappa, seed, mask_index)
-    else:
-        mask = np.asarray(mask, dtype=np.int8)
+        mask = sample_bernoulli_mask(n, k, kappa, seed)[0]
+    mask = np.asarray(mask, dtype=np.int8)
     gamma_count = math.comb(n, k)
     if len(mask) != gamma_count:
         raise ValueError(f"mask length {len(mask)} != C(n,k) = {gamma_count}")

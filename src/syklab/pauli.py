@@ -31,7 +31,8 @@ class DimensionError(ValueError):
     """Raised when two operands act on different numbers of qubits."""
 
 
-@dataclass(frozen=True)
+# slots: each cached fermions.term_table keeps its C(n,k) terms for good
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """An n-qubit Pauli operator: two bit masks plus a global phase i**k."""
 

@@ -16,10 +16,11 @@ stack's rows along K_g's permutation, one coefficient multiply, one cos scale
 and one add for all N samples.  For even k every x_g has even popcount, so H,
 exp(iHt) and S_l(tau) keep the parity of the basis index: each is block
 diagonal with B = 2 parity sectors of width W = D/2.  Odd k maps one parity
-to the other and has one sector, B = 1 and W = D, in the same code.  A round
-is advanced in a (D, W) row-compressed layout (row b keeps only the columns
-of its own sector) and read out as its (B, W, W) stack of diagonal blocks by
-a row gather.  The error operator E = exp(iHt) - S_l(t/r)**r, its power and
+to the other and has one sector, B = 1 and W = D, in the same code.  The
+permutations, coefficients and sectors are read from the one cached term set
+``fermions.term_table(n, k)``.  A round is advanced in a (D, W)
+row-compressed layout (row b keeps only the columns of its own sector) and
+read out as its (B, W, W) stack of diagonal blocks by a row gather.  The error operator E = exp(iHt) - S_l(t/r)**r, its power and
 its Schatten norm are all formed on that block stack; only ``trotterized``
 places the blocks into a D x D matrix.  ``averaged_error`` passes the samples
 of one average in stacks of at most ``_STACK_BYTES``.  Every round-matrix
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -106,23 +106,6 @@ def build_schedule(order: int, gamma_count: int) -> Schedule:
     return Schedule(order, stages, gamma_count, steps)
 
 
-@lru_cache(maxsize=32)
-def _sectors(n: int, k: int) -> np.ndarray:
-    """(B, W) basis indices of each parity sector, in increasing order.
-
-    For even k these are the W = D/2 indices of even and of odd popcount;
-    odd k has the single sector of all D indices.
-    """
-    rows = term_table(n, k).rows
-    if k % 2:
-        sectors = rows[None]
-    else:
-        parity = np.bitwise_count(rows) & 1
-        sectors = np.stack([rows[parity == 0], rows[parity == 1]])
-        sectors.flags.writeable = False
-    return sectors
-
-
 def _blocks(mat: np.ndarray, sectors: np.ndarray) -> np.ndarray:
     """The (B, W, W) diagonal blocks of a D x D matrix on ``sectors``."""
     return mat[sectors[:, :, None], sectors[:, None, :]]
@@ -141,14 +124,14 @@ def _round_matrices(
     schedule: Schedule, tau: float,
 ) -> np.ndarray:
     """S_l(tau) for each row of ``couplings`` (N, Gamma), all sharing (n, k,
-    mask), as an (N, B, W, W) stack of parity blocks (see ``_sectors``).
+    mask), as an (N, B, W, W) stack of parity blocks on the table's sectors.
 
     Each step exponential cos(theta) + i sin(theta) K_g is applied to the
     whole stack in place, with K_g read from the cached term table; a step
     is skipped when its term is masked out or theta is 0 for every sample.
     """
     table = term_table(n, k)
-    sectors = _sectors(n, k)
+    sectors = table.sectors
     # row sectors[q, j] of the compressed layout holds columns sectors[q]
     stack = np.zeros((len(couplings), table.dim, sectors.shape[1]), dtype=complex)
     stack[:, sectors, np.arange(sectors.shape[1])] = 1.0
@@ -205,7 +188,8 @@ def trotterized(
     _check_trotter_number(r)
     rounds = _round_matrices(instance.n, instance.k, instance.couplings[None],
                              instance.mask, schedule, t / r)
-    return _from_blocks(_matrix_power(rounds[0], r), _sectors(instance.n, instance.k))
+    sectors = term_table(instance.n, instance.k).sectors
+    return _from_blocks(_matrix_power(rounds[0], r), sectors)
 
 
 def _error_operator(
@@ -231,7 +215,7 @@ def _error_operators(
     here: a consumer that drops each E holds one stack and one E at a time.
     """
     n, k, mask = instances[0].n, instances[0].k, instances[0].mask
-    sectors = _sectors(n, k)
+    sectors = term_table(n, k).sectors
     per_sample = np.dtype(complex).itemsize * sectors.size * sectors.shape[1]
     size = max(1, _STACK_BYTES // per_sample)
     for start in range(0, len(instances), size):
@@ -325,5 +309,5 @@ def fixed_state_error(
         raise ValueError("input state must be normalized to 1 within 1e-12")
     schedule = build_schedule(order, instance.gamma_count)
     err = _error_operator(instance, schedule, t, r)
-    psi = state[_sectors(instance.n, instance.k), None]
+    psi = state[term_table(instance.n, instance.k).sectors, None]
     return float(np.linalg.norm(err @ psi))

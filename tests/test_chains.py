@@ -128,11 +128,15 @@ class TestAnticommutationRows:
         syk_termset(6, 3), syk_termset(8, 4), XZ_PAIR, ZZ_PAIR, TermSet(()),
     ])
     def test_rows_match_build_graph(self, terms):
+        """The rows are packed from build_graph's adjacency, so both are
+        checked against the pairwise rule of pauli.commutes."""
         adj = build_graph(terms).adjacency
         rows = terms.anticommuting
         assert len(rows) == terms.m
         for i, row in enumerate(rows):
-            assert [bool(row >> j & 1) for j in range(terms.m)] == adj[i].tolist()
+            expected = [not commutes(terms.terms[i], b) for b in terms.terms]
+            assert adj[i].tolist() == expected
+            assert [bool(row >> j & 1) for j in range(terms.m)] == expected
             assert row >> terms.m == 0
 
     def test_rows_cached(self):

@@ -24,7 +24,9 @@ from syklab.experiments import (
     cmd_solve_r,
     rows_to_csv,
 )
+from syklab.linalg import NormEstimate
 from syklab.model import from_json
+from syklab.trotter import averaged_error
 
 FAST = dict(n_list=(6,), k=3, l=1, t=0.5, r=16, N_disorder=3, N_bernoulli=3,
             master_seed=7)
@@ -167,6 +169,28 @@ class TestScanT:
             "# fit observed: slope=%r intercept=%r residual=%r" % observed_fit,
         ]
 
+    def test_fit_reads_only_positive_values(self, monkeypatch):
+        scan_point = experiments._scan_point
+
+        def observed_zero(config, i, n, t):
+            row = scan_point(config, i, n, t)
+            if i < 2:
+                row.observed = 0.0
+            return row
+
+        monkeypatch.setattr(experiments, "_scan_point", observed_zero)
+        config = ExperimentConfig(
+            command="scan-t", t_min=1.0, t_max=8.0, t_points=4,
+            **{k: v for k, v in FAST.items() if k != "t"},
+        )
+        rows, csv_text = cmd_scan_t(config)
+        bound_fit = bounds.loglog_fit([(row.t, row.bound) for row in rows])
+        assert csv_text.splitlines()[-2:] == [
+            "# fit bound: slope=%r intercept=%r residual=%r" % bound_fit,
+            "# fit observed skipped: 2 of 4 rows without an error have observed > 0, "
+            "the fit needs 3",
+        ]
+
     def test_too_few_points_refused(self):
         config = ExperimentConfig(
             command="scan-t", t_points=2,
@@ -206,6 +230,18 @@ class TestSparseScan:
         assert rows[0].error == ""
         assert rows[0].observed == pytest.approx(0.0, abs=1e-12)
 
+    def test_first_order_row_keeps_its_observed_error(self):
+        # no sparse bound exists for l = 1, but the observed error does
+        config = ExperimentConfig(command="scan-n", model="sparse", **FAST)
+        row = cmd_scan_n(config)[0][0]
+        assert row.error == (
+            "ValueError: no sparse-SYK bound for l = 1: it needs even l >= 2 (--l)")
+        est = averaged_error(6, 3, 1, 0.5, 16, 2.0, row.seed, 3, kappa=4.0,
+                             num_bernoulli=3)
+        assert (row.observed, row.observed_stderr) == (est.value, est.stderr)
+        assert row.observed > 0
+        assert (row.bound, row.ratio) == (0.0, 0.0)
+
     @pytest.mark.parametrize("num_bernoulli", [0, 1])
     def test_too_few_masks_is_a_row_error(self, num_bernoulli):
         # one mask has no spread to take a standard error from
@@ -220,6 +256,20 @@ class TestSparseScan:
         config = ExperimentConfig(command="scan-n", **dict(FAST, l=3))
         rows, _ = cmd_scan_n(config)
         assert rows[0].error != ""
+
+
+class TestRatio:
+    def test_zero_bound_with_observed_error_is_a_row_error(self):
+        # at t = 0 every bound is 0, but exp(iHt) from eigh leaves round-off
+        row = cmd_scan_n(ExperimentConfig(command="scan-n", **dict(FAST, t=0.0)))[0][0]
+        assert row.error == (
+            "ZeroDivisionError: error ratio undefined: bound is 0 with observed > 0")
+        assert row.bound == 0.0 and row.ratio == 0.0 and row.observed > 0
+
+    def test_ratio_is_error_ratio(self):
+        row = cmd_scan_n(ExperimentConfig(command="scan-n", **FAST))[0][0]
+        est = NormEstimate(row.observed, row.observed_stderr, 3, 2.0)
+        assert row.ratio == bounds.error_ratio(est, row.bound)[0] == row.observed / row.bound
 
 
 class TestReports:
@@ -424,6 +474,38 @@ class TestCli:
         assert out.splitlines()[-1] == (
             "# fit skipped: 0 of 3 rows have no error, the fit needs 3")
         assert code == 1
+
+    def test_scan_t_with_zero_bounds_keeps_its_csv(self, capsys):
+        # kappa = 0 empties the Hamiltonian: every bound and observed error is 0
+        code = main(["scan-t", "--model", "sparse", "--kappa", "0", "--n", "6",
+                     "--k", "3", "--l", "2", "--r", "4", "--n-disorder", "2",
+                     "--t-min", "0.1", "--t-max", "1", "--t-points", "3",
+                     "--n-bernoulli", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        data = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+        assert [(row["bound"], row["observed"], row["error"]) for row in data] == [
+            ("0.0", "0.0", "")] * 3
+        assert lines[-2:] == [
+            "# fit bound skipped: 0 of 3 rows without an error have bound > 0, "
+            "the fit needs 3",
+            "# fit observed skipped: 0 of 3 rows without an error have observed > 0, "
+            "the fit needs 3",
+        ]
+        assert code == 0
+
+    def test_sparse_first_order_names_the_missing_bound(self, capsys):
+        message = "no sparse-SYK bound for l = 1: it needs even l >= 2 (--l)"
+        code = main(["scan-n", "--model", "sparse", "--n", "6", "--k", "4", "--r", "4",
+                     "--n-disorder", "2", "--n-bernoulli", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        row = next(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+        assert row["error"] == f"ValueError: {message}"
+        assert float(row["observed"]) > 0 and float(row["bound"]) == 0.0
+        assert code == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "--model", "sparse", "--l", "1"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"syklab: error: {message}"
 
     @pytest.mark.parametrize("key,flag,value", [
         ("mode", "--mode", "fixed_state"),

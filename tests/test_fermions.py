@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from syklab import fermions
+from syklab.chains import syk_termset
 from syklab.fermions import hilbert_dim, jordan_wigner, term_operator, term_table
 from syklab.linalg import assemble
 from syklab.model import ordering_map, sample_dense, sample_sparse
@@ -156,7 +157,7 @@ class TestTermTable:
     def test_rows_match_term_operators(self, n):
         for k in range(1, min(5, n) + 1):
             table = term_table(n, k)
-            edges = ordering_map(n, k).edges
+            edges = ordering_map(n, k)
             assert table.signs.shape == (len(edges), hilbert_dim(n))
             for g, edge in enumerate(edges):
                 perm, coeff = _coefficients(term_operator(edge, n))
@@ -173,6 +174,20 @@ class TestTermTable:
     def test_cached_per_n_k(self):
         assert term_table(8, 4) is term_table(8, 4)
         assert term_table(8, 3) is not term_table(8, 4)
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (10, 2)])
+    def test_chains_termset_is_the_table_terms(self, n, k):
+        table = term_table(n, k)
+        assert syk_termset(n, k).terms is table.terms
+        assert table.terms == tuple(term_operator(e, n) for e in ordering_map(n, k))
+
+    def test_signs_built_on_first_read(self, term_operator_calls):
+        n, k = 8, 4
+        assert syk_termset(n, k).anticommuting  # reads only the terms
+        assert "signs" not in vars(term_table(n, k))
+        assemble(sample_dense(n, k))
+        assert "signs" in vars(term_table(n, k))
+        assert len(term_operator_calls) == math.comb(n, k)
 
     def test_term_operator_runs_once_per_term(self, term_operator_calls):
         n, k = 8, 4

@@ -12,6 +12,7 @@ from scipy.stats import unitary_group
 from syklab.fermions import hilbert_dim, term_operator
 from syklab.linalg import (
     NormEstimate,
+    DEFAULT_DIM_CAP,
     ResourceError,
     assemble,
     exact_evolution,
@@ -19,7 +20,7 @@ from syklab.linalg import (
     expected_norm,
     schatten_norm,
 )
-from syklab.model import sample_dense, sample_sparse
+from syklab.model import ordering_map, sample_dense, sample_sparse
 from syklab.pauli import to_dense
 
 
@@ -34,7 +35,7 @@ class TestAssemble:
         couplings = np.zeros_like(inst.couplings)
         couplings[0] = 1.7
         single = dataclasses.replace(inst, couplings=couplings)
-        edge = inst.ordering().edges[0]
+        edge = ordering_map(6, 3)[0]
         expected = 1.7 * to_dense(term_operator(edge, 6))
         assert np.allclose(assemble(single), expected)
 
@@ -42,7 +43,7 @@ class TestAssemble:
         inst = sample_dense(6, 2, seed=3)
         naive = sum(
             inst.couplings[i] * to_dense(term_operator(e, 6))
-            for i, e in enumerate(inst.ordering().edges)
+            for i, e in enumerate(ordering_map(6, 2))
         )
         assert np.allclose(assemble(inst), naive, atol=1e-13)
 
@@ -54,7 +55,7 @@ class TestAssemble:
         inst = sample_sparse(6, 3, kappa=2.0, seed=5)
         kept = sum(
             inst.couplings[i] * to_dense(term_operator(e, 6))
-            for i, e in enumerate(inst.ordering().edges)
+            for i, e in enumerate(ordering_map(6, 3))
             if inst.mask[i]
         )
         if isinstance(kept, int):  # all masked out
@@ -62,9 +63,11 @@ class TestAssemble:
         assert np.allclose(assemble(inst), kept, atol=1e-13)
 
     def test_dimension_cap(self):
-        inst = sample_dense(12, 2, seed=6)
-        with pytest.raises(ResourceError):
-            assemble(inst, dim_cap=16)
+        inst = sample_dense(22, 2, seed=6)  # D = 2048
+        assert hilbert_dim(inst.n) > DEFAULT_DIM_CAP
+        with pytest.raises(ResourceError, match="dimension 2048 .* cap 1024"):
+            assemble(inst)
+        assert hilbert_dim(20) == DEFAULT_DIM_CAP  # the largest D it builds
 
 
 class TestExactEvolution:

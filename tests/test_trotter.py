@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from syklab import trotter
 from syklab.fermions import hilbert_dim, term_operator, term_table
 from syklab.linalg import assemble, exact_evolution
-from syklab.model import sample_bernoulli_mask, sample_dense, sample_sparse
+from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
 from syklab.pauli import to_dense
 from syklab.trotter import (
     averaged_error,
@@ -58,7 +58,7 @@ class TestSchedule:
 def _naive_product(instance, order, t, r):
     """Straight-line oracle: dense expm per factor, repeated r times."""
     dim = hilbert_dim(instance.n)
-    edges = instance.ordering().edges
+    edges = ordering_map(instance.n, instance.k)
     sched = build_schedule(order, len(edges))
     round_mat = np.eye(dim, dtype=complex)
     for a, b in sched.steps:
@@ -162,7 +162,7 @@ def _stack(instances, schedule, tau):
     first = instances[0]
     couplings = np.array([inst.couplings for inst in instances])
     blocks = trotter._round_matrices(first.n, first.k, couplings, first.mask, schedule, tau)
-    sectors = trotter._sectors(first.n, first.k)
+    sectors = term_table(first.n, first.k).sectors
     assert blocks.shape == (len(instances),) + sectors.shape + sectors.shape[-1:]
     return np.array([trotter._from_blocks(mat, sectors) for mat in blocks])
 
@@ -319,7 +319,7 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("k,blocks", [(2, 2), (4, 2), (3, 1)])
     def test_sector_shape(self, k, blocks):
-        sectors = trotter._sectors(8, k)
+        sectors = term_table(8, k).sectors
         assert sectors.shape == (blocks, 16 // blocks)
         assert sorted(sectors.ravel()) == list(range(16))
 
