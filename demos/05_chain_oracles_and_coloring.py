@@ -53,4 +53,4 @@ print(f"{'n':>4}  {'vertices':>8}  {'colors':>6}  {'Q+1':>5}")
 for n in range(6, 17, 2):
     graph = build_graph(syk_termset(n, 4))
     colors = greedy_coloring(graph)
-    print(f"{n:>4}  {graph.num_vertices:>8}  {colors:>6}  {q_of(n, 4) + 1:>5}")
+    print(f"{n:>4}  {len(graph):>8}  {colors:>6}  {q_of(n, 4) + 1:>5}")

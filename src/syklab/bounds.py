@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import sigma_dense, bernoulli_probability
+from .model import _validate_nk, bernoulli_probability, sigma_dense
 from .trotter import stage_count
 
 __all__ = [
@@ -61,8 +61,7 @@ def q_of(n: int, k: int) -> int:
     Q(n,k) = sum over overlap sizes s of the right parity (odd for even k,
     even for odd k), max(0, k-(n-k)) <= s <= k-1, of C(n-k, k-s) * C(k, s).
     """
-    if n < 2 or n % 2 != 0 or not 1 <= k <= n:
-        raise ValueError(f"invalid (n, k) = ({n}, {k})")
+    _validate_nk(n, k)
     mu = max(0, k - (n - k))
     parity = 1 if k % 2 == 0 else 0
     return sum(
@@ -360,6 +359,8 @@ def gate_count(
 ) -> float:
     """Gate complexity Upsilon(l) * Gamma * r, times the fermion-to-qubit
     overhead: 1 (none), log2(n) (ternary tree), or n (Jordan-Wigner)."""
+    if r < 1:
+        raise ValueError(f"Trotter number r (--r) must be >= 1, got {r}")
     base = stage_count(order) * gamma * r
     if overhead == "none":
         return float(base)

@@ -41,7 +41,6 @@ from .pauli import PauliString
 
 __all__ = [
     "TermSet",
-    "AntiCommutationGraph",
     "syk_termset",
     "indicator",
     "q_max",
@@ -73,7 +72,7 @@ class TermSet:
         """Anticommutation rows: bit j of entry i is set iff terms i and j
         anticommute (a term commutes with itself, so bit i is clear); the
         rows of :func:`build_graph`'s adjacency, packed into integers."""
-        packed = np.packbits(build_graph(self).adjacency, axis=1, bitorder="little")
+        packed = np.packbits(build_graph(self), axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
@@ -248,27 +247,10 @@ def lemma_e_bound(g: int, w: int, m: int, qmax: int, p_b: float) -> float:
     return float(g) ** (4 * g) * m**2 * total / qmax**2
 
 
-@dataclass(frozen=True)
-class AntiCommutationGraph:
-    """Simple graph on term indices; edge (i, j) iff terms anticommute."""
-
-    adjacency: np.ndarray  # boolean m x m matrix
-
-    @property
-    def num_vertices(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adjacency, 1))
-        return list(zip(i.tolist(), j.tolist()))
-
-    def degree(self, v: int) -> int:
-        return int(self.adjacency[v].sum())
-
-
-def build_graph(terms: TermSet) -> AntiCommutationGraph:
-    """Anti-commutation graph via vectorized symplectic parities."""
+def build_graph(terms: TermSet) -> np.ndarray:
+    """The anticommutation graph as its (m, m) bool adjacency: entry (i, j)
+    is set iff terms i and j anticommute (the diagonal is clear), from
+    vectorized symplectic parities."""
     ts = terms.terms
     dtype = np.min_scalar_type(max((max(t.x_mask, t.z_mask) for t in ts), default=0))
     x = np.array([t.x_mask for t in ts], dtype=dtype)
@@ -276,17 +258,18 @@ def build_graph(terms: TermSet) -> AntiCommutationGraph:
     # |x_i & z_j| + |z_i & x_j| = |(x_i & z_j) ^ (z_i & x_j)| (mod 2)
     adj = (np.bitwise_count((x[:, None] & z) ^ (z[:, None] & x)) & 1).astype(bool)
     np.fill_diagonal(adj, False)
-    return AntiCommutationGraph(adj)
+    return adj
 
 
-def greedy_coloring(graph: AntiCommutationGraph) -> int:
-    """Sequential greedy coloring in vertex-index order (vertex v takes the
-    smallest color that no neighbour u < v has); returns the number of colors
-    used, at most maxdegree + 1."""
-    m = graph.num_vertices
+def greedy_coloring(adjacency: np.ndarray) -> int:
+    """Sequential greedy coloring of the graph with (m, m) bool adjacency
+    ``adjacency``, in vertex-index order (vertex v takes the smallest color
+    that no neighbour u < v has); returns the number of colors used, at most
+    maxdegree + 1."""
+    m = len(adjacency)
     colors = np.zeros(m, dtype=np.int64)
     for v in range(m):
         taken = np.zeros(v + 1, dtype=bool)  # colors so far are all < v + 1
-        taken[colors[:v][graph.adjacency[v, :v]]] = True
+        taken[colors[:v][adjacency[v, :v]]] = True
         colors[v] = taken.argmin()  # the first color not taken
     return int(colors.max()) + 1 if m else 0

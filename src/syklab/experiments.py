@@ -133,6 +133,15 @@ def _point_seed(master_seed: int, point_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _one_n(config: ExperimentConfig) -> int:
+    """The n of a command that takes one: a longer ``--n`` list is refused,
+    not cut to its first entry."""
+    if len(config.n_list) != 1:
+        raise ValueError(f"{config.command} takes one n (--n), got "
+                         + ",".join(map(str, config.n_list)))
+    return config.n_list[0]
+
+
 def _bound(config: ExperimentConfig, n: int, t: float) -> float:
     """The config's error bound at (n, t): sparse for the sparse model."""
     return bounds.error_bound(bounds.BoundInput(
@@ -217,7 +226,7 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     if not 0 < config.t_min < config.t_max < math.inf:
         raise ValueError("t scan needs 0 < t_min (--t-min) < t_max (--t-max) < inf, "
                          f"got t_min={config.t_min}, t_max={config.t_max}")
-    n = config.n_list[0]
+    n = _one_n(config)
     ts = np.logspace(
         math.log10(config.t_min), math.log10(config.t_max), config.t_points
     )
@@ -246,7 +255,7 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
 
 def cmd_solve_r(config: ExperimentConfig) -> str:
     """Minimal Trotter numbers and implied gate counts, both solver modes."""
-    n = config.n_list[0]
+    n = _one_n(config)
     base = bounds.BoundInput(  # the solver sets its own p = p* and r
         n=n, k=config.k, l=config.l, p=2.0, t=config.t, r=1,
         energy_constant=config.energy_constant,
@@ -275,7 +284,8 @@ def cmd_solve_r(config: ExperimentConfig) -> str:
 
 
 def cmd_gatecount(config: ExperimentConfig) -> str:
-    n = config.n_list[0]
+    n = _one_n(config)
+    model._validate_nk(n, config.k)
     gamma = math.comb(n, config.k)
     ups = trotter.stage_count(config.l)
     lines = [f"gatecount: n={n} k={config.k} l={config.l} Gamma={gamma} "
@@ -288,7 +298,7 @@ def cmd_gatecount(config: ExperimentConfig) -> str:
 
 def cmd_bounds(config: ExperimentConfig) -> str:
     """Evaluate the analytical bound for the configured parameters."""
-    n = config.n_list[0]
+    n = _one_n(config)
     value = _bound(config, n, config.t)
     kind = f"Delta_{config.l}" + ("^sparse" if config.model == "sparse" else "")
     return (
@@ -322,7 +332,7 @@ def _check_q() -> tuple[bool, str]:
                           for e in combinations(range(1, nn + 1), k))}
             if nn <= 12:
                 graph = chains.build_graph(chains.syk_termset(nn, k))
-                counts |= {graph.degree(v) for v in range(graph.num_vertices)}
+                counts |= set(graph.sum(axis=1).tolist())
             if k == 1:
                 counts.add(nn - 1)
             if (nn, k) == (6, 4):
@@ -413,8 +423,8 @@ def cmd_oracle(config: ExperimentConfig) -> tuple[str, bool]:
 
 
 def _sample_instance(config: ExperimentConfig) -> model.SykInstance:
-    """The dense or sparse instance of the config's first n and master seed."""
-    n = config.n_list[0]
+    """The dense or sparse instance of the config's n and master seed."""
+    n = _one_n(config)
     if config.model == "sparse":
         return model.sample_sparse(
             n, config.k, config.energy_constant, config.kappa, config.master_seed

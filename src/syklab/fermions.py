@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ordering_map
+from .model import _validate_n, ordering_map
 from .pauli import PauliString
 
 __all__ = [
@@ -44,20 +44,15 @@ __all__ = [
 ]
 
 
-def _check_n(n: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"number of Majoranas must be even and >= 2, got {n}")
-
-
 def hilbert_dim(n: int) -> int:
     """Dimension D = 2**(n/2) of the space carrying n Majorana fermions."""
-    _check_n(n)
+    _validate_n(n)
     return 1 << (n // 2)
 
 
 def jordan_wigner(index: int, n: int) -> PauliString:
     """Pauli string of Majorana chi_index (1-based) among n Majoranas."""
-    _check_n(n)
+    _validate_n(n)
     if not 1 <= index <= n:
         raise ValueError(f"Majorana index {index} out of range [1, {n}]")
     num_qubits = n // 2
@@ -75,7 +70,7 @@ def term_operator(hyperedge: Sequence[int], n: int) -> PauliString:
 
     ``hyperedge`` must be strictly increasing with entries in [1, n].
     """
-    _check_n(n)
+    _validate_n(n)
     edge = tuple(hyperedge)
     if not edge:
         raise ValueError("hyperedge must be non-empty")

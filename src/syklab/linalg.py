@@ -37,11 +37,12 @@ class ResourceError(RuntimeError):
 
 
 def assemble(instance: SykInstance) -> np.ndarray:
-    """Dense Hermitian H = sum_i b_i J_i K_i (b_i = 1 when no mask).
+    """Dense Hermitian H = sum_i J_i K_i over the instance's couplings (a
+    sparse instance's J_i is already b_i J_i).
 
-    Each active term is written into H along its signed permutation, read
-    from the cached :func:`~syklab.fermions.term_table` of (n, k); the term
-    matrices are never materialized individually.  Raises
+    Each term with a nonzero coupling is written into H along its signed
+    permutation, read from the cached :func:`~syklab.fermions.term_table` of
+    (n, k); the term matrices are never materialized individually.  Raises
     :class:`ResourceError` when D exceeds ``DEFAULT_DIM_CAP``.
     """
     dim = hilbert_dim(instance.n)
@@ -52,8 +53,6 @@ def assemble(instance: SykInstance) -> np.ndarray:
     table = term_table(instance.n, instance.k)
     ham = np.zeros((dim, dim), dtype=complex)
     for i, coupling in enumerate(instance.couplings):
-        if instance.mask is not None and instance.mask[i] == 0:
-            continue
         if coupling == 0.0:
             continue
         ham[table.rows, table.permutation(i)] += table.permuted_coefficients(i, coupling)

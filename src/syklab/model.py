@@ -7,7 +7,8 @@ The dense model is
 with i.i.d. couplings J ~ N(0, sigma**2), sigma**2 = (k-1)! J0**2 / (k n**(k-1))
 for energy constant J0.  The sparse model keeps each term with probability
 p_B = min(1, kappa*n / C(n,k)) and rescales the coupling variance by 1/p_B to
-keep the model extensive.
+keep the model extensive: H = sum_g b_g J_g K_g with Bernoulli b_g, and a
+sparse instance stores b_g J_g as its couplings beside its mask b.
 
 Randomness: every stream is a counter-based Philox generator keyed by
 (master_seed, stream_tag, sample_index), so disorder averages are independent
@@ -41,9 +42,15 @@ __all__ = [
 ]
 
 
-def _validate_nk(n: int, k: int) -> None:
+def _validate_n(n: int) -> None:
+    """The one check of a Majorana count n: even and >= 2."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
+
+
+def _validate_nk(n: int, k: int) -> None:
+    """The one check of (n, k): n as :func:`_validate_n`, 1 <= k <= n."""
+    _validate_n(n)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
@@ -83,6 +90,7 @@ class SykInstance:
     """One sampled Hamiltonian: couplings (and, if sparse, the Bernoulli mask).
 
     The arrays are read-only copies, so a frozen instance stays unchanged.
+    A sparse instance's couplings are b_g J_g: +0.0 wherever the mask is 0.
     """
 
     n: int
@@ -96,12 +104,15 @@ class SykInstance:
     clamped: bool = field(default=False)
 
     def __post_init__(self) -> None:
-        for name in ("couplings", "mask"):
-            value = getattr(self, name)
-            if value is not None:
-                array = np.array(value)
-                array.flags.writeable = False
-                object.__setattr__(self, name, array)
+        couplings = np.array(self.couplings)
+        if self.mask is not None:
+            mask = np.array(self.mask)
+            mask.flags.writeable = False
+            object.__setattr__(self, "mask", mask)
+            # np.where, not a product: a deleted term is +0.0, never -0.0
+            couplings = np.where(mask == 0, 0.0, couplings)
+        couplings.flags.writeable = False
+        object.__setattr__(self, "couplings", couplings)
 
     @property
     def gamma_count(self) -> int:
@@ -153,7 +164,8 @@ def sample_sparse(
     coupling_index: int = 0,
     mask: np.ndarray | None = None,
 ) -> SykInstance:
-    """Sample a sparse SYK instance.
+    """Sample a sparse SYK instance: couplings b_g J_g, with J drawn for
+    every term and zeroed where the mask b deletes it.
 
     The mask and coupling streams are keyed separately so drivers can hold a
     mask fixed (``mask=...``; by default the mask at sample index 0) while
@@ -209,7 +221,7 @@ def from_json(text: str) -> SykInstance:
     """Parse an instance written by :func:`to_json`, rejecting malformed or
     inconsistent documents (ValueError): a missing, unknown or mistyped key,
     wrong array lengths, a mask that is not 0/1, non-finite couplings, or a
-    sigma / p_B that does not match the model."""
+    sigma / p_B that does not match the model.  A masked coupling loads as 0."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")

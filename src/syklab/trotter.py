@@ -11,20 +11,25 @@ flattens to Upsilon = 2 * 5**(l/2 - 1) sweeps per round, each sweep a forward
 or reverse pass over all Gamma terms.
 
 Round matrices are built by one kernel, ``_round_matrices``, on a stack of N
-samples that share (n, k, mask): each schedule step is one ``take`` of the
-stack's rows along K_g's permutation, one coefficient multiply, one cos scale
-and one add for all N samples.  For even k every x_g has even popcount, so H,
-exp(iHt) and S_l(tau) keep the parity of the basis index: each is block
-diagonal with B = 2 parity sectors of width W = D/2.  Odd k maps one parity
-to the other and has one sector, B = 1 and W = D, in the same code.  The
-permutations, coefficients and sectors are read from the one cached term set
-``fermions.term_table(n, k)``.  A round is advanced in a (D, W)
-row-compressed layout (row b keeps only the columns of its own sector) and
-read out as its (B, W, W) stack of diagonal blocks by a row gather.  The error operator E = exp(iHt) - S_l(t/r)**r, its power and
-its Schatten norm are all formed on that block stack; only ``trotterized``
-places the blocks into a D x D matrix.  ``averaged_error`` passes the samples
-of one average in stacks of at most ``_STACK_BYTES``.  Every round-matrix
-entry goes through the same floating-point operations as a one-matrix, full-D
+samples that share (n, k): each schedule step is one ``take`` of the stack's
+rows along K_g's permutation, one coefficient multiply, one cos scale and one
+add for all N samples.  A deleted sparse term is a zero coupling, so the
+kernel reads only couplings and the samples' masks may differ.  For even k
+every x_g has even popcount, so H, exp(iHt) and S_l(tau) keep the parity of
+the basis index: each is block diagonal with B = 2 parity sectors of width
+W = D/2.  Odd k maps one parity to the other and has one sector, B = 1 and
+W = D, in the same code.  The permutations, coefficients and sectors are
+read from the one cached term set ``fermions.term_table(n, k)``.  A round is
+advanced in a (D, W) row-compressed layout (row b keeps only the columns of
+its own sector) and read out as its (B, W, W) stack of diagonal blocks by a
+row gather.
+
+The error operator E = exp(iHt) - S_l(t/r)**r, its power and its Schatten
+norm are all formed on that block stack by one entry, ``_error_operators``,
+which checks r and builds the schedule; only ``trotterized`` places the
+blocks into a D x D matrix.  ``averaged_error`` passes the samples of one
+average in stacks of at most ``_STACK_BYTES``.  Every round-matrix entry
+goes through the same floating-point operations as a one-matrix, full-D
 build, so the rounds are bit-identical to it.
 """
 
@@ -120,15 +125,15 @@ def _from_blocks(blocks: np.ndarray, sectors: np.ndarray) -> np.ndarray:
 
 
 def _round_matrices(
-    n: int, k: int, couplings: np.ndarray, mask: np.ndarray | None,
-    schedule: Schedule, tau: float,
+    n: int, k: int, couplings: np.ndarray, schedule: Schedule, tau: float
 ) -> np.ndarray:
-    """S_l(tau) for each row of ``couplings`` (N, Gamma), all sharing (n, k,
-    mask), as an (N, B, W, W) stack of parity blocks on the table's sectors.
+    """S_l(tau) for each row of ``couplings`` (N, Gamma), all of one (n, k),
+    as an (N, B, W, W) stack of parity blocks on the table's sectors.
 
     Each step exponential cos(theta) + i sin(theta) K_g is applied to the
     whole stack in place, with K_g read from the cached term table; a step
-    is skipped when its term is masked out or theta is 0 for every sample.
+    is skipped unless its term is live: tau != 0 and some sample's coupling
+    on it is nonzero (a step with theta = 0 for every sample is the identity).
     """
     table = term_table(n, k)
     sectors = table.sectors
@@ -137,13 +142,12 @@ def _round_matrices(
     stack[:, sectors, np.arange(sectors.shape[1])] = 1.0
     buf = np.empty_like(stack)
     perm = np.empty_like(table.rows)
+    live = (couplings.any(axis=0) & (tau != 0)).tolist()
     for a_j, b_j in schedule.steps:
         i = b_j - 1
-        if mask is not None and mask[i] == 0:
+        if not live[i]:
             continue
         theta = a_j * couplings[:, i] * tau
-        if not theta.any():
-            continue
         table.permutation(i, out=perm)
         # perm is in range by construction; mode="clip" skips the copy that
         # take() makes for out= under the default bounds check.  perm keeps
@@ -171,11 +175,6 @@ def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
         base = base @ base
 
 
-def _check_trotter_number(r: int) -> None:
-    if r < 1:
-        raise ValueError("Trotter number r must be >= 1")
-
-
 def trotterized(
     instance: SykInstance, schedule: Schedule, t: float, r: int
 ) -> np.ndarray:
@@ -185,27 +184,21 @@ def trotterized(
             f"schedule has {schedule.gamma_count} terms, instance has "
             f"{instance.gamma_count}"
         )
-    _check_trotter_number(r)
+    if r < 1:
+        raise ValueError("Trotter number r must be >= 1")
     rounds = _round_matrices(instance.n, instance.k, instance.couplings[None],
-                             instance.mask, schedule, t / r)
+                             schedule, t / r)
     sectors = term_table(instance.n, instance.k).sectors
     return _from_blocks(_matrix_power(rounds[0], r), sectors)
 
 
-def _error_operator(
-    instance: SykInstance, schedule: Schedule, t: float, r: int
-) -> np.ndarray:
-    """The (B, W, W) parity blocks of the Trotter error operator
-    E = exp(iHt) - S_l(t/r)**r of one instance."""
-    _check_trotter_number(r)
-    return next(_error_operators([instance], schedule, t, r))
-
-
 def _error_operators(
-    instances: list[SykInstance], schedule: Schedule, t: float, r: int
+    instances: list[SykInstance], order: int, t: float, r: int
 ) -> Iterator[np.ndarray]:
-    """The (B, W, W) parity blocks of E of each instance, in order, for
-    instances that share (n, k, mask).
+    """The (B, W, W) parity blocks of the Trotter error operator
+    E = exp(iHt) - S_l(t/r)**r of each instance, in order, for instances
+    that share (n, k); the one entry of the error path.  It checks r and
+    builds the order-l schedule when first advanced.
 
     exp(iHt) is formed from the diagonal blocks of H, one eigh per block.
     The round matrices are built in stacks whose compressed layout takes at
@@ -214,7 +207,10 @@ def _error_operators(
     dropped once its E is formed, and E is yielded without a reference kept
     here: a consumer that drops each E holds one stack and one E at a time.
     """
-    n, k, mask = instances[0].n, instances[0].k, instances[0].mask
+    if r < 1:
+        raise ValueError("Trotter number r must be >= 1")
+    n, k = instances[0].n, instances[0].k
+    schedule = build_schedule(order, instances[0].gamma_count)
     sectors = term_table(n, k).sectors
     per_sample = np.dtype(complex).itemsize * sectors.size * sectors.shape[1]
     size = max(1, _STACK_BYTES // per_sample)
@@ -225,15 +221,14 @@ def _error_operators(
         evolutions = [exact_evolution(_blocks(assemble(instance), sectors), t)
                       for instance in chunk]
         couplings = np.array([instance.couplings for instance in chunk])
-        rounds = list(_round_matrices(n, k, couplings, mask, schedule, t / r))
+        rounds = list(_round_matrices(n, k, couplings, schedule, t / r))
         for _ in chunk:
             yield evolutions.pop(0) - _matrix_power(rounds.pop(0), r)
 
 
 def observed_error(instance: SykInstance, order: int, t: float, r: int, p: float) -> float:
     """Normalized Trotter error ||E||_p / D**(1/p); p = inf is the operator norm."""
-    schedule = build_schedule(order, instance.gamma_count)
-    err = _error_operator(instance, schedule, t, r)
+    err = next(_error_operators([instance], order, t, r))
     return schatten_norm(err, p) / hilbert_dim(instance.n) ** (1.0 / p)
 
 
@@ -255,14 +250,12 @@ def averaged_error(
             f"need 2 <= p < inf for the disorder-averaged error (--p; got {p}); "
             "for the operator norm use solve-r's finite p* = log(e^2 D/delta)"
         )
-    schedule = build_schedule(order, math.comb(n, k))
     scale = hilbert_dim(n) ** (1.0 / p)
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
-    _check_trotter_number(r)
     if kappa is None:
         instances = [sample_dense(n, k, energy_constant, seed, i) for i in range(num_disorder)]
-        est = expected_norm(_error_operators(instances, schedule, t, r), p)
+        est = expected_norm(_error_operators(instances, order, t, r), p)
         return replace(est, value=est.value / scale, stderr=est.stderr / scale)
     if num_bernoulli < 2:
         raise ValueError("need num_bernoulli >= 2 for a standard error")
@@ -274,7 +267,7 @@ def averaged_error(
                           coupling_index=b * num_disorder + i, mask=mask)
             for i in range(num_disorder)
         ]
-        est = expected_norm(_error_operators(instances, schedule, t, r), p)
+        est = expected_norm(_error_operators(instances, order, t, r), p)
         per_mask.append(est.value / scale)
     values = np.asarray(per_mask)
     stderr = float(values.std(ddof=1) / math.sqrt(num_bernoulli))
@@ -307,7 +300,6 @@ def fixed_state_error(
         )
     if abs(np.linalg.norm(state) - 1.0) > 1e-12:
         raise ValueError("input state must be normalized to 1 within 1e-12")
-    schedule = build_schedule(order, instance.gamma_count)
-    err = _error_operator(instance, schedule, t, r)
+    err = next(_error_operators([instance], order, t, r))
     psi = state[term_table(instance.n, instance.k).sectors, None]
     return float(np.linalg.norm(err @ psi))

@@ -304,6 +304,11 @@ class TestGateCount:
         assert gate_count(2, 70, 100, "log_n", 16) / base == pytest.approx(4.0)
         assert gate_count(2, 70, 100, "linear_n", 16) / base == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("r", [0, -5])
+    def test_rejects_r_below_one(self, r):
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must be >= 1"):
+            gate_count(1, 70, r)
+
     def test_fourth_order_stage_factor(self):
         assert gate_count(4, 10, 10) == 10 * 10 * stage_count(4)
         assert stage_count(4) == 10

@@ -130,7 +130,7 @@ class TestAnticommutationRows:
     def test_rows_match_build_graph(self, terms):
         """The rows are packed from build_graph's adjacency, so both are
         checked against the pairwise rule of pauli.commutes."""
-        adj = build_graph(terms).adjacency
+        adj = build_graph(terms)
         rows = terms.anticommuting
         assert len(rows) == terms.m
         for i, row in enumerate(rows):
@@ -334,25 +334,24 @@ class TestLemmaE:
 class TestGraph:
     def test_regularity_full_syk(self):
         # n = 6, k = 4: 15 vertices, each with exactly Q(6,4) = 8 partners
-        g = build_graph(syk_termset(6, 4))
-        assert g.num_vertices == 15
-        assert all(g.degree(v) == 8 for v in range(15))
+        adj = build_graph(syk_termset(6, 4))
+        assert adj.shape == (15, 15) and adj.dtype == bool
+        assert adj.sum(axis=1).tolist() == [8] * 15
 
     def test_edges_symmetric_no_loops(self):
-        g = build_graph(syk_termset(6, 3))
-        adj = g.adjacency
+        adj = build_graph(syk_termset(6, 3))
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
 
     def test_matches_pairwise_commutes(self):
         terms = syk_termset(6, 3)
-        g = build_graph(terms)
+        adj = build_graph(terms)
         from syklab.pauli import commutes
 
         for i in range(terms.m):
             for j in range(terms.m):
                 expected = i != j and not commutes(terms.terms[i], terms.terms[j])
-                assert bool(g.adjacency[i, j]) == expected
+                assert bool(adj[i, j]) == expected
 
     def test_matches_pairwise_commutes_uint16_masks(self):
         """n = 18 puts the masks on 9 qubits, past uint8."""
@@ -362,7 +361,7 @@ class TestGraph:
         terms = syk_termset(18, 4, [all_edges[i] for i in picked])
         biggest = max(max(t.x_mask, t.z_mask) for t in terms.terms)
         assert np.min_scalar_type(biggest) == np.uint16
-        adj = build_graph(terms).adjacency
+        adj = build_graph(terms)
         for i in range(terms.m):
             for j in range(terms.m):
                 expected = i != j and not commutes(terms.terms[i], terms.terms[j])
@@ -380,9 +379,9 @@ class TestColoring:
         # chi_1 ... chi_m pairwise anticommute: K_m
         for m in (2, 3, 5):
             terms = TermSet(tuple(jordan_wigner(i, 6) for i in range(1, m + 1)))
-            g = build_graph(terms)
-            assert len(g.edges) == m * (m - 1) // 2
-            assert greedy_coloring(g) == m
+            adj = build_graph(terms)
+            assert adj.sum() == m * (m - 1)  # each edge once in each direction
+            assert greedy_coloring(adj) == m
 
     @pytest.mark.parametrize("n", [6, 8, 10, 12], ids=lambda n: f"{n}-natural")
     def test_at_most_q_plus_one(self, n):
@@ -392,15 +391,15 @@ class TestColoring:
     def test_proper_coloring_reconstruction(self):
         """Re-run the greedy loop and verify no edge is monochromatic."""
         terms = syk_termset(8, 4)
-        g = build_graph(terms)
-        m = g.num_vertices
+        adj = build_graph(terms)
+        m = len(adj)
         colors = np.full(m, -1)
         for v in range(m):
-            used = set(colors[g.adjacency[v]][colors[g.adjacency[v]] >= 0].tolist())
+            used = set(colors[adj[v]][colors[adj[v]] >= 0].tolist())
             c = 0
             while c in used:
                 c += 1
             colors[v] = c
-        assert int(colors.max()) + 1 == greedy_coloring(g)
-        for i, j in g.edges:
+        assert int(colors.max()) + 1 == greedy_coloring(adj)
+        for i, j in zip(*np.nonzero(adj)):
             assert colors[i] != colors[j]

@@ -383,11 +383,11 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,message", [
         (["bounds", "--n", "8", "--k", "4", "--p", "1"], "norm order p (--p)"),
-        (["solve-r", "--epsilon", "-1"], "epsilon must be positive"),
+        (["solve-r", "--n", "8", "--epsilon", "-1"], "epsilon must be positive"),
         (["evolve", "--n", "7"], "n must be even"),
         (["scan-n", "--n", "6,x"], "n_list (--n) needs"),
         (["bounds", "--n", ","], "n_list (--n) needs comma-separated integers, got ','"),
-        (["solve-r", "--t", "0"], "the solver needs time t (--t) > 0"),
+        (["solve-r", "--n", "8", "--t", "0"], "the solver needs time t (--t) > 0"),
         (["scan-t", "--t-min", "0"], "t scan needs 0 < t_min (--t-min) < t_max (--t-max)"),
         (["scan-t", "--t-min", "1", "--t-max", "1"],
          "t scan needs 0 < t_min (--t-min) < t_max (--t-max)"),
@@ -399,6 +399,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"syklab: error: {message}" in err
+
+    @pytest.mark.parametrize("n,k,r,message", [
+        ("8", "4", "-5", "Trotter number r (--r) must be >= 1, got -5"),
+        ("8", "4", "0", "Trotter number r (--r) must be >= 1, got 0"),
+        ("7", "4", "100", "n must be even and >= 2, got 7"),
+        ("8", "9", "100", "k must satisfy 1 <= k <= n, got k=9, n=8"),
+        ("8", "0", "100", "k must satisfy 1 <= k <= n, got k=0, n=8"),
+    ])
+    def test_gatecount_rejects_a_model_that_does_not_exist(self, n, k, r, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gatecount", "--n", n, "--k", k, "--r", r])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"syklab: error: {message}"
+
+    @pytest.mark.parametrize("argv", [
+        ["scan-t", "--k", "3", "--r", "4", "--n-disorder", "2", "--t-points", "3",
+         "--t-min", "1", "--t-max", "2"],
+        ["solve-r", "--k", "4"],
+        ["gatecount", "--k", "4", "--r", "100"],
+        ["bounds", "--k", "4"],
+        ["gen", "--k", "4"],
+        ["evolve", "--k", "4"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("n", [None, "6,8"], ids=["default-n", "two-n"])
+    def test_one_n_command_refuses_a_list(self, argv, n, capsys):
+        """A command that takes one n refuses several (the default 6,8,10
+        too) instead of computing for the first and dropping the rest."""
+        listed = n or "6,8,10"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + (["--n", n] if n else []))
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"syklab: error: {argv[0]} takes one n (--n), got {listed}")
 
     def test_malformed_instance_is_a_one_line_message(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -503,7 +540,7 @@ class TestCli:
         assert float(row["observed"]) > 0 and float(row["bound"]) == 0.0
         assert code == 1
         with pytest.raises(SystemExit) as exit_info:
-            main(["bounds", "--model", "sparse", "--l", "1"])
+            main(["bounds", "--model", "sparse", "--n", "8", "--l", "1"])
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"syklab: error: {message}"
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from syklab.model import (
+    _gaussian,
     bernoulli_probability,
     from_json,
     ordering_map,
@@ -15,6 +16,7 @@ from syklab.model import (
     sample_dense,
     sample_sparse,
     sigma_dense,
+    stream_rng,
     to_json,
 )
 
@@ -140,6 +142,50 @@ class TestSerialization:
 
 def _doc(instance) -> dict:
     return json.loads(to_json(instance))
+
+
+class TestSparseCouplings:
+    """A sparse instance stores b_g J_g: +0.0 exactly where the mask deletes
+    a term, and the raw stream draw J_g everywhere else."""
+
+    @staticmethod
+    def _raw_draw(inst, coupling_index):
+        rng = stream_rng(inst.seed, "sparse_couplings", coupling_index)
+        return _gaussian(rng, inst.sigma, inst.gamma_count)
+
+    @staticmethod
+    def _assert_deleted_terms_are_zero(couplings, mask, raw):
+        deleted = mask == 0
+        assert np.any(raw[deleted] < 0)  # a product b * J would give -0.0 here
+        assert np.all(couplings[deleted] == 0.0)
+        assert not np.any(np.signbit(couplings[deleted]))
+        assert np.array_equal(couplings[~deleted], raw[~deleted])
+
+    @pytest.mark.parametrize("coupling_index", [0, 3])
+    def test_sample_sparse(self, coupling_index):
+        inst = sample_sparse(10, 4, kappa=4.0, seed=61, coupling_index=coupling_index)
+        assert 0 < inst.mask.sum() < inst.gamma_count
+        self._assert_deleted_terms_are_zero(
+            inst.couplings, inst.mask, self._raw_draw(inst, coupling_index))
+
+    def test_from_json_and_to_json(self):
+        inst = sample_sparse(10, 4, kappa=4.0, seed=62)
+        raw = self._raw_draw(inst, 0)
+        written = np.array(_doc(inst)["couplings"])  # JSON keeps the sign of 0.0
+        self._assert_deleted_terms_are_zero(written, inst.mask, raw)
+        self._assert_deleted_terms_are_zero(
+            from_json(to_json(inst)).couplings, inst.mask, raw)
+
+    def test_older_document_with_masked_couplings_loads_zeroed(self):
+        """Documents that kept J_g under a deleted term still load, to the
+        same couplings as the instance they were written from."""
+        inst = sample_sparse(10, 4, kappa=4.0, seed=63)
+        raw = self._raw_draw(inst, 0)
+        doc = dict(_doc(inst), couplings=raw.tolist())
+        assert np.any(raw[inst.mask == 0] != 0.0)
+        back = from_json(json.dumps(doc))
+        self._assert_deleted_terms_are_zero(back.couplings, back.mask, raw)
+        assert np.array_equal(back.couplings, inst.couplings)
 
 
 class TestFromJsonValidation:

@@ -161,7 +161,7 @@ def _stack(instances, schedule, tau):
     """The kernel's (N, B, W, W) parity blocks, each sample placed into D x D."""
     first = instances[0]
     couplings = np.array([inst.couplings for inst in instances])
-    blocks = trotter._round_matrices(first.n, first.k, couplings, first.mask, schedule, tau)
+    blocks = trotter._round_matrices(first.n, first.k, couplings, schedule, tau)
     sectors = term_table(first.n, first.k).sectors
     assert blocks.shape == (len(instances),) + sectors.shape + sectors.shape[-1:]
     return np.array([trotter._from_blocks(mat, sectors) for mat in blocks])
@@ -191,6 +191,21 @@ class TestRoundMatrices:
         instances = [sample_sparse(10, 4, kappa=4.0, seed=51, coupling_index=i, mask=mask)
                      for i in range(4)]
         _assert_stack_is_separate_calls(instances, build_schedule(2, len(mask)), 0.4)
+
+    def test_sparse_stack_of_different_masks(self):
+        """A deleted term is a zero coupling, so samples with different masks
+        share a stack: a term deleted in one sample and live in another
+        leaves the first sample's bits as a one-sample call does."""
+        instances = [
+            sample_sparse(10, 4, kappa=4.0, seed=51, coupling_index=i,
+                          mask=sample_bernoulli_mask(10, 4, 4.0, 51, i)[0])
+            for i in range(4)
+        ]
+        masks = np.array([inst.mask for inst in instances])
+        assert len({mask.tobytes() for mask in masks}) == 4
+        assert np.any(masks.any(axis=0) & ~masks.all(axis=0))
+        _assert_stack_is_separate_calls(
+            instances, build_schedule(2, instances[0].gamma_count), 0.4)
 
     def test_all_zero_coupling_row_gives_identity(self):
         instances = [sample_dense(8, 4, seed=52, sample_index=i) for i in range(3)]
@@ -380,6 +395,15 @@ class TestAveragedError:
         with pytest.raises(ValueError, match="Trotter number"):
             averaged_error(6, 3, 1, 0.5, 0, 2, 41, 3)
 
+    @pytest.mark.parametrize("r", [0, -3])
+    def test_sparse_rejects_r_below_one_before_any_work(self, monkeypatch, r):
+        def no_work(*args):
+            raise AssertionError("a Hamiltonian was assembled")
+
+        monkeypatch.setattr(trotter, "assemble", no_work)
+        with pytest.raises(ValueError, match="Trotter number"):
+            averaged_error(6, 3, 1, 0.5, r, 2, 41, 3, kappa=4.0, num_bernoulli=2)
+
 
 class TestFixedStateError:
     def test_t_zero(self):
@@ -470,7 +494,7 @@ class TestFixedStateError:
         def no_work(*args):
             raise AssertionError("the error operator was formed")
 
-        monkeypatch.setattr(trotter, "_error_operator", no_work)
+        monkeypatch.setattr(trotter, "_error_operators", no_work)
         inst = sample_dense(8, 4, seed=48)  # D = 16
         state = np.zeros(shape, dtype=complex)
         state.flat[0] = 1.0
