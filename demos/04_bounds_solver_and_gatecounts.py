@@ -21,7 +21,7 @@ from syklab.bounds import (
     delta_l_dense,
     delta_l_sparse,
     error_bound,
-    gate_count,
+    gate_counts,
     loglog_fit,
     q_of,
     solve_trotter_number,
@@ -54,7 +54,6 @@ assert error_bound(base) == delta1_dense(base)
 print(f"\nminimal Trotter number for epsilon={epsilon}, delta={delta}:")
 for mode in ("operator_norm", "fixed_state"):
     r = solve_trotter_number(SolverInput(epsilon, delta, mode, base))
-    gates = {ov: gate_count(1, math.comb(n, k), r, ov, n)
-             for ov in ("none", "log_n", "linear_n")}
+    gates = gate_counts(1, math.comb(n, k), r, n)
     print(f"  {mode:>14}: r = {r:>8}  gates = {gates['none']:.3e} "
           f"(x{math.ceil(math.log2(n))} ternary-tree, x{n} Jordan-Wigner)")

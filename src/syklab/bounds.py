@@ -49,7 +49,7 @@ __all__ = [
     "delta_l_sparse",
     "error_bound",
     "solve_trotter_number",
-    "gate_count",
+    "gate_counts",
     "error_ratio",
     "loglog_fit",
 ]
@@ -310,7 +310,7 @@ class SolverInput:
         return 2.0 + log_dim - math.log(self.delta)
 
 
-class ContractError(RuntimeError):
+class ContractError(ValueError):
     """The bound violated the solver's monotonicity contract."""
 
 
@@ -354,23 +354,14 @@ def solve_trotter_number(inp: SolverInput) -> int:
     return r
 
 
-def gate_count(
-    order: int, gamma: int, r: int, overhead: str = "none", n: int | None = None
-) -> float:
-    """Gate complexity Upsilon(l) * Gamma * r, times the fermion-to-qubit
-    overhead: 1 (none), log2(n) (ternary tree), or n (Jordan-Wigner)."""
+def gate_counts(order: int, gamma: int, r: int, n: int) -> dict[str, float]:
+    """Gate complexity Upsilon(l) * Gamma * r of n Majoranas under each
+    fermion-to-qubit overhead: {"none": 1, "log_n": log2(n) (ternary tree),
+    "linear_n": n (Jordan-Wigner)} times the plain product."""
     if r < 1:
         raise ValueError(f"Trotter number r (--r) must be >= 1, got {r}")
     base = stage_count(order) * gamma * r
-    if overhead == "none":
-        return float(base)
-    if n is None or n < 2:
-        raise ValueError("overhead modes log_n/linear_n need n >= 2")
-    if overhead == "log_n":
-        return base * math.log2(n)
-    if overhead == "linear_n":
-        return float(base * n)
-    raise ValueError(f"unknown overhead mode {overhead!r}")
+    return {"none": float(base), "log_n": base * math.log2(n), "linear_n": float(base * n)}
 
 
 def error_ratio(observed, bound: float) -> tuple[float, float]:

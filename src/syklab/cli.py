@@ -16,6 +16,7 @@ code is 0 only if every row succeeded and every requested check passed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .experiments import (
@@ -39,9 +40,26 @@ def _comma_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split(","))
 
 
+def _number(raw: str) -> float:
+    """The value of ``--p``: any float but nan (inf is the operator norm)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"needs a number, got {raw!r}")
+    return value
+
+
+def _finite(raw: str) -> float:
+    """The value of every other float flag: a number but +-inf."""
+    if math.isinf(value := _number(raw)):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {raw!r}")
+    return value
+
+
 # what a converter needs, for the message that rejects a value
-_NEEDS = {int: "an integer", float: "a number",
-          _comma_ints: "comma-separated integers"}
+_NEEDS = {int: "an integer", _comma_ints: "comma-separated integers"}
 
 
 def _parse_value(key: str, raw: str):
@@ -65,6 +83,8 @@ def _parse_value(key: str, raw: str):
         value = convert(raw)
     except ValueError:
         raise ValueError(f"{name} needs {_NEEDS[convert]}, got {raw!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{name} {exc}") from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"{name} needs one of {'/'.join(action.choices)}, got {raw!r}")
     return value
@@ -92,23 +112,23 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated even n values, e.g. 6,8,10")
     parser.add_argument("--k", type=int)
     parser.add_argument("--l", type=int, help="product-formula order (1 or even)")
-    parser.add_argument("--p", type=float,
+    parser.add_argument("--p", type=_number,
                         help="Schatten order, 2 <= p < inf (evolve also takes inf, "
                              "the operator norm of one instance)")
-    parser.add_argument("--t", type=float)
-    parser.add_argument("--t-min", dest="t_min", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=float)
+    parser.add_argument("--t", type=_finite)
+    parser.add_argument("--t-min", dest="t_min", type=_finite)
+    parser.add_argument("--t-max", dest="t_max", type=_finite)
     parser.add_argument("--t-points", dest="t_points", type=int)
     parser.add_argument("--r", type=int, help="Trotter number")
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--energy-constant", dest="energy_constant", type=float)
+    parser.add_argument("--kappa", type=_finite)
+    parser.add_argument("--energy-constant", dest="energy_constant", type=_finite)
     parser.add_argument("--n-disorder", dest="N_disorder", type=int)
     parser.add_argument("--n-bernoulli", dest="N_bernoulli", type=int)
     parser.add_argument("--seed", dest="master_seed", type=int)
     parser.add_argument("--prefactor-mode", dest="prefactor_mode",
                         choices=["full", "unit"])
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--delta", type=float)
+    parser.add_argument("--epsilon", type=_finite)
+    parser.add_argument("--delta", type=_finite)
     parser.add_argument("--bound-only", dest="bound_only", action="store_true",
                         default=None)
     parser.add_argument("--timing", action="store_true", default=None)

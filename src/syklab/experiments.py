@@ -142,14 +142,14 @@ def _one_n(config: ExperimentConfig) -> int:
     return config.n_list[0]
 
 
-def _bound(config: ExperimentConfig, n: int, t: float) -> float:
-    """The config's error bound at (n, t): sparse for the sparse model."""
-    return bounds.error_bound(bounds.BoundInput(
-        n=n, k=config.k, l=config.l, p=config.p, t=t, r=config.r,
-        energy_constant=config.energy_constant,
+def _bound_input(config: ExperimentConfig, n: int, t: float, p: float,
+                 r: int) -> bounds.BoundInput:
+    """The config's bound parameters at (n, t, p, r), sparse for the sparse model."""
+    return bounds.BoundInput(
+        n=n, k=config.k, l=config.l, p=p, t=t, r=r,
+        energy_constant=config.energy_constant, prefactor_mode=config.prefactor_mode,
         kappa=config.kappa if config.model == "sparse" else None,
-        prefactor_mode=config.prefactor_mode,
-    ))
+    )
 
 
 def worker_count() -> int:
@@ -184,7 +184,7 @@ def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) ->
     # the first that failed
     errors = []
     try:
-        row.bound = _bound(config, n, t)
+        row.bound = bounds.error_bound(_bound_input(config, n, t, config.p, config.r))
     except Exception as exc:  # a row failure must not kill the run
         errors.append(exc)
     if not config.bound_only:
@@ -256,12 +256,7 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
 def cmd_solve_r(config: ExperimentConfig) -> str:
     """Minimal Trotter numbers and implied gate counts, both solver modes."""
     n = _one_n(config)
-    base = bounds.BoundInput(  # the solver sets its own p = p* and r
-        n=n, k=config.k, l=config.l, p=2.0, t=config.t, r=1,
-        energy_constant=config.energy_constant,
-        kappa=config.kappa if config.model == "sparse" else None,
-        prefactor_mode=config.prefactor_mode,
-    )
+    base = _bound_input(config, n, config.t, p=2.0, r=1)  # the solver sets p = p*, r
     gamma = math.comb(n, config.k)
     lines = [
         f"solve-r: n={n} k={config.k} l={config.l} model={config.model} "
@@ -277,8 +272,7 @@ def cmd_solve_r(config: ExperimentConfig) -> str:
             f"  {mode}: r = {r}  (lambda(p*, r) = {lam:.6e} <= {target:.6e}, "
             f"p* = {p_star:.4f})"
         )
-        for overhead in ("none", "log_n", "linear_n"):
-            g = bounds.gate_count(config.l, gamma, r, overhead, n)
+        for overhead, g in bounds.gate_counts(config.l, gamma, r, n).items():
             lines.append(f"    gate count [{overhead}]: {g:.6e}")
     return "\n".join(lines)
 
@@ -290,8 +284,7 @@ def cmd_gatecount(config: ExperimentConfig) -> str:
     ups = trotter.stage_count(config.l)
     lines = [f"gatecount: n={n} k={config.k} l={config.l} Gamma={gamma} "
              f"Upsilon={ups} r={config.r}"]
-    for overhead in ("none", "log_n", "linear_n"):
-        g = bounds.gate_count(config.l, gamma, config.r, overhead, n)
+    for overhead, g in bounds.gate_counts(config.l, gamma, config.r, n).items():
         lines.append(f"  [{overhead}]: {g:.6e}")
     return "\n".join(lines)
 
@@ -299,7 +292,7 @@ def cmd_gatecount(config: ExperimentConfig) -> str:
 def cmd_bounds(config: ExperimentConfig) -> str:
     """Evaluate the analytical bound for the configured parameters."""
     n = _one_n(config)
-    value = _bound(config, n, config.t)
+    value = bounds.error_bound(_bound_input(config, n, config.t, config.p, config.r))
     kind = f"Delta_{config.l}" + ("^sparse" if config.model == "sparse" else "")
     return (
         f"{kind}(n={n}, k={config.k}, p={config.p}, t={config.t}, "

@@ -92,53 +92,53 @@ def term_operator(hyperedge: Sequence[int], n: int) -> PauliString:
 
 @dataclass(frozen=True, eq=False)
 class TermTable:
-    """Read-only term set of all C(n,k) SYK term operators.
+    """Read-only term set of all C(n,k) SYK term operators, in parity-block
+    coordinates.
 
     Term g belongs to the g-th hyperedge of ``model.ordering_map(n, k)``;
-    ``terms[g]`` is its :class:`PauliString` K_g.  K_g has one nonzero entry
-    per row of the D x D matrix,
-
-        K_g[b, perm[b]] = coeff[b],  perm = permutation(g),
-                                     coeff = permuted_coefficients(g),
-
-    so (K_g @ M)[b] = coeff[b] * M[perm[b]].  Stored compactly: perm[b] is
-    b ^ x_masks[g], derived on use, and coeff[b] = phases[g] * signs[g, b]
-    with int8 signs.  ``signs`` (Gamma * D bytes, most of the table) is built
-    on first read, so a caller that reads only ``terms`` never pays for it;
-    the rest takes about Gamma * 88 + D * 16 bytes (64 per term).  ``sectors``
-    holds the (B, W) basis indices of the parity sectors that every K_g
-    keeps: even and odd popcount for even k, all D indices for odd k.
+    ``terms[g]`` is its :class:`PauliString` K_g.  Every K_g keeps the B
+    parity sectors of width W = D/B that ``sectors`` lists in increasing
+    order: even and odd popcount for even k (B = 2), all D indices for odd k
+    (B = 1).  This is the one map from a basis index b to its (sector,
+    position) coordinates: b = sectors[q, j] with j = b >> (B - 1), as one of
+    2j and 2j + 1 has each parity.  In every sector K_g maps position j to
+    perm[j] = j ^ (x_g >> (B - 1)) with coefficient coeff[q, j] (perm =
+    permutation(g), coeff = permuted_coefficients(g)), so block q of K_g @ M
+    has row j = coeff[q, j] * M_q[perm[j]].  ``rows`` is ``sectors`` raveled
+    (a view), and K_g[rows, rows ^ x_g] = coeff.ravel().  Stored compactly:
+    perm is derived on use, and coeff = phases[g] * signs[g] with int8 signs.
+    ``signs`` (Gamma * D bytes, most of the table) is built on first read, so
+    a caller that reads only ``terms`` never pays for it; the rest takes at
+    most Gamma * 88 + D * 16 bytes (64 per term).
     """
 
     n: int
     k: int
     terms: tuple[PauliString, ...]
-    rows: np.ndarray  # (D,) intp, 0 .. D-1
     x_masks: np.ndarray  # (Gamma,) intp
     phases: np.ndarray  # (Gamma,) complex, i**phase_exp
     sectors: np.ndarray  # (B, W) intp
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    rows: np.ndarray  # (D,) intp, sectors.ravel()
+    positions: np.ndarray  # (W,) intp, 0 .. W-1
 
     @cached_property
     def signs(self) -> np.ndarray:
-        """(Gamma, D) int8 +-1: the sign of K_g's entry in row b."""
-        signs = np.empty((len(self.terms), self.dim), dtype=np.int8)
+        """(Gamma, B, W) int8 +-1: the sign of K_g's entry in row sectors[q, j]."""
+        signs = np.empty((len(self.terms),) + self.sectors.shape, dtype=np.int8)
         for g, pauli in enumerate(self.terms):
-            parity = np.bitwise_count((self.rows ^ pauli.x_mask) & pauli.z_mask) & 1
+            parity = np.bitwise_count((self.sectors ^ pauli.x_mask) & pauli.z_mask) & 1
             signs[g] = 1 - 2 * parity.astype(np.int8)
         signs.flags.writeable = False
         return signs
 
     def permutation(self, g: int, out: np.ndarray | None = None) -> np.ndarray:
-        """perm[b] = b ^ x_g, written to ``out`` when given."""
-        return np.bitwise_xor(self.rows, self.x_masks[g], out=out)
+        """perm[j] = j ^ (x_g >> (B - 1)), written to ``out`` when given."""
+        shift = len(self.sectors) - 1
+        return np.bitwise_xor(self.positions, self.x_masks[g] >> shift, out=out)
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
-        """scale * coeff: the nonzero entries of scale * K_g, row by row; an
-        (N, 1) array of scales gives the (N, D) entries of N multiples."""
+        """scale * coeff: the (B, W) nonzero entries of scale * K_g; an
+        (N, 1, 1) array of scales gives the (N, B, W) entries of N multiples."""
         return (scale * self.phases[g]) * self.signs[g]
 
 
@@ -148,14 +148,15 @@ _TABLE_LOCK = threading.Lock()
 @lru_cache(maxsize=32)
 def _build_term_table(n: int, k: int) -> TermTable:
     terms = tuple(term_operator(edge, n) for edge in ordering_map(n, k))
-    rows = np.arange(hilbert_dim(n))
+    basis = np.arange(hilbert_dim(n))
     x_masks = np.array([pauli.x_mask for pauli in terms], dtype=np.intp)
     phases = np.array([1j**pauli.phase_exp for pauli in terms], dtype=complex)
-    parity = np.bitwise_count(rows) & 1 if k % 2 == 0 else np.zeros_like(rows)
-    sectors = np.stack([rows[parity == q] for q in np.unique(parity)])
-    for array in (rows, x_masks, phases, sectors):
+    parity = np.bitwise_count(basis) & 1 if k % 2 == 0 else np.zeros_like(basis)
+    sectors = np.stack([basis[parity == q] for q in np.unique(parity)])
+    positions = np.arange(sectors.shape[1])
+    for array in (x_masks, phases, sectors, positions):
         array.flags.writeable = False
-    return TermTable(n, k, terms, rows, x_masks, phases, sectors)
+    return TermTable(n, k, terms, x_masks, phases, sectors, sectors.ravel(), positions)
 
 
 def term_table(n: int, k: int) -> TermTable:

@@ -32,7 +32,7 @@ DEFAULT_DIM_CAP = 1 << 10
 _HERMITICITY_TOL = 1e-10  # relative to the Frobenius norm
 
 
-class ResourceError(RuntimeError):
+class ResourceError(ValueError):
     """Raised when a requested dense computation exceeds the dimension cap."""
 
 
@@ -55,7 +55,8 @@ def assemble(instance: SykInstance) -> np.ndarray:
     for i, coupling in enumerate(instance.couplings):
         if coupling == 0.0:
             continue
-        ham[table.rows, table.permutation(i)] += table.permuted_coefficients(i, coupling)
+        coeff = table.permuted_coefficients(i, coupling).ravel()
+        ham[table.rows, table.rows ^ table.x_masks[i]] += coeff
     return ham
 
 

@@ -79,8 +79,8 @@ def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
     kappa*n exceeds the number of available terms.
     """
     _validate_nk(n, k)
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not kappa >= 0:  # nan too: min(1.0, nan) would keep every term
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
     raw = kappa * n / math.comb(n, k)
     return min(1.0, raw), raw > 1.0
 
@@ -146,13 +146,11 @@ def sample_dense(
 
 def sample_bernoulli_mask(
     n: int, k: int, kappa: float, seed: int = 0, sample_index: int = 0
-) -> tuple[np.ndarray, float, bool]:
-    """Sample just the sparse mask; returns (mask, p_B, clamped)."""
-    p_b, clamped = bernoulli_probability(n, k, kappa)
-    gamma_count = math.comb(n, k)
+) -> np.ndarray:
+    """Sample just the sparse mask b: (C(n,k),) int8, each entry 1 w.p. p_B."""
+    p_b, _ = bernoulli_probability(n, k, kappa)
     rng = stream_rng(seed, "sparse_mask", sample_index)
-    mask = (rng.random(gamma_count) < p_b).astype(np.int8)
-    return mask, p_b, clamped
+    return (rng.random(math.comb(n, k)) < p_b).astype(np.int8)
 
 
 def sample_sparse(
@@ -174,7 +172,7 @@ def sample_sparse(
     """
     p_b, clamped = bernoulli_probability(n, k, kappa)
     if mask is None:
-        mask = sample_bernoulli_mask(n, k, kappa, seed)[0]
+        mask = sample_bernoulli_mask(n, k, kappa, seed)
     mask = np.asarray(mask, dtype=np.int8)
     gamma_count = math.comb(n, k)
     if len(mask) != gamma_count:

@@ -10,27 +10,26 @@ application order (steps[0] acts on the state first).  The recursion
 flattens to Upsilon = 2 * 5**(l/2 - 1) sweeps per round, each sweep a forward
 or reverse pass over all Gamma terms.
 
-Round matrices are built by one kernel, ``_round_matrices``, on a stack of N
-samples that share (n, k): each schedule step is one ``take`` of the stack's
-rows along K_g's permutation, one coefficient multiply, one cos scale and one
-add for all N samples.  A deleted sparse term is a zero coupling, so the
-kernel reads only couplings and the samples' masks may differ.  For even k
-every x_g has even popcount, so H, exp(iHt) and S_l(tau) keep the parity of
-the basis index: each is block diagonal with B = 2 parity sectors of width
-W = D/2.  Odd k maps one parity to the other and has one sector, B = 1 and
-W = D, in the same code.  The permutations, coefficients and sectors are
-read from the one cached term set ``fermions.term_table(n, k)``.  A round is
-advanced in a (D, W) row-compressed layout (row b keeps only the columns of
-its own sector) and read out as its (B, W, W) stack of diagonal blocks by a
-row gather.
+For even k every x_g has even popcount, so H, exp(iHt) and S_l(tau) keep the
+parity of the basis index: each is block diagonal with B = 2 parity sectors
+of width W = D/2.  Odd k maps one parity to the other and has one sector,
+B = 1 and W = D, in the same code.  Round matrices are built by one kernel,
+``_round_matrices``, on the (N, B, W, W) parity-block stack of N samples that
+share (n, k), in the (sector, position) coordinates of the one cached term
+set ``fermions.term_table(n, k)``: each schedule step is one ``take`` of
+every block's rows along K_g's in-sector permutation, one coefficient
+multiply, one cos scale and one add for all N samples.  A deleted sparse
+term is a zero coupling, so the kernel reads only couplings and the samples'
+masks may differ.
 
 The error operator E = exp(iHt) - S_l(t/r)**r, its power and its Schatten
-norm are all formed on that block stack by one entry, ``_error_operators``,
-which checks r and builds the schedule; only ``trotterized`` places the
-blocks into a D x D matrix.  ``averaged_error`` passes the samples of one
-average in stacks of at most ``_STACK_BYTES``.  Every round-matrix entry
-goes through the same floating-point operations as a one-matrix, full-D
-build, so the rounds are bit-identical to it.
+norm are all formed on parity blocks by one entry, ``_error_operators``,
+which checks r and builds the schedule.  Blocks meet D space only where H
+comes from ``assemble``, ``fixed_state_error`` splits its state and
+``trotterized`` returns a D x D matrix.  ``averaged_error`` passes the
+samples of one average in stacks of at most ``_STACK_BYTES``.  Every
+round-matrix entry goes through the same floating-point operations as a
+one-matrix, full-D build, so the rounds are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ __all__ = [
     "fixed_state_error",
 ]
 
-# Bytes of row-compressed round matrices in one stack: with its take() buffer
-# it stays well inside a 2 MiB L2, and at D = 256 a stack holds one sample.
+# Bytes of round-matrix parity blocks in one stack: with its take() buffer it
+# stays well inside a 2 MiB L2, and at D = 256 a stack holds one sample.
 _STACK_BYTES = 256 * 1024
 
 
@@ -136,12 +135,10 @@ def _round_matrices(
     on it is nonzero (a step with theta = 0 for every sample is the identity).
     """
     table = term_table(n, k)
-    sectors = table.sectors
-    # row sectors[q, j] of the compressed layout holds columns sectors[q]
-    stack = np.zeros((len(couplings), table.dim, sectors.shape[1]), dtype=complex)
-    stack[:, sectors, np.arange(sectors.shape[1])] = 1.0
+    num_blocks, width = table.sectors.shape
+    stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
     buf = np.empty_like(stack)
-    perm = np.empty_like(table.rows)
+    perm = np.empty_like(table.positions)
     live = (couplings.any(axis=0) & (tau != 0)).tolist()
     for a_j, b_j in schedule.steps:
         i = b_j - 1
@@ -150,14 +147,12 @@ def _round_matrices(
         theta = a_j * couplings[:, i] * tau
         table.permutation(i, out=perm)
         # perm is in range by construction; mode="clip" skips the copy that
-        # take() makes for out= under the default bounds check.  perm keeps
-        # the parity of the row, so compressed rows permute as full ones.
-        np.take(stack, perm, axis=1, out=buf, mode="clip")
-        buf *= table.permuted_coefficients(i, 1j * np.sin(theta)[:, None])[:, :, None]
-        stack *= np.cos(theta)[:, None, None]
+        # take() makes for out= under the default bounds check
+        np.take(stack, perm, axis=2, out=buf, mode="clip")
+        buf *= table.permuted_coefficients(i, 1j * np.sin(theta)[:, None, None])[..., None]
+        stack *= np.cos(theta)[:, None, None, None]
         stack += buf
-    del buf  # freed before the gather copies the stack
-    return stack[:, sectors]
+    return stack
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
@@ -201,11 +196,11 @@ def _error_operators(
     builds the order-l schedule when first advanced.
 
     exp(iHt) is formed from the diagonal blocks of H, one eigh per block.
-    The round matrices are built in stacks whose compressed layout takes at
-    most ``_STACK_BYTES`` (at least one sample), after the exp(iHt) of the
-    stack's samples, as for one instance.  Each exp(iHt) and round matrix is
-    dropped once its E is formed, and E is yielded without a reference kept
-    here: a consumer that drops each E holds one stack and one E at a time.
+    The round matrices are built in stacks of at most ``_STACK_BYTES`` (at
+    least one sample), after the exp(iHt) of the stack's samples, as for one
+    instance.  Each exp(iHt) and round matrix is dropped once its E is
+    formed, and E is yielded without a reference kept here: a consumer that
+    drops each E holds one stack and one E at a time.
     """
     if r < 1:
         raise ValueError("Trotter number r must be >= 1")
@@ -261,7 +256,7 @@ def averaged_error(
         raise ValueError("need num_bernoulli >= 2 for a standard error")
     per_mask = []
     for b in range(num_bernoulli):
-        mask, _, _ = sample_bernoulli_mask(n, k, kappa, seed, b)
+        mask = sample_bernoulli_mask(n, k, kappa, seed, b)
         instances = [
             sample_sparse(n, k, energy_constant, kappa, seed,
                           coupling_index=b * num_disorder + i, mask=mask)

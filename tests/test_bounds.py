@@ -17,7 +17,7 @@ from syklab.bounds import (
     delta_l_sparse_general,
     error_bound,
     error_ratio,
-    gate_count,
+    gate_counts,
     log_prefactor_higher,
     log_prefactor_sparse,
     loglog_fit,
@@ -297,20 +297,21 @@ class TestSolver:
 
 class TestGateCount:
     def test_plain_product(self):
-        assert gate_count(2, 70, 100) == 14000
+        assert gate_counts(2, 70, 100, 16)["none"] == 14000
 
     def test_overhead_ratio(self):
-        base = gate_count(2, 70, 100, "none", 16)
-        assert gate_count(2, 70, 100, "log_n", 16) / base == pytest.approx(4.0)
-        assert gate_count(2, 70, 100, "linear_n", 16) / base == pytest.approx(16.0)
+        counts = gate_counts(2, 70, 100, 16)
+        assert list(counts) == ["none", "log_n", "linear_n"]
+        assert counts["log_n"] / counts["none"] == pytest.approx(4.0)
+        assert counts["linear_n"] / counts["none"] == pytest.approx(16.0)
 
     @pytest.mark.parametrize("r", [0, -5])
     def test_rejects_r_below_one(self, r):
         with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must be >= 1"):
-            gate_count(1, 70, r)
+            gate_counts(1, 70, r, 16)
 
     def test_fourth_order_stage_factor(self):
-        assert gate_count(4, 10, 10) == 10 * 10 * stage_count(4)
+        assert gate_counts(4, 10, 10, 8)["none"] == 10 * 10 * stage_count(4)
         assert stage_count(4) == 10
 
 

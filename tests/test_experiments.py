@@ -391,6 +391,12 @@ class TestCli:
         (["scan-t", "--t-min", "0"], "t scan needs 0 < t_min (--t-min) < t_max (--t-max)"),
         (["scan-t", "--t-min", "1", "--t-max", "1"],
          "t scan needs 0 < t_min (--t-min) < t_max (--t-max)"),
+        (["evolve", "--n", "22", "--k", "2", "--l", "1", "--r", "10"],
+         "dimension 2048 (n = 22) exceeds the dense cap 1024"),
+        (["solve-r", "--n", "8", "--k", "4", "--t", "1e-300"],
+         "lambda(p, r) must be positive and strictly decreasing in r"),
+        (["solve-r", "--n", "8", "--k", "4", "--l", "2", "--epsilon", "1e-300"],
+         "no satisfying Trotter number below 2^62"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -493,15 +499,67 @@ class TestCli:
         assert "need N_disorder >= 2" in capsys.readouterr().out
         assert code == 1
 
+    def test_dense_cap_is_a_row_error_named_by_its_class(self):
+        rows, _ = cmd_scan_n(ExperimentConfig(command="scan-n",
+                                              **dict(FAST, n_list=(22,), k=2)))
+        assert rows[0].error == (
+            "ResourceError: dimension 2048 (n = 22) exceeds the dense cap 1024")
+        assert rows[0].bound > 0
+
     @pytest.mark.parametrize("p", ["inf", "nan"])
     def test_p_outside_two_to_inf_is_a_row_error(self, p, capsys):
+        """p = inf and nan fail each scan row; on the command line nan
+        already fails where the flag enters."""
         rows, _ = cmd_scan_n(ExperimentConfig(command="scan-n", **dict(FAST, p=float(p))))
         assert rows[0].error.startswith("ValueError: norm order p (--p)")
         assert (rows[0].observed, rows[0].bound, rows[0].ratio) == (0.0, 0.0, 0.0)
-        code = main(["scan-n", "--n", "6,8", "--k", "4", "--l", "1", "--r", "100",
-                     "--p", p, "--n-disorder", "4"])
+        argv = ["scan-n", "--n", "6,8", "--k", "4", "--l", "1", "--r", "100",
+                "--p", p, "--n-disorder", "4"]
+        if p == "nan":
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "syklab scan-n: error: argument --p: needs a number, got 'nan'")
+            return
+        code = main(argv)
         assert capsys.readouterr().out.count("norm order p (--p)") == 2
         assert code == 1
+
+    @pytest.mark.parametrize("argv,flag,value,need", [
+        (["scan-n", "--n", "6", "--k", "2", "--l", "1", "--r", "10", "--n-disorder", "2"],
+         "--t", "nan", "a number"),
+        (["bounds", "--n", "8", "--k", "4", "--l", "2"], "--t", "inf", "a finite number"),
+        (["evolve", "--n", "6", "--k", "2"], "--t", "nan", "a number"),
+        (["evolve", "--n", "6", "--k", "2"], "--p", "nan", "a number"),
+        (["gen", "--model", "sparse", "--n", "6", "--k", "2"], "--kappa", "nan", "a number"),
+        (["solve-r", "--n", "8", "--k", "4"], "--t", "nan", "a number"),
+        (["scan-t", "--n", "6"], "--t-max", "inf", "a finite number"),
+        (["scan-t", "--n", "6"], "--t-min", "-inf", "a finite number"),
+        (["gen", "--n", "6", "--k", "2"], "--energy-constant", "inf", "a finite number"),
+        (["solve-r", "--n", "8", "--k", "4"], "--epsilon", "inf", "a finite number"),
+        (["solve-r", "--n", "8", "--k", "4"], "--delta", "nan", "a number"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_non_finite_float_flag_is_rejected(self, argv, flag, value, need, tmp_path,
+                                               capsys):
+        """Every float flag and config key rejects nan and +-inf (``--p``
+        only nan), with exit 2 and a one-line message."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"syklab {argv[0]}: error: argument {flag}: needs {need}, got '{value}'")
+        key = next(key for key, action in cli._ACTIONS.items()
+                   if flag in action.option_strings)
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"syklab: error: {key} ({flag}) needs {need}, got '{value}'")
 
     def test_scan_t_with_every_row_failed_keeps_its_csv(self, capsys):
         code = main(["scan-t", "--n", "6", "--k", "3", "--p", "inf", "--t-min", "0.1",

@@ -155,21 +155,41 @@ def term_operator_calls(monkeypatch):
 class TestTermTable:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_rows_match_term_operators(self, n):
+        """Each term's block data is its natural-order signed permutation
+        from ``pauli._coefficients`` read at (sector, position) coordinates:
+        b = sectors[q, j] with q the parity of b (even k) and j = b >> (B - 1)."""
+        dim = hilbert_dim(n)
         for k in range(1, min(5, n) + 1):
             table = term_table(n, k)
             edges = ordering_map(n, k)
-            assert table.signs.shape == (len(edges), hilbert_dim(n))
+            blocks = 2 if k % 2 == 0 else 1
+            sectors = table.sectors
+            assert sectors.shape == (blocks, dim // blocks)
+            assert np.array_equal(table.rows, sectors.ravel())
+            assert sorted(table.rows) == list(range(dim))
+            assert np.all(np.diff(sectors) > 0)
+            if blocks == 2:
+                assert np.all(np.bitwise_count(sectors) & 1 == [[0], [1]])
+            assert np.array_equal(sectors >> (blocks - 1),
+                                  np.broadcast_to(table.positions, sectors.shape))
+            assert table.signs.shape == (len(edges),) + sectors.shape
             for g, edge in enumerate(edges):
-                perm, coeff = _coefficients(term_operator(edge, n))
-                assert np.array_equal(table.permutation(g), perm)
-                assert np.array_equal(table.permuted_coefficients(g), coeff[perm])
+                pauli = term_operator(edge, n)
+                perm, coeff = _coefficients(pauli)
+                assert np.array_equal(sectors[:, table.permutation(g)], perm[sectors])
+                assert np.array_equal(table.permuted_coefficients(g), coeff[perm][sectors])
+                rows = table.rows
+                assert np.array_equal(to_dense(pauli)[rows, rows ^ table.x_masks[g]],
+                                      table.permuted_coefficients(g).ravel())
 
     def test_arrays_are_read_only(self):
-        table = term_table(8, 4)
-        for array in (table.x_masks, table.phases, table.signs):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
+        for k in (3, 4):
+            table = term_table(8, k)
+            for array in (table.x_masks, table.phases, table.signs, table.sectors,
+                          table.rows, table.positions):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
     def test_cached_per_n_k(self):
         assert term_table(8, 4) is term_table(8, 4)

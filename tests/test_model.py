@@ -61,6 +61,12 @@ class TestBernoulliProbability:
         p_b, clamped = bernoulli_probability(4, 2, 100.0)
         assert p_b == 1.0 and clamped
 
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_kappa(self, kappa):
+        """A nan kappa would clamp to p_B = 1 and keep every term."""
+        with pytest.raises(ValueError, match="kappa must be nonnegative"):
+            bernoulli_probability(8, 4, kappa)
+
 
 class TestSampling:
     def test_reproducible(self):
@@ -86,7 +92,7 @@ class TestSampling:
     def test_sparse_mask_mean(self):
         n, k, kappa = 8, 3, 2.0
         sizes = [
-            sample_bernoulli_mask(n, k, kappa, seed=3, sample_index=i)[0].sum()
+            sample_bernoulli_mask(n, k, kappa, seed=3, sample_index=i).sum()
             for i in range(1000)
         ]
         p_b, _ = bernoulli_probability(n, k, kappa)
@@ -105,14 +111,14 @@ class TestSampling:
         assert inst.mask.sum() == 0
 
     def test_fixed_mask_with_fresh_couplings(self):
-        mask, _, _ = sample_bernoulli_mask(8, 3, 4.0, seed=5, sample_index=0)
+        mask = sample_bernoulli_mask(8, 3, 4.0, seed=5, sample_index=0)
         a = sample_sparse(8, 3, kappa=4.0, seed=5, coupling_index=0, mask=mask)
         b = sample_sparse(8, 3, kappa=4.0, seed=5, coupling_index=1, mask=mask)
         assert np.array_equal(a.mask, b.mask)
         assert not np.array_equal(a.couplings, b.couplings)
 
     def test_instance_arrays_are_read_only_copies(self):
-        mask, _, _ = sample_bernoulli_mask(8, 3, 4.0, seed=5, sample_index=0)
+        mask = sample_bernoulli_mask(8, 3, 4.0, seed=5, sample_index=0)
         inst = sample_sparse(8, 3, kappa=4.0, seed=5, mask=mask)
         for array in (inst.couplings, inst.mask):
             assert not array.flags.writeable

@@ -13,7 +13,7 @@ from syklab import trotter
 from syklab.fermions import hilbert_dim, term_operator, term_table
 from syklab.linalg import assemble, exact_evolution
 from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
-from syklab.pauli import to_dense
+from syklab.pauli import _coefficients, to_dense
 from syklab.trotter import (
     averaged_error,
     build_schedule,
@@ -72,20 +72,27 @@ def _naive_product(instance, order, t, r):
     return total
 
 
+def _natural_terms(instance):
+    """Each term's natural-order signed permutation (perm, coeff) from
+    ``pauli._coefficients``: K_b|x> = coeff[x] |perm[x]>, so row x of K_b
+    holds coeff[perm[x]] in column perm[x]."""
+    return [_coefficients(term_operator(edge, instance.n))
+            for edge in ordering_map(instance.n, instance.k)]
+
+
 def _sweep_state(instance, schedule, t, r, state):
     """Reference kernel: S_l(t/r)**r |state> by r sweeps of state-vector
-    exponentials cos(theta) + i sin(theta) K_b, K_b read from the term table."""
-    table = term_table(instance.n, instance.k)
+    exponentials cos(theta) + i sin(theta) K_b, independent of the term
+    table's layout."""
+    terms = _natural_terms(instance)
     psi = state
     for _ in range(r):
         for a_j, b_j in schedule.steps:
             if instance.mask is not None and instance.mask[b_j - 1] == 0:
                 continue
             theta = a_j * instance.couplings[b_j - 1] * t / r
-            coeff = table.permuted_coefficients(b_j - 1)
-            psi = np.cos(theta) * psi + (1j * np.sin(theta)) * (
-                coeff * psi[table.permutation(b_j - 1)]
-            )
+            perm, coeff = terms[b_j - 1]
+            psi = np.cos(theta) * psi + (1j * np.sin(theta)) * (coeff[perm] * psi[perm])
     return psi
 
 
@@ -137,11 +144,11 @@ class TestTrotterized:
 def _round_matrix_reference(instance, schedule, tau):
     """Reference kernel: one round S_l(tau) as a full D x D matrix, built by
     applying each step exponential cos(theta) + i sin(theta) K_g to the
-    accumulating matrix in place, K_g read from the term table."""
-    table = term_table(instance.n, instance.k)
-    mat = np.eye(table.dim, dtype=complex)
+    accumulating matrix in place, K_g in natural basis order (not the term
+    table's sector order)."""
+    terms = _natural_terms(instance)
+    mat = np.eye(hilbert_dim(instance.n), dtype=complex)
     buf = np.empty_like(mat)
-    perm = np.empty_like(table.rows)
     for a_j, b_j in schedule.steps:
         i = b_j - 1
         if instance.mask is not None and instance.mask[i] == 0:
@@ -149,9 +156,9 @@ def _round_matrix_reference(instance, schedule, tau):
         theta = a_j * instance.couplings[i] * tau
         if theta == 0.0:
             continue
-        table.permutation(i, out=perm)
+        perm, coeff = terms[i]
         np.take(mat, perm, axis=0, out=buf, mode="clip")
-        buf *= table.permuted_coefficients(i, 1j * np.sin(theta))[:, None]
+        buf *= (1j * np.sin(theta) * coeff[perm])[:, None]
         mat *= np.cos(theta)
         mat += buf
     return mat
@@ -186,7 +193,7 @@ class TestRoundMatrices:
         _assert_stack_is_separate_calls(instances, sched, 0.3)
 
     def test_sparse_stack_shares_one_mask(self):
-        mask, _, _ = sample_bernoulli_mask(10, 4, 4.0, 51, 0)
+        mask = sample_bernoulli_mask(10, 4, 4.0, 51, 0)
         assert 0 < mask.sum() < len(mask)
         instances = [sample_sparse(10, 4, kappa=4.0, seed=51, coupling_index=i, mask=mask)
                      for i in range(4)]
@@ -198,7 +205,7 @@ class TestRoundMatrices:
         leaves the first sample's bits as a one-sample call does."""
         instances = [
             sample_sparse(10, 4, kappa=4.0, seed=51, coupling_index=i,
-                          mask=sample_bernoulli_mask(10, 4, 4.0, 51, i)[0])
+                          mask=sample_bernoulli_mask(10, 4, 4.0, 51, i))
             for i in range(4)
         ]
         masks = np.array([inst.mask for inst in instances])
@@ -223,7 +230,7 @@ class TestRoundMatrices:
         assert np.array_equal(stack, np.broadcast_to(np.eye(16), stack.shape))
 
     @pytest.mark.parametrize("n", [8, 10, 12])
-    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_parity_layout_matches_full_reference(self, n, k):
         inst = sample_dense(n, k, seed=54)
         sched = build_schedule(2, inst.gamma_count)
