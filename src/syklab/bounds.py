@@ -91,7 +91,7 @@ class BoundInput:
                 f"norm order p (--p) must satisfy 2 <= p < inf (got {self.p}); "
                 "for the operator norm use solve-r's finite p* = log(e^2 D/delta)"
             )
-        if self.t < 0:
+        if not self.t >= 0:  # nan too
             raise ValueError("time t must be nonnegative")
         if self.r < 1:
             raise ValueError("Trotter number r must be >= 1")

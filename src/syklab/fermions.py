@@ -101,15 +101,14 @@ class TermTable:
     order: even and odd popcount for even k (B = 2), all D indices for odd k
     (B = 1).  This is the one map from a basis index b to its (sector,
     position) coordinates: b = sectors[q, j] with j = b >> (B - 1), as one of
-    2j and 2j + 1 has each parity.  In every sector K_g maps position j to
-    perm[j] = j ^ (x_g >> (B - 1)) with coefficient coeff[q, j] (perm =
-    permutation(g), coeff = permuted_coefficients(g)), so block q of K_g @ M
-    has row j = coeff[q, j] * M_q[perm[j]].  ``rows`` is ``sectors`` raveled
-    (a view), and K_g[rows, rows ^ x_g] = coeff.ravel().  Stored compactly:
-    perm is derived on use, and coeff = phases[g] * signs[g] with int8 signs.
-    ``signs`` (Gamma * D bytes, most of the table) is built on first read, so
-    a caller that reads only ``terms`` never pays for it; the rest takes at
-    most Gamma * 88 + D * 16 bytes (64 per term).
+    2j and 2j + 1 has each parity.  Block q of K_g holds coeff[q, j] at
+    (j, perm[j]), perm[j] = j ^ s_g with s_g = x_g >> (B - 1) (s_g =
+    position_mask(g), perm = permutation(g), coeff = permuted_coefficients(g)),
+    so block q of K_g @ M has row j = coeff[q, j] * M_q[perm[j]].  Stored
+    compactly: s_g and perm are derived on use, and coeff = phases[g] * signs[g]
+    with int8 signs.  ``signs`` (Gamma * D bytes, most of the table) is built
+    on first read, so a caller that reads only ``terms`` never pays for it; the
+    rest takes at most Gamma * 88 + D * 16 bytes (64 per term).
     """
 
     n: int
@@ -118,7 +117,6 @@ class TermTable:
     x_masks: np.ndarray  # (Gamma,) intp
     phases: np.ndarray  # (Gamma,) complex, i**phase_exp
     sectors: np.ndarray  # (B, W) intp
-    rows: np.ndarray  # (D,) intp, sectors.ravel()
     positions: np.ndarray  # (W,) intp, 0 .. W-1
 
     @cached_property
@@ -131,10 +129,13 @@ class TermTable:
         signs.flags.writeable = False
         return signs
 
+    def position_mask(self, g: int) -> int:
+        """s_g = x_g >> (B - 1) < W: K_g maps position j to j ^ s_g."""
+        return int(self.x_masks[g]) >> (len(self.sectors) - 1)
+
     def permutation(self, g: int, out: np.ndarray | None = None) -> np.ndarray:
-        """perm[j] = j ^ (x_g >> (B - 1)), written to ``out`` when given."""
-        shift = len(self.sectors) - 1
-        return np.bitwise_xor(self.positions, self.x_masks[g] >> shift, out=out)
+        """perm[j] = j ^ s_g, written to ``out`` when given."""
+        return np.bitwise_xor(self.positions, self.position_mask(g), out=out)
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
         """scale * coeff: the (B, W) nonzero entries of scale * K_g; an
@@ -156,7 +157,7 @@ def _build_term_table(n: int, k: int) -> TermTable:
     positions = np.arange(sectors.shape[1])
     for array in (x_masks, phases, sectors, positions):
         array.flags.writeable = False
-    return TermTable(n, k, terms, x_masks, phases, sectors, sectors.ravel(), positions)
+    return TermTable(n, k, terms, x_masks, phases, sectors, positions)
 
 
 def term_table(n: int, k: int) -> TermTable:

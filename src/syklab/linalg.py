@@ -1,11 +1,11 @@
 """Dense complex backend: Hamiltonian assembly, exact evolution, Schatten
 norms, and the Monte-Carlo expected-norm estimator.
 
-``assemble`` builds the D x D Hamiltonian, D = 2**(n/2); ``DEFAULT_DIM_CAP``
-(2**10) caps D to guard memory.  Evolution and norms take one W x W matrix or
-a stack (..., W, W) of the diagonal blocks of a block-diagonal operator, such
-as its parity sectors: exp(iHt) is formed block by block and the norm is that
-of the whole block-diagonal operator.
+``assemble`` builds H for N samples of one (n, k) as (N, B, W, W) parity
+blocks, D = 2**(n/2) = B * W; ``DEFAULT_DIM_CAP`` (2**10) caps D to guard
+memory.  Evolution and norms take one W x W matrix or a stack (..., W, W) of
+the diagonal blocks of a block-diagonal operator, such as its parity sectors:
+exp(iHt) is formed block by block and the norm is that of the whole operator.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .fermions import hilbert_dim, term_table
-from .model import SykInstance
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -36,27 +35,31 @@ class ResourceError(ValueError):
     """Raised when a requested dense computation exceeds the dimension cap."""
 
 
-def assemble(instance: SykInstance) -> np.ndarray:
-    """Dense Hermitian H = sum_i J_i K_i over the instance's couplings (a
-    sparse instance's J_i is already b_i J_i).
+def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
+    """H = sum_g J_g K_g for each row J of ``couplings`` (N, C(n,k)), as the
+    (N, B, W, W) stack of its parity blocks on ``term_table(n, k).sectors``.
 
-    Each term with a nonzero coupling is written into H along its signed
-    permutation, read from the cached :func:`~syklab.fermions.term_table` of
-    (n, k); the term matrices are never materialized individually.  Raises
+    Block q of K_g holds coeff[q, j] at (j, j ^ s_g), whose flat index in the
+    stack is that of the diagonal entry (j, j) XOR s_g: each term that some
+    sample keeps is one 1-D update of all N samples.  Raises
     :class:`ResourceError` when D exceeds ``DEFAULT_DIM_CAP``.
     """
-    dim = hilbert_dim(instance.n)
+    dim = hilbert_dim(n)
     if dim > DEFAULT_DIM_CAP:
         raise ResourceError(
-            f"dimension {dim} (n = {instance.n}) exceeds the dense cap {DEFAULT_DIM_CAP}"
+            f"dimension {dim} (n = {n}) exceeds the dense cap {DEFAULT_DIM_CAP}"
         )
-    table = term_table(instance.n, instance.k)
-    ham = np.zeros((dim, dim), dtype=complex)
-    for i, coupling in enumerate(instance.couplings):
-        if coupling == 0.0:
-            continue
-        coeff = table.permuted_coefficients(i, coupling).ravel()
-        ham[table.rows, table.rows ^ table.x_masks[i]] += coeff
+    table = term_table(n, k)
+    if couplings.shape[1:] != (len(table.terms),):
+        raise ValueError(f"couplings must have shape (N, C(n,k)) = (N, {len(table.terms)}), "
+                         f"got {couplings.shape}")
+    width = table.sectors.shape[1]
+    ham = np.zeros((len(couplings),) + table.sectors.shape + (width,), dtype=complex)
+    diagonal = np.flatnonzero(np.broadcast_to(np.eye(width, dtype=bool), ham.shape))
+    # a term zero in one sample only adds a +-0 product there: no bit moves
+    for g in np.flatnonzero(couplings.any(axis=0)):
+        coeff = table.permuted_coefficients(g, couplings[:, g, None, None])
+        ham.reshape(-1)[diagonal ^ table.position_mask(g)] += coeff.ravel()
     return ham
 
 
@@ -92,7 +95,7 @@ def schatten_norm(mat: np.ndarray, p: float) -> float:
     together.  p = 2 is the Frobenius norm of the stack (no SVD); p = inf the
     largest singular value of any block.
     """
-    if p < 1:
+    if not p >= 1:  # nan too
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
     if p == 2:
         return float(np.linalg.norm(mat))

@@ -104,9 +104,15 @@ class SykInstance:
     clamped: bool = field(default=False)
 
     def __post_init__(self) -> None:
+        _validate_nk(self.n, self.k)
+        gamma_count = math.comb(self.n, self.k)
         couplings = np.array(self.couplings)
+        if couplings.shape != (gamma_count,):
+            raise ValueError(f"{couplings.size} couplings != C(n,k) = {gamma_count}")
         if self.mask is not None:
             mask = np.array(self.mask)
+            if mask.shape != (gamma_count,):
+                raise ValueError(f"mask length {mask.size} != C(n,k) = {gamma_count}")
             mask.flags.writeable = False
             object.__setattr__(self, "mask", mask)
             # np.where, not a product: a deleted term is +0.0, never -0.0
@@ -175,8 +181,6 @@ def sample_sparse(
         mask = sample_bernoulli_mask(n, k, kappa, seed)
     mask = np.asarray(mask, dtype=np.int8)
     gamma_count = math.comb(n, k)
-    if len(mask) != gamma_count:
-        raise ValueError(f"mask length {len(mask)} != C(n,k) = {gamma_count}")
     if p_b == 0.0:
         sigma = 0.0
         couplings = np.zeros(gamma_count)
@@ -232,11 +236,7 @@ def from_json(text: str) -> SykInstance:
         if type(doc[key]) not in kinds:  # so a bool is not a number
             raise ValueError(f"instance key {key!r} needs {needs}, got {doc[key]!r}")
     n, k = doc["n"], doc["k"]
-    _validate_nk(n, k)
-    gamma_count = math.comb(n, k)
     couplings = np.asarray(doc["couplings"], dtype=float)
-    if couplings.shape != (gamma_count,):
-        raise ValueError(f"{couplings.size} couplings != C(n,k) = {gamma_count}")
     if not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite")
     mask, p_b = doc["mask"], doc["p_B"]
@@ -246,8 +246,6 @@ def from_json(text: str) -> SykInstance:
             raise ValueError("a dense instance (no mask) must have p_B = null")
     else:
         mask = np.asarray(mask)
-        if mask.shape != (gamma_count,):
-            raise ValueError(f"mask length {mask.size} != C(n,k) = {gamma_count}")
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask entries must be 0 or 1")
         if p_b is None or not 0.0 <= p_b <= 1.0:

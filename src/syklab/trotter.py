@@ -24,12 +24,13 @@ masks may differ.
 
 The error operator E = exp(iHt) - S_l(t/r)**r, its power and its Schatten
 norm are all formed on parity blocks by one entry, ``_error_operators``,
-which checks r and builds the schedule.  Blocks meet D space only where H
-comes from ``assemble``, ``fixed_state_error`` splits its state and
-``trotterized`` returns a D x D matrix.  ``averaged_error`` passes the
-samples of one average in stacks of at most ``_STACK_BYTES``.  Every
-round-matrix entry goes through the same floating-point operations as a
-one-matrix, full-D build, so the rounds are bit-identical to it.
+which checks r and t and builds the schedule; H comes from ``assemble`` as
+the same block stack.  Blocks meet D space only where ``fixed_state_error``
+splits its state and ``trotterized`` returns a D x D matrix.
+``averaged_error`` passes the samples of one average in stacks of at most
+``_STACK_BYTES``.  Every round-matrix entry goes through the same
+floating-point operations as a one-matrix, full-D build, so the rounds are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ def build_schedule(order: int, gamma_count: int) -> Schedule:
     return Schedule(order, stages, gamma_count, steps)
 
 
-def _blocks(mat: np.ndarray, sectors: np.ndarray) -> np.ndarray:
-    """The (B, W, W) diagonal blocks of a D x D matrix on ``sectors``."""
-    return mat[sectors[:, :, None], sectors[:, None, :]]
-
-
 def _from_blocks(blocks: np.ndarray, sectors: np.ndarray) -> np.ndarray:
     """The D x D block-diagonal matrix whose blocks on ``sectors`` are
     ``blocks`` (B, W, W)."""
@@ -192,18 +188,20 @@ def _error_operators(
 ) -> Iterator[np.ndarray]:
     """The (B, W, W) parity blocks of the Trotter error operator
     E = exp(iHt) - S_l(t/r)**r of each instance, in order, for instances
-    that share (n, k); the one entry of the error path.  It checks r and
-    builds the order-l schedule when first advanced.
+    that share (n, k); the one entry of the error path.  It checks r and t
+    and builds the order-l schedule when first advanced.
 
-    exp(iHt) is formed from the diagonal blocks of H, one eigh per block.
-    The round matrices are built in stacks of at most ``_STACK_BYTES`` (at
-    least one sample), after the exp(iHt) of the stack's samples, as for one
+    The samples go in stacks of at most ``_STACK_BYTES`` (at least one
+    sample): H is assembled once per stack and exp(iHt) formed per sample,
+    one eigh per block, before the stack's round matrices, as for one
     instance.  Each exp(iHt) and round matrix is dropped once its E is
     formed, and E is yielded without a reference kept here: a consumer that
     drops each E holds one stack and one E at a time.
     """
     if r < 1:
         raise ValueError("Trotter number r must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
     n, k = instances[0].n, instances[0].k
     schedule = build_schedule(order, instances[0].gamma_count)
     sectors = term_table(n, k).sectors
@@ -211,11 +209,10 @@ def _error_operators(
     size = max(1, _STACK_BYTES // per_sample)
     for start in range(0, len(instances), size):
         chunk = instances[start:start + size]
+        couplings = np.array([instance.couplings for instance in chunk])
         # exp(iHt) first, as for one instance: its eigh then runs while no
         # round matrix is live
-        evolutions = [exact_evolution(_blocks(assemble(instance), sectors), t)
-                      for instance in chunk]
-        couplings = np.array([instance.couplings for instance in chunk])
+        evolutions = [exact_evolution(ham, t) for ham in assemble(n, k, couplings)]
         rounds = list(_round_matrices(n, k, couplings, schedule, t / r))
         for _ in chunk:
             yield evolutions.pop(0) - _matrix_power(rounds.pop(0), r)
@@ -293,7 +290,7 @@ def fixed_state_error(
             f"input state must have shape (D,) = ({dim},) for n = {instance.n}, "
             f"got {state.shape}"
         )
-    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # nan too
         raise ValueError("input state must be normalized to 1 within 1e-12")
     err = next(_error_operators([instance], order, t, r))
     psi = state[term_table(instance.n, instance.k).sectors, None]

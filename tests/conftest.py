@@ -1,13 +1,16 @@
 """Shared test helpers: an independent dense-matrix oracle for Pauli strings
 (built by Kronecker products, deliberately not reusing the library's
-signed-permutation path) and the acceptance-criteria reporting hook."""
+signed-permutation path), a D x D Hamiltonian summed from ``to_dense`` term
+matrices, and the acceptance-criteria reporting hook."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from syklab.pauli import PauliString
+from syklab.fermions import hilbert_dim, term_operator
+from syklab.model import SykInstance, ordering_map
+from syklab.pauli import PauliString, to_dense
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,6 +32,17 @@ def dense_oracle(p: PauliString) -> np.ndarray:
             factor = factor @ Z2
         mat = np.kron(mat, factor)
     return (1j**p.phase_exp) * mat
+
+
+def dense_hamiltonian(instance: SykInstance) -> np.ndarray:
+    """The D x D H = sum_g J_g K_g of an instance, each K_g from
+    ``pauli.to_dense``: a reference built without the term table or
+    ``linalg.assemble``."""
+    dim = hilbert_dim(instance.n)
+    ham = np.zeros((dim, dim), dtype=complex)
+    for coupling, edge in zip(instance.couplings, ordering_map(instance.n, instance.k)):
+        ham += coupling * to_dense(term_operator(edge, instance.n))
+    return ham
 
 
 def random_pauli(rng: np.random.Generator, num_qubits: int) -> PauliString:

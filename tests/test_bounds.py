@@ -109,6 +109,11 @@ class TestDelta1:
         with pytest.raises(ValueError, match=r"norm order p \(--p\)"):
             BoundInput(n=8, k=4, l=1, p=p, t=1.0, r=10)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_negative_or_nan_t_rejected(self, t):
+        with pytest.raises(ValueError, match="time t must be nonnegative"):
+            BoundInput(n=8, k=4, l=1, p=2, t=t, r=10)
+
     def test_monotonicity(self):
         base = dict(n=8, k=3, l=1, p=2, t=1.0, r=100)
         d = delta1_dense(BoundInput(**base))

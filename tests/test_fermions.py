@@ -165,8 +165,7 @@ class TestTermTable:
             blocks = 2 if k % 2 == 0 else 1
             sectors = table.sectors
             assert sectors.shape == (blocks, dim // blocks)
-            assert np.array_equal(table.rows, sectors.ravel())
-            assert sorted(table.rows) == list(range(dim))
+            assert sorted(sectors.ravel()) == list(range(dim))
             assert np.all(np.diff(sectors) > 0)
             if blocks == 2:
                 assert np.all(np.bitwise_count(sectors) & 1 == [[0], [1]])
@@ -178,7 +177,8 @@ class TestTermTable:
                 perm, coeff = _coefficients(pauli)
                 assert np.array_equal(sectors[:, table.permutation(g)], perm[sectors])
                 assert np.array_equal(table.permuted_coefficients(g), coeff[perm][sectors])
-                rows = table.rows
+                assert table.position_mask(g) == table.x_masks[g] >> (blocks - 1)
+                rows = sectors.ravel()
                 assert np.array_equal(to_dense(pauli)[rows, rows ^ table.x_masks[g]],
                                       table.permuted_coefficients(g).ravel())
 
@@ -186,7 +186,7 @@ class TestTermTable:
         for k in (3, 4):
             table = term_table(8, k)
             for array in (table.x_masks, table.phases, table.signs, table.sectors,
-                          table.rows, table.positions):
+                          table.sectors.ravel(), table.positions):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -205,7 +205,7 @@ class TestTermTable:
         n, k = 8, 4
         assert syk_termset(n, k).anticommuting  # reads only the terms
         assert "signs" not in vars(term_table(n, k))
-        assemble(sample_dense(n, k))
+        assemble(n, k, sample_dense(n, k).couplings[None])
         assert "signs" in vars(term_table(n, k))
         assert len(term_operator_calls) == math.comb(n, k)
 
@@ -214,7 +214,7 @@ class TestTermTable:
         schedule = build_schedule(2, math.comb(n, k))
         for i in range(3):
             for inst in (sample_dense(n, k, seed=i), sample_sparse(n, k, seed=i)):
-                assemble(inst)
+                assemble(n, k, inst.couplings[None])
                 trotterized(inst, schedule, 1.0, 4)
         assert len(term_operator_calls) == math.comb(n, k)
 

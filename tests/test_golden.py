@@ -9,6 +9,9 @@ power and the Schatten norm moved onto the parity blocks of the error
 operator (observed values moved by at most 3.4e-11 relative).  Any change
 to these bytes is a numerical or format change and must be a deliberate one
 (regenerate the files with the same commands and say why).
+``scan_n_odd.csv`` (k = 3: one sector, B = 1) was written later, by its
+command below, before H was assembled as a parity-block stack, and pins the
+odd-k path that the k = 4 files do not reach.
 The byte identity is promised within one numpy/BLAS build.
 """
 
@@ -27,6 +30,8 @@ CASES = {
     "scan_n_sparse.csv": ["scan-n", "--model", "sparse", "--kappa", "4",
                           "--n", "6,8,10", "--k", "4", "--l", "2", "--r", "100",
                           "--n-bernoulli", "3"],
+    "scan_n_odd.csv": ["scan-n", "--model", "dense", "--n", "6,8,10", "--k", "3",
+                       "--l", "2", "--r", "100", "--n-disorder", "8"],
     "scan_t.csv": ["scan-t", "--model", "dense", "--n", "8", "--k", "4", "--l", "1",
                    "--p", "4", "--t-min", "0.1", "--t-max", "10", "--t-points", "4",
                    "--r", "100", "--n-disorder", "8"],

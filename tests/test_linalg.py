@@ -9,7 +9,8 @@ import pytest
 from scipy.linalg import block_diag
 from scipy.stats import unitary_group
 
-from syklab.fermions import hilbert_dim, term_operator
+from conftest import dense_hamiltonian
+from syklab.fermions import hilbert_dim, term_operator, term_table
 from syklab.linalg import (
     NormEstimate,
     DEFAULT_DIM_CAP,
@@ -20,15 +21,28 @@ from syklab.linalg import (
     expected_norm,
     schatten_norm,
 )
-from syklab.model import ordering_map, sample_dense, sample_sparse
+from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
 from syklab.pauli import to_dense
+
+
+def _assemble(*instances):
+    """assemble() of the instances' couplings, all of one (n, k)."""
+    first = instances[0]
+    return assemble(first.n, first.k, np.array([inst.couplings for inst in instances]))
+
+
+def _gather(mat, n, k):
+    """The (B, W, W) diagonal blocks of a D x D matrix on the sectors of the
+    (n, k) term table."""
+    sectors = term_table(n, k).sectors
+    return mat[sectors[:, :, None], sectors[:, None, :]]
 
 
 class TestAssemble:
     def test_zero_couplings(self):
         inst = sample_dense(6, 3, seed=1)
         zero = dataclasses.replace(inst, couplings=np.zeros_like(inst.couplings))
-        assert np.array_equal(assemble(zero), np.zeros((8, 8)))
+        assert np.array_equal(_assemble(zero), np.zeros((1, 1, 8, 8)))
 
     def test_single_term(self):
         inst = sample_dense(6, 3, seed=2)
@@ -37,7 +51,7 @@ class TestAssemble:
         single = dataclasses.replace(inst, couplings=couplings)
         edge = ordering_map(6, 3)[0]
         expected = 1.7 * to_dense(term_operator(edge, 6))
-        assert np.allclose(assemble(single), expected)
+        assert np.allclose(_assemble(single)[0], _gather(expected, 6, 3))
 
     def test_sum_of_terms_matches_naive(self):
         inst = sample_dense(6, 2, seed=3)
@@ -45,11 +59,12 @@ class TestAssemble:
             inst.couplings[i] * to_dense(term_operator(e, 6))
             for i, e in enumerate(ordering_map(6, 2))
         )
-        assert np.allclose(assemble(inst), naive, atol=1e-13)
+        assert np.allclose(_assemble(inst)[0], _gather(naive, 6, 2), atol=1e-13)
 
     def test_hermitian(self):
-        ham = assemble(sample_dense(6, 3, seed=4))
-        assert np.linalg.norm(ham - ham.conj().T) < 1e-13 * np.linalg.norm(ham)
+        ham = _assemble(sample_dense(6, 3, seed=4))
+        assert (np.linalg.norm(ham - ham.conj().swapaxes(-1, -2))
+                < 1e-13 * np.linalg.norm(ham))
 
     def test_mask_respected(self):
         inst = sample_sparse(6, 3, kappa=2.0, seed=5)
@@ -60,19 +75,66 @@ class TestAssemble:
         )
         if isinstance(kept, int):  # all masked out
             kept = np.zeros((8, 8))
-        assert np.allclose(assemble(inst), kept, atol=1e-13)
+        assert np.allclose(_assemble(inst)[0], _gather(kept, 6, 3), atol=1e-13)
 
     def test_dimension_cap(self):
         inst = sample_dense(22, 2, seed=6)  # D = 2048
         assert hilbert_dim(inst.n) > DEFAULT_DIM_CAP
         with pytest.raises(ResourceError, match="dimension 2048 .* cap 1024"):
-            assemble(inst)
+            _assemble(inst)
         assert hilbert_dim(20) == DEFAULT_DIM_CAP  # the largest D it builds
+
+    @pytest.mark.parametrize("n,k", [(8, 1), (8, 2), (8, 3), (10, 4), (6, 4)])
+    def test_blocks_match_independent_reference(self, n, k):
+        """Each sample's blocks are those of sum_g J_g to_dense(K_g) on the
+        table's sectors, and the reference has no entry between sectors (for
+        even k, none between the basis states of even and of odd popcount)."""
+        instances = [sample_dense(n, k, seed=18, sample_index=i) for i in range(3)]
+        self._assert_matches_reference(instances)
+
+    def test_sparse_stack_of_different_masks_matches_reference(self):
+        instances = [
+            sample_sparse(10, 4, kappa=4.0, seed=19, coupling_index=i,
+                          mask=sample_bernoulli_mask(10, 4, 4.0, 19, i))
+            for i in range(4)
+        ]
+        masks = np.array([inst.mask for inst in instances])
+        assert np.any(masks.any(axis=0) & ~masks.all(axis=0))
+        self._assert_matches_reference(instances)
+
+    @staticmethod
+    def _assert_matches_reference(instances):
+        n, k = instances[0].n, instances[0].k
+        sectors = term_table(n, k).sectors
+        sector_of = np.empty(sectors.size, dtype=int)
+        for q, sector in enumerate(sectors):
+            sector_of[sector] = q
+        cross = sector_of[:, None] != sector_of[None, :]
+        stack = _assemble(*instances)
+        assert stack.shape == (len(instances),) + sectors.shape + sectors.shape[-1:]
+        for inst, blocks in zip(instances, stack):
+            ref = dense_hamiltonian(inst)
+            assert np.count_nonzero(ref[~cross]) > 0
+            assert np.count_nonzero(ref[cross]) == 0
+            assert np.array_equal(blocks, _gather(ref, n, k))
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (8, 3), (10, 2)])
+    def test_stack_is_separate_calls(self, n, k):
+        instances = [sample_dense(n, k, seed=20, sample_index=i) for i in range(4)]
+        instances.append(sample_sparse(n, k, kappa=2.0, seed=20))
+        stack = _assemble(*instances)
+        for inst, blocks in zip(instances, stack):
+            assert np.array_equal(blocks, _assemble(inst)[0])
+
+    @pytest.mark.parametrize("shape", [(28,), (2, 27), (2, 28, 1), (0,)])
+    def test_rejects_couplings_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(N, C\(n,k\)\) = \(N, 28\)"):
+            assemble(8, 2, np.ones(shape))
 
 
 class TestExactEvolution:
     def test_t_zero(self):
-        ham = assemble(sample_dense(6, 3, seed=7))
+        ham = dense_hamiltonian(sample_dense(6, 3, seed=7))
         assert np.allclose(exact_evolution(ham, 0.0), np.eye(8), atol=1e-14)
 
     def test_diagonal_case(self):
@@ -89,14 +151,14 @@ class TestExactEvolution:
         assert np.linalg.norm(u.conj().T @ ham @ u - ham) < 1e-10
 
     def test_group_law(self):
-        ham = assemble(sample_dense(8, 3, seed=9))
+        ham = dense_hamiltonian(sample_dense(8, 3, seed=9))
         u1 = exact_evolution(ham, 0.3)
         u2 = exact_evolution(ham, 1.1)
         u12 = exact_evolution(ham, 1.4)
         assert np.linalg.norm(u1 @ u2 - u12) < 1e-9
 
     def test_factory_reuses_decomposition(self):
-        ham = assemble(sample_dense(6, 3, seed=10))
+        ham = dense_hamiltonian(sample_dense(6, 3, seed=10))
         evolve = evolution_factory(ham)
         for t in (0.1, 0.7):
             assert np.allclose(evolve(t), exact_evolution(ham, t), atol=1e-12)
@@ -155,6 +217,10 @@ class TestSchattenNorm:
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.5)
 
+    def test_rejects_nan_p(self):
+        with pytest.raises(ValueError, match="p >= 1, got nan"):
+            schatten_norm(np.eye(2), math.nan)
+
     @pytest.mark.parametrize("p", [2, 3, 4, np.inf])
     def test_stack_is_its_block_diagonal_matrix(self, p):
         """A (B, W, W) stack has the norm of the block-diagonal matrix of its
@@ -181,7 +247,7 @@ class TestExpectedNorm:
 
     def test_self_difference(self):
         def stat(inst):
-            ham = assemble(inst)
+            ham = dense_hamiltonian(inst)
             return exact_evolution(ham, 1.0) - exact_evolution(ham, 1.0)
 
         est = expected_norm(
@@ -191,8 +257,8 @@ class TestExpectedNorm:
 
     def test_stderr_shrinks_with_samples(self):
         def hamiltonians(num):
-            return (assemble(sample_dense(6, 2, seed=15, sample_index=i))
-                    for i in range(num))
+            return assemble(6, 2, np.array(
+                [sample_dense(6, 2, seed=15, sample_index=i).couplings for i in range(num)]))
 
         small = expected_norm(hamiltonians(24), 2)
         large = expected_norm(hamiltonians(96), 2)

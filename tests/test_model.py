@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from syklab.model import (
+    SykInstance,
     _gaussian,
     bernoulli_probability,
     from_json,
@@ -126,6 +127,38 @@ class TestSampling:
                 array[0] = 0
         mask[0] ^= 1  # the caller's array stays writable and detached
         assert inst.mask[0] != mask[0]
+
+
+class TestSykInstance:
+    """An instance checks its (n, k) and that it has one coupling, and one
+    mask entry, per term, wherever it is built."""
+
+    def test_rejects_wrong_length_couplings(self):
+        with pytest.raises(ValueError, match=re.escape("3 couplings != C(n,k) = 70")):
+            SykInstance(8, 4, 1.0, 0.1, np.ones(3))
+
+    def test_rejects_wrong_length_mask(self):
+        with pytest.raises(ValueError, match=re.escape("mask length 3 != C(n,k) = 70")):
+            SykInstance(8, 4, 1.0, 0.1, np.ones(70), mask=np.ones(3, dtype=np.int8))
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (8, 0), (8, 9)])
+    def test_rejects_invalid_n_k(self, n, k):
+        with pytest.raises(ValueError, match=r"^(n must be even|k must satisfy)"):
+            SykInstance(n, k, 1.0, 0.1, np.ones(1))
+
+    def test_sample_sparse_rejects_wrong_length_mask(self):
+        with pytest.raises(ValueError, match=re.escape("mask length 69 != C(n,k) = 70")):
+            sample_sparse(8, 4, mask=np.ones(69, dtype=np.int8))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.update(couplings=d["couplings"][:-1]), "55 couplings != C(n,k) = 56"),
+        (lambda d: d.update(mask=d["mask"] + [0]), "mask length 57 != C(n,k) = 56"),
+    ], ids=["short-couplings", "long-mask"])
+    def test_from_json_keeps_length_messages(self, edit, message):
+        doc = json.loads(to_json(sample_sparse(8, 3, kappa=4.0, seed=3)))
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_json(json.dumps(doc))
 
 
 class TestSerialization:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import dense_hamiltonian
 from syklab import trotter
 from syklab.fermions import hilbert_dim, term_operator, term_table
-from syklab.linalg import assemble, exact_evolution
+from syklab.linalg import exact_evolution
 from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
 from syklab.pauli import _coefficients, to_dense
 from syklab.trotter import (
@@ -102,7 +103,7 @@ class TestTrotterized:
         couplings = np.zeros_like(inst.couplings)
         couplings[7] = inst.couplings[7]
         single = dataclasses.replace(inst, couplings=couplings)
-        exact = exact_evolution(assemble(single), 1.3)
+        exact = exact_evolution(dense_hamiltonian(single), 1.3)
         for order, r in ((1, 1), (2, 3), (4, 2)):
             sched = build_schedule(order, single.gamma_count)
             approx = trotterized(single, sched, 1.3, r)
@@ -252,7 +253,7 @@ class TestObservedError:
         inst = sample_dense(8, 4, seed=28)
         t, r = 1.0, 50
         ours = observed_error(inst, 1, t, r, 2)
-        exact = exact_evolution(assemble(inst), t)
+        exact = exact_evolution(dense_hamiltonian(inst), t)
         naive = np.linalg.norm(exact - _naive_product(inst, 1, t, r)) / math.sqrt(16)
         assert ours == pytest.approx(naive, abs=1e-10)
 
@@ -278,6 +279,19 @@ class TestObservedError:
         err = observed_error(inst, 1, 50.0, 3, 2)
         assert 0.0 <= err <= 2.0
 
+    def test_rejects_nan_p(self):
+        inst = sample_dense(6, 3, seed=32)
+        with pytest.raises(ValueError, match="p >= 1, got nan"):
+            observed_error(inst, 1, 1.0, 16, math.nan)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_t(self, t):
+        inst = sample_dense(6, 3, seed=32)
+        with pytest.raises(ValueError, match="time t must be finite"):
+            observed_error(inst, 1, t, 16, 2)
+        with pytest.raises(ValueError, match="time t must be finite"):
+            averaged_error(6, 3, 1, t, 16, 2, 41, 3)
+
     def test_spectral_norm_variant(self):
         inst = sample_dense(6, 3, seed=32)
         err_inf = observed_error(inst, 1, 1.0, 16, np.inf)
@@ -290,7 +304,7 @@ def _svals_full_reference(instance, order, t, r):
     block path: a full-width exp(iHt) and the reference round's r-th power."""
     sched = build_schedule(order, instance.gamma_count)
     rounds = np.linalg.matrix_power(_round_matrix_reference(instance, sched, t / r), r)
-    err = exact_evolution(assemble(instance), t) - rounds
+    err = exact_evolution(dense_hamiltonian(instance), t) - rounds
     return np.linalg.svd(err, compute_uv=False)
 
 
@@ -333,7 +347,7 @@ class TestBlockPath:
     def test_even_k_hamiltonian_has_no_cross_parity_entries(self, inst):
         """The block path rests on this: H is exactly zero between the basis
         states of even and of odd popcount."""
-        ham = assemble(inst)
+        ham = dense_hamiltonian(inst)
         parity = np.array([bin(b).count("1") % 2 for b in range(len(ham))])
         cross = parity[:, None] != parity[None, :]
         assert np.count_nonzero(ham[~cross]) > 0
@@ -402,6 +416,30 @@ class TestAveragedError:
         with pytest.raises(ValueError, match="Trotter number"):
             averaged_error(6, 3, 1, 0.5, 0, 2, 41, 3)
 
+    @pytest.mark.parametrize("stack_bytes,stacks", [(None, 1), (1, 10)])
+    def test_assembles_once_per_stack(self, monkeypatch, stack_bytes, stacks):
+        """H is assembled once per stack, as (N, B, W, W) parity blocks, and
+        exp(iHt) is formed once per sample on its (B, W, W) blocks."""
+        stacks_in, hams_in = [], []
+        original_assemble, original_evolution = trotter.assemble, trotter.exact_evolution
+
+        def assemble(n, k, couplings):
+            stacks_in.append(couplings.shape)
+            return original_assemble(n, k, couplings)
+
+        def exact_evolution(ham, t):
+            hams_in.append(ham.shape)
+            return original_evolution(ham, t)
+
+        if stack_bytes is not None:
+            monkeypatch.setattr(trotter, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(trotter, "assemble", assemble)
+        monkeypatch.setattr(trotter, "exact_evolution", exact_evolution)
+        averaged_error(8, 4, 1, 1.0, 4, 2, 56, 10)
+        samples = 10 // stacks
+        assert stacks_in == [(samples, 70)] * stacks
+        assert hams_in == [(2, 8, 8)] * 10
+
     @pytest.mark.parametrize("r", [0, -3])
     def test_sparse_rejects_r_below_one_before_any_work(self, monkeypatch, r):
         def no_work(*args):
@@ -425,7 +463,7 @@ class TestFixedStateError:
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         state /= np.linalg.norm(state)
         got = fixed_state_error(inst, 2, 1.0, 7, state)
-        exact = exact_evolution(assemble(inst), 1.0)
+        exact = exact_evolution(dense_hamiltonian(inst), 1.0)
         sched = build_schedule(2, inst.gamma_count)
         ref = np.linalg.norm((exact - trotterized(inst, sched, 1.0, 7)) @ state)
         assert got == pytest.approx(ref, abs=1e-10)
@@ -448,7 +486,7 @@ class TestFixedStateError:
         t, r = 1.1, 5
         sched = build_schedule(2, inst.gamma_count)
         ref = np.linalg.norm(
-            exact_evolution(assemble(inst), t) @ state
+            exact_evolution(dense_hamiltonian(inst), t) @ state
             - trotterized(inst, sched, t, r) @ state
         )
         assert fixed_state_error(inst, 2, t, r, state) == pytest.approx(ref, rel=1e-10)
@@ -473,7 +511,7 @@ class TestFixedStateError:
         sched = build_schedule(order, inst.gamma_count)
         approx = trotterized(inst, sched, t, r) @ state
         assert np.linalg.norm(approx - _sweep_state(inst, sched, t, r, state)) <= 1e-13
-        ref = np.linalg.norm(exact_evolution(assemble(inst), t) @ state - approx)
+        ref = np.linalg.norm(exact_evolution(dense_hamiltonian(inst), t) @ state - approx)
         assert fixed_state_error(inst, order, t, r, state) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("inst", [
@@ -495,6 +533,11 @@ class TestFixedStateError:
         inst = sample_dense(6, 2, seed=38)
         with pytest.raises(ValueError):
             fixed_state_error(inst, 1, 1.0, 2, np.ones(8, dtype=complex))
+
+    def test_rejects_nan_state(self):
+        inst = sample_dense(6, 2, seed=38)
+        with pytest.raises(ValueError, match="normalized"):
+            fixed_state_error(inst, 1, 1.0, 2, np.full(8, math.nan, dtype=complex))
 
     @pytest.mark.parametrize("shape", [(8,), (16, 1), (32,)])
     def test_rejects_wrong_shape_before_any_work(self, monkeypatch, shape):
@@ -523,7 +566,7 @@ def test_term_order_changes_s_but_not_u():
     s_lex = trotterized(inst, sched_lex, t, r)
     s_perm = trotterized(inst, sched_perm, t, r)
     assert np.linalg.norm(s_lex - s_perm) > 1e-8  # S depends on the order
-    exact = exact_evolution(assemble(inst), t)  # U does not
+    exact = exact_evolution(dense_hamiltonian(inst), t)  # U does not
     for s in (s_lex, s_perm):
         err = np.linalg.norm(exact - s) / math.sqrt(8)
         assert 0.0 <= err <= 2.0
