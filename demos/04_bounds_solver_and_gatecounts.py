@@ -36,8 +36,7 @@ for r in (10**3, 10**4, 10**5):
     d1 = delta1_dense(BoundInput(n=n, k=k, l=1, p=2, t=t, r=r))
     d2 = delta_l_dense(BoundInput(n=n, k=k, l=2, p=2, t=t, r=r))
     ds = delta_l_sparse(BoundInput(n=n, k=k, l=2, p=2, t=t, r=r, kappa=4.0))
-    print(f"{r:>8}  {d1:>12.4e}  {d2:>12.4e}  {ds.value:>14.4e} "
-          f"({ds.regime})")
+    print(f"{r:>8}  {d1:>12.4e}  {d2:>12.4e}  {ds:>14.4e}")
 
 # the bound's t-scaling shows up in a log-log fit
 pts = [(tt, delta1_dense(BoundInput(n=n, k=k, l=1, p=2, t=tt, r=10**4)))

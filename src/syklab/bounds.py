@@ -16,12 +16,14 @@ prefactor beta(l) = (l+3)^(5/2) (l+2)^(2(l+2)) * Upsilon^(l+3)
 prefactor mode replaces the purely l-dependent constant by 1 (the practice
 used when plotting, where the constant is astronomically large).
 
-The generalized-model entry points (``*_general``) take (Gamma, Q_max)
-directly; the SYK wrappers specialize them with Gamma = C(n,k), Q = Q(n,k)
-and take sigma and p_B from ``model`` (sigma_dense, and for the sparse model
-p_B = kappa n / C(n,k) with sigma inflated by 1/sqrt(p_B)), as the sampler
-does.  :func:`error_bound` is the one place that picks the bound for an
-input: the sparse bound when kappa is set, else Delta_1 or Delta_l by l.
+Each bound reads a :class:`BoundInput` and returns a float.  It takes
+Gamma = C(n,k) and Q = Q(n,k), and sigma and p_B from ``model`` as the
+sampler does: ``sigma_dense``, and for the sparse model p_B = kappa n / C(n,k)
+and ``sigma_sparse`` = sigma_dense / sqrt(p_B).  A bound is 0 at t = 0 and at
+Q = 0 (k = n: one term, so the product formula is exact), and inf where it
+exceeds the float range.  :func:`error_bound` is the one place that picks
+the bound for an input: the sparse bound when kappa is set, else Delta_1 or
+Delta_l by l.
 """
 
 from __future__ import annotations
@@ -31,19 +33,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import _validate_nk, bernoulli_probability, sigma_dense
+from .model import _validate_nk, bernoulli_probability, sigma_dense, sigma_sparse
 from .trotter import stage_count
 
 __all__ = [
     "BoundInput",
-    "BoundValue",
     "SolverInput",
     "q_of",
     "log_prefactor_higher",
     "log_prefactor_sparse",
-    "delta1_general",
-    "delta_l_general",
-    "delta_l_sparse_general",
     "delta1_dense",
     "delta_l_dense",
     "delta_l_sparse",
@@ -99,14 +97,6 @@ class BoundInput:
             raise ValueError(f"unknown prefactor_mode {self.prefactor_mode!r}")
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """An evaluated bound Delta, with the sparse regime when applicable."""
-
-    value: float
-    regime: str | None = None
-
-
 def log_prefactor_higher(order: int, prefactor_mode: str = "full") -> float:
     """log C(l), C(l) = Upsilon^(l+3) (l+3)^(1/2) (l+2)^(3(l+2)-1) / (l+1)."""
     if prefactor_mode == "unit":
@@ -137,52 +127,60 @@ def log_prefactor_sparse(order: int, prefactor_mode: str = "full") -> float:
     )
 
 
-def delta1_general(
-    gamma: int, q: int, sigma: float, p: float, t: float, r: int
-) -> float:
-    """First-order bound for a generalized Gaussian model with Gamma terms and
-    anticommutation degree q."""
-    if t == 0.0 or sigma == 0.0:
-        return 0.0
-    return (
-        4.0
-        * math.sqrt(2.0)
-        * p**2
-        * sigma**2
-        * math.sqrt(gamma * q)
-        * t**2
-        * (1.0 / (2.0 * r) + sigma * math.sqrt(q) * t / (3.0 * r**2))
-    )
-
-
 def _check_even_order(order: int, bound: str) -> None:
     if order < 2 or order % 2 != 0:
         raise ValueError(f"no {bound} bound for l = {order}: it needs even l >= 2 (--l)")
 
 
-def delta_l_general(
-    gamma: int,
-    q: int,
-    sigma: float,
-    order: int,
-    p: float,
-    t: float,
-    r: int,
-    prefactor_mode: str = "full",
-) -> float:
-    """Higher-order bound for a generalized Gaussian model (log-space eval)."""
-    _check_even_order(order, "higher-order")
-    if t == 0.0 or sigma == 0.0:
+def _exp_of_sum(log_common: float, term1: float, term2: float) -> float:
+    """exp(log_common) (e^term1 + e^term2), inf beyond the float range."""
+    log_value = log_common + np.logaddexp(term1, term2)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_value))
+
+
+def delta1_dense(inp: BoundInput) -> float:
+    """Delta_1 for the dense SYK model."""
+    if inp.l != 1:
+        raise ValueError("delta1_dense requires l = 1")
+    gamma, q = math.comb(inp.n, inp.k), q_of(inp.n, inp.k)
+    sigma = sigma_dense(inp.n, inp.k, inp.energy_constant)
+    p, t, r = inp.p, inp.t, inp.r
+    if t == 0.0 or sigma == 0.0 or q == 0:
         return 0.0
-    if q <= 0:
-        raise ValueError("anticommutation degree q must be positive")
-    l = order
+    try:
+        p_squared, t_squared = p**2, t**2
+    except OverflowError:  # p or t beyond the square root of the float range
+        return math.inf
+    try:
+        second = sigma * math.sqrt(q) * t / (3.0 * r**2)
+    except OverflowError:  # r**2 beyond the float range
+        second = 0.0
+    return (
+        4.0
+        * math.sqrt(2.0)
+        * p_squared
+        * sigma**2
+        * math.sqrt(gamma * q)
+        * t_squared
+        * (1.0 / (2.0 * r) + second)
+    )
+
+
+def delta_l_dense(inp: BoundInput) -> float:
+    """Delta_l for the dense SYK model (even l >= 2), evaluated in log space."""
+    gamma, q = math.comb(inp.n, inp.k), q_of(inp.n, inp.k)
+    sigma = sigma_dense(inp.n, inp.k, inp.energy_constant)
+    _check_even_order(inp.l, "higher-order")
+    l, p, t, r = inp.l, inp.p, inp.t, inp.r
+    if t == 0.0 or sigma == 0.0 or q == 0:
+        return 0.0
     log_bracket = (
         0.5 * math.log(p) + math.log(sigma) + 0.5 * math.log(q)
         + math.log(t) - math.log(r)
     )
     log_common = (
-        log_prefactor_higher(l, prefactor_mode)
+        log_prefactor_higher(l, inp.prefactor_mode)
         + 0.5 * math.log(p)
         + math.log(sigma)
         + math.log(t)
@@ -190,33 +188,22 @@ def delta_l_general(
     )
     term1 = math.log(gamma) + l * log_bracket
     term2 = 2.0 * math.log(gamma) + (l + 1) * log_bracket
-    log_value = log_common + np.logaddexp(term1, term2)
-    return float(np.exp(log_value))
+    return _exp_of_sum(log_common, term1, term2)
 
 
-def delta_l_sparse_general(
-    gamma: int,
-    q: int,
-    sigma: float,
-    p_b: float,
-    order: int,
-    p: float,
-    t: float,
-    r: int,
-    prefactor_mode: str = "full",
-) -> BoundValue:
-    """Bernoulli-averaged sparse bound; ``sigma`` is the renormalized
-    (1/sqrt(p_B)-inflated) per-term deviation.  The regime splits at
-    p_B * q = 1; the two displays agree exactly on the boundary."""
-    _check_even_order(order, "sparse-SYK")
-    if not 0.0 <= p_b <= 1.0:
-        raise ValueError(f"p_B must lie in [0, 1], got {p_b}")
-    if q <= 0:
-        raise ValueError("anticommutation degree q must be positive")
-    if t == 0.0 or sigma == 0.0 or p_b == 0.0:
-        return BoundValue(0.0, regime="degenerate")
-    l = order
-    log_beta = log_prefactor_sparse(l, prefactor_mode)
+def delta_l_sparse(inp: BoundInput) -> float:
+    """Bernoulli-averaged sparse-SYK bound (even l >= 2); needs kappa.  The
+    regime splits at p_B * Q = 1; the two displays agree on the boundary."""
+    gamma, q = math.comb(inp.n, inp.k), q_of(inp.n, inp.k)
+    if inp.kappa is None:
+        raise ValueError("sparse bound needs kappa")
+    p_b = bernoulli_probability(inp.n, inp.k, inp.kappa)[0]
+    sigma = sigma_sparse(inp.n, inp.k, inp.energy_constant, p_b)
+    _check_even_order(inp.l, "sparse-SYK")
+    l, p, t, r = inp.l, inp.p, inp.t, inp.r
+    if t == 0.0 or sigma == 0.0 or q == 0:  # sigma is 0 at p_B = 0
+        return 0.0
+    log_beta = log_prefactor_sparse(l, inp.prefactor_mode)
     if p_b * q >= 1.0:
         log_bracket = (
             0.5 * math.log(p) + math.log(sigma)
@@ -226,7 +213,6 @@ def delta_l_sparse_general(
             log_beta + math.log(gamma) + 0.5 * math.log(p) + math.log(sigma)
             + 0.5 * math.log(p_b) + math.log(t) - 0.5 * math.log(q)
         )
-        regime = "p_B*Q >= 1"
     else:
         log_bracket = (
             0.5 * math.log(p) + math.log(sigma) + math.log(t) - math.log(r)
@@ -235,49 +221,16 @@ def delta_l_sparse_general(
             log_beta + math.log(gamma) + 0.5 * math.log(p) + math.log(sigma)
             + math.log(t) - math.log(q)
         )
-        regime = "p_B*Q <= 1"
     term1 = l * log_bracket
     term2 = math.log(gamma) + (l + 1) * log_bracket
-    log_value = log_common + np.logaddexp(term1, term2)
-    return BoundValue(float(np.exp(log_value)), regime=regime)
-
-
-def delta1_dense(inp: BoundInput) -> float:
-    """Delta_1 for the dense SYK model."""
-    if inp.l != 1:
-        raise ValueError("delta1_dense requires l = 1")
-    return delta1_general(
-        math.comb(inp.n, inp.k), q_of(inp.n, inp.k),
-        sigma_dense(inp.n, inp.k, inp.energy_constant), inp.p, inp.t, inp.r,
-    )
-
-
-def delta_l_dense(inp: BoundInput) -> float:
-    """Delta_l for the dense SYK model (even l >= 2)."""
-    return delta_l_general(
-        math.comb(inp.n, inp.k), q_of(inp.n, inp.k),
-        sigma_dense(inp.n, inp.k, inp.energy_constant), inp.l, inp.p, inp.t, inp.r,
-        inp.prefactor_mode,
-    )
-
-
-def delta_l_sparse(inp: BoundInput) -> BoundValue:
-    """Average sparse-SYK bound (even l >= 2); needs kappa."""
-    gamma, q = math.comb(inp.n, inp.k), q_of(inp.n, inp.k)
-    if inp.kappa is None:
-        raise ValueError("sparse bound needs kappa")
-    p_b = bernoulli_probability(inp.n, inp.k, inp.kappa)[0]
-    sigma = sigma_dense(inp.n, inp.k, inp.energy_constant) / math.sqrt(p_b) if p_b else 0.0
-    return delta_l_sparse_general(
-        gamma, q, sigma, p_b, inp.l, inp.p, inp.t, inp.r, inp.prefactor_mode
-    )
+    return _exp_of_sum(log_common, term1, term2)
 
 
 def error_bound(inp: BoundInput) -> float:
     """The bound that applies to ``inp``: the sparse bound when kappa is set,
     otherwise Delta_1 for l = 1 and Delta_l for other l."""
     if inp.kappa is not None:
-        return delta_l_sparse(inp).value
+        return delta_l_sparse(inp)
     return delta1_dense(inp) if inp.l == 1 else delta_l_dense(inp)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "SykInstance",
     "ordering_map",
     "sigma_dense",
+    "sigma_sparse",
     "bernoulli_probability",
     "sample_dense",
     "sample_sparse",
@@ -70,6 +71,14 @@ def sigma_dense(n: int, k: int, energy_constant: float = 1.0) -> float:
     return math.sqrt(
         math.factorial(k - 1) * energy_constant**2 / (k * float(n) ** (k - 1))
     )
+
+
+def sigma_sparse(n: int, k: int, energy_constant: float, p_b: float) -> float:
+    """Per-term standard deviation of the sparse model's Gaussian couplings:
+    sigma_dense / sqrt(p_B), so the mean of b_g^2 J_g^2 is the dense one; 0
+    at p_B = 0."""
+    sigma = sigma_dense(n, k, energy_constant)
+    return sigma / math.sqrt(p_b) if p_b > 0.0 else 0.0
 
 
 def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
@@ -181,11 +190,10 @@ def sample_sparse(
         mask = sample_bernoulli_mask(n, k, kappa, seed)
     mask = np.asarray(mask, dtype=np.int8)
     gamma_count = math.comb(n, k)
+    sigma = sigma_sparse(n, k, energy_constant, p_b)
     if p_b == 0.0:
-        sigma = 0.0
         couplings = np.zeros(gamma_count)
     else:
-        sigma = sigma_dense(n, k, energy_constant) / math.sqrt(p_b)
         rng = stream_rng(seed, "sparse_couplings", coupling_index)
         couplings = _gaussian(rng, sigma, gamma_count)
     return SykInstance(
@@ -240,17 +248,17 @@ def from_json(text: str) -> SykInstance:
     if not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite")
     mask, p_b = doc["mask"], doc["p_B"]
-    sigma = sigma_dense(n, k, doc["energy_constant"])
     if mask is None:
         if p_b is not None:
             raise ValueError("a dense instance (no mask) must have p_B = null")
+        sigma = sigma_dense(n, k, doc["energy_constant"])
     else:
         mask = np.asarray(mask)
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask entries must be 0 or 1")
         if p_b is None or not 0.0 <= p_b <= 1.0:
             raise ValueError(f"a sparse instance needs 0 <= p_B <= 1, got {p_b!r}")
-        sigma = sigma / math.sqrt(p_b) if p_b > 0.0 else 0.0
+        sigma = sigma_sparse(n, k, doc["energy_constant"], p_b)
     if not math.isclose(doc["sigma"], sigma, rel_tol=1e-12):
         raise ValueError(f"sigma {doc['sigma']!r} != {sigma!r} implied by n, k, "
                          "energy_constant and p_B")

@@ -80,7 +80,7 @@ def test_criterion_05_dense_bound_validity(criterion_report):
             for n in ns:
                 est = trotter.averaged_error(n, k, l, t, r, 2, 505, n_disorder)
                 inp = bounds.BoundInput(n=n, k=k, l=l, p=2, t=t, r=r)
-                bound = bounds.delta1_dense(inp) if l == 1 else bounds.delta_l_dense(inp)
+                bound = bounds.error_bound(inp)
                 eta, eta_err = bounds.error_ratio(est, bound)
                 etas[(k, l, n)] = eta
                 ok_cells &= eta <= 1 + 2 * eta_err
@@ -119,7 +119,7 @@ def test_criterion_06_t_scaling_pinned_scale(criterion_report):
                 est = trotter.averaged_error(n, k, l, float(t), r, 2, 606, n_disorder)
                 obs_pts.append((float(t), est.value))
                 inp = bounds.BoundInput(n=n, k=k, l=l, p=2, t=float(t), r=r)
-                bound = bounds.delta1_dense(inp) if l == 1 else bounds.delta_l_dense(inp)
+                bound = bounds.error_bound(inp)
                 bound_pts.append((float(t), bound))
             diff = abs(bounds.loglog_fit(obs_pts)[0] - bounds.loglog_fit(bound_pts)[0])
             details.append(f"k={k} l={l}: {diff:.2f}")
@@ -142,7 +142,7 @@ def test_criterion_06_supplement_paper_scale():
         est = trotter.averaged_error(n, k, l, float(t), r, 2, 606, n_disorder)
         obs_pts.append((float(t), est.value))
         inp = bounds.BoundInput(n=n, k=k, l=l, p=2, t=float(t), r=r)
-        bound_pts.append((float(t), bounds.delta_l_dense(inp)))
+        bound_pts.append((float(t), bounds.error_bound(inp)))
     diff = abs(bounds.loglog_fit(obs_pts)[0] - bounds.loglog_fit(bound_pts)[0])
     assert diff <= 0.3
 
@@ -157,9 +157,9 @@ def test_criterion_07_sparse_bound_validity(criterion_report):
         for k in (3, 4):
             est = trotter.averaged_error(n, k, l, t, r, 2, 707, n_disorder,
                                          kappa=kappa, num_bernoulli=n_bernoulli)
-            bound = bounds.delta_l_sparse(
+            bound = bounds.error_bound(
                 bounds.BoundInput(n=n, k=k, l=l, p=2, t=t, r=r, kappa=kappa)
-            ).value
+            )
             details.append(f"n={n} k={k}: eta={est.value / bound:.2g}")
             ok &= est.value <= bound + 2 * est.stderr
     criterion_report(7, "sparse bound validity (kappa=4, l=2)", ok,

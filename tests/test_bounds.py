@@ -1,6 +1,7 @@
 """Bound evaluators, Trotter-number solver, gate counts, log-log fits."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,11 +11,8 @@ from syklab.bounds import (
     BoundInput,
     SolverInput,
     delta1_dense,
-    delta1_general,
     delta_l_dense,
-    delta_l_general,
     delta_l_sparse,
-    delta_l_sparse_general,
     error_bound,
     error_ratio,
     gate_counts,
@@ -85,6 +83,24 @@ def independent_delta_l(n, k, l, p, t, r, j0=1.0, unit=False):
     )
 
 
+def independent_delta_sparse(n, k, l, p, t, r, p_b, j0=1.0):
+    """Separately coded arithmetic for the sparse bound at keep-probability
+    p_b, with the renormalized deviation sigma_dense/sqrt(p_b)."""
+    sigma = math.sqrt(math.factorial(k - 1) * j0**2 / (k * n ** (k - 1)) / p_b)
+    q = q_of(n, k)
+    gamma = math.comb(n, k)
+    ups = 2 * 5 ** (l // 2 - 1)
+    beta = ((l + 3) ** 2.5 * (l + 2) ** (2 * (l + 2)) * ups ** (l + 3)
+            * (l + 2) ** (1.5 * (l + 2)) / (l + 1))
+    if p_b * q >= 1:
+        br = math.sqrt(p) * sigma * math.sqrt(p_b * q) * t / r
+        front = gamma * math.sqrt(p) * sigma * math.sqrt(p_b) * t / math.sqrt(q)
+    else:
+        br = math.sqrt(p) * sigma * t / r
+        front = gamma * math.sqrt(p) * sigma * t / q
+    return beta * front * (br**l + gamma * br ** (l + 1))
+
+
 class TestDelta1:
     def test_t_zero(self):
         assert delta1_dense(BoundInput(n=8, k=4, l=1, p=2, t=0.0, r=10)) == 0.0
@@ -113,6 +129,22 @@ class TestDelta1:
     def test_negative_or_nan_t_rejected(self, t):
         with pytest.raises(ValueError, match="time t must be nonnegative"):
             BoundInput(n=8, k=4, l=1, p=2, t=t, r=10)
+
+    def test_one_term_is_exact(self):
+        """k = n: one term, Q = 0, so every pair commutes and the bound is 0."""
+        assert delta1_dense(BoundInput(n=8, k=8, l=1, p=2, t=1.0, r=10)) == 0.0
+
+    @pytest.mark.parametrize("big", ["p", "t"])
+    def test_square_beyond_float_range_is_inf(self, big):
+        inp = BoundInput(**{**dict(n=8, k=4, l=1, p=2, t=1.0, r=10), big: 1e200})
+        assert delta1_dense(inp) == math.inf
+
+    def test_r_squared_beyond_float_range_drops_its_term(self):
+        r = 10**200
+        got = delta1_dense(BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=r))
+        sigma, q = sigma_dense(8, 4), q_of(8, 4)
+        want = 4.0 * math.sqrt(2.0) * 2**2 * sigma**2 * math.sqrt(70 * q) * (1.0 / (2.0 * r))
+        assert got == want > 0
 
     def test_monotonicity(self):
         base = dict(n=8, k=3, l=1, p=2, t=1.0, r=100)
@@ -153,6 +185,16 @@ class TestDeltaL:
         assert np.isfinite(val) or val == math.inf
         assert val >= 0
 
+    def test_one_term_is_exact(self):
+        """k = n: Q = 0 gives a zero bound, not an error."""
+        assert delta_l_dense(BoundInput(n=8, k=8, l=2, p=2, t=1.0, r=10)) == 0.0
+
+    def test_beyond_float_range_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = delta_l_dense(BoundInput(n=8, k=4, l=2, p=2, t=1e300, r=10))
+        assert val == math.inf
+
     def test_monotonicity(self):
         base = dict(n=8, k=4, l=2, p=2, t=1.0, r=100)
         d = delta_l_dense(BoundInput(**base))
@@ -163,7 +205,19 @@ class TestDeltaL:
 class TestDeltaSparse:
     def test_t_zero(self):
         v = delta_l_sparse(BoundInput(n=8, k=4, l=2, p=2, t=0.0, r=10, kappa=4.0))
-        assert v.value == 0.0
+        assert v == 0.0
+
+    def test_one_term_is_exact(self):
+        """k = n: Q = 0 gives a zero bound, not an error."""
+        v = delta_l_sparse(BoundInput(n=8, k=8, l=2, p=2, t=1.0, r=10, kappa=4.0))
+        assert v == 0.0
+
+    def test_beyond_float_range_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = delta_l_sparse(
+                BoundInput(n=8, k=4, l=2, p=2, t=1e300, r=10, kappa=4.0))
+        assert val == math.inf
 
     def test_needs_p_b(self):
         with pytest.raises(ValueError):
@@ -180,28 +234,29 @@ class TestDeltaSparse:
             sparse = delta_l_sparse(
                 BoundInput(n=n, k=4, l=2, p=2, t=t, r=r, kappa=kappa)
             )
-            assert sparse.value / dense == pytest.approx(expected, rel=1e-10)
+            assert sparse / dense == pytest.approx(expected, rel=1e-10)
 
     def test_regime_boundary_continuity(self):
+        """kappa puts p_B * Q at 1 +- 1e-13; the two regimes agree there."""
         for n in (8, 10, 12):
-            q = q_of(n, 4)
-            p_b = 1.0 / q
-            gamma = math.comb(n, 4)
-            above = delta_l_sparse_general(gamma, q, 0.05, p_b * (1 + 1e-13),
-                                           2, 2, 1.0, 100)
-            below = delta_l_sparse_general(gamma, q, 0.05, p_b * (1 - 1e-13),
-                                           2, 2, 1.0, 100)
-            assert above.regime != below.regime
-            assert above.value == pytest.approx(below.value, rel=1e-10)
+            q, gamma = q_of(n, 4), math.comb(n, 4)
+            values = []
+            for side in (1 + 1e-13, 1 - 1e-13):
+                kappa = side * gamma / (n * q)
+                p_b = bernoulli_probability(n, 4, kappa)[0]
+                assert (p_b * q >= 1.0) == (side > 1)
+                values.append(delta_l_sparse(
+                    BoundInput(n=n, k=4, l=2, p=2, t=1.0, r=100, kappa=kappa)))
+            assert values[0] == pytest.approx(values[1], rel=1e-10)
 
     def test_kappa_resolution(self):
-        v1 = delta_l_sparse(BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=100, kappa=4.0))
-        v2 = delta_l_sparse_general(
-            math.comb(10, 4), q_of(10, 4), sigma_dense(10, 4) / math.sqrt(40 / 210),
-            40 / 210, 2, 2, 1.0, 100,
-        )
-        assert v1.value == pytest.approx(v2.value, rel=1e-12)
-        assert v1.regime == v2.regime
+        """p_B = kappa n / C(n,k) at n = 10, k = 4 (Q = 104), on both sides
+        of p_B Q = 1."""
+        for kappa, p_b in ((4.0, 40 / 210), (0.1, 1 / 210)):
+            got = delta_l_sparse(
+                BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=100, kappa=kappa))
+            want = independent_delta_sparse(10, 4, 2, 2, 1.0, 100, p_b)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestErrorBound:
@@ -211,28 +266,11 @@ class TestErrorBound:
         sparse = BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=50, kappa=4.0)
         assert error_bound(dense1) == delta1_dense(dense1)
         assert error_bound(dense2) == delta_l_dense(dense2)
-        assert error_bound(sparse) == delta_l_sparse(sparse).value
+        assert error_bound(sparse) == delta_l_sparse(sparse)
 
     def test_sparse_rejects_first_order(self):
         with pytest.raises(ValueError, match="even l"):
             error_bound(BoundInput(n=10, k=4, l=1, p=2, t=1.0, r=50, kappa=4.0))
-
-
-class TestGeneralizedEntryPoints:
-    def test_dense_wrappers_specialize_general(self):
-        n, k = 10, 4
-        sigma = sigma_dense(n, k)
-        assert delta1_dense(BoundInput(n=n, k=k, l=1, p=2, t=1.0, r=50)) == (
-            delta1_general(math.comb(n, k), q_of(n, k), sigma, 2, 1.0, 50)
-        )
-        assert delta_l_dense(BoundInput(n=n, k=k, l=2, p=2, t=1.0, r=50)) == (
-            delta_l_general(math.comb(n, k), q_of(n, k), sigma, 2, 2, 1.0, 50)
-        )
-
-    def test_general_accepts_arbitrary_q_max(self):
-        # a generalized Gaussian model with Q_max from an arbitrary termset
-        v = delta_l_general(12, 3, 0.1, 2, 2, 1.0, 100)
-        assert v > 0
 
 
 class TestSolver:

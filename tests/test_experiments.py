@@ -335,6 +335,32 @@ class TestCli:
         assert main(["bounds", "--n", "6", "--k", "3", "--l", "1"]) == 0
         assert "Delta_1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("model", [[], ["--model", "sparse", "--kappa", "4"]],
+                             ids=["dense", "sparse"])
+    def test_one_term_bound_is_zero(self, model, capsys):
+        """k = n: one term (Q = 0), so the product formula is exact."""
+        assert main(["bounds", "--n", "8", "--k", "8", "--l", "2"] + model) == 0
+        assert capsys.readouterr().out.endswith(") = 0.0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--l", "1", "--p", "1e200"],
+        ["--l", "1", "--t", "1e200"],
+        ["--l", "2", "--t", "1e300"],
+        ["--l", "2", "--t", "1e300", "--model", "sparse"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bound_beyond_float_range_is_inf(self, argv, capsys):
+        assert main(["bounds", "--n", "8", "--k", "4"] + argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(") = inf\n")
+        assert captured.err == ""
+
+    def test_scan_row_bound_beyond_float_range_is_inf(self, capsys):
+        assert main(["scan-n", "--n", "6,8", "--k", "4", "--l", "1", "--t", "1e200",
+                     "--bound-only"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert [(row["bound"], row["error"]) for row in rows] == [("inf", ""), ("inf", "")]
+
     def test_gatecount_subcommand(self, capsys):
         assert main(["gatecount", "--n", "8", "--k", "4", "--r", "100"]) == 0
         assert "Gamma=70" in capsys.readouterr().out
@@ -397,6 +423,9 @@ class TestCli:
          "lambda(p, r) must be positive and strictly decreasing in r"),
         (["solve-r", "--n", "8", "--k", "4", "--l", "2", "--epsilon", "1e-300"],
          "no satisfying Trotter number below 2^62"),
+        # Delta_1 is inf at every r, so lambda does not decrease
+        (["solve-r", "--n", "8", "--k", "4", "--l", "1", "--t", "1e200"],
+         "lambda(p, r) must be positive and strictly decreasing in r"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -17,6 +17,7 @@ from syklab.model import (
     sample_dense,
     sample_sparse,
     sigma_dense,
+    sigma_sparse,
     stream_rng,
     to_json,
 )
@@ -50,6 +51,10 @@ class TestSigma:
 
     def test_k1(self):
         assert sigma_dense(8, 1) == 1.0
+
+    def test_sparse_is_inflated_by_one_over_sqrt_p_b(self):
+        assert sigma_sparse(10, 4, 1.0, 0.25) == sigma_dense(10, 4) / 0.5
+        assert sigma_sparse(10, 4, 1.0, 0.0) == 0.0
 
 
 class TestBernoulliProbability:
