@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import _validate_nk, bernoulli_probability, sigma_dense, sigma_sparse
-from .trotter import stage_count
+from .trotter import _check_r, stage_count
 
 __all__ = [
     "BoundInput",
@@ -91,8 +91,7 @@ class BoundInput:
             )
         if not self.t >= 0:  # nan too
             raise ValueError("time t must be nonnegative")
-        if self.r < 1:
-            raise ValueError("Trotter number r must be >= 1")
+        _check_r(self.r)
         if self.prefactor_mode not in ("full", "unit"):
             raise ValueError(f"unknown prefactor_mode {self.prefactor_mode!r}")
 

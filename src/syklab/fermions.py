@@ -102,22 +102,28 @@ class TermTable:
     (B = 1).  This is the one map from a basis index b to its (sector,
     position) coordinates: b = sectors[q, j] with j = b >> (B - 1), as one of
     2j and 2j + 1 has each parity.  Block q of K_g holds coeff[q, j] at
-    (j, perm[j]), perm[j] = j ^ s_g with s_g = x_g >> (B - 1) (s_g =
-    position_mask(g), perm = permutation(g), coeff = permuted_coefficients(g)),
-    so block q of K_g @ M has row j = coeff[q, j] * M_q[perm[j]].  Stored
-    compactly: s_g and perm are derived on use, and coeff = phases[g] * signs[g]
-    with int8 signs.  ``signs`` (Gamma * D bytes, most of the table) is built
-    on first read, so a caller that reads only ``terms`` never pays for it; the
-    rest takes at most Gamma * 88 + D * 16 bytes (64 per term).
+    (j, j ^ s_g) with s_g = shifts[g] = x_g >> (B - 1) and coeff =
+    permuted_coefficients(g), so block q of K_g @ M has row j = coeff[q, j] *
+    M_q[j ^ s_g].  Stored compactly: coeff = phases[g] * signs[g] with int8
+    signs.  ``sectors`` (D * 8 bytes) and ``signs`` (Gamma * D bytes) are
+    built on first read, so a caller that reads only ``terms`` pays for
+    neither; the rest takes at most Gamma * 88 bytes (64 per term).
     """
 
     n: int
     k: int
     terms: tuple[PauliString, ...]
-    x_masks: np.ndarray  # (Gamma,) intp
+    shifts: np.ndarray  # (Gamma,) intp, s_g < W: K_g maps position j to j ^ s_g
     phases: np.ndarray  # (Gamma,) complex, i**phase_exp
-    sectors: np.ndarray  # (B, W) intp
-    positions: np.ndarray  # (W,) intp, 0 .. W-1
+
+    @cached_property
+    def sectors(self) -> np.ndarray:
+        """(B, W) intp: the basis indices of each parity sector, increasing."""
+        basis = np.arange(hilbert_dim(self.n))
+        parity = np.bitwise_count(basis) & 1 if self.k % 2 == 0 else np.zeros_like(basis)
+        sectors = np.stack([basis[parity == q] for q in np.unique(parity)])
+        sectors.flags.writeable = False
+        return sectors
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -128,14 +134,6 @@ class TermTable:
             signs[g] = 1 - 2 * parity.astype(np.int8)
         signs.flags.writeable = False
         return signs
-
-    def position_mask(self, g: int) -> int:
-        """s_g = x_g >> (B - 1) < W: K_g maps position j to j ^ s_g."""
-        return int(self.x_masks[g]) >> (len(self.sectors) - 1)
-
-    def permutation(self, g: int, out: np.ndarray | None = None) -> np.ndarray:
-        """perm[j] = j ^ s_g, written to ``out`` when given."""
-        return np.bitwise_xor(self.positions, self.position_mask(g), out=out)
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
         """scale * coeff: the (B, W) nonzero entries of scale * K_g; an
@@ -149,15 +147,12 @@ _TABLE_LOCK = threading.Lock()
 @lru_cache(maxsize=32)
 def _build_term_table(n: int, k: int) -> TermTable:
     terms = tuple(term_operator(edge, n) for edge in ordering_map(n, k))
-    basis = np.arange(hilbert_dim(n))
-    x_masks = np.array([pauli.x_mask for pauli in terms], dtype=np.intp)
+    # B - 1: even k keeps two parity sectors, odd k one
+    shifts = np.array([pauli.x_mask >> (1 - k % 2) for pauli in terms], dtype=np.intp)
     phases = np.array([1j**pauli.phase_exp for pauli in terms], dtype=complex)
-    parity = np.bitwise_count(basis) & 1 if k % 2 == 0 else np.zeros_like(basis)
-    sectors = np.stack([basis[parity == q] for q in np.unique(parity)])
-    positions = np.arange(sectors.shape[1])
-    for array in (x_masks, phases, sectors, positions):
+    for array in (shifts, phases):
         array.flags.writeable = False
-    return TermTable(n, k, terms, x_masks, phases, sectors, positions)
+    return TermTable(n, k, terms, shifts, phases)
 
 
 def term_table(n: int, k: int) -> TermTable:

@@ -59,7 +59,7 @@ def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
     # a term zero in one sample only adds a +-0 product there: no bit moves
     for g in np.flatnonzero(couplings.any(axis=0)):
         coeff = table.permuted_coefficients(g, couplings[:, g, None, None])
-        ham.reshape(-1)[diagonal ^ table.position_mask(g)] += coeff.ravel()
+        ham.reshape(-1)[diagonal ^ table.shifts[g]] += coeff.ravel()
     return ham
 
 

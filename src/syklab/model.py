@@ -68,9 +68,12 @@ def sigma_dense(n: int, k: int, energy_constant: float = 1.0) -> float:
     _validate_nk(n, k)
     if energy_constant <= 0:
         raise ValueError("energy constant must be positive")
-    return math.sqrt(
-        math.factorial(k - 1) * energy_constant**2 / (k * float(n) ** (k - 1))
-    )
+    try:
+        square = energy_constant**2
+    except OverflowError:
+        raise ValueError("energy constant (--energy-constant) squared exceeds the "
+                         f"float range, got {energy_constant!r}") from None
+    return math.sqrt(math.factorial(k - 1) * square / (k * float(n) ** (k - 1)))
 
 
 def sigma_sparse(n: int, k: int, energy_constant: float, p_b: float) -> float:

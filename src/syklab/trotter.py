@@ -8,7 +8,7 @@ application order (steps[0] acts on the state first).  The recursion
     q_p = 1 / (4 - 4**(1/(2p-1))),
 
 flattens to Upsilon = 2 * 5**(l/2 - 1) sweeps per round, each sweep a forward
-or reverse pass over all Gamma terms.
+or reverse pass over all Gamma terms; S_1 is one forward sweep.
 
 For even k every x_g has even popcount, so H, exp(iHt) and S_l(tau) keep the
 parity of the basis index: each is block diagonal with B = 2 parity sectors
@@ -17,16 +17,17 @@ B = 1 and W = D, in the same code.  Round matrices are built by one kernel,
 ``_round_matrices``, on the (N, B, W, W) parity-block stack of N samples that
 share (n, k), in the (sector, position) coordinates of the one cached term
 set ``fermions.term_table(n, k)``: each schedule step is one ``take`` of
-every block's rows along K_g's in-sector permutation, one coefficient
-multiply, one cos scale and one add for all N samples.  A deleted sparse
-term is a zero coupling, so the kernel reads only couplings and the samples'
-masks may differ.
+every block's rows along K_g's in-sector permutation j -> j ^ shifts[g],
+one coefficient multiply, one cos scale and one add for all N samples.  A
+deleted sparse term is a zero coupling, so the kernel reads only couplings
+and the samples' masks may differ.
 
 The error operator E = exp(iHt) - S_l(t/r)**r, its power and its Schatten
 norm are all formed on parity blocks by one entry, ``_error_operators``,
-which checks r and t and builds the schedule; H comes from ``assemble`` as
-the same block stack.  Blocks meet D space only where ``fixed_state_error``
-splits its state and ``trotterized`` returns a D x D matrix.
+which checks r and t (the one check, which ``trotterized`` shares) and
+builds the schedule; H comes from ``assemble`` as the same block stack.
+Blocks meet D space only where ``fixed_state_error`` splits its state and
+``trotterized`` returns a D x D matrix.
 ``averaged_error`` passes the samples of one average in stacks of at most
 ``_STACK_BYTES``.  Every round-matrix entry goes through the same
 floating-point operations as a one-matrix, full-D build, so the rounds are
@@ -36,6 +37,7 @@ bit-identical to it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -80,7 +82,9 @@ class Schedule:
 
 
 def _sweep_scales(order: int) -> list[tuple[float, bool]]:
-    """List of (scale, forward?) sweeps in application order for even order."""
+    """List of (scale, forward?) sweeps of S_l in application order."""
+    if order == 1:
+        return [(1.0, True)]
     if order == 2:
         # S_2(tau) = (reverse sweep at tau/2)(forward sweep at tau/2):
         # applied to a state, the reverse sweep acts first.
@@ -99,24 +103,12 @@ def build_schedule(order: int, gamma_count: int) -> Schedule:
     stages = stage_count(order)  # validates the order
     if gamma_count < 1:
         raise ValueError("gamma_count must be positive")
-    if order == 1:
-        steps = tuple((1.0, b) for b in range(1, gamma_count + 1))
-    else:
-        steps_list: list[tuple[float, int]] = []
-        for scale, forward in _sweep_scales(order):
-            terms = range(1, gamma_count + 1) if forward else range(gamma_count, 0, -1)
-            steps_list.extend((scale, b) for b in terms)
-        steps = tuple(steps_list)
+    steps: list[tuple[float, int]] = []
+    for scale, forward in _sweep_scales(order):
+        terms = range(1, gamma_count + 1) if forward else range(gamma_count, 0, -1)
+        steps.extend((scale, b) for b in terms)
     assert len(steps) == stages * gamma_count
-    return Schedule(order, stages, gamma_count, steps)
-
-
-def _from_blocks(blocks: np.ndarray, sectors: np.ndarray) -> np.ndarray:
-    """The D x D block-diagonal matrix whose blocks on ``sectors`` are
-    ``blocks`` (B, W, W)."""
-    full = np.zeros((sectors.size, sectors.size), dtype=complex)
-    full[sectors[:, :, None], sectors[:, None, :]] = blocks
-    return full
+    return Schedule(order, stages, gamma_count, tuple(steps))
 
 
 def _round_matrices(
@@ -134,14 +126,15 @@ def _round_matrices(
     num_blocks, width = table.sectors.shape
     stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
     buf = np.empty_like(stack)
-    perm = np.empty_like(table.positions)
+    positions = np.arange(width)
+    perm = np.empty_like(positions)
     live = (couplings.any(axis=0) & (tau != 0)).tolist()
     for a_j, b_j in schedule.steps:
         i = b_j - 1
         if not live[i]:
             continue
         theta = a_j * couplings[:, i] * tau
-        table.permutation(i, out=perm)
+        np.bitwise_xor(positions, table.shifts[i], out=perm)
         # perm is in range by construction; mode="clip" skips the copy that
         # take() makes for out= under the default bounds check
         np.take(stack, perm, axis=2, out=buf, mode="clip")
@@ -166,6 +159,21 @@ def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
         base = base @ base
 
 
+def _check_r(r: int) -> None:
+    """The one check of a Trotter number r, which BoundInput shares: 1 <= r
+    <= the largest float, as t / r needs."""
+    if not 1 <= r <= sys.float_info.max:
+        raise ValueError(
+            f"Trotter number r (--r) must satisfy 1 <= r <= {sys.float_info.max!r}")
+
+
+def _check_t_and_r(t: float, r: int) -> None:
+    """The one check of the evolution time t and Trotter number r."""
+    _check_r(r)
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
+
+
 def trotterized(
     instance: SykInstance, schedule: Schedule, t: float, r: int
 ) -> np.ndarray:
@@ -175,12 +183,13 @@ def trotterized(
             f"schedule has {schedule.gamma_count} terms, instance has "
             f"{instance.gamma_count}"
         )
-    if r < 1:
-        raise ValueError("Trotter number r must be >= 1")
+    _check_t_and_r(t, r)
     rounds = _round_matrices(instance.n, instance.k, instance.couplings[None],
                              schedule, t / r)
     sectors = term_table(instance.n, instance.k).sectors
-    return _from_blocks(_matrix_power(rounds[0], r), sectors)
+    full = np.zeros((sectors.size, sectors.size), dtype=complex)
+    full[sectors[:, :, None], sectors[:, None, :]] = _matrix_power(rounds[0], r)
+    return full
 
 
 def _error_operators(
@@ -196,12 +205,11 @@ def _error_operators(
     one eigh per block, before the stack's round matrices, as for one
     instance.  Each exp(iHt) and round matrix is dropped once its E is
     formed, and E is yielded without a reference kept here: a consumer that
-    drops each E holds one stack and one E at a time.
+    drops each E holds one stack and one E at a time.  The rounds are views
+    of one stack, which is freed with the last of them, before the consumer
+    reads the stack's last E.
     """
-    if r < 1:
-        raise ValueError("Trotter number r must be >= 1")
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
+    _check_t_and_r(t, r)
     n, k = instances[0].n, instances[0].k
     schedule = build_schedule(order, instances[0].gamma_count)
     sectors = term_table(n, k).sectors

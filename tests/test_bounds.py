@@ -130,6 +130,15 @@ class TestDelta1:
         with pytest.raises(ValueError, match="time t must be nonnegative"):
             BoundInput(n=8, k=4, l=1, p=2, t=t, r=10)
 
+    @pytest.mark.parametrize("r", [0, 10**400], ids=["zero", "beyond-float-range"])
+    def test_r_outside_one_to_float_range_rejected(self, r):
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
+            BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=r)
+
+    def test_unknown_prefactor_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown prefactor_mode 'half'"):
+            BoundInput(n=8, k=4, l=2, p=2, t=1.0, r=10, prefactor_mode="half")
+
     def test_one_term_is_exact(self):
         """k = n: one term, Q = 0, so every pair commutes and the bound is 0."""
         assert delta1_dense(BoundInput(n=8, k=8, l=1, p=2, t=1.0, r=10)) == 0.0
@@ -332,6 +341,17 @@ class TestSolver:
         r = solve_trotter_number(inp)
         assert r >= 1
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
+    def test_delta_outside_zero_one_rejected(self, delta):
+        base = BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=1)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            SolverInput(0.1, delta, "operator_norm", base)
+
+    def test_unknown_mode_rejected(self):
+        base = BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=1)
+        with pytest.raises(ValueError, match="unknown mode 'spectral'"):
+            SolverInput(0.1, 0.01, "spectral", base)
+
     def test_kappa_selects_the_sparse_bound(self):
         """A base with kappa solves against the sparse bound, whatever l."""
         base = BoundInput(n=10, k=4, l=2, p=2, t=1, r=1, kappa=4)
@@ -399,3 +419,9 @@ class TestLogLogFit:
     def test_degenerate_x(self):
         with pytest.raises(ValueError):
             loglog_fit([(2, 1), (2, 2), (2, 3)])
+
+    @pytest.mark.parametrize("points", [[(0, 1), (2, 2), (3, 3)], [(1, 1), (2, -2), (3, 3)]],
+                             ids=["x-zero", "y-negative"])
+    def test_non_positive_coordinate(self, points):
+        with pytest.raises(ValueError, match="log-log fit needs positive coordinates"):
+            loglog_fit(points)

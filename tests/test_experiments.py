@@ -331,6 +331,21 @@ class TestGenEvolve:
 
 
 class TestCli:
+    def test_sparse_gen_replays_in_evolve(self, tmp_path, capsys):
+        """``gen --model sparse`` writes the instance that ``evolve --model
+        sparse`` samples: replaying the file prints the same line."""
+        model = ["--model", "sparse", "--n", "8", "--k", "4", "--kappa", "2", "--seed", "7"]
+        path = tmp_path / "inst.json"
+        assert main(["gen", *model, "-o", str(path)]) == 0
+        inst = from_json(path.read_text(encoding="utf-8"))
+        assert 0 < inst.mask.sum() < inst.gamma_count
+        run = ["--l", "2", "--t", "0.5", "--r", "16"]
+        assert main(["evolve", "--instance", str(path), *run]) == 0
+        replayed = capsys.readouterr().out
+        assert main(["evolve", *model, *run]) == 0
+        assert capsys.readouterr().out == replayed
+        assert replayed.startswith("observed normalized error (n=8, k=4, l=2,")
+
     def test_bounds_subcommand(self, capsys):
         assert main(["bounds", "--n", "6", "--k", "3", "--l", "1"]) == 0
         assert "Delta_1" in capsys.readouterr().out
@@ -399,6 +414,15 @@ class TestCli:
         assert config.n_list == (6, 8)
         assert config.k == 3 and config.r == 32 and config.t == 0.5
 
+    def test_config_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# a comment\nk 4\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "--config", str(cfg)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"syklab: error: {cfg}:2: expected 'key = value'")
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 1\n", encoding="utf-8")
@@ -426,6 +450,15 @@ class TestCli:
         # Delta_1 is inf at every r, so lambda does not decrease
         (["solve-r", "--n", "8", "--k", "4", "--l", "1", "--t", "1e200"],
          "lambda(p, r) must be positive and strictly decreasing in r"),
+        (["bounds", "--n", "8", "--k", "4", "--l", "1", "--energy-constant", "1e200"],
+         "energy constant (--energy-constant) squared exceeds the float range, got 1e+200"),
+        (["gen", "--n", "8", "--k", "4", "--energy-constant", "1e200"],
+         "energy constant (--energy-constant) squared exceeds the float range, got 1e+200"),
+        # r beyond the float range, in the bound and in the error path's t / r
+        (["bounds", "--n", "8", "--k", "4", "--l", "1", "--r", "1" + "0" * 400],
+         "Trotter number r (--r) must satisfy 1 <= r <= 1.7976931348623157e+308"),
+        (["evolve", "--n", "6", "--k", "2", "--r", "1" + "0" * 400],
+         "Trotter number r (--r) must satisfy 1 <= r <= 1.7976931348623157e+308"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from syklab.pauli import (
     multiply,
     to_dense,
 )
-from syklab.trotter import build_schedule, trotterized
+from syklab.trotter import observed_error
 
 from conftest import dense_oracle
 
@@ -169,24 +170,25 @@ class TestTermTable:
             assert np.all(np.diff(sectors) > 0)
             if blocks == 2:
                 assert np.all(np.bitwise_count(sectors) & 1 == [[0], [1]])
+            positions = np.arange(dim // blocks)
             assert np.array_equal(sectors >> (blocks - 1),
-                                  np.broadcast_to(table.positions, sectors.shape))
+                                  np.broadcast_to(positions, sectors.shape))
             assert table.signs.shape == (len(edges),) + sectors.shape
             for g, edge in enumerate(edges):
                 pauli = term_operator(edge, n)
                 perm, coeff = _coefficients(pauli)
-                assert np.array_equal(sectors[:, table.permutation(g)], perm[sectors])
+                assert table.shifts[g] == pauli.x_mask >> (blocks - 1)
+                assert np.array_equal(sectors[:, positions ^ table.shifts[g]], perm[sectors])
                 assert np.array_equal(table.permuted_coefficients(g), coeff[perm][sectors])
-                assert table.position_mask(g) == table.x_masks[g] >> (blocks - 1)
                 rows = sectors.ravel()
-                assert np.array_equal(to_dense(pauli)[rows, rows ^ table.x_masks[g]],
+                assert np.array_equal(to_dense(pauli)[rows, rows ^ pauli.x_mask],
                                       table.permuted_coefficients(g).ravel())
 
     def test_arrays_are_read_only(self):
         for k in (3, 4):
             table = term_table(8, k)
-            for array in (table.x_masks, table.phases, table.signs, table.sectors,
-                          table.sectors.ravel(), table.positions):
+            for array in (table.shifts, table.phases, table.signs, table.sectors,
+                          table.sectors.ravel()):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -204,18 +206,30 @@ class TestTermTable:
     def test_signs_built_on_first_read(self, term_operator_calls):
         n, k = 8, 4
         assert syk_termset(n, k).anticommuting  # reads only the terms
+        assert "sectors" not in vars(term_table(n, k))
         assert "signs" not in vars(term_table(n, k))
         assemble(n, k, sample_dense(n, k).couplings[None])
+        assert "sectors" in vars(term_table(n, k))
         assert "signs" in vars(term_table(n, k))
         assert len(term_operator_calls) == math.comb(n, k)
 
+    def test_terms_alone_allocate_no_basis(self):
+        """At n = 40 (D = 2**20) the sectors alone take 8 MiB; the 780 terms
+        that ``chains`` reads take a small fraction of 1 MiB."""
+        fermions._build_term_table.cache_clear()
+        tracemalloc.start()
+        try:
+            syk_termset(40, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_term_operator_runs_once_per_term(self, term_operator_calls):
         n, k = 8, 4
-        schedule = build_schedule(2, math.comb(n, k))
         for i in range(3):
             for inst in (sample_dense(n, k, seed=i), sample_sparse(n, k, seed=i)):
-                assemble(n, k, inst.couplings[None])
-                trotterized(inst, schedule, 1.0, 4)
+                observed_error(inst, 2, 1.0, 4, 2)  # assemble and the round kernel
         assert len(term_operator_calls) == math.comb(n, k)
 
     def test_concurrent_first_calls_build_one_table(self, term_operator_calls):

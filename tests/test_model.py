@@ -52,6 +52,14 @@ class TestSigma:
     def test_k1(self):
         assert sigma_dense(8, 1) == 1.0
 
+    def test_square_beyond_float_range_rejected(self):
+        """Every finite square keeps sigma's bits; a square past the float
+        range is an input error naming the flag, not an OverflowError."""
+        assert sigma_dense(8, 4, 1e154) == math.sqrt(6 * 1e154**2 / (4 * 8.0**3))
+        with pytest.raises(ValueError, match=r"energy constant \(--energy-constant\) "
+                                             r"squared exceeds the float range, got 1e\+155"):
+            sigma_dense(8, 4, 1e155)
+
     def test_sparse_is_inflated_by_one_over_sqrt_p_b(self):
         assert sigma_sparse(10, 4, 1.0, 0.25) == sigma_dense(10, 4) / 0.5
         assert sigma_sparse(10, 4, 1.0, 0.0) == 0.0

@@ -55,6 +55,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(3, 2)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rejects_no_terms(self, order):
+        with pytest.raises(ValueError, match="gamma_count must be positive"):
+            build_schedule(order, 0)
+
 
 def _naive_product(instance, order, t, r):
     """Straight-line oracle: dense expm per factor, repeated r times."""
@@ -141,6 +146,19 @@ class TestTrotterized:
         with pytest.raises(ValueError):
             trotterized(inst, build_schedule(1, 5), 1.0, 1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_t(self, t):
+        inst = sample_dense(6, 3, seed=25)
+        with pytest.raises(ValueError, match="time t must be finite"):
+            trotterized(inst, build_schedule(1, inst.gamma_count), t, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_round_is_the_reference_round(self, k):
+        inst = sample_dense(8, k, seed=54)
+        sched = build_schedule(2, inst.gamma_count)
+        assert np.array_equal(trotterized(inst, sched, 0.7, 1),
+                              _round_matrix_reference(inst, sched, 0.7))
+
 
 def _round_matrix_reference(instance, schedule, tau):
     """Reference kernel: one round S_l(tau) as a full D x D matrix, built by
@@ -172,7 +190,9 @@ def _stack(instances, schedule, tau):
     blocks = trotter._round_matrices(first.n, first.k, couplings, schedule, tau)
     sectors = term_table(first.n, first.k).sectors
     assert blocks.shape == (len(instances),) + sectors.shape + sectors.shape[-1:]
-    return np.array([trotter._from_blocks(mat, sectors) for mat in blocks])
+    full = np.zeros((len(instances), sectors.size, sectors.size), dtype=complex)
+    full[:, sectors[:, :, None], sectors[:, None, :]] = blocks
+    return full
 
 
 def _assert_stack_is_separate_calls(instances, schedule, tau):
@@ -237,7 +257,6 @@ class TestRoundMatrices:
         sched = build_schedule(2, inst.gamma_count)
         ours = _stack([inst], sched, 0.7)[0]
         assert np.array_equal(ours, _round_matrix_reference(inst, sched, 0.7))
-        assert np.array_equal(ours, trotterized(inst, sched, 0.7, 1))
 
 
 class TestObservedError:
@@ -291,6 +310,15 @@ class TestObservedError:
             observed_error(inst, 1, t, 16, 2)
         with pytest.raises(ValueError, match="time t must be finite"):
             averaged_error(6, 3, 1, t, 16, 2, 41, 3)
+
+    def test_rejects_r_beyond_float_range(self):
+        """t / r needs r as a float: a larger r is refused, as BoundInput
+        refuses it, instead of raising OverflowError."""
+        inst = sample_dense(6, 3, seed=32)
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
+            observed_error(inst, 1, 1.0, 10**400, 2)
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
+            trotterized(inst, build_schedule(1, inst.gamma_count), 1.0, 10**400)
 
     def test_spectral_norm_variant(self):
         inst = sample_dense(6, 3, seed=32)
@@ -464,8 +492,7 @@ class TestFixedStateError:
         state /= np.linalg.norm(state)
         got = fixed_state_error(inst, 2, 1.0, 7, state)
         exact = exact_evolution(dense_hamiltonian(inst), 1.0)
-        sched = build_schedule(2, inst.gamma_count)
-        ref = np.linalg.norm((exact - trotterized(inst, sched, 1.0, 7)) @ state)
+        ref = np.linalg.norm((exact - _naive_product(inst, 2, 1.0, 7)) @ state)
         assert got == pytest.approx(ref, abs=1e-10)
 
     def test_dominated_by_spectral_error(self):
@@ -487,7 +514,7 @@ class TestFixedStateError:
         sched = build_schedule(2, inst.gamma_count)
         ref = np.linalg.norm(
             exact_evolution(dense_hamiltonian(inst), t) @ state
-            - trotterized(inst, sched, t, r) @ state
+            - _sweep_state(inst, sched, t, r, state)
         )
         assert fixed_state_error(inst, 2, t, r, state) == pytest.approx(ref, rel=1e-10)
 
@@ -498,10 +525,11 @@ class TestFixedStateError:
         sample_sparse(10, 4, kappa=2.0, seed=45),
     ], ids=["dense-8", "dense-10", "sparse-8", "sparse-10"])
     def test_matches_matrix_route(self, inst):
-        """S^r psi from the round matrix matches a state-vector sweep of the
-        same schedule, and the error is ||U psi - S^r psi||.  The error
-        (~1e-4) is a difference of two unit vectors, so the states, not the
-        error, are compared absolutely."""
+        """The error from the round matrix is ||U psi - S^r psi|| with S^r psi
+        from a state-vector sweep of the same schedule and U from the full-D
+        Hamiltonian.  The error (~1e-4) is a difference of two unit vectors,
+        so it is compared absolutely, at the 1e-13 to which the two routes'
+        states agree (they differ by ~1e-15 here)."""
         assert inst.mask is None or 0 < inst.mask.sum() < inst.gamma_count
         dim = hilbert_dim(inst.n)
         rng = np.random.default_rng(46)
@@ -509,10 +537,9 @@ class TestFixedStateError:
         state /= np.linalg.norm(state)
         t, r, order = 0.9, 6, 2
         sched = build_schedule(order, inst.gamma_count)
-        approx = trotterized(inst, sched, t, r) @ state
-        assert np.linalg.norm(approx - _sweep_state(inst, sched, t, r, state)) <= 1e-13
+        approx = _sweep_state(inst, sched, t, r, state)
         ref = np.linalg.norm(exact_evolution(dense_hamiltonian(inst), t) @ state - approx)
-        assert fixed_state_error(inst, order, t, r, state) == pytest.approx(ref, rel=1e-12)
+        assert fixed_state_error(inst, order, t, r, state) == pytest.approx(ref, abs=1e-13)
 
     @pytest.mark.parametrize("inst", [
         sample_dense(8, 4, seed=47),
