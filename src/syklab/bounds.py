@@ -29,6 +29,7 @@ Delta_l by l.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -309,11 +310,16 @@ def solve_trotter_number(inp: SolverInput) -> int:
 def gate_counts(order: int, gamma: int, r: int, n: int) -> dict[str, float]:
     """Gate complexity Upsilon(l) * Gamma * r of n Majoranas under each
     fermion-to-qubit overhead: {"none": 1, "log_n": log2(n) (ternary tree),
-    "linear_n": n (Jordan-Wigner)} times the plain product."""
-    if r < 1:
-        raise ValueError(f"Trotter number r (--r) must be >= 1, got {r}")
+    "linear_n": n (Jordan-Wigner)} times the plain product; inf beyond the
+    float range."""
+    _check_r(r)
     base = stage_count(order) * gamma * r
-    return {"none": float(base), "log_n": base * math.log2(n), "linear_n": float(base * n)}
+
+    def rounded(count: int) -> float:
+        return float(count) if count <= sys.float_info.max else math.inf
+
+    return {"none": rounded(base), "log_n": rounded(base) * math.log2(n),
+            "linear_n": rounded(base * n)}
 
 
 def error_ratio(observed, bound: float) -> tuple[float, float]:

@@ -111,9 +111,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
@@ -163,16 +160,12 @@ def _chain_counts(
     that only v_vec uses and the count of surviving orderings of eta."""
     rows = terms.anticommuting
     v_vecs = [(v_vec, _support(v_vec)) for v_vec in _compositions((g - w) // 2, terms.m)]
-    cache: dict[tuple[int, ...], int] = {}
     table = []
     for w_vec in _compositions(w, terms.m):
         w_mask = _support(w_vec)
         inner = []
         for v_vec, v_mask in v_vecs:
-            counts = tuple(a + 2 * b for a, b in zip(w_vec, v_vec))
-            count = cache.get(counts)
-            if count is None:
-                count = cache[counts] = _surviving_orderings(rows, list(counts))
+            count = _surviving_orderings(rows, [a + 2 * b for a, b in zip(w_vec, v_vec)])
             if count:
                 inner.append((v_mask & ~w_mask, count))
         table.append((w_mask, inner))
@@ -219,16 +212,8 @@ def avg_gw_exact(terms: TermSet, g: int, w: int, p_b: float) -> float:
 
 def lemma_d_bound(g: int, m: int, qmax: int) -> float:
     """Counting bound G_w <= g^(3g-2) m^2 Q_max^(g-2) (Q_max^0 = 1)."""
-    exponent = g - 2
-    if qmax == 0:
-        if exponent == 0:
-            qpow = 1.0
-        elif exponent > 0:
-            qpow = 0.0
-        else:
-            qpow = math.inf
-    else:
-        qpow = float(qmax) ** exponent
+    # 0.0 ** 0 == 1.0 and 0.0 ** e == 0.0 for e > 0; only e < 0 divides by 0
+    qpow = math.inf if qmax == 0 and g < 2 else float(qmax) ** (g - 2)
     return float(g) ** (3 * g - 2) * m**2 * qpow
 
 

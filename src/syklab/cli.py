@@ -146,7 +146,7 @@ _ACTIONS = {action.dest: action for action in _COMMON._actions
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    values = _read_config_file(args.config) if args.config else {}
     for key in _ACTIONS:
         flag = getattr(args, key, None)
         if flag is not None:

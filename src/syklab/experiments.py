@@ -106,12 +106,6 @@ class ResultRow:
     error: str = ""
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(config: ExperimentConfig, rows: list[ResultRow], extra_comments: list[str] | None = None) -> str:
     """CSV text: '#'-commented resolved config, header, rows (LF endings,
     shortest round-trip float formatting; a field holding a comma, such as an
@@ -122,7 +116,7 @@ def rows_to_csv(config: ExperimentConfig, rows: list[ResultRow], extra_comments:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(names)
     for row in rows:
-        writer.writerow([_format_value(getattr(row, name)) for name in names])
+        writer.writerow([getattr(row, name) for name in names])
     for line in extra_comments or []:
         buf.write(f"# {line}\n")
     return buf.getvalue()
@@ -160,7 +154,7 @@ def worker_count() -> int:
     return int(raw)
 
 
-def _run_points(config: ExperimentConfig, points: list, worker) -> list[ResultRow]:
+def _run_points(points: list, worker) -> list[ResultRow]:
     """Evaluate grid points (in parallel) and gather rows in grid order."""
     workers = worker_count()
     if workers > 1:
@@ -210,9 +204,7 @@ def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) ->
 def cmd_scan_n(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     """Observed error, bound, and ratio for each n (rows sorted by n)."""
     ns = sorted(config.n_list)
-    rows = _run_points(
-        config, ns, lambda i, n: _scan_point(config, i, n, config.t)
-    )
+    rows = _run_points(ns, lambda i, n: _scan_point(config, i, n, config.t))
     return rows, rows_to_csv(config, rows)
 
 
@@ -230,9 +222,7 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     ts = np.logspace(
         math.log10(config.t_min), math.log10(config.t_max), config.t_points
     )
-    rows = _run_points(
-        config, list(ts), lambda i, t: _scan_point(config, i, n, float(t))
-    )
+    rows = _run_points(list(ts), lambda i, t: _scan_point(config, i, n, float(t)))
     fitted = [row for row in rows if not row.error]
     if len(fitted) < 3:
         return rows, rows_to_csv(config, rows, [

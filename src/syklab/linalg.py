@@ -122,8 +122,6 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     ``tests/golden/scan_n_dense.csv`` and ``scan_n_sparse.csv`` no longer
     match (4 of the 6 golden cases fail)."""
     vals = list(values)
-    if not vals:
-        return 0.0
     while len(vals) > 1:
         nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:

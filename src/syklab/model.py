@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass, field, fields
 from itertools import combinations
@@ -64,16 +65,32 @@ def ordering_map(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def sigma_dense(n: int, k: int, energy_constant: float = 1.0) -> float:
-    """Per-term standard deviation of the dense model couplings."""
+    """Per-term standard deviation of the dense model couplings.
+
+    sigma**2 is formed in floats; where that leaves the normal float range
+    (n**(k-1) or (k-1)! past it), from the exact integer ratio, rounded
+    once.  A sigma**2 that is not a positive normal float even so is an
+    input error."""
     _validate_nk(n, k)
-    if energy_constant <= 0:
-        raise ValueError("energy constant must be positive")
+    if not 0 < energy_constant < math.inf:  # nan too
+        raise ValueError("energy constant must be positive and finite, "
+                         f"got {energy_constant!r}")
     try:
         square = energy_constant**2
     except OverflowError:
         raise ValueError("energy constant (--energy-constant) squared exceeds the "
                          f"float range, got {energy_constant!r}") from None
-    return math.sqrt(math.factorial(k - 1) * square / (k * float(n) ** (k - 1)))
+    try:
+        variance = math.factorial(k - 1) * square / (k * float(n) ** (k - 1))
+    except OverflowError:
+        variance = 0.0
+    if not sys.float_info.min <= variance < math.inf:
+        num, den = float(energy_constant).as_integer_ratio()  # J0 = num / den
+        variance = math.factorial(k - 1) * num**2 / (k * n ** (k - 1) * den**2)
+        if not sys.float_info.min <= variance:
+            raise ValueError(f"the coupling variance (k-1)! J0^2 / (k n^(k-1)) at n={n} "
+                             f"(--n), k={k} (--k) is below the normal float range")
+    return math.sqrt(variance)
 
 
 def sigma_sparse(n: int, k: int, energy_constant: float, p_b: float) -> float:

@@ -50,10 +50,6 @@ class PauliString:
         if self.phase_exp not in (0, 1, 2, 3):
             object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
-    @property
-    def phase(self) -> complex:
-        return 1j ** self.phase_exp
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 

@@ -358,6 +358,16 @@ class TestSolver:
         assert solve_trotter_number(SolverInput(0.1, 0.01, "operator_norm", base)) == 4_159_544
 
 
+@pytest.mark.parametrize("n,k", [(1260, 100), (400, 150)])
+def test_bounds_where_n_to_the_k_leaves_float_range(n, k):
+    """Where sigma's float expression under- or overflows, every bound
+    (Delta_1, Delta_2 and the sparse l = 2 one; the sparse bound has no l = 1)
+    is finite and positive, not 0 or an OverflowError."""
+    for l, kappa in ((1, None), (2, None), (2, 4.0)):
+        value = error_bound(BoundInput(n=n, k=k, l=l, p=2, t=1.0, r=100, kappa=kappa))
+        assert 0 < value < math.inf
+
+
 class TestGateCount:
     def test_plain_product(self):
         assert gate_counts(2, 70, 100, 16)["none"] == 14000
@@ -370,8 +380,19 @@ class TestGateCount:
 
     @pytest.mark.parametrize("r", [0, -5])
     def test_rejects_r_below_one(self, r):
-        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must be >= 1"):
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
             gate_counts(1, 70, r, 16)
+
+    def test_rejects_r_beyond_float_range(self):
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
+            gate_counts(1, 70, 10**400, 16)
+
+    def test_counts_beyond_float_range_are_inf(self):
+        """An r within the float range may still give counts past it."""
+        counts = gate_counts(1, 70, 10**307, 16)
+        assert counts == {"none": math.inf, "log_n": math.inf, "linear_n": math.inf}
+        # below the float range the exact integer count is rounded once
+        assert gate_counts(2, 70, 3**40, 16)["linear_n"] == float(2 * 70 * 3**40 * 16)
 
     def test_fourth_order_stage_factor(self):
         assert gate_counts(4, 10, 10, 8)["none"] == 10 * 10 * stage_count(4)

@@ -65,6 +65,13 @@ class TestCsv:
         assert float(cells[11]) == rows[0].observed  # repr round-trips exactly
         assert float(cells[13]) == rows[0].bound
 
+    def test_numpy_float_is_written_as_a_float(self):
+        row = ResultRow("dense", 8, 4, 1, 2.0, np.float64(0.1), 10, 0.0, 3, 2, 0,
+                        np.float64(1e-300), 0.0, 1.0, 0.0, 0.0)
+        csv_text = rows_to_csv(ExperimentConfig(command="scan-n"), [row])
+        assert csv_text.splitlines()[-1] == ("dense,8,4,1,2.0,0.1,10,0.0,3,2,0,1e-300,"
+                                             "0.0,1.0,0.0,0.0,")
+
     def test_timing_off_by_default(self):
         config = ExperimentConfig(command="scan-n", **FAST)
         rows, _ = cmd_scan_n(config)
@@ -380,6 +387,11 @@ class TestCli:
         assert main(["gatecount", "--n", "8", "--k", "4", "--r", "100"]) == 0
         assert "Gamma=70" in capsys.readouterr().out
 
+    def test_gatecount_beyond_float_range_is_inf(self, capsys):
+        assert main(["gatecount", "--n", "8", "--k", "4", "--r", "1" + "0" * 307]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["  [none]: inf", "  [log_n]: inf", "  [linear_n]: inf"]
+
     def test_scan_n_writes_file(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main([
@@ -459,6 +471,12 @@ class TestCli:
          "Trotter number r (--r) must satisfy 1 <= r <= 1.7976931348623157e+308"),
         (["evolve", "--n", "6", "--k", "2", "--r", "1" + "0" * 400],
          "Trotter number r (--r) must satisfy 1 <= r <= 1.7976931348623157e+308"),
+        (["gatecount", "--n", "8", "--k", "4", "--r", "1" + "0" * 400],
+         "Trotter number r (--r) must satisfy 1 <= r <= 1.7976931348623157e+308"),
+        # sigma**2 below the normal float range, even from the exact ratio
+        (["bounds", "--n", "1000000000", "--k", "41", "--l", "2"],
+         "the coupling variance (k-1)! J0^2 / (k n^(k-1)) at n=1000000000 (--n), k=41 "
+         "(--k) is below the normal float range"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -469,8 +487,10 @@ class TestCli:
         assert f"syklab: error: {message}" in err
 
     @pytest.mark.parametrize("n,k,r,message", [
-        ("8", "4", "-5", "Trotter number r (--r) must be >= 1, got -5"),
-        ("8", "4", "0", "Trotter number r (--r) must be >= 1, got 0"),
+        ("8", "4", "-5",
+         "Trotter number r (--r) must satisfy 1 <= r <= 1.7976931348623157e+308"),
+        ("8", "4", "0",
+         "Trotter number r (--r) must satisfy 1 <= r <= 1.7976931348623157e+308"),
         ("7", "4", "100", "n must be even and >= 2, got 7"),
         ("8", "9", "100", "k must satisfy 1 <= k <= n, got k=9, n=8"),
         ("8", "0", "100", "k must satisfy 1 <= k <= n, got k=0, n=8"),

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,12 +54,32 @@ class TestSigma:
         assert sigma_dense(8, 1) == 1.0
 
     def test_square_beyond_float_range_rejected(self):
-        """Every finite square keeps sigma's bits; a square past the float
-        range is an input error naming the flag, not an OverflowError."""
-        assert sigma_dense(8, 4, 1e154) == math.sqrt(6 * 1e154**2 / (4 * 8.0**3))
+        """Every finite square gives a finite sigma (here 6 * 1e154**2 is past
+        the float range, so sigma**2 is the exact ratio rounded once); a square
+        past the float range is an input error naming the flag, not an
+        OverflowError."""
+        assert sigma_dense(8, 4, 1e154) == math.sqrt(
+            float(Fraction(6, 4 * 8**3) * Fraction(1e154) ** 2))
         with pytest.raises(ValueError, match=r"energy constant \(--energy-constant\) "
                                              r"squared exceeds the float range, got 1e\+155"):
             sigma_dense(8, 4, 1e155)
+
+    @pytest.mark.parametrize("n,k", [(1260, 100), (400, 150)])
+    def test_n_to_the_k_beyond_float_range(self, n, k):
+        """k * n**(k-1) past the float range (1260, 100) or n**(k-1) alone
+        (400, 150): sigma is the exact ratio's, not 0 or an OverflowError."""
+        exact = Fraction(math.factorial(k - 1), k * n ** (k - 1))
+        assert math.isclose(sigma_dense(n, k), math.sqrt(exact), rel_tol=1e-12)
+
+    def test_variance_below_normal_range_rejected(self):
+        with pytest.raises(ValueError, match=r"at n=1000000000 \(--n\), k=41 \(--k\) "
+                                             r"is below the normal float range"):
+            sigma_dense(10**9, 41)
+
+    @pytest.mark.parametrize("energy_constant", [0.0, -1.0, math.inf, math.nan])
+    def test_energy_constant_must_be_positive_and_finite(self, energy_constant):
+        with pytest.raises(ValueError, match="energy constant must be positive and finite"):
+            sigma_dense(8, 4, energy_constant)
 
     def test_sparse_is_inflated_by_one_over_sqrt_p_b(self):
         assert sigma_sparse(10, 4, 1.0, 0.25) == sigma_dense(10, 4) / 0.5

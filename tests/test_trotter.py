@@ -556,6 +556,26 @@ class TestFixedStateError:
         frob = dim * observed_error(inst, order, t, r, 2) ** 2
         assert total == pytest.approx(frob, rel=1e-12)
 
+    @pytest.mark.parametrize("model", ["dense", "sparse"])
+    @pytest.mark.parametrize("n,k,order,t,r", [(8, 4, 1, 1.0, 10), (8, 3, 2, 2.0, 5)])
+    def test_fixed_state_mean_is_frobenius_mean(self, model, n, k, order, t, r):
+        """E_J ||E psi||^2 = E_J ||E||_F^2 / D for a fixed psi, as the coupling
+        law is unchanged when one J_g flips sign: only the monomials of E^dag E
+        that hold every K_g an even number of times, +-I, survive the average.
+        Over 128 samples (sparse: one fixed kappa = 4 mask) the mean per-sample
+        difference at psi = |0...0> lies within 3 standard errors of 0."""
+        state = np.zeros(hilbert_dim(n), dtype=complex)
+        state[0] = 1.0
+        mask = sample_bernoulli_mask(n, k, 4.0, seed=49)
+        assert 0 < mask.sum() < len(mask)
+        diffs = []
+        for i in range(128):
+            inst = (sample_dense(n, k, seed=49, sample_index=i) if model == "dense" else
+                    sample_sparse(n, k, kappa=4.0, seed=49, coupling_index=i, mask=mask))
+            diffs.append(fixed_state_error(inst, order, t, r, state) ** 2
+                         - observed_error(inst, order, t, r, 2) ** 2)
+        assert abs(np.mean(diffs)) <= 3 * np.std(diffs, ddof=1) / math.sqrt(len(diffs))
+
     def test_rejects_unnormalized(self):
         inst = sample_dense(6, 2, seed=38)
         with pytest.raises(ValueError):
