@@ -149,6 +149,16 @@ def delta1_dense(inp: BoundInput) -> float:
     if t == 0.0 or sigma == 0.0 or q == 0:
         return 0.0
     try:
+        root = math.sqrt(gamma * q)
+    except OverflowError:  # Gamma Q beyond the float range: evaluate in log space
+        log_sigma_t = math.log(sigma) + math.log(t)
+        return _exp_of_sum(
+            math.log(4.0 * math.sqrt(2.0)) + 2.0 * (math.log(p) + log_sigma_t)
+            + 0.5 * (math.log(gamma) + math.log(q)),
+            -math.log(2.0) - math.log(r),
+            log_sigma_t + 0.5 * math.log(q) - math.log(3.0) - 2.0 * math.log(r),
+        )
+    try:
         p_squared, t_squared = p**2, t**2
     except OverflowError:  # p or t beyond the square root of the float range
         return math.inf
@@ -161,7 +171,7 @@ def delta1_dense(inp: BoundInput) -> float:
         * math.sqrt(2.0)
         * p_squared
         * sigma**2
-        * math.sqrt(gamma * q)
+        * root
         * t_squared
         * (1.0 / (2.0 * r) + second)
     )
@@ -204,10 +214,14 @@ def delta_l_sparse(inp: BoundInput) -> float:
     if t == 0.0 or sigma == 0.0 or q == 0:  # sigma is 0 at p_B = 0
         return 0.0
     log_beta = log_prefactor_sparse(l, inp.prefactor_mode)
-    if p_b * q >= 1.0:
+    try:
+        log_pq = math.log(p_b * q)
+    except OverflowError:  # Q beyond the float range
+        log_pq = math.log(p_b) + math.log(q)
+    if log_pq >= 0.0:  # p_B Q >= 1
         log_bracket = (
             0.5 * math.log(p) + math.log(sigma)
-            + 0.5 * math.log(p_b * q) + math.log(t) - math.log(r)
+            + 0.5 * log_pq + math.log(t) - math.log(r)
         )
         log_common = (
             log_beta + math.log(gamma) + 0.5 * math.log(p) + math.log(sigma)

@@ -23,8 +23,11 @@ the next term only while it anticommutes with the product so far, weighted
 by the copies of that term left (so copies count apart, as in S_g).  The
 Bernoulli average <G_w> weights each w_vec by prod_{i in Supp(w_vec)} b_i
 outside the square and each v_vec by prod_{j in Supp(v_vec) \\ Supp(w_vec)}
-b_j inside; the enumeration of all 2^m masks below realizes this literally
-and is exact.
+b_j inside.  Expanding the square, b^2 = b and independent b_i with mean p_B
+give it in closed form:
+
+<G_w> = sum over w_vec, and over pairs (v_vec, v_vec') of its surviving
+    counts, of count * count' * p_B^|Supp(w_vec) u Supp(v_vec) u Supp(v_vec')|.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ __all__ = [
 ]
 
 MAX_CHAIN_LENGTH = 5
-MAX_TERMS_GW = 6
-MAX_TERMS_AVG = 5
+MAX_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _check_guards(terms: TermSet, g: int, w: int, max_terms: int) -> None:
+def _check_guards(terms: TermSet, g: int, w: int) -> None:
     if g > MAX_CHAIN_LENGTH:
         raise ValueError(f"cost guard: chain length g <= {MAX_CHAIN_LENGTH}")
-    if terms.m > max_terms:
-        raise ValueError(f"cost guard: m <= {max_terms} terms")
+    if terms.m > MAX_TERMS:
+        raise ValueError(f"cost guard: m <= {MAX_TERMS} terms")
     if g < 1:
         raise ValueError(f"chains need length g >= 1, got g={g}")
     if not 0 <= w <= g:
@@ -152,62 +154,46 @@ def _surviving_orderings(
     return total
 
 
-def _chain_counts(
-    terms: TermSet, g: int, w: int
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    """For each w_vec with |w_vec| = w: its support mask, and for each v_vec
-    with |w_vec| + 2|v_vec| = g whose chains survive, the mask of the terms
-    that only v_vec uses and the count of surviving orderings of eta."""
+def _chain_counts(terms: TermSet, g: int, w: int) -> list[list[tuple[int, int]]]:
+    """For each w_vec with |w_vec| = w, and each v_vec with |w_vec| + 2|v_vec|
+    = g whose chains survive: the support mask Supp(w_vec) u Supp(v_vec) of
+    eta and the count of its surviving orderings."""
     rows = terms.anticommuting
-    v_vecs = [(v_vec, _support(v_vec)) for v_vec in _compositions((g - w) // 2, terms.m)]
+    v_vecs = list(_compositions((g - w) // 2, terms.m))
     table = []
     for w_vec in _compositions(w, terms.m):
-        w_mask = _support(w_vec)
         inner = []
-        for v_vec, v_mask in v_vecs:
-            count = _surviving_orderings(rows, [a + 2 * b for a, b in zip(w_vec, v_vec)])
+        for v_vec in v_vecs:
+            counts = [a + 2 * b for a, b in zip(w_vec, v_vec)]
+            count = _surviving_orderings(rows, counts)
             if count:
-                inner.append((v_mask & ~w_mask, count))
-        table.append((w_mask, inner))
+                inner.append((_support(counts), count))
+        table.append(inner)
     return table
 
 
 def gw_bruteforce(terms: TermSet, g: int, w: int) -> int:
     """Exact G_w(H) by full enumeration (guards: g <= 5, m <= 6)."""
-    _check_guards(terms, g, w, MAX_TERMS_GW)
+    _check_guards(terms, g, w)
     if (g - w) % 2 != 0:
         return 0
-    return sum(
-        sum(count for _, count in inner) ** 2 for _, inner in _chain_counts(terms, g, w)
-    )
+    return sum(sum(count for _, count in inner) ** 2 for inner in _chain_counts(terms, g, w))
 
 
 def avg_gw_exact(terms: TermSet, g: int, w: int, p_b: float) -> float:
-    """Exact Bernoulli expectation <G_w(H(B))> by enumerating all 2^m masks."""
-    _check_guards(terms, g, w, MAX_TERMS_AVG)
+    """Exact Bernoulli expectation <G_w(H(B))>, in closed form over the
+    chain counts of :func:`gw_bruteforce` (same guards: g <= 5, m <= 6)."""
+    _check_guards(terms, g, w)
     if not 0.0 <= p_b <= 1.0:
         raise ValueError("p_B must lie in [0, 1]")
     if (g - w) % 2 != 0:
         return 0.0
-    m = terms.m
-    table = _chain_counts(terms, g, w)
-    expectation = 0.0
-    for bits in range(1 << m):
-        ones = bits.bit_count()
-        prob = p_b**ones * (1.0 - p_b) ** (m - ones)
-        if prob == 0.0:
-            continue
-        value = 0.0
-        for w_mask, inner_counts in table:
-            if w_mask & ~bits:  # a term of w_vec is masked out
-                continue
-            inner = 0.0
-            for only_v_mask, count in inner_counts:
-                if not only_v_mask & ~bits:
-                    inner += count
-            value += inner * inner
-        expectation += prob * value
-    return expectation
+    return math.fsum(
+        count * count2 * p_b ** (mask | mask2).bit_count()
+        for inner in _chain_counts(terms, g, w)
+        for mask, count in inner
+        for mask2, count2 in inner
+    )
 
 
 def lemma_d_bound(g: int, m: int, qmax: int) -> float:

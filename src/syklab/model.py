@@ -110,7 +110,15 @@ def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
     _validate_nk(n, k)
     if not kappa >= 0:  # nan too: min(1.0, nan) would keep every term
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    raw = kappa * n / math.comb(n, k)
+    gamma = math.comb(n, k)
+    try:
+        raw = kappa * n / gamma
+    except OverflowError:  # C(n,k) beyond the float range: the exact ratio, rounded once
+        if kappa * n < math.inf:
+            num, den = (kappa * n).as_integer_ratio()
+            raw = num / (den * gamma)
+        else:
+            raw = math.inf
     return min(1.0, raw), raw > 1.0
 
 
@@ -211,11 +219,8 @@ def sample_sparse(
     mask = np.asarray(mask, dtype=np.int8)
     gamma_count = math.comb(n, k)
     sigma = sigma_sparse(n, k, energy_constant, p_b)
-    if p_b == 0.0:
-        couplings = np.zeros(gamma_count)
-    else:
-        rng = stream_rng(seed, "sparse_couplings", coupling_index)
-        couplings = _gaussian(rng, sigma, gamma_count)
+    rng = stream_rng(seed, "sparse_couplings", coupling_index)
+    couplings = _gaussian(rng, sigma, gamma_count)
     return SykInstance(
         n, k, energy_constant, sigma, couplings, mask=mask, p_B=p_b, seed=seed,
         clamped=clamped,

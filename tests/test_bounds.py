@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -155,6 +156,18 @@ class TestDelta1:
         want = 4.0 * math.sqrt(2.0) * 2**2 * sigma**2 * math.sqrt(70 * q) * (1.0 / (2.0 * r))
         assert got == want > 0
 
+    @pytest.mark.parametrize("n,k,energy_constant,want", [
+        (1400, 100, 1.0, 2.9919188509986945e-6),  # Gamma Q beyond the float range
+        (30_000_000, 50, 1.0, 0.12393370855091708),  # Gamma too
+        (10**12, 30, 1e10, 2.5141612117001046e27),  # Q too
+    ])
+    def test_gamma_q_beyond_float_range(self, n, k, energy_constant, want):
+        """Where Gamma Q (or Gamma, or Q) passes the float range while sigma
+        is normal, Delta_1 matches a 60-digit mpmath evaluation."""
+        got = delta1_dense(BoundInput(n=n, k=k, l=1, p=2, t=1.0, r=10**4,
+                                      energy_constant=energy_constant))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_monotonicity(self):
         base = dict(n=8, k=3, l=1, p=2, t=1.0, r=100)
         d = delta1_dense(BoundInput(**base))
@@ -203,6 +216,20 @@ class TestDeltaL:
             warnings.simplefilter("error")
             val = delta_l_dense(BoundInput(n=8, k=4, l=2, p=2, t=1e300, r=10))
         assert val == math.inf
+
+    @pytest.mark.parametrize("l", [2, 4, 6])
+    def test_n_to_the_k_plus_one_past_the_crossover(self, l):
+        """The paper's n^(k+1) growth: at n = 5000, far past the crossover of
+        the bound's two terms, the local exponent d ln Delta_l / d ln n of the
+        unit-prefactor bound (k = 4, t = 1, r = 1e6) is k + 1 = 5 within 0.02
+        (5.0054, 5.0084, 5.0114 for l = 2, 4, 6)."""
+        lo, hi = (
+            delta_l_dense(BoundInput(n=n, k=4, l=l, p=2, t=1.0, r=10**6,
+                                     prefactor_mode="unit"))
+            for n in (4998, 5002)
+        )
+        exponent = (math.log(hi) - math.log(lo)) / (math.log(5002) - math.log(4998))
+        assert abs(exponent - 5.0) <= 0.02
 
     def test_monotonicity(self):
         base = dict(n=8, k=4, l=2, p=2, t=1.0, r=100)
@@ -266,6 +293,19 @@ class TestDeltaSparse:
                 BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=100, kappa=kappa))
             want = independent_delta_sparse(10, 4, 2, 2, 1.0, 100, p_b)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n,k,energy_constant", [
+        (30_000_000, 50, 1.0),  # C(n,k) beyond the float range
+        (10**12, 30, 1e10),  # Q too
+    ])
+    def test_gamma_beyond_float_range_is_inf(self, n, k, energy_constant):
+        """sigma is normal here and dense Delta_2 is inf, so is the sparse
+        bound (its C(n,k)^2 term passes the float range)."""
+        inp = BoundInput(n=n, k=k, l=2, p=2, t=1.0, r=10**4, kappa=4.0,
+                         energy_constant=energy_constant)
+        assert delta_l_dense(replace(inp, kappa=None)) == math.inf
+        assert delta_l_sparse(inp) == math.inf
 
 
 class TestErrorBound:

@@ -264,9 +264,33 @@ class TestAvgGw:
             avg_gw_exact(XZ_PAIR, 2, 2, 1.5)
 
     def test_guard_m(self):
-        terms = syk_termset(6, 2, list(combinations(range(1, 7), 2))[:6])
+        terms = syk_termset(6, 2, list(combinations(range(1, 7), 2))[:7])
         with pytest.raises(ValueError):
             avg_gw_exact(terms, 2, 2, 0.5)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_matches_literal_mask_average(self, m):
+        """<G_w> against its definition: the sum over all 2^m masks B of
+        P(B) * G_w on the kept terms, for every g <= 5 and valid w."""
+        rng = np.random.default_rng(2718 + m)
+        edges = list(combinations(range(1, 7), 3))
+        terms = syk_termset(6, 3, [edges[i] for i in rng.choice(len(edges), m, replace=False)])
+        for g in range(1, 6):
+            for w in range(g % 2, g + 1, 2):
+                kept = [gw_bruteforce(TermSet(tuple(
+                    t for i, t in enumerate(terms.terms) if bits >> i & 1)), g, w)
+                    for bits in range(1 << m)]
+                for p_b in (0.0, 0.1, 0.5, 0.9, 1.0):
+                    reference = math.fsum(
+                        p_b ** bits.bit_count() * (1.0 - p_b) ** (m - bits.bit_count()) * gw
+                        for bits, gw in enumerate(kept)
+                    )
+                    got = avg_gw_exact(terms, g, w, p_b)
+                    if reference == 0.0:
+                        assert got == 0.0, (g, w, p_b)
+                    else:
+                        assert got == pytest.approx(reference, rel=1e-12, abs=0.0), (g, w, p_b)
+                assert avg_gw_exact(terms, g, w, 1.0) == gw_bruteforce(terms, g, w)
 
 
 class TestLemmaD:

@@ -376,6 +376,36 @@ class TestCli:
         assert captured.out.endswith(") = inf\n")
         assert captured.err == ""
 
+    @pytest.mark.parametrize("command", ["bounds", "solve-r"])
+    def test_delta1_where_gamma_q_leaves_float_range(self, command, capsys):
+        """Gamma Q is about 6e309 at (1400, 100); Delta_1 stays finite."""
+        assert main([command, "--n", "1400", "--k", "100", "--l", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "bounds":
+            assert float(captured.out.rsplit(" = ", 1)[1]) == pytest.approx(
+                2.9919188509986945e-6, rel=1e-12)
+
+    def test_sparse_bound_where_c_n_k_leaves_float_range(self, capsys):
+        """C(3e7, 50) passes the float range while sigma is normal; the
+        bound's C(n,k)^2 term makes it inf, as dense Delta_2 is."""
+        assert main(["bounds", "--model", "sparse", "--kappa", "4", "--n", "30000000",
+                     "--k", "50", "--l", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(") = inf\n")
+        assert captured.err == ""
+
+    def test_sparse_variance_below_float_range_is_a_one_line_message(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "--model", "sparse", "--kappa", "4", "--n", "2000",
+                  "--k", "1000", "--l", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "syklab: error: the coupling variance (k-1)! J0^2 / (k n^(k-1)) at n=2000 "
+            "(--n), k=1000 (--k) is below the normal float range")
+
     def test_scan_row_bound_beyond_float_range_is_inf(self, capsys):
         assert main(["scan-n", "--n", "6,8", "--k", "4", "--l", "1", "--t", "1e200",
                      "--bound-only"]) == 0

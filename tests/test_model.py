@@ -96,6 +96,17 @@ class TestBernoulliProbability:
         p_b, clamped = bernoulli_probability(4, 2, 100.0)
         assert p_b == 1.0 and clamped
 
+    @pytest.mark.parametrize("kappa", [4.0, 0.0])
+    def test_c_n_k_beyond_float_range(self, kappa):
+        """C(3e7, 50) passes the float range: p_B is the exact ratio
+        kappa n / C(n,k), rounded once."""
+        n, k = 30_000_000, 50
+        want = float(Fraction(kappa * n) / math.comb(n, k))
+        assert bernoulli_probability(n, k, kappa) == (want, False)
+
+    def test_infinite_kappa_beyond_float_range_keeps_every_term(self):
+        assert bernoulli_probability(30_000_000, 50, math.inf) == (1.0, True)
+
     @pytest.mark.parametrize("kappa", [-1.0, math.nan])
     def test_rejects_negative_or_nan_kappa(self, kappa):
         """A nan kappa would clamp to p_B = 1 and keep every term."""
@@ -161,6 +172,13 @@ class TestSampling:
                 array[0] = 0
         mask[0] ^= 1  # the caller's array stays writable and detached
         assert inst.mask[0] != mask[0]
+
+    def test_sparse_at_p_b_zero_is_all_positive_zero(self):
+        """kappa = 0: p_B = 0, so sigma is 0 and the mask deletes every term,
+        which the instance stores as +0.0."""
+        inst = sample_sparse(8, 4, kappa=0.0, seed=3)
+        assert inst.p_B == 0.0 and inst.sigma == 0.0 and not inst.mask.any()
+        assert (inst.couplings == 0.0).all() and not np.signbit(inst.couplings).any()
 
 
 class TestSykInstance:
