@@ -207,6 +207,9 @@ def delta_l_sparse(inp: BoundInput) -> float:
     gamma, q = math.comb(inp.n, inp.k), q_of(inp.n, inp.k)
     if inp.kappa is None:
         raise ValueError("sparse bound needs kappa")
+    # n, k and J0 are checked before kappa: no kappa mends a coupling
+    # variance below the float range
+    sigma_dense(inp.n, inp.k, inp.energy_constant)
     p_b = bernoulli_probability(inp.n, inp.k, inp.kappa)[0]
     sigma = sigma_sparse(inp.n, inp.k, inp.energy_constant, p_b)
     _check_even_order(inp.l, "sparse-SYK")
@@ -348,12 +351,14 @@ def error_ratio(observed, bound: float) -> tuple[float, float]:
 
 def loglog_fit(points) -> tuple[float, float, float]:
     """Least-squares line through (ln x, ln y): returns (slope, intercept,
-    RMS residual).  Needs >= 3 points with positive coordinates."""
+    RMS residual).  Needs >= 3 points with positive, finite coordinates."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError("log-log fit needs at least 3 points")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("log-log fit needs positive coordinates")
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise ValueError("log-log fit needs finite coordinates")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     if np.ptp(lx) == 0:

@@ -211,8 +211,8 @@ def cmd_scan_n(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
 def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     """Rows over a log-spaced t grid plus a trailing log-log fit block.  Each
     fit (bound, and observed unless bound-only) reads the rows without an
-    error whose value is > 0 and is skipped, with the reason, if under 3
-    remain; the slope difference is written when both fits ran."""
+    error whose value is finite and > 0 and is skipped, with the reason, if
+    under 3 remain; the slope difference is written when both fits ran."""
     if config.t_points < 3:
         raise ValueError("t scan needs at least 3 points for the fit")
     if not 0 < config.t_min < config.t_max < math.inf:
@@ -230,10 +230,11 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     comments = []
     fits = {}
     for name in ("bound",) if config.bound_only else ("bound", "observed"):
-        points = [(row.t, getattr(row, name)) for row in fitted if getattr(row, name) > 0]
+        points = [(row.t, getattr(row, name)) for row in fitted
+                  if 0 < getattr(row, name) < math.inf]
         if len(points) < 3:
             comments.append(f"fit {name} skipped: {len(points)} of {len(fitted)} rows "
-                            f"without an error have {name} > 0, the fit needs 3")
+                            f"without an error have 0 < {name} < inf, the fit needs 3")
             continue
         fits[name] = bounds.loglog_fit(points)
         comments.append("fit %s: slope=%r intercept=%r residual=%r" % (name, *fits[name]))

@@ -3,7 +3,8 @@ norms, and the Monte-Carlo expected-norm estimator.
 
 ``assemble`` builds H for N samples of one (n, k) as (N, B, W, W) parity
 blocks, D = 2**(n/2) = B * W; ``DEFAULT_DIM_CAP`` (2**10) caps D to guard
-memory.  Evolution and norms take one W x W matrix or a stack (..., W, W) of
+memory; ``_check_dim_cap`` is the one check, made before any D-sized array
+is built.  Evolution and norms take one W x W matrix or a stack (..., W, W) of
 the diagonal blocks of a block-diagonal operator, such as its parity sectors:
 exp(iHt) is formed block by block and the norm is that of the whole operator.
 """
@@ -35,6 +36,15 @@ class ResourceError(ValueError):
     """Raised when a requested dense computation exceeds the dimension cap."""
 
 
+def _check_dim_cap(n: int) -> None:
+    """The one check of the dense cap: D = 2**(n/2) <= ``DEFAULT_DIM_CAP``."""
+    dim = hilbert_dim(n)
+    if dim > DEFAULT_DIM_CAP:
+        raise ResourceError(
+            f"dimension {dim} (n = {n}) exceeds the dense cap {DEFAULT_DIM_CAP}"
+        )
+
+
 def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
     """H = sum_g J_g K_g for each row J of ``couplings`` (N, C(n,k)), as the
     (N, B, W, W) stack of its parity blocks on ``term_table(n, k).sectors``.
@@ -44,11 +54,7 @@ def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
     sample keeps is one 1-D update of all N samples.  Raises
     :class:`ResourceError` when D exceeds ``DEFAULT_DIM_CAP``.
     """
-    dim = hilbert_dim(n)
-    if dim > DEFAULT_DIM_CAP:
-        raise ResourceError(
-            f"dimension {dim} (n = {n}) exceeds the dense cap {DEFAULT_DIM_CAP}"
-        )
+    _check_dim_cap(n)
     table = term_table(n, k)
     if couplings.shape[1:] != (len(table.terms),):
         raise ValueError(f"couplings must have shape (N, C(n,k)) = (N, {len(table.terms)}), "

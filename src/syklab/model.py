@@ -105,7 +105,8 @@ def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
     """Sparse keep-probability p_B = kappa*n/C(n,k), clamped at 1.
 
     Returns (p_B, clamped).  The clamp handles the small-n corner where
-    kappa*n exceeds the number of available terms.
+    kappa*n exceeds the number of available terms.  A kappa > 0 whose p_B
+    rounds to 0 is refused: it would delete every term, as kappa = 0 does.
     """
     _validate_nk(n, k)
     if not kappa >= 0:  # nan too: min(1.0, nan) would keep every term
@@ -119,6 +120,9 @@ def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
             raw = num / (den * gamma)
         else:
             raw = math.inf
+    if kappa > 0 and raw == 0.0:
+        raise ValueError(f"kappa (--kappa) = {kappa!r} makes p_B = kappa*n/C(n,k) underflow "
+                         f"to 0 at n={n}, k={k}")
     return min(1.0, raw), raw > 1.0
 
 

@@ -24,27 +24,33 @@ and the samples' masks may differ.
 
 The error operator E = exp(iHt) - S_l(t/r)**r, its power and its Schatten
 norm are all formed on parity blocks by one entry, ``_error_operators``,
-which checks r and t (the one check, which ``trotterized`` shares) and
-builds the schedule; H comes from ``assemble`` as the same block stack.
-Blocks meet D space only where ``fixed_state_error`` splits its state and
-``trotterized`` returns a D x D matrix.
-``averaged_error`` passes the samples of one average in stacks of at most
-``_STACK_BYTES``.  Every round-matrix entry goes through the same
-floating-point operations as a one-matrix, full-D build, so the rounds are
-bit-identical to it.
+which reads only (n, k) and coupling rows: ``observed_error`` and
+``fixed_state_error`` pass their instance's one row, and ``averaged_error``
+each group of rows it averages (dense: all samples; sparse: one Bernoulli
+mask's), in stacks of at most ``_STACK_BYTES``.  The entry checks the dense
+cap before any D-sized array is built, as ``assemble`` and
+``_round_matrices`` (so ``trotterized``) do, then r and t (the one check,
+which ``trotterized`` shares), and builds the schedule; H comes from
+``assemble`` as the same block stack.  Blocks meet D space only where
+``fixed_state_error`` splits its state and ``trotterized`` returns a D x D
+matrix.  Every round-matrix entry goes through the same floating-point
+operations as a one-matrix, full-D build, so the rounds are bit-identical to
+it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .fermions import hilbert_dim, term_table
-from .linalg import NormEstimate, assemble, exact_evolution, expected_norm, schatten_norm
+from .linalg import (
+    NormEstimate, _check_dim_cap, assemble, exact_evolution, expected_norm, schatten_norm,
+)
 from .model import SykInstance, sample_bernoulli_mask, sample_dense, sample_sparse
 
 __all__ = [
@@ -122,6 +128,7 @@ def _round_matrices(
     is skipped unless its term is live: tau != 0 and some sample's coupling
     on it is nonzero (a step with theta = 0 for every sample is the identity).
     """
+    _check_dim_cap(n)
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
     stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
@@ -193,42 +200,40 @@ def trotterized(
 
 
 def _error_operators(
-    instances: list[SykInstance], order: int, t: float, r: int
+    n: int, k: int, couplings: np.ndarray, order: int, t: float, r: int
 ) -> Iterator[np.ndarray]:
     """The (B, W, W) parity blocks of the Trotter error operator
-    E = exp(iHt) - S_l(t/r)**r of each instance, in order, for instances
-    that share (n, k); the one entry of the error path.  It checks r and t
-    and builds the order-l schedule when first advanced.
+    E = exp(iHt) - S_l(t/r)**r for each row of ``couplings`` (N, Gamma), all
+    of one (n, k), in order; the one entry of the error path.  It checks the
+    dense cap, r and t and builds the order-l schedule when first advanced.
 
-    The samples go in stacks of at most ``_STACK_BYTES`` (at least one
-    sample): H is assembled once per stack and exp(iHt) formed per sample,
-    one eigh per block, before the stack's round matrices, as for one
-    instance.  Each exp(iHt) and round matrix is dropped once its E is
-    formed, and E is yielded without a reference kept here: a consumer that
-    drops each E holds one stack and one E at a time.  The rounds are views
-    of one stack, which is freed with the last of them, before the consumer
-    reads the stack's last E.
+    The rows go in stacks of at most ``_STACK_BYTES`` (at least one row): H
+    is assembled once per stack and exp(iHt) formed per row, one eigh per
+    block, before the stack's round matrices, as for one row.  Each exp(iHt)
+    and round matrix is dropped once its E is formed, and E is yielded
+    without a reference kept here: a consumer that drops each E holds one
+    stack and one E at a time.  The rounds are views of one stack, which is
+    freed with the last of them, before the consumer reads the stack's last E.
     """
+    _check_dim_cap(n)
     _check_t_and_r(t, r)
-    n, k = instances[0].n, instances[0].k
-    schedule = build_schedule(order, instances[0].gamma_count)
+    schedule = build_schedule(order, couplings.shape[1])
     sectors = term_table(n, k).sectors
     per_sample = np.dtype(complex).itemsize * sectors.size * sectors.shape[1]
     size = max(1, _STACK_BYTES // per_sample)
-    for start in range(0, len(instances), size):
-        chunk = instances[start:start + size]
-        couplings = np.array([instance.couplings for instance in chunk])
-        # exp(iHt) first, as for one instance: its eigh then runs while no
-        # round matrix is live
-        evolutions = [exact_evolution(ham, t) for ham in assemble(n, k, couplings)]
-        rounds = list(_round_matrices(n, k, couplings, schedule, t / r))
-        for _ in chunk:
+    for start in range(0, len(couplings), size):
+        stack = couplings[start:start + size]
+        # exp(iHt) first, as for one row: its eigh then runs while no round
+        # matrix is live
+        evolutions = [exact_evolution(ham, t) for ham in assemble(n, k, stack)]
+        rounds = list(_round_matrices(n, k, stack, schedule, t / r))
+        for _ in stack:
             yield evolutions.pop(0) - _matrix_power(rounds.pop(0), r)
 
 
 def observed_error(instance: SykInstance, order: int, t: float, r: int, p: float) -> float:
     """Normalized Trotter error ||E||_p / D**(1/p); p = inf is the operator norm."""
-    err = next(_error_operators([instance], order, t, r))
+    err = next(_error_operators(instance.n, instance.k, instance.couplings[None], order, t, r))
     return schatten_norm(err, p) / hilbert_dim(instance.n) ** (1.0 / p)
 
 
@@ -254,24 +259,23 @@ def averaged_error(
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
     if kappa is None:
-        instances = [sample_dense(n, k, energy_constant, seed, i) for i in range(num_disorder)]
-        est = expected_norm(_error_operators(instances, order, t, r), p)
-        return replace(est, value=est.value / scale, stderr=est.stderr / scale)
-    if num_bernoulli < 2:
+        groups = [np.array([sample_dense(n, k, energy_constant, seed, i).couplings
+                            for i in range(num_disorder)])]
+    elif num_bernoulli < 2:
         raise ValueError("need num_bernoulli >= 2 for a standard error")
-    per_mask = []
-    for b in range(num_bernoulli):
-        mask = sample_bernoulli_mask(n, k, kappa, seed, b)
-        instances = [
-            sample_sparse(n, k, energy_constant, kappa, seed,
-                          coupling_index=b * num_disorder + i, mask=mask)
-            for i in range(num_disorder)
-        ]
-        est = expected_norm(_error_operators(instances, order, t, r), p)
-        per_mask.append(est.value / scale)
-    values = np.asarray(per_mask)
-    stderr = float(values.std(ddof=1) / math.sqrt(num_bernoulli))
-    return NormEstimate(float(values.mean()), stderr, num_bernoulli, p)
+    else:  # one group per mask, drawn when reached: mixed masks widen a stack's live terms
+        masks = (sample_bernoulli_mask(n, k, kappa, seed, b) for b in range(num_bernoulli))
+        groups = (np.array([sample_sparse(n, k, energy_constant, kappa, seed, mask=mask,
+                                          coupling_index=b * num_disorder + i).couplings
+                            for i in range(num_disorder)]) for b, mask in enumerate(masks))
+    values = []
+    for couplings in groups:
+        est = expected_norm(_error_operators(n, k, couplings, order, t, r), p)
+        values.append(est.value / scale)
+    if kappa is None:
+        return NormEstimate(values[0], est.stderr / scale, num_disorder, p)
+    stderr = float(np.std(values, ddof=1) / math.sqrt(num_bernoulli))
+    return NormEstimate(float(np.mean(values)), stderr, num_bernoulli, p)
 
 
 def fixed_state_error(
@@ -300,6 +304,6 @@ def fixed_state_error(
         )
     if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # nan too
         raise ValueError("input state must be normalized to 1 within 1e-12")
-    err = next(_error_operators([instance], order, t, r))
+    err = next(_error_operators(instance.n, instance.k, instance.couplings[None], order, t, r))
     psi = state[term_table(instance.n, instance.k).sectors, None]
     return float(np.linalg.norm(err @ psi))

@@ -486,3 +486,8 @@ class TestLogLogFit:
     def test_non_positive_coordinate(self, points):
         with pytest.raises(ValueError, match="log-log fit needs positive coordinates"):
             loglog_fit(points)
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_non_finite_coordinate(self, y):
+        with pytest.raises(ValueError, match="log-log fit needs finite coordinates"):
+            loglog_fit([(1, 0.16), (2, 0.5), (3, y)])

@@ -194,9 +194,20 @@ class TestScanT:
         bound_fit = bounds.loglog_fit([(row.t, row.bound) for row in rows])
         assert csv_text.splitlines()[-2:] == [
             "# fit bound: slope=%r intercept=%r residual=%r" % bound_fit,
-            "# fit observed skipped: 2 of 4 rows without an error have observed > 0, "
+            "# fit observed skipped: 2 of 4 rows without an error have 0 < observed < inf, "
             "the fit needs 3",
         ]
+
+    def test_infinite_bounds_are_left_out_of_the_fit(self, capsys):
+        """Two of three bounds overflow to inf: the fit is skipped, not nan."""
+        assert main(["scan-t", "--n", "8", "--k", "4", "--l", "2", "--bound-only",
+                     "--t-min", "1", "--t-max", "1e160", "--t-points", "3",
+                     "--r", "100"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        data = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+        assert [row["bound"] for row in data][1:] == ["inf", "inf"]
+        assert lines[-1] == ("# fit bound skipped: 1 of 3 rows without an error have "
+                             "0 < bound < inf, the fit needs 3")
 
     def test_too_few_points_refused(self):
         config = ExperimentConfig(
@@ -405,6 +416,32 @@ class TestCli:
         assert err.splitlines()[-1] == (
             "syklab: error: the coupling variance (k-1)! J0^2 / (k n^(k-1)) at n=2000 "
             "(--n), k=1000 (--k) is below the normal float range")
+
+    def test_sparse_kappa_whose_p_b_underflows_is_a_one_line_message(self, capsys):
+        """kappa n / C(n,k) rounds to 0 at kappa = 5e-324: refused, not a 0.0
+        bound; a scan row records the same message."""
+        argv = ["--model", "sparse", "--kappa", "5e-324", "--n", "8", "--k", "4", "--l", "2"]
+        message = ("kappa (--kappa) = 5e-324 makes p_B = kappa*n/C(n,k) underflow to 0 "
+                   "at n=8, k=4")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds"] + argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"syklab: error: {message}"
+        assert main(["scan-n", "--bound-only"] + argv) == 1
+        out = capsys.readouterr().out
+        assert f"ValueError: {message}" in out
+
+    @pytest.mark.parametrize("kappa,value", [("1e-322", "inf"), ("0", "0.0")])
+    def test_sparse_kappa_whose_p_b_is_positive_or_zero(self, kappa, value, capsys):
+        """p_B ~ 1e-323 gives an inf bound; kappa = 0 deletes every term, so
+        the product formula is exact and the bound is 0."""
+        assert main(["bounds", "--model", "sparse", "--kappa", kappa, "--n", "8",
+                     "--k", "4", "--l", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f") = {value}\n")
+        assert captured.err == ""
 
     def test_scan_row_bound_beyond_float_range_is_inf(self, capsys):
         assert main(["scan-n", "--n", "6,8", "--k", "4", "--l", "1", "--t", "1e200",
@@ -693,9 +730,9 @@ class TestCli:
         assert [(row["bound"], row["observed"], row["error"]) for row in data] == [
             ("0.0", "0.0", "")] * 3
         assert lines[-2:] == [
-            "# fit bound skipped: 0 of 3 rows without an error have bound > 0, "
+            "# fit bound skipped: 0 of 3 rows without an error have 0 < bound < inf, "
             "the fit needs 3",
-            "# fit observed skipped: 0 of 3 rows without an error have observed > 0, "
+            "# fit observed skipped: 0 of 3 rows without an error have 0 < observed < inf, "
             "the fit needs 3",
         ]
         assert code == 0

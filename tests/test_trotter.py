@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import dense_hamiltonian
-from syklab import trotter
+from syklab import fermions, trotter
 from syklab.fermions import hilbert_dim, term_operator, term_table
-from syklab.linalg import exact_evolution
+from syklab.linalg import ResourceError, exact_evolution
 from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
 from syklab.pauli import _coefficients, to_dense
 from syklab.trotter import (
@@ -597,6 +598,35 @@ class TestFixedStateError:
         state.flat[0] = 1.0
         with pytest.raises(ValueError, match=r"shape \(D,\) = \(16,\)"):
             fixed_state_error(inst, 1, 1.0, 2, state)
+
+
+CAP_CALLS = {
+    "observed_error": lambda inst, sched, state: observed_error(inst, 2, 1.0, 4, 2),
+    "averaged_error": lambda inst, sched, state: averaged_error(40, 2, 2, 1.0, 4, 2, 70, 2),
+    "fixed_state_error": lambda inst, sched, state: fixed_state_error(inst, 2, 1.0, 4, state),
+    "trotterized": lambda inst, sched, state: trotterized(inst, sched, 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("name", CAP_CALLS)
+def test_dense_cap_is_checked_before_any_d_sized_array(name):
+    """Each entry to the matrix route refuses n = 40 (D = 2**20) while its
+    traced peak stays under 1 MiB (the state is allocated before tracing),
+    and no D-sized term-table array is built or cached."""
+    fermions._build_term_table.cache_clear()
+    inst = sample_dense(40, 2, seed=70)
+    sched = build_schedule(2, inst.gamma_count)
+    state = np.zeros(hilbert_dim(40), dtype=complex)
+    state[0] = 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="dimension 1048576 .* exceeds the dense cap"):
+            CAP_CALLS[name](inst, sched, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "sectors" not in vars(term_table(40, 2))
 
 
 def test_term_order_changes_s_but_not_u():
