@@ -93,6 +93,12 @@ def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
     return evolve
 
 
+def _check_schatten_order(p: float) -> None:
+    """The one check of a Schatten order: p >= 1, inf allowed."""
+    if not p >= 1:  # nan too
+        raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
+
+
 def schatten_norm(mat: np.ndarray, p: float) -> float:
     """Schatten p-norm (sum of p-th powers of singular values)**(1/p).
 
@@ -101,8 +107,7 @@ def schatten_norm(mat: np.ndarray, p: float) -> float:
     together.  p = 2 is the Frobenius norm of the stack (no SVD); p = inf the
     largest singular value of any block.
     """
-    if not p >= 1:  # nan too
-        raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
+    _check_schatten_order(p)
     if p == 2:
         return float(np.linalg.norm(mat))
     svals = np.linalg.svd(mat, compute_uv=False)

@@ -22,20 +22,23 @@ one coefficient multiply, one cos scale and one add for all N samples.  A
 deleted sparse term is a zero coupling, so the kernel reads only couplings
 and the samples' masks may differ.
 
-The error operator E = exp(iHt) - S_l(t/r)**r, its power and its Schatten
-norm are all formed on parity blocks by one entry, ``_error_operators``,
-which reads only (n, k) and coupling rows: ``observed_error`` and
-``fixed_state_error`` pass their instance's one row, and ``averaged_error``
-each group of rows it averages (dense: all samples; sparse: one Bernoulli
-mask's), in stacks of at most ``_STACK_BYTES``.  The entry checks the dense
-cap before any D-sized array is built, as ``assemble`` and
-``_round_matrices`` (so ``trotterized``) do, then r and t (the one check,
-which ``trotterized`` shares), and builds the schedule; H comes from
-``assemble`` as the same block stack.  Blocks meet D space only where
-``fixed_state_error`` splits its state and ``trotterized`` returns a D x D
-matrix.  Every round-matrix entry goes through the same floating-point
-operations as a one-matrix, full-D build, so the rounds are bit-identical to
-it.
+The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
+by one entry, ``_error_operators``, which reads only (n, k) and coupling
+rows: ``observed_error`` and ``fixed_state_error`` pass their instance's one
+row, and ``averaged_error`` each group of rows it averages (dense: all
+samples; sparse: one Bernoulli mask's), in stacks of at most
+``_STACK_BYTES``.  Every stage runs once per stack: assembly (H comes from
+``assemble`` as the same block stack), round kernel, eigh, power and E; a
+consumer holds one stack of E at a time, and only the Schatten norm is
+taken per sample.  The entry checks the dense cap before any D-sized array
+is built, as ``assemble`` and ``_round_matrices`` (so ``trotterized``) do,
+then r and t (the one check, which ``trotterized`` shares), and builds the
+schedule; ``averaged_error`` makes both checks before it draws a coupling,
+and ``observed_error`` checks p before E is formed.  Blocks meet D space
+only where ``fixed_state_error`` splits its state and ``trotterized``
+returns a D x D matrix.  Every round-matrix entry goes through the same
+floating-point operations as a one-matrix, full-D build, so the rounds are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ import numpy as np
 
 from .fermions import hilbert_dim, term_table
 from .linalg import (
-    NormEstimate, _check_dim_cap, assemble, exact_evolution, expected_norm, schatten_norm,
+    NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
+    expected_norm, schatten_norm,
 )
 from .model import SykInstance, sample_bernoulli_mask, sample_dense, sample_sparse
 
@@ -207,13 +211,10 @@ def _error_operators(
     of one (n, k), in order; the one entry of the error path.  It checks the
     dense cap, r and t and builds the order-l schedule when first advanced.
 
-    The rows go in stacks of at most ``_STACK_BYTES`` (at least one row): H
-    is assembled once per stack and exp(iHt) formed per row, one eigh per
-    block, before the stack's round matrices, as for one row.  Each exp(iHt)
-    and round matrix is dropped once its E is formed, and E is yielded
-    without a reference kept here: a consumer that drops each E holds one
-    stack and one E at a time.  The rounds are views of one stack, which is
-    freed with the last of them, before the consumer reads the stack's last E.
+    The rows go in stacks of at most ``_STACK_BYTES`` (at least one row), and
+    every stage runs once per stack: assembly, round kernel, eigh, power and
+    E.  The stack's other arrays are freed before its first E is yielded, so
+    a consumer that drops each E holds one stack of E at a time.
     """
     _check_dim_cap(n)
     _check_t_and_r(t, r)
@@ -223,16 +224,13 @@ def _error_operators(
     size = max(1, _STACK_BYTES // per_sample)
     for start in range(0, len(couplings), size):
         stack = couplings[start:start + size]
-        # exp(iHt) first, as for one row: its eigh then runs while no round
-        # matrix is live
-        evolutions = [exact_evolution(ham, t) for ham in assemble(n, k, stack)]
-        rounds = list(_round_matrices(n, k, stack, schedule, t / r))
-        for _ in stack:
-            yield evolutions.pop(0) - _matrix_power(rounds.pop(0), r)
+        yield from exact_evolution(assemble(n, k, stack), t) - _matrix_power(
+            _round_matrices(n, k, stack, schedule, t / r), r)
 
 
 def observed_error(instance: SykInstance, order: int, t: float, r: int, p: float) -> float:
     """Normalized Trotter error ||E||_p / D**(1/p); p = inf is the operator norm."""
+    _check_schatten_order(p)
     err = next(_error_operators(instance.n, instance.k, instance.couplings[None], order, t, r))
     return schatten_norm(err, p) / hilbert_dim(instance.n) ** (1.0 / p)
 
@@ -255,19 +253,21 @@ def averaged_error(
             f"need 2 <= p < inf for the disorder-averaged error (--p; got {p}); "
             "for the operator norm use solve-r's finite p* = log(e^2 D/delta)"
         )
-    scale = hilbert_dim(n) ** (1.0 / p)
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
+    if kappa is not None and num_bernoulli < 2:
+        raise ValueError("need num_bernoulli >= 2 for a standard error")
+    _check_dim_cap(n)
+    _check_t_and_r(t, r)
     if kappa is None:
         groups = [np.array([sample_dense(n, k, energy_constant, seed, i).couplings
                             for i in range(num_disorder)])]
-    elif num_bernoulli < 2:
-        raise ValueError("need num_bernoulli >= 2 for a standard error")
     else:  # one group per mask, drawn when reached: mixed masks widen a stack's live terms
         masks = (sample_bernoulli_mask(n, k, kappa, seed, b) for b in range(num_bernoulli))
         groups = (np.array([sample_sparse(n, k, energy_constant, kappa, seed, mask=mask,
                                           coupling_index=b * num_disorder + i).couplings
                             for i in range(num_disorder)]) for b, mask in enumerate(masks))
+    scale = hilbert_dim(n) ** (1.0 / p)
     values = []
     for couplings in groups:
         est = expected_norm(_error_operators(n, k, couplings, order, t, r), p)

@@ -61,13 +61,17 @@ def test_trotterized_binds_what_the_tracer_reads():
     assert work["trotter.exponentials"] == sched.stages * inst.gamma_count
 
 
-@pytest.mark.parametrize("kappa,samples", [(None, 3), (4.0, 6)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kappa,stacks,samples", [(None, 1, 3), (4.0, 2, 6)],
+                         ids=["dense", "sparse"])
 @pytest.mark.parametrize("k", [3, 4])
-def test_error_stages_are_called_where_the_tracer_wraps_them(monkeypatch, k, kappa, samples):
+def test_error_stages_are_called_where_the_tracer_wraps_them(monkeypatch, k, kappa, stacks,
+                                                             samples):
     """The tracer rebinds ``linalg.exact_evolution`` and ``linalg.schatten_norm``
     at every syklab module that binds them; one ``averaged_error`` call must
-    reach each of them through those bindings once per disorder sample, so
-    that a traced run times both stages."""
+    reach each of them through those bindings, ``exact_evolution`` once per
+    stack (one for dense, one per Bernoulli mask for sparse) and
+    ``schatten_norm`` once per disorder sample, so that a traced run times
+    both stages."""
     from syklab import linalg, trotter
 
     calls = {}
@@ -85,4 +89,4 @@ def test_error_stages_are_called_where_the_tracer_wraps_them(monkeypatch, k, kap
                 if value is func:
                     monkeypatch.setattr(module, attr, counted)
     trotter.averaged_error(8, k, 1, 0.5, 4, 2.0, 71, 3, kappa=kappa, num_bernoulli=2)
-    assert calls == {"exact_evolution": samples, "schatten_norm": samples}
+    assert calls == {"exact_evolution": stacks, "schatten_norm": samples}

@@ -299,10 +299,15 @@ class TestObservedError:
         err = observed_error(inst, 1, 50.0, 3, 2)
         assert 0.0 <= err <= 2.0
 
-    def test_rejects_nan_p(self):
+    @pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+    def test_rejects_p_below_one_before_any_work(self, monkeypatch, p):
+        def no_work(*args):
+            raise AssertionError("a Hamiltonian was assembled")
+
+        monkeypatch.setattr(trotter, "assemble", no_work)
         inst = sample_dense(6, 3, seed=32)
-        with pytest.raises(ValueError, match="p >= 1, got nan"):
-            observed_error(inst, 1, 1.0, 16, math.nan)
+        with pytest.raises(ValueError, match=f"p >= 1, got {p}"):
+            observed_error(inst, 1, 1.0, 16, p)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_t(self, t):
@@ -427,14 +432,17 @@ class TestAveragedError:
         assert est.num_samples == 3
 
     @pytest.mark.parametrize("p", [2, 4])
-    @pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
-    def test_stack_size_does_not_move_bits(self, monkeypatch, kappa, p):
-        """Stacks of one sample, the default budget (8 samples at n = 12, so
-        10 samples make a stack of 8 and one of 2) and one stack give the
-        same bits."""
+    @pytest.mark.parametrize("kappa,k", [(None, 4), (4.0, 4), (None, 3), (4.0, 3)],
+                             ids=["dense", "sparse", "dense-odd-k", "sparse-odd-k"])
+    def test_stack_size_does_not_move_bits(self, monkeypatch, kappa, k, p):
+        """Stacks of one sample, the default budget and one stack give the
+        same bits.  At n = 12 the default budget holds 8 samples for even k
+        (B = 2 blocks of W = 32), so 10 samples make a stack of 8 and one of
+        2, and 4 samples for odd k (B = 1 block of W = 64), so stacks of 4, 4
+        and 2."""
         def estimate(stack_bytes):
             monkeypatch.setattr(trotter, "_STACK_BYTES", stack_bytes)
-            return averaged_error(12, 4, 1, 1.0, 20, p, 55, 10, kappa=kappa,
+            return averaged_error(12, k, 1, 1.0, 20, p, 55, 10, kappa=kappa,
                                   num_bernoulli=2)
 
         default = estimate(trotter._STACK_BYTES)
@@ -447,8 +455,8 @@ class TestAveragedError:
 
     @pytest.mark.parametrize("stack_bytes,stacks", [(None, 1), (1, 10)])
     def test_assembles_once_per_stack(self, monkeypatch, stack_bytes, stacks):
-        """H is assembled once per stack, as (N, B, W, W) parity blocks, and
-        exp(iHt) is formed once per sample on its (B, W, W) blocks."""
+        """H is assembled and exp(iHt) formed once per stack, both as
+        (N, B, W, W) parity blocks."""
         stacks_in, hams_in = [], []
         original_assemble, original_evolution = trotter.assemble, trotter.exact_evolution
 
@@ -467,7 +475,7 @@ class TestAveragedError:
         averaged_error(8, 4, 1, 1.0, 4, 2, 56, 10)
         samples = 10 // stacks
         assert stacks_in == [(samples, 70)] * stacks
-        assert hams_in == [(2, 8, 8)] * 10
+        assert hams_in == [(samples, 2, 8, 8)] * stacks
 
     @pytest.mark.parametrize("r", [0, -3])
     def test_sparse_rejects_r_below_one_before_any_work(self, monkeypatch, r):
@@ -627,6 +635,36 @@ def test_dense_cap_is_checked_before_any_d_sized_array(name):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert "sectors" not in vars(term_table(40, 2))
+
+
+@pytest.mark.parametrize("n,k", [(24, 12), (2100, 2)])
+@pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
+def test_averaged_error_checks_the_cap_before_any_draw(kappa, n, k):
+    """At (24, 12) a sample has Gamma = 2,704,156 couplings: the cap refuses
+    D = 4096 before the first one is drawn, with a traced peak under 1 MiB.
+    At n = 2100, D**(1/p) is past the float range: the cap comes first."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=rf"\(n = {n}\) exceeds the dense cap"):
+            averaged_error(n, k, 2, 1.0, 4, 2, 70, 2, kappa=kappa, num_bernoulli=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("t,r,message", [(1.0, 0, "Trotter number"),
+                                         (math.inf, 4, "time t must be finite")],
+                         ids=["r", "t"])
+@pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
+def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, t, r, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a coupling or mask was drawn")
+
+    for name in ("sample_dense", "sample_sparse", "sample_bernoulli_mask"):
+        monkeypatch.setattr(trotter, name, no_draw)
+    with pytest.raises(ValueError, match=message):
+        averaged_error(8, 4, 1, t, r, 2, 70, 2, kappa=kappa, num_bernoulli=2)
 
 
 def test_term_order_changes_s_but_not_u():
