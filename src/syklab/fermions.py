@@ -121,7 +121,7 @@ class TermTable:
         """(B, W) intp: the basis indices of each parity sector, increasing."""
         basis = np.arange(hilbert_dim(self.n))
         parity = np.bitwise_count(basis) & 1 if self.k % 2 == 0 else np.zeros_like(basis)
-        sectors = np.stack([basis[parity == q] for q in np.unique(parity)])
+        sectors = np.stack([basis[parity == q] for q in range(2 - self.k % 2)])
         sectors.flags.writeable = False
         return sectors
 

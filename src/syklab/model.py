@@ -12,10 +12,15 @@ sparse instance stores b_g J_g as its couplings beside its mask b.
 
 Randomness: every stream is a counter-based Philox generator keyed by
 (master_seed, stream_tag, sample_index), so disorder averages are independent
-of worker count and evaluation order.  Gaussians are drawn by inverse-CDF
-(scipy.special.ndtri) on the counter stream; that pins the map from uniforms
+of worker count and evaluation order.  Gaussians are drawn by inverse-CDF on
+the counter stream: ``_ndtri`` ports Cephes' ndtri (S. L. Moshier, *Methods
+and Programs for Mathematical Functions*, 1989; the one scipy.special.ndtri
+implements) to numpy, in its Horner order and with libm's log (``math.log``)
+in the tails, which numpy's SIMD log is not.  That pins the map from uniforms
 to normals, so the *statistics* are reproducible across ports even though
-bit-exactness is only promised within one build.
+bit-exactness is only promised within one build.  ``_coupling_rows`` draws a
+group of samples' couplings with one ``_ndtri`` call; ``sample_dense`` and
+``sample_sparse`` are its one-row calls.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # noqa: F401 -- at import, not in the first draw
 
 __all__ = [
     "SykInstance",
@@ -152,8 +157,7 @@ class SykInstance:
             raise ValueError(f"{couplings.size} couplings != C(n,k) = {gamma_count}")
         if self.mask is not None:
             mask = np.array(self.mask)
-            if mask.shape != (gamma_count,):
-                raise ValueError(f"mask length {mask.size} != C(n,k) = {gamma_count}")
+            _check_mask(mask, gamma_count)
             mask.flags.writeable = False
             object.__setattr__(self, "mask", mask)
             # np.where, not a product: a deleted term is +0.0, never -0.0
@@ -173,11 +177,96 @@ def stream_rng(master_seed: int, stream_tag: str, sample_index: int) -> np.rando
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _gaussian(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
-    """Inverse-CDF Gaussians on the counter stream (see module docstring)."""
-    u = rng.random(size)
-    np.clip(u, np.finfo(float).tiny, None, out=u)  # ndtri(0) = -inf guard
-    return sigma * ndtri(u)
+# Cephes ndtri's rational approximations: y or 1 - y = e^-2, where
+# z = sqrt(-2 log y) = 2, splits the central branch from the tails, and
+# z = 8 (y = e^-32) splits the tails
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _rational(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """x * polevl(x, p) / p1evl(x, q) in Cephes' Horner order (q's leading
+    coefficient is 1)."""
+    num, den = p[0], x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """Natural log of each entry by libm, as Cephes takes it (np.log's SIMD
+    loop can differ in the last bits)."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF at each y in (0, 1), bit for bit
+    Cephes' ndtri (see module docstring)."""
+    upper = y > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y, y)
+    out = np.empty_like(y)
+    central = y > _EXP_M2
+    c = y[central] - 0.5
+    out[central] = (c + c * _rational(c * c, _P0, _Q0)) * _SQRT_2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x = x - _libm_log(x) / x - np.where(x < 8.0, _rational(z, _P1, _Q1),
+                                         _rational(z, _P2, _Q2))
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _check_mask(mask: np.ndarray, gamma_count: int) -> None:
+    if mask.shape != (gamma_count,):
+        raise ValueError(f"mask length {mask.size} != C(n,k) = {gamma_count}")
+
+
+def _coupling_rows(
+    n: int, k: int, sigma: float, seed: int, indices: range, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """The couplings of samples ``indices`` of one (n, k) as (N, C(n,k))
+    rows, with one ``_ndtri`` call for the group.
+
+    Row i holds sigma * ndtri(u) for the uniforms u of stream (seed,
+    "dense_couplings", indices[i]), clipped away from 0.  With a sparse
+    ``mask`` b it reads stream (seed, "sparse_couplings", indices[i]) and
+    holds b_g J_g: only the kept terms' uniforms are transformed, and a
+    deleted term is +0.0.
+    """
+    gamma_count = math.comb(n, k)
+    if mask is not None:
+        _check_mask(mask, gamma_count)
+    uniforms = np.empty((len(indices), gamma_count))
+    tag = "dense_couplings" if mask is None else "sparse_couplings"
+    for row, index in zip(uniforms, indices):
+        stream_rng(seed, tag, index).random(out=row)
+    np.clip(uniforms, np.finfo(float).tiny, None, out=uniforms)  # ndtri(0) = -inf guard
+    if mask is None:
+        return sigma * _ndtri(uniforms)
+    keep = mask != 0
+    rows = np.zeros_like(uniforms)
+    rows[:, keep] = sigma * _ndtri(uniforms[:, keep])
+    return rows
 
 
 def sample_dense(
@@ -185,9 +274,7 @@ def sample_dense(
 ) -> SykInstance:
     """Sample a dense SYK instance; deterministic given (seed, sample_index)."""
     sigma = sigma_dense(n, k, energy_constant)
-    gamma_count = math.comb(n, k)
-    rng = stream_rng(seed, "dense_couplings", sample_index)
-    couplings = _gaussian(rng, sigma, gamma_count)
+    couplings = _coupling_rows(n, k, sigma, seed, range(sample_index, sample_index + 1))[0]
     return SykInstance(n, k, energy_constant, sigma, couplings, seed=seed)
 
 
@@ -221,10 +308,9 @@ def sample_sparse(
     if mask is None:
         mask = sample_bernoulli_mask(n, k, kappa, seed)
     mask = np.asarray(mask, dtype=np.int8)
-    gamma_count = math.comb(n, k)
     sigma = sigma_sparse(n, k, energy_constant, p_b)
-    rng = stream_rng(seed, "sparse_couplings", coupling_index)
-    couplings = _gaussian(rng, sigma, gamma_count)
+    couplings = _coupling_rows(n, k, sigma, seed,
+                               range(coupling_index, coupling_index + 1), mask)[0]
     return SykInstance(
         n, k, energy_constant, sigma, couplings, mask=mask, p_B=p_b, seed=seed,
         clamped=clamped,

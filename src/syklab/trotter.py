@@ -55,7 +55,10 @@ from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
 )
-from .model import SykInstance, sample_bernoulli_mask, sample_dense, sample_sparse
+from .model import (
+    SykInstance, _coupling_rows, bernoulli_probability, sample_bernoulli_mask, sigma_dense,
+    sigma_sparse,
+)
 
 __all__ = [
     "Schedule",
@@ -243,10 +246,12 @@ def averaged_error(
     """Disorder-averaged normalized Trotter error and its standard error.
 
     Dense (``kappa`` None): (E ||exp(iHt) - S_l(t/r)**r||_p^p)**(1/p) / D**(1/p)
-    over ``sample_dense(n, k, energy_constant, seed, i)``, i < num_disorder.
-    Sparse (Xu-Susskind-Su-Swingle): the plain mean over ``num_bernoulli``
-    masks b (outside) of that Gaussian-disorder expectation (inside), with
-    couplings drawn at ``coupling_index = b * num_disorder + i``.
+    over the couplings of ``sample_dense(n, k, energy_constant, seed, i)``,
+    i < num_disorder.  Sparse (Xu-Susskind-Su-Swingle): the plain mean over
+    ``num_bernoulli`` masks b (outside) of that Gaussian-disorder expectation
+    (inside), with the couplings of ``sample_sparse`` at ``coupling_index =
+    b * num_disorder + i``.  Each group (dense: all samples; sparse: one
+    mask's) is drawn as rows by one ``model._coupling_rows`` call.
     """
     if not 2 <= p < math.inf:
         raise ValueError(
@@ -260,13 +265,14 @@ def averaged_error(
     _check_dim_cap(n)
     _check_t_and_r(t, r)
     if kappa is None:
-        groups = [np.array([sample_dense(n, k, energy_constant, seed, i).couplings
-                            for i in range(num_disorder)])]
+        sigma = sigma_dense(n, k, energy_constant)
+        groups = [_coupling_rows(n, k, sigma, seed, range(num_disorder))]
     else:  # one group per mask, drawn when reached: mixed masks widen a stack's live terms
-        masks = (sample_bernoulli_mask(n, k, kappa, seed, b) for b in range(num_bernoulli))
-        groups = (np.array([sample_sparse(n, k, energy_constant, kappa, seed, mask=mask,
-                                          coupling_index=b * num_disorder + i).couplings
-                            for i in range(num_disorder)]) for b, mask in enumerate(masks))
+        sigma = sigma_sparse(n, k, energy_constant, bernoulli_probability(n, k, kappa)[0])
+        groups = (_coupling_rows(n, k, sigma, seed,
+                                 range(b * num_disorder, (b + 1) * num_disorder),
+                                 sample_bernoulli_mask(n, k, kappa, seed, b))
+                  for b in range(num_bernoulli))
     scale = hilbert_dim(n) ** (1.0 / p)
     values = []
     for couplings in groups:

@@ -1,11 +1,13 @@
-"""Every name a syklab module exports in ``__all__`` exists in it, and every
+"""Every name a syklab module exports in ``__all__`` exists in it, every
 function the benchmark's tracer wraps still exists and takes the arguments
-the tracer reads."""
+the tracer reads, and syklab runs without scipy."""
 
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -90,3 +92,22 @@ def test_error_stages_are_called_where_the_tracer_wraps_them(monkeypatch, k, kap
                     monkeypatch.setattr(module, attr, counted)
     trotter.averaged_error(8, k, 1, 0.5, 4, 2.0, 71, 3, kappa=kappa, num_bernoulli=2)
     assert calls == {"exact_evolution": stacks, "schatten_norm": samples}
+
+
+def test_import_and_averages_load_neither_scipy_nor_numpy_ma():
+    """numpy alone runs syklab: in a fresh interpreter (this suite imports
+    scipy), ``import syklab`` and one dense and one sparse ``averaged_error``
+    at n = 8 leave ``scipy`` and ``numpy.ma`` out of ``sys.modules``."""
+    code = (
+        "import sys\n"
+        "import syklab\n"
+        "from syklab.trotter import averaged_error\n"
+        "averaged_error(8, 4, 2, 1.0, 4, 2, 71, 3)\n"
+        "averaged_error(8, 4, 2, 1.0, 4, 2, 71, 3, kappa=4.0, num_bernoulli=2)\n"
+        "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(syklab.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -184,6 +184,16 @@ class TestTermTable:
                 assert np.array_equal(to_dense(pauli)[rows, rows ^ pauli.x_mask],
                                       table.permuted_coefficients(g).ravel())
 
+    @pytest.mark.parametrize("n", range(2, 22, 2))
+    def test_sectors_are_the_parities_present(self, n):
+        """B = 2 - k % 2 sectors are exactly the parities np.unique finds:
+        both for even k, the one all-zero label for odd k."""
+        basis = np.arange(hilbert_dim(n))
+        for k in range(1, min(3, n) + 1):
+            parity = np.bitwise_count(basis) & 1 if k % 2 == 0 else np.zeros_like(basis)
+            expected = np.stack([basis[parity == q] for q in np.unique(parity)])
+            assert np.array_equal(term_table(n, k).sectors, expected)
+
     def test_arrays_are_read_only(self):
         for k in (3, 4):
             table = term_table(8, k)

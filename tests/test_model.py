@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from syklab.model import (
     SykInstance,
-    _gaussian,
+    _ndtri,
     bernoulli_probability,
     from_json,
     ordering_map,
@@ -22,6 +23,43 @@ from syklab.model import (
     stream_rng,
     to_json,
 )
+
+
+def _clipped_uniforms(rng, size):
+    """Uniforms clipped away from 0, as the coupling sampler clips them."""
+    return np.clip(rng.random(size), np.finfo(float).tiny, None)
+
+
+class TestNdtri:
+    """``_ndtri`` is scipy.special.ndtri bit for bit: both are Cephes' ndtri,
+    and the port keeps its Horner order and takes libm's log in the tails."""
+
+    @staticmethod
+    def _assert_bitwise_scipy(y):
+        assert np.array_equal(_ndtri(y).view(np.int64), ndtri(y).view(np.int64))
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_philox_uniforms(self, seed):
+        self._assert_bitwise_scipy(_clipped_uniforms(stream_rng(seed, "ndtri", 0), 10**6))
+
+    def test_edge_grid(self):
+        """Both tails down to the smallest normal, the branch points y or
+        1 - y = e^-2 and y = e^-32 with their float neighbours, and the
+        bottom of the uniform grid j 2^-53."""
+        points = [math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)]
+        grid = np.concatenate([
+            2.0 ** -np.arange(1, 1023),
+            1.0 - 2.0 ** -np.arange(1, 54),
+            np.nextafter(points, 0.0), points, np.nextafter(points, 1.0),
+            [np.finfo(float).tiny],
+            np.arange(1, 200_000) * 2.0**-53,
+        ])
+        assert grid.min() == np.finfo(float).tiny and grid.max() < 1.0
+        self._assert_bitwise_scipy(grid)
+
+    def test_any_shape(self):
+        y = _clipped_uniforms(stream_rng(3, "ndtri", 0), (4, 70))
+        assert np.array_equal(_ndtri(y), ndtri(y))
 
 
 class TestOrderingMap:
@@ -242,7 +280,7 @@ class TestSparseCouplings:
     @staticmethod
     def _raw_draw(inst, coupling_index):
         rng = stream_rng(inst.seed, "sparse_couplings", coupling_index)
-        return _gaussian(rng, inst.sigma, inst.gamma_count)
+        return inst.sigma * ndtri(_clipped_uniforms(rng, inst.gamma_count))
 
     @staticmethod
     def _assert_deleted_terms_are_zero(couplings, mask, raw):

@@ -431,6 +431,38 @@ class TestAveragedError:
         assert est.value == pytest.approx(math.sqrt(sum(powers) / 3), rel=1e-12)
         assert est.num_samples == 3
 
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
+    def test_rows_are_the_one_row_samples(self, monkeypatch, n, k, kappa):
+        """The coupling rows that averaged_error draws a group at a time are,
+        byte for byte, the stacked couplings of sample_dense / sample_sparse;
+        a deleted sparse term is +0.0."""
+        groups = []
+        original = trotter._error_operators
+
+        def error_operators(n, k, couplings, *args):
+            groups.append(couplings)
+            return original(n, k, couplings, *args)
+
+        monkeypatch.setattr(trotter, "_error_operators", error_operators)
+        seed, num_disorder, num_bernoulli = 57, 3, 2
+        averaged_error(n, k, 1, 0.5, 2, 2, seed, num_disorder, energy_constant=1.3,
+                       kappa=kappa, num_bernoulli=num_bernoulli)
+        if kappa is None:
+            expected = [[sample_dense(n, k, 1.3, seed, i) for i in range(num_disorder)]]
+        else:
+            expected = [[sample_sparse(n, k, 1.3, kappa, seed, b * num_disorder + i,
+                                       mask=sample_bernoulli_mask(n, k, kappa, seed, b))
+                         for i in range(num_disorder)] for b in range(num_bernoulli)]
+        assert len(groups) == len(expected)
+        for rows, instances in zip(groups, expected):
+            stacked = np.array([inst.couplings for inst in instances])
+            assert rows.shape == stacked.shape and rows.tobytes() == stacked.tobytes()
+            if kappa is not None:
+                deleted = rows[:, instances[0].mask == 0]
+                assert deleted.size and not deleted.any() and not np.signbit(deleted).any()
+
     @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize("kappa,k", [(None, 4), (4.0, 4), (None, 3), (4.0, 3)],
                              ids=["dense", "sparse", "dense-odd-k", "sparse-odd-k"])
@@ -661,7 +693,7 @@ def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, t, r,
     def no_draw(*args, **kwargs):
         raise AssertionError("a coupling or mask was drawn")
 
-    for name in ("sample_dense", "sample_sparse", "sample_bernoulli_mask"):
+    for name in ("_coupling_rows", "sample_bernoulli_mask"):
         monkeypatch.setattr(trotter, name, no_draw)
     with pytest.raises(ValueError, match=message):
         averaged_error(8, 4, 1, t, r, 2, 70, 2, kappa=kappa, num_bernoulli=2)
