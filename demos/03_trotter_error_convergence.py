@@ -35,9 +35,10 @@ for r in (64, 128, 256, 512):
     prev = errs
 print("expected ratios: 2 (first order), 4 (second order)")
 
-# second-order schedule structure: reverse sweep then forward sweep at t/2
-sched = build_schedule(2, 3)
-print(f"\nS_2 schedule for 3 terms: {sched.steps}")
+# second-order schedule structure: a reverse sweep then a forward sweep over
+# the terms, each at scale 1/2, as (scale, forward?) pairs
+sched = build_schedule(2)
+print(f"\nS_2 sweeps: {sched.sweeps}")
 
 # The fixed-state error ||E psi|| and the spectral error ||E||_inf come from
 # the same error operator E = exp(iHt) - S_2(t/r)**r, so the first can never

@@ -135,7 +135,8 @@ def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
 class SykInstance:
     """One sampled Hamiltonian: couplings (and, if sparse, the Bernoulli mask).
 
-    The arrays are read-only copies, so a frozen instance stays unchanged.
+    The arrays are read-only copies, so a frozen instance stays unchanged;
+    the mask is checked by ``_check_mask`` and kept as int8.
     A sparse instance's couplings are b_g J_g: +0.0 wherever the mask is 0.
     """
 
@@ -156,8 +157,9 @@ class SykInstance:
         if couplings.shape != (gamma_count,):
             raise ValueError(f"{couplings.size} couplings != C(n,k) = {gamma_count}")
         if self.mask is not None:
-            mask = np.array(self.mask)
+            mask = np.asarray(self.mask)
             _check_mask(mask, gamma_count)
+            mask = mask.astype(np.int8)
             mask.flags.writeable = False
             object.__setattr__(self, "mask", mask)
             # np.where, not a product: a deleted term is +0.0, never -0.0
@@ -237,8 +239,11 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
 
 
 def _check_mask(mask: np.ndarray, gamma_count: int) -> None:
+    """The one check of a sparse mask b: C(n,k) entries, each 0 or 1."""
     if mask.shape != (gamma_count,):
         raise ValueError(f"mask length {mask.size} != C(n,k) = {gamma_count}")
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError("mask entries must be 0 or 1")
 
 
 def _coupling_rows(
@@ -307,10 +312,9 @@ def sample_sparse(
     p_b, clamped = bernoulli_probability(n, k, kappa)
     if mask is None:
         mask = sample_bernoulli_mask(n, k, kappa, seed)
-    mask = np.asarray(mask, dtype=np.int8)
     sigma = sigma_sparse(n, k, energy_constant, p_b)
     couplings = _coupling_rows(n, k, sigma, seed,
-                               range(coupling_index, coupling_index + 1), mask)[0]
+                               range(coupling_index, coupling_index + 1), np.asarray(mask))[0]
     return SykInstance(
         n, k, energy_constant, sigma, couplings, mask=mask, p_B=p_b, seed=seed,
         clamped=clamped,
@@ -368,9 +372,6 @@ def from_json(text: str) -> SykInstance:
             raise ValueError("a dense instance (no mask) must have p_B = null")
         sigma = sigma_dense(n, k, doc["energy_constant"])
     else:
-        mask = np.asarray(mask)
-        if not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("mask entries must be 0 or 1")
         if p_b is None or not 0.0 <= p_b <= 1.0:
             raise ValueError(f"a sparse instance needs 0 <= p_B <= 1, got {p_b!r}")
         sigma = sigma_sparse(n, k, doc["energy_constant"], p_b)
@@ -378,5 +379,4 @@ def from_json(text: str) -> SykInstance:
         raise ValueError(f"sigma {doc['sigma']!r} != {sigma!r} implied by n, k, "
                          "energy_constant and p_B")
     # the keys are the fields, checked above
-    return SykInstance(**dict(doc, couplings=couplings,
-                              mask=None if mask is None else mask.astype(np.int8)))
+    return SykInstance(**dict(doc, couplings=couplings))

@@ -1,14 +1,16 @@
 """Lie-Trotter-Suzuki schedules and Trotterized evolution.
 
-A schedule is the flattened product formula S_l(tau): an ordered sequence of
-steps (a_j, b_j) meaning "apply exp(i * a_j * tau * H_gamma(b_j))", listed in
-application order (steps[0] acts on the state first).  The recursion
+A schedule is the product formula S_l(tau) as its sweeps: an ordered list of
+(scale, forward) pairs, listed in application order (sweeps[0] acts on the
+state first), each meaning "apply exp(i * scale * tau * J_g K_g) for every
+live term g, in increasing g if forward, else decreasing".  A term is live
+when tau != 0 and some coupling on it is nonzero; the rest are the identity.
+Suzuki's recursion (J. Math. Phys. 32, 400 (1991))
 
     S_{2p}(tau) = S_{2p-2}(q_p tau)^2 S_{2p-2}((1-4q_p) tau) S_{2p-2}(q_p tau)^2,
     q_p = 1 / (4 - 4**(1/(2p-1))),
 
-flattens to Upsilon = 2 * 5**(l/2 - 1) sweeps per round, each sweep a forward
-or reverse pass over all Gamma terms; S_1 is one forward sweep.
+gives Upsilon = 2 * 5**(l/2 - 1) sweeps per round; S_1 is one forward sweep.
 
 For even k every x_g has even popcount, so H, exp(iHt) and S_l(tau) keep the
 parity of the basis index: each is block diagonal with B = 2 parity sectors
@@ -16,11 +18,11 @@ of width W = D/2.  Odd k maps one parity to the other and has one sector,
 B = 1 and W = D, in the same code.  Round matrices are built by one kernel,
 ``_round_matrices``, on the (N, B, W, W) parity-block stack of N samples that
 share (n, k), in the (sector, position) coordinates of the one cached term
-set ``fermions.term_table(n, k)``: each schedule step is one ``take`` of
-every block's rows along K_g's in-sector permutation j -> j ^ shifts[g],
-one coefficient multiply, one cos scale and one add for all N samples.  A
-deleted sparse term is a zero coupling, so the kernel reads only couplings
-and the samples' masks may differ.
+set ``fermions.term_table(n, k)``: each live term of each sweep is one
+``take`` of every block's rows along K_g's in-sector permutation j -> j ^
+shifts[g], one coefficient multiply, one cos scale and one add for all N
+samples.  A deleted sparse term is a zero coupling, so the kernel reads only
+couplings and the samples' masks may differ.
 
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
 by one entry, ``_error_operators``, which reads only (n, k) and coupling
@@ -44,6 +46,7 @@ bit-identical to it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -86,12 +89,11 @@ def stage_count(order: int) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Flattened product formula S_l for Gamma terms."""
+    """Product formula S_l as its ``stages`` = Upsilon sweeps over the terms."""
 
     order: int
     stages: int
-    gamma_count: int
-    steps: tuple[tuple[float, int], ...]  # (coefficient a_j, 1-based term b_j)
+    sweeps: tuple[tuple[float, bool], ...]  # (scale, forward?) in application order
 
 
 def _sweep_scales(order: int) -> list[tuple[float, bool]]:
@@ -111,17 +113,9 @@ def _sweep_scales(order: int) -> list[tuple[float, bool]]:
     return out
 
 
-def build_schedule(order: int, gamma_count: int) -> Schedule:
-    """Schedule for S_l over ``gamma_count`` terms; order 1 or even >= 2."""
-    stages = stage_count(order)  # validates the order
-    if gamma_count < 1:
-        raise ValueError("gamma_count must be positive")
-    steps: list[tuple[float, int]] = []
-    for scale, forward in _sweep_scales(order):
-        terms = range(1, gamma_count + 1) if forward else range(gamma_count, 0, -1)
-        steps.extend((scale, b) for b in terms)
-    assert len(steps) == stages * gamma_count
-    return Schedule(order, stages, gamma_count, tuple(steps))
+def build_schedule(order: int) -> Schedule:
+    """Schedule for S_l; order 1 or even >= 2."""
+    return Schedule(order, stage_count(order), tuple(_sweep_scales(order)))
 
 
 def _round_matrices(
@@ -130,10 +124,11 @@ def _round_matrices(
     """S_l(tau) for each row of ``couplings`` (N, Gamma), all of one (n, k),
     as an (N, B, W, W) stack of parity blocks on the table's sectors.
 
-    Each step exponential cos(theta) + i sin(theta) K_g is applied to the
-    whole stack in place, with K_g read from the cached term table; a step
-    is skipped unless its term is live: tau != 0 and some sample's coupling
-    on it is nonzero (a step with theta = 0 for every sample is the identity).
+    Each sweep applies, for its live terms in its direction, the exponential
+    cos(theta) + i sin(theta) K_g to the whole stack in place, with K_g read
+    from the cached term table.  A term is live when tau != 0 and some
+    sample's coupling on it is nonzero (theta = 0 for every sample is the
+    identity).
     """
     _check_dim_cap(n)
     table = term_table(n, k)
@@ -142,19 +137,17 @@ def _round_matrices(
     buf = np.empty_like(stack)
     positions = np.arange(width)
     perm = np.empty_like(positions)
-    live = (couplings.any(axis=0) & (tau != 0)).tolist()
-    for a_j, b_j in schedule.steps:
-        i = b_j - 1
-        if not live[i]:
-            continue
-        theta = a_j * couplings[:, i] * tau
-        np.bitwise_xor(positions, table.shifts[i], out=perm)
-        # perm is in range by construction; mode="clip" skips the copy that
-        # take() makes for out= under the default bounds check
-        np.take(stack, perm, axis=2, out=buf, mode="clip")
-        buf *= table.permuted_coefficients(i, 1j * np.sin(theta)[:, None, None])[..., None]
-        stack *= np.cos(theta)[:, None, None, None]
-        stack += buf
+    live = np.flatnonzero(couplings.any(axis=0) & (tau != 0)).tolist()
+    for scale, forward in schedule.sweeps:
+        for i in live if forward else live[::-1]:
+            theta = scale * couplings[:, i] * tau
+            np.bitwise_xor(positions, table.shifts[i], out=perm)
+            # perm is in range by construction; mode="clip" skips the copy that
+            # take() makes for out= under the default bounds check
+            np.take(stack, perm, axis=2, out=buf, mode="clip")
+            buf *= table.permuted_coefficients(i, 1j * np.sin(theta)[:, None, None])[..., None]
+            stack *= np.cos(theta)[:, None, None, None]
+            stack += buf
     return stack
 
 
@@ -174,8 +167,11 @@ def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
 
 
 def _check_r(r: int) -> None:
-    """The one check of a Trotter number r, which BoundInput shares: 1 <= r
-    <= the largest float, as t / r needs."""
+    """The one check of a Trotter number r, which BoundInput and gate_counts
+    share: an integer (numpy's too), as the r-th power needs, with 1 <= r <=
+    the largest float, as t / r needs."""
+    if not isinstance(r, numbers.Integral):
+        raise ValueError(f"Trotter number r (--r) must be an integer, got {r!r}")
     if not 1 <= r <= sys.float_info.max:
         raise ValueError(
             f"Trotter number r (--r) must satisfy 1 <= r <= {sys.float_info.max!r}")
@@ -192,11 +188,6 @@ def trotterized(
     instance: SykInstance, schedule: Schedule, t: float, r: int
 ) -> np.ndarray:
     """S_l(t/r)**r as a dense D x D unitary, placed from its parity blocks."""
-    if schedule.gamma_count != instance.gamma_count:
-        raise ValueError(
-            f"schedule has {schedule.gamma_count} terms, instance has "
-            f"{instance.gamma_count}"
-        )
     _check_t_and_r(t, r)
     rounds = _round_matrices(instance.n, instance.k, instance.couplings[None],
                              schedule, t / r)
@@ -221,7 +212,7 @@ def _error_operators(
     """
     _check_dim_cap(n)
     _check_t_and_r(t, r)
-    schedule = build_schedule(order, couplings.shape[1])
+    schedule = build_schedule(order)
     sectors = term_table(n, k).sectors
     per_sample = np.dtype(complex).itemsize * sectors.size * sectors.shape[1]
     size = max(1, _STACK_BYTES // per_sample)
@@ -296,7 +287,7 @@ def fixed_state_error(
     ``state`` must be a normalized vector of shape (D,).  Costs what one
     ``observed_error`` does before its norm: one ``eigh`` per parity block of
     H (two D/2 blocks for even k, one D block for odd k), one round matrix
-    (Upsilon * Gamma in-place term updates) and its r-th power on the blocks
+    (Upsilon in-place updates per live term) and its r-th power on the blocks
     by repeated squaring (log2 r squarings plus one product per further set
     bit of r), then one block matrix-vector product: the state splits by
     parity, ||E psi||^2 = sum_q ||E_q psi_q||^2.

@@ -136,6 +136,14 @@ class TestDelta1:
         with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
             BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=r)
 
+    @pytest.mark.parametrize("r", [2.5, 10.0])
+    def test_non_integral_r_rejected(self, r):
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must be an integer"):
+            BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=r)
+
+    def test_numpy_integer_r_accepted(self):
+        assert BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=np.int64(10)).r == 10
+
     def test_unknown_prefactor_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown prefactor_mode 'half'"):
             BoundInput(n=8, k=4, l=2, p=2, t=1.0, r=10, prefactor_mode="half")

@@ -56,7 +56,7 @@ def test_trotterized_binds_what_the_tracer_reads():
 
     tracer = _load_tracer()
     inst = sample_dense(6, 2, seed=1)
-    sched = build_schedule(2, inst.gamma_count)
+    sched = build_schedule(2)
     bound = inspect.signature(trotterized).bind(inst, sched, 0.5, 3).arguments
     assert list(bound) == ["instance", "schedule", "t", "r"]
     work = tracer._trotter_work(**bound)

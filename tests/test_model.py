@@ -240,6 +240,22 @@ class TestSykInstance:
         with pytest.raises(ValueError, match=re.escape("mask length 69 != C(n,k) = 70")):
             sample_sparse(8, 4, mask=np.ones(69, dtype=np.int8))
 
+    @pytest.mark.parametrize("entry", [2, -1, 0.5])
+    def test_rejects_mask_entries_other_than_0_and_1(self, entry):
+        """A mask entry of 2 or -1 would build an instance that ``from_json``
+        refuses, and an int8 cast would turn 0.5 into 0 and delete the term:
+        ``_check_mask`` refuses each on the raw mask, wherever it enters."""
+        mask = np.ones(70)
+        mask[5] = entry
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            SykInstance(8, 4, 1.0, 0.1, np.ones(70), mask=mask)
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            sample_sparse(8, 4, mask=mask)
+
+    def test_mask_is_kept_as_int8(self):
+        inst = SykInstance(8, 4, 1.0, 0.1, np.ones(70), mask=np.ones(70, dtype=bool))
+        assert inst.mask.dtype == np.int8 and inst.mask.all()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d.update(couplings=d["couplings"][:-1]), "55 couplings != C(n,k) = 56"),
         (lambda d: d.update(mask=d["mask"] + [0]), "mask length 57 != C(n,k) = 56"),

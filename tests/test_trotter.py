@@ -28,50 +28,52 @@ from syklab.trotter import (
 
 class TestSchedule:
     def test_first_order_forward_sweep(self):
-        sched = build_schedule(1, 3)
-        assert sched.steps == ((1.0, 1), (1.0, 2), (1.0, 3))
+        sched = build_schedule(1)
+        assert sched.sweeps == ((1.0, True),)
         assert sched.stages == 1
 
     def test_second_order_reverse_then_forward(self):
-        sched = build_schedule(2, 2)
-        assert sched.steps == ((0.5, 2), (0.5, 1), (0.5, 1), (0.5, 2))
+        sched = build_schedule(2)
+        assert sched.sweeps == ((0.5, False), (0.5, True))
         assert sched.stages == 2
 
     @pytest.mark.parametrize("order,expected", [(1, 1), (2, 2), (4, 10), (6, 50)])
     def test_stage_counts(self, order, expected):
         assert stage_count(order) == expected
-        assert len(build_schedule(order, 3).steps) == expected * 3
+        sched = build_schedule(order)
+        assert sched.stages == len(sched.sweeps) == expected
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_per_term_coefficients_sum_to_one(self, order):
-        gamma = 4
-        sched = build_schedule(order, gamma)
-        sums = {b: 0.0 for b in range(1, gamma + 1)}
-        for a, b in sched.steps:
-            sums[b] += a
-        for total in sums.values():
-            assert total == pytest.approx(1.0, abs=1e-14)
+        """Every sweep passes every term once, so a term's coefficients are
+        the sweep scales: they sum to 1, half in each direction."""
+        sums = {True: 0.0, False: 0.0}
+        for scale, forward in build_schedule(order).sweeps:
+            sums[forward] += scale
+        assert sums[True] == pytest.approx(0.5, abs=1e-14)
+        assert sums[False] == pytest.approx(0.5, abs=1e-14)
 
     def test_rejects_odd_order(self):
         with pytest.raises(ValueError):
-            build_schedule(3, 2)
+            build_schedule(3)
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_rejects_no_terms(self, order):
-        with pytest.raises(ValueError, match="gamma_count must be positive"):
-            build_schedule(order, 0)
+
+def _steps(schedule, gamma):
+    """The schedule as (scale, 0-based term index) steps in application order:
+    each sweep one forward or reverse pass over all ``gamma`` terms."""
+    return [(scale, i) for scale, forward in schedule.sweeps
+            for i in (range(gamma) if forward else reversed(range(gamma)))]
 
 
 def _naive_product(instance, order, t, r):
     """Straight-line oracle: dense expm per factor, repeated r times."""
     dim = hilbert_dim(instance.n)
     edges = ordering_map(instance.n, instance.k)
-    sched = build_schedule(order, len(edges))
     round_mat = np.eye(dim, dtype=complex)
-    for a, b in sched.steps:
-        if instance.mask is not None and instance.mask[b - 1] == 0:
+    for a, b in _steps(build_schedule(order), len(edges)):
+        if instance.mask is not None and instance.mask[b] == 0:
             continue
-        ham_b = instance.couplings[b - 1] * to_dense(term_operator(edges[b - 1], instance.n))
+        ham_b = instance.couplings[b] * to_dense(term_operator(edges[b], instance.n))
         round_mat = expm(1j * a * (t / r) * ham_b) @ round_mat
     total = np.eye(dim, dtype=complex)
     for _ in range(r):
@@ -94,11 +96,11 @@ def _sweep_state(instance, schedule, t, r, state):
     terms = _natural_terms(instance)
     psi = state
     for _ in range(r):
-        for a_j, b_j in schedule.steps:
-            if instance.mask is not None and instance.mask[b_j - 1] == 0:
+        for a_j, i in _steps(schedule, instance.gamma_count):
+            if instance.mask is not None and instance.mask[i] == 0:
                 continue
-            theta = a_j * instance.couplings[b_j - 1] * t / r
-            perm, coeff = terms[b_j - 1]
+            theta = a_j * instance.couplings[i] * t / r
+            perm, coeff = terms[i]
             psi = np.cos(theta) * psi + (1j * np.sin(theta)) * (coeff[perm] * psi[perm])
     return psi
 
@@ -111,26 +113,26 @@ class TestTrotterized:
         single = dataclasses.replace(inst, couplings=couplings)
         exact = exact_evolution(dense_hamiltonian(single), 1.3)
         for order, r in ((1, 1), (2, 3), (4, 2)):
-            sched = build_schedule(order, single.gamma_count)
+            sched = build_schedule(order)
             approx = trotterized(single, sched, 1.3, r)
             assert np.linalg.norm(exact - approx) < 1e-12
 
     def test_t_zero_is_identity(self):
         inst = sample_dense(6, 2, seed=21)
-        sched = build_schedule(2, inst.gamma_count)
+        sched = build_schedule(2)
         assert np.allclose(trotterized(inst, sched, 0.0, 4), np.eye(8))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_naive_expm_product(self, order):
         inst = sample_dense(6, 3, seed=22)
-        sched = build_schedule(order, inst.gamma_count)
+        sched = build_schedule(order)
         ours = trotterized(inst, sched, 0.8, 3)
         naive = _naive_product(inst, order, 0.8, 3)
         assert np.linalg.norm(ours - naive) < 1e-10
 
     def test_sparse_masked_terms_skipped(self):
         inst = sample_sparse(6, 3, kappa=2.0, seed=23)
-        sched = build_schedule(2, inst.gamma_count)
+        sched = build_schedule(2)
         ours = trotterized(inst, sched, 0.5, 2)
         naive = _naive_product(inst, 2, 0.5, 2)
         assert np.linalg.norm(ours - naive) < 1e-10
@@ -138,25 +140,20 @@ class TestTrotterized:
     def test_unitarity(self):
         for order in (1, 2, 4):
             inst = sample_dense(8, 4, seed=24)
-            sched = build_schedule(order, inst.gamma_count)
+            sched = build_schedule(order)
             s = trotterized(inst, sched, 1.0, 8)
             assert np.linalg.norm(s @ s.conj().T - np.eye(16)) < 1e-10
-
-    def test_gamma_mismatch(self):
-        inst = sample_dense(6, 3, seed=25)
-        with pytest.raises(ValueError):
-            trotterized(inst, build_schedule(1, 5), 1.0, 1)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_t(self, t):
         inst = sample_dense(6, 3, seed=25)
         with pytest.raises(ValueError, match="time t must be finite"):
-            trotterized(inst, build_schedule(1, inst.gamma_count), t, 1)
+            trotterized(inst, build_schedule(1), t, 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_one_round_is_the_reference_round(self, k):
         inst = sample_dense(8, k, seed=54)
-        sched = build_schedule(2, inst.gamma_count)
+        sched = build_schedule(2)
         assert np.array_equal(trotterized(inst, sched, 0.7, 1),
                               _round_matrix_reference(inst, sched, 0.7))
 
@@ -169,8 +166,7 @@ def _round_matrix_reference(instance, schedule, tau):
     terms = _natural_terms(instance)
     mat = np.eye(hilbert_dim(instance.n), dtype=complex)
     buf = np.empty_like(mat)
-    for a_j, b_j in schedule.steps:
-        i = b_j - 1
+    for a_j, i in _steps(schedule, instance.gamma_count):
         if instance.mask is not None and instance.mask[i] == 0:
             continue
         theta = a_j * instance.couplings[i] * tau
@@ -211,7 +207,7 @@ class TestRoundMatrices:
     @pytest.mark.parametrize("n,k", [(8, 4), (10, 4), (8, 3)])
     def test_dense_stack_is_separate_calls(self, n, k):
         instances = [sample_dense(n, k, seed=50, sample_index=i) for i in range(5)]
-        sched = build_schedule(2, instances[0].gamma_count)
+        sched = build_schedule(2)
         _assert_stack_is_separate_calls(instances, sched, 0.3)
 
     def test_sparse_stack_shares_one_mask(self):
@@ -219,7 +215,7 @@ class TestRoundMatrices:
         assert 0 < mask.sum() < len(mask)
         instances = [sample_sparse(10, 4, kappa=4.0, seed=51, coupling_index=i, mask=mask)
                      for i in range(4)]
-        _assert_stack_is_separate_calls(instances, build_schedule(2, len(mask)), 0.4)
+        _assert_stack_is_separate_calls(instances, build_schedule(2), 0.4)
 
     def test_sparse_stack_of_different_masks(self):
         """A deleted term is a zero coupling, so samples with different masks
@@ -233,29 +229,57 @@ class TestRoundMatrices:
         masks = np.array([inst.mask for inst in instances])
         assert len({mask.tobytes() for mask in masks}) == 4
         assert np.any(masks.any(axis=0) & ~masks.all(axis=0))
-        _assert_stack_is_separate_calls(
-            instances, build_schedule(2, instances[0].gamma_count), 0.4)
+        _assert_stack_is_separate_calls(instances, build_schedule(2), 0.4)
 
     def test_all_zero_coupling_row_gives_identity(self):
         instances = [sample_dense(8, 4, seed=52, sample_index=i) for i in range(3)]
         instances[1] = dataclasses.replace(
             instances[1], couplings=np.zeros(instances[1].gamma_count))
-        stack = _assert_stack_is_separate_calls(
-            instances, build_schedule(2, instances[0].gamma_count), 0.5)
+        stack = _assert_stack_is_separate_calls(instances, build_schedule(2), 0.5)
         assert np.array_equal(stack[1], np.eye(16))
         assert not np.array_equal(stack[0], np.eye(16))
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_t_zero_is_identity(self, k):
         instances = [sample_dense(8, k, seed=53, sample_index=i) for i in range(3)]
-        stack = _stack(instances, build_schedule(2, instances[0].gamma_count), 0.0)
+        stack = _stack(instances, build_schedule(2), 0.0)
         assert np.array_equal(stack, np.broadcast_to(np.eye(16), stack.shape))
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_one_exponential_per_sweep_and_live_term(self, monkeypatch, order):
+        """A round applies one exponential, one ``permuted_coefficients``
+        call, per sweep and live term: stages x Gamma for dense rows, stages x
+        (terms some row keeps) for a stack of different sparse masks, and
+        none at tau = 0."""
+        calls = []
+        original = fermions.TermTable.permuted_coefficients
+
+        def counted(self, g, *args):
+            calls.append(g)
+            return original(self, g, *args)
+
+        monkeypatch.setattr(fermions.TermTable, "permuted_coefficients", counted)
+        n, k = 10, 4
+        dense = np.array([sample_dense(n, k, seed=58, sample_index=i).couplings
+                          for i in range(3)])
+        masks = np.array([sample_bernoulli_mask(n, k, 4.0, 58, i) for i in range(3)])
+        sparse = np.array([sample_sparse(n, k, kappa=4.0, seed=58, coupling_index=i,
+                                         mask=mask).couplings for i, mask in enumerate(masks)])
+        kept = np.count_nonzero(masks.any(axis=0))
+        assert 0 < kept < masks.shape[1]
+        sched = build_schedule(order)
+        for couplings, tau, expected in ((dense, 0.3, sched.stages * dense.shape[1]),
+                                         (sparse, 0.3, sched.stages * kept),
+                                         (dense, 0.0, 0)):
+            calls.clear()
+            trotter._round_matrices(n, k, couplings, sched, tau)
+            assert len(calls) == expected
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_parity_layout_matches_full_reference(self, n, k):
         inst = sample_dense(n, k, seed=54)
-        sched = build_schedule(2, inst.gamma_count)
+        sched = build_schedule(2)
         ours = _stack([inst], sched, 0.7)[0]
         assert np.array_equal(ours, _round_matrix_reference(inst, sched, 0.7))
 
@@ -324,7 +348,23 @@ class TestObservedError:
         with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
             observed_error(inst, 1, 1.0, 10**400, 2)
         with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must satisfy 1 <= r"):
-            trotterized(inst, build_schedule(1, inst.gamma_count), 1.0, 10**400)
+            trotterized(inst, build_schedule(1), 1.0, 10**400)
+
+    @pytest.mark.parametrize("r", [100.0, 2.5])
+    def test_rejects_non_integral_r_before_any_work(self, monkeypatch, r):
+        """The r-th power needs an integer r: a float is refused before H is
+        assembled, not by a TypeError after the eigh."""
+        def no_work(*args):
+            raise AssertionError("a Hamiltonian was assembled")
+
+        monkeypatch.setattr(trotter, "assemble", no_work)
+        inst = sample_dense(6, 3, seed=32)
+        with pytest.raises(ValueError, match=r"Trotter number r \(--r\) must be an integer"):
+            observed_error(inst, 2, 1.0, r, 2)
+
+    def test_accepts_numpy_integer_r(self):
+        inst = sample_dense(6, 3, seed=32)
+        assert observed_error(inst, 1, 1.0, np.int64(16), 2) == observed_error(inst, 1, 1.0, 16, 2)
 
     def test_spectral_norm_variant(self):
         inst = sample_dense(6, 3, seed=32)
@@ -336,7 +376,7 @@ class TestObservedError:
 def _svals_full_reference(instance, order, t, r):
     """Singular values of the full D x D error operator, built without the
     block path: a full-width exp(iHt) and the reference round's r-th power."""
-    sched = build_schedule(order, instance.gamma_count)
+    sched = build_schedule(order)
     rounds = np.linalg.matrix_power(_round_matrix_reference(instance, sched, t / r), r)
     err = exact_evolution(dense_hamiltonian(instance), t) - rounds
     return np.linalg.svd(err, compute_uv=False)
@@ -552,7 +592,7 @@ class TestFixedStateError:
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         state /= np.linalg.norm(state)
         t, r = 1.1, 5
-        sched = build_schedule(2, inst.gamma_count)
+        sched = build_schedule(2)
         ref = np.linalg.norm(
             exact_evolution(dense_hamiltonian(inst), t) @ state
             - _sweep_state(inst, sched, t, r, state)
@@ -577,7 +617,7 @@ class TestFixedStateError:
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
         t, r, order = 0.9, 6, 2
-        sched = build_schedule(order, inst.gamma_count)
+        sched = build_schedule(order)
         approx = _sweep_state(inst, sched, t, r, state)
         ref = np.linalg.norm(exact_evolution(dense_hamiltonian(inst), t) @ state - approx)
         assert fixed_state_error(inst, order, t, r, state) == pytest.approx(ref, abs=1e-13)
@@ -655,7 +695,7 @@ def test_dense_cap_is_checked_before_any_d_sized_array(name):
     and no D-sized term-table array is built or cached."""
     fermions._build_term_table.cache_clear()
     inst = sample_dense(40, 2, seed=70)
-    sched = build_schedule(2, inst.gamma_count)
+    sched = build_schedule(2)
     state = np.zeros(hilbert_dim(40), dtype=complex)
     state[0] = 1.0
     tracemalloc.start()
@@ -686,8 +726,9 @@ def test_averaged_error_checks_the_cap_before_any_draw(kappa, n, k):
 
 
 @pytest.mark.parametrize("t,r,message", [(1.0, 0, "Trotter number"),
-                                         (math.inf, 4, "time t must be finite")],
-                         ids=["r", "t"])
+                                         (math.inf, 4, "time t must be finite"),
+                                         (1.0, 2.5, "Trotter number r .* must be an integer")],
+                         ids=["r", "t", "r-non-integral"])
 @pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
 def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, t, r, message):
     def no_draw(*args, **kwargs):
@@ -700,21 +741,18 @@ def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, t, r,
 
 
 def test_term_order_changes_s_but_not_u():
-    """A permuted sweep order gives a different S for the same exact U."""
+    """A reversed sweep order gives a different S for the same exact U."""
     from syklab.trotter import Schedule
 
     inst = sample_dense(6, 3, seed=39)
-    gamma = inst.gamma_count
-    rng = np.random.default_rng(40)
-    perm = rng.permutation(gamma)
-    sched_lex = build_schedule(1, gamma)
-    sched_perm = Schedule(1, 1, gamma, tuple((1.0, int(b) + 1) for b in perm))
+    sched_fwd = build_schedule(1)
+    sched_rev = Schedule(1, 1, ((1.0, False),))
     t, r = 1.0, 8
-    s_lex = trotterized(inst, sched_lex, t, r)
-    s_perm = trotterized(inst, sched_perm, t, r)
-    assert np.linalg.norm(s_lex - s_perm) > 1e-8  # S depends on the order
+    s_fwd = trotterized(inst, sched_fwd, t, r)
+    s_rev = trotterized(inst, sched_rev, t, r)
+    assert np.linalg.norm(s_fwd - s_rev) > 1e-8  # S depends on the order
     exact = exact_evolution(dense_hamiltonian(inst), t)  # U does not
-    for s in (s_lex, s_perm):
+    for s in (s_fwd, s_rev):
         err = np.linalg.norm(exact - s) / math.sqrt(8)
         assert 0.0 <= err <= 2.0
         assert np.linalg.norm(s @ s.conj().T - np.eye(8)) < 1e-10
