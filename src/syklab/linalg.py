@@ -7,10 +7,19 @@ memory; ``_check_dim_cap`` is the one check, made before any D-sized array
 is built.  Evolution and norms take one W x W matrix or a stack (..., W, W) of
 the diagonal blocks of a block-diagonal operator, such as its parity sectors:
 exp(iHt) is formed block by block and the norm is that of the whole operator.
+
+A finite Schatten order p so large that a p-th power leaves the normal float
+range is refused (ValueError naming p), not reported as a silent 0: in
+``schatten_norm`` when s_max**p is not normal for s_max > 0 (p != 2), and in
+``expected_norm`` when a nonzero norm's p-th power, or the square of the
+largest p-th power (the variance), is not.  An operator that is exactly 0
+still has norm 0.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -99,13 +108,23 @@ def _check_schatten_order(p: float) -> None:
         raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
 
 
+def _check_power(base: float, power: float, p: float, what: str) -> None:
+    """The one check of a large finite order p: a nonzero ``base`` whose
+    ``power`` (its p-th power, or that squared) is not a normal float would
+    lose its digits to underflow (or overflow), so it is refused."""
+    if base > 0 and not sys.float_info.min <= power < math.inf:
+        raise ValueError(f"Schatten order p (--p) = {p} is too large here: {what} = "
+                         f"{power:.6g} (from {base:.6g}) is not a normal float")
+
+
 def schatten_norm(mat: np.ndarray, p: float) -> float:
     """Schatten p-norm (sum of p-th powers of singular values)**(1/p).
 
     ``mat`` is one matrix or a stack (..., W, W) of the diagonal blocks of a
     block-diagonal operator, whose singular values are those of all blocks
     together.  p = 2 is the Frobenius norm of the stack (no SVD); p = inf the
-    largest singular value of any block.
+    largest singular value of any block.  Another p with s_max**p not a
+    normal float is refused (see the module docstring).
     """
     _check_schatten_order(p)
     if p == 2:
@@ -113,7 +132,10 @@ def schatten_norm(mat: np.ndarray, p: float) -> float:
     svals = np.linalg.svd(mat, compute_uv=False)
     if np.isinf(p):
         return float(svals.max(initial=0.0))
-    return float(np.sum(svals**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # refused below
+        powers = svals**p
+    _check_power(svals.max(initial=0.0), powers.max(initial=0.0), p, "s_max**p")
+    return float(np.sum(powers) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -141,6 +163,13 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return vals[0]
 
 
+def _pth_power(norm: float, p: float) -> float:
+    """norm**p, checked by ``_check_power``."""
+    power = norm**p
+    _check_power(norm, power, p, "||A||_p**p")
+    return power
+
+
 def expected_norm(matrices: Iterable[np.ndarray], p: float) -> NormEstimate:
     """Estimate (E ||A_i||_p^p)**(1/p) from per-sample matrices A_i (each
     one matrix or a block stack, as :func:`schatten_norm` takes).
@@ -148,14 +177,17 @@ def expected_norm(matrices: Iterable[np.ndarray], p: float) -> NormEstimate:
     ``matrices`` is consumed once, in index order, and its p-th powers are
     reduced with a fixed-order pairwise tree, so the estimate is
     deterministic.  Each matrix is dropped before the next one is asked
-    for, so a generator keeps one of them alive at a time.
+    for, so a generator keeps one of them alive at a time.  A p whose powers
+    or their squares underflow is refused (see the module docstring).
     """
     # map() releases each matrix before it asks for the next one; the loop
     # variable of a list comprehension would still hold the previous one
-    powers = list(map(lambda mat: schatten_norm(mat, p) ** p, matrices))
+    powers = list(map(lambda mat: _pth_power(schatten_norm(mat, p), p), matrices))
     num_samples = len(powers)
     if num_samples < 2:
         raise ValueError("need num_samples >= 2 for a standard error")
+    top = max(powers)
+    _check_power(top, top * top, p, "(largest ||A||_p**p)**2")
     mean = _pairwise_sum(powers) / num_samples
     centered = [(x - mean) ** 2 for x in powers]
     var_mean = _pairwise_sum(centered) / (num_samples - 1) / num_samples

@@ -20,7 +20,8 @@ in the tails, which numpy's SIMD log is not.  That pins the map from uniforms
 to normals, so the *statistics* are reproducible across ports even though
 bit-exactness is only promised within one build.  ``_coupling_rows`` draws a
 group of samples' couplings with one ``_ndtri`` call; ``sample_dense`` and
-``sample_sparse`` are its one-row calls.
+``sample_sparse`` are its one-row calls, and ``coupling_groups`` yields the
+groups of a disorder average (its docstring holds their stream layout).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 import zlib
 from dataclasses import dataclass, field, fields
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 import numpy.random  # noqa: F401 -- at import, not in the first draw
@@ -43,6 +45,7 @@ __all__ = [
     "bernoulli_probability",
     "sample_dense",
     "sample_sparse",
+    "coupling_groups",
     "stream_rng",
     "to_json",
     "from_json",
@@ -306,8 +309,8 @@ def sample_sparse(
 
     The mask and coupling streams are keyed separately so drivers can hold a
     mask fixed (``mask=...``; by default the mask at sample index 0) while
-    redrawing the Gaussian disorder, as required by the nested sparse
-    averaging.
+    redrawing the Gaussian disorder, as the nested sparse average does; its
+    mask and coupling indices are laid out in :func:`coupling_groups`.
     """
     p_b, clamped = bernoulli_probability(n, k, kappa)
     if mask is None:
@@ -321,20 +324,38 @@ def sample_sparse(
     )
 
 
+def coupling_groups(
+    n: int, k: int, energy_constant: float, seed: int, num_disorder: int,
+    kappa: float | None = None, num_bernoulli: int = 32,
+) -> Iterator[np.ndarray]:
+    """The coupling rows of one disorder average, group by group: the one
+    rule for which streams, indices, sigma and masks make up an average.
+
+    Dense (``kappa`` None): one (num_disorder, C(n,k)) group whose row i is
+    the couplings of ``sample_dense(n, k, energy_constant, seed, i)``.
+    Sparse: sigma_sparse is formed once from p_B, then there is one group
+    per mask b < ``num_bernoulli``, ``sample_bernoulli_mask(n, k, kappa,
+    seed, b)``, whose row i is the b_g J_g of ``sample_sparse`` under that
+    mask at ``coupling_index = b * num_disorder + i`` (a deleted term is
+    +0.0).  Each group is one ``_coupling_rows`` call, drawn only when the
+    generator reaches it.  A group holds one mask's rows, not every row of
+    the average: mixed masks widen the live terms of a round-matrix stack.
+    """
+    if kappa is None:
+        yield _coupling_rows(n, k, sigma_dense(n, k, energy_constant), seed, range(num_disorder))
+        return
+    sigma = sigma_sparse(n, k, energy_constant, bernoulli_probability(n, k, kappa)[0])
+    for b in range(num_bernoulli):
+        yield _coupling_rows(n, k, sigma, seed, range(b * num_disorder, (b + 1) * num_disorder),
+                             sample_bernoulli_mask(n, k, kappa, seed, b))
+
+
 def to_json(instance: SykInstance) -> str:
-    """Serialize an instance to JSON; round-trips exactly."""
-    doc = {
-        "n": instance.n,
-        "k": instance.k,
-        "energy_constant": instance.energy_constant,
-        "sigma": instance.sigma,
-        "couplings": instance.couplings.tolist(),
-        "mask": None if instance.mask is None else instance.mask.tolist(),
-        "p_B": instance.p_B,
-        "seed": instance.seed,
-        "clamped": instance.clamped,
-    }
-    return json.dumps(doc)
+    """Serialize an instance to JSON, one key per field in field order with
+    arrays as lists; round-trips exactly."""
+    doc = {f.name: getattr(instance, f.name) for f in fields(SykInstance)}
+    return json.dumps({key: value.tolist() if isinstance(value, np.ndarray) else value
+                       for key, value in doc.items()})
 
 
 # the JSON value of each instance key whose type numpy does not check

@@ -27,16 +27,17 @@ couplings and the samples' masks may differ.
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
 by one entry, ``_error_operators``, which reads only (n, k) and coupling
 rows: ``observed_error`` and ``fixed_state_error`` pass their instance's one
-row, and ``averaged_error`` each group of rows it averages (dense: all
-samples; sparse: one Bernoulli mask's), in stacks of at most
+row, and ``averaged_error`` each group that ``model.coupling_groups`` yields
+(which samples make up an average is decided there), in stacks of at most
 ``_STACK_BYTES``.  Every stage runs once per stack: assembly (H comes from
 ``assemble`` as the same block stack), round kernel, eigh, power and E; a
 consumer holds one stack of E at a time, and only the Schatten norm is
 taken per sample.  The entry checks the dense cap before any D-sized array
 is built, as ``assemble`` and ``_round_matrices`` (so ``trotterized``) do,
 then r and t (the one check, which ``trotterized`` shares), and builds the
-schedule; ``averaged_error`` makes both checks before it draws a coupling,
-and ``observed_error`` checks p before E is formed.  Blocks meet D space
+schedule, whose order l is capped at ``_MAX_ORDER``; ``averaged_error``
+checks the order, the cap, r and t before it draws a coupling, and
+``observed_error`` checks p before E is formed.  Blocks meet D space
 only where ``fixed_state_error`` splits its state and ``trotterized``
 returns a D x D matrix.  Every round-matrix entry goes through the same
 floating-point operations as a one-matrix, full-D build, so the rounds are
@@ -58,10 +59,7 @@ from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
 )
-from .model import (
-    SykInstance, _coupling_rows, bernoulli_probability, sample_bernoulli_mask, sigma_dense,
-    sigma_sparse,
-)
+from .model import SykInstance, coupling_groups
 
 __all__ = [
     "Schedule",
@@ -76,6 +74,10 @@ __all__ = [
 # Bytes of round-matrix parity blocks in one stack: with its take() buffer it
 # stays well inside a 2 MiB L2, and at D = 256 a stack holds one sample.
 _STACK_BYTES = 256 * 1024
+
+# Largest order the Trotter path builds: Upsilon = 2*5**7 sweeps; the
+# bounds and gate counts, which need only stage_count, take every even l.
+_MAX_ORDER = 16
 
 
 def stage_count(order: int) -> int:
@@ -113,8 +115,19 @@ def _sweep_scales(order: int) -> list[tuple[float, bool]]:
     return out
 
 
+def _check_order(order: int) -> None:
+    """The one check of a Trotter-path order l: 1 or even >= 2, as
+    ``stage_count``, and at most ``_MAX_ORDER``, since the path holds its
+    Upsilon sweeps as a list (about 79 MiB at l = 18)."""
+    if order > _MAX_ORDER and order % 2 == 0:
+        raise ValueError(f"order l (--l) = {order} exceeds {_MAX_ORDER}: its "
+                         "2*5**(l/2-1) sweeps per round are more than the Trotter path holds")
+    stage_count(order)
+
+
 def build_schedule(order: int) -> Schedule:
-    """Schedule for S_l; order 1 or even >= 2."""
+    """Schedule for S_l; order 1 or even 2..``_MAX_ORDER``."""
+    _check_order(order)
     return Schedule(order, stage_count(order), tuple(_sweep_scales(order)))
 
 
@@ -237,12 +250,11 @@ def averaged_error(
     """Disorder-averaged normalized Trotter error and its standard error.
 
     Dense (``kappa`` None): (E ||exp(iHt) - S_l(t/r)**r||_p^p)**(1/p) / D**(1/p)
-    over the couplings of ``sample_dense(n, k, energy_constant, seed, i)``,
-    i < num_disorder.  Sparse (Xu-Susskind-Su-Swingle): the plain mean over
-    ``num_bernoulli`` masks b (outside) of that Gaussian-disorder expectation
-    (inside), with the couplings of ``sample_sparse`` at ``coupling_index =
-    b * num_disorder + i``.  Each group (dense: all samples; sparse: one
-    mask's) is drawn as rows by one ``model._coupling_rows`` call.
+    over the rows of the one group of ``model.coupling_groups``.  Sparse
+    (Xu-Susskind-Su-Swingle): the plain mean over its ``num_bernoulli``
+    groups, one per Bernoulli mask (outside), of that Gaussian-disorder
+    expectation (inside).  The order, the dense cap, t and r are checked
+    before the first group is drawn.
     """
     if not 2 <= p < math.inf:
         raise ValueError(
@@ -253,24 +265,15 @@ def averaged_error(
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
     if kappa is not None and num_bernoulli < 2:
         raise ValueError("need num_bernoulli >= 2 for a standard error")
+    _check_order(order)
     _check_dim_cap(n)
     _check_t_and_r(t, r)
-    if kappa is None:
-        sigma = sigma_dense(n, k, energy_constant)
-        groups = [_coupling_rows(n, k, sigma, seed, range(num_disorder))]
-    else:  # one group per mask, drawn when reached: mixed masks widen a stack's live terms
-        sigma = sigma_sparse(n, k, energy_constant, bernoulli_probability(n, k, kappa)[0])
-        groups = (_coupling_rows(n, k, sigma, seed,
-                                 range(b * num_disorder, (b + 1) * num_disorder),
-                                 sample_bernoulli_mask(n, k, kappa, seed, b))
-                  for b in range(num_bernoulli))
     scale = hilbert_dim(n) ** (1.0 / p)
-    values = []
-    for couplings in groups:
-        est = expected_norm(_error_operators(n, k, couplings, order, t, r), p)
-        values.append(est.value / scale)
+    groups = coupling_groups(n, k, energy_constant, seed, num_disorder, kappa, num_bernoulli)
+    ests = [expected_norm(_error_operators(n, k, rows, order, t, r), p) for rows in groups]
+    values = [est.value / scale for est in ests]
     if kappa is None:
-        return NormEstimate(values[0], est.stderr / scale, num_disorder, p)
+        return NormEstimate(values[0], ests[0].stderr / scale, num_disorder, p)
     stderr = float(np.std(values, ddof=1) / math.sqrt(num_bernoulli))
     return NormEstimate(float(np.mean(values)), stderr, num_bernoulli, p)
 

@@ -221,6 +221,12 @@ class TestSchattenNorm:
         with pytest.raises(ValueError, match="p >= 1, got nan"):
             schatten_norm(np.eye(2), math.nan)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3], ids=["underflow", "overflow"])
+    def test_refuses_p_whose_power_of_s_max_is_not_normal(self, scale):
+        assert schatten_norm(scale * np.eye(4), 50) == pytest.approx(scale * 4 ** (1 / 50))
+        with pytest.raises(ValueError, match=r"Schatten order p \(--p\) = 200 .*s_max\*\*p"):
+            schatten_norm(scale * np.eye(4), 200)
+
     @pytest.mark.parametrize("p", [2, 3, 4, np.inf])
     def test_stack_is_its_block_diagonal_matrix(self, p):
         """A (B, W, W) stack has the norm of the block-diagonal matrix of its
@@ -243,6 +249,23 @@ class TestExpectedNorm:
 
     def test_zero_statistic(self):
         est = expected_norm([np.zeros((4, 4))] * 4, 2)
+        assert est.value == 0.0 and est.stderr == 0.0
+
+    def test_refuses_p_whose_variance_would_underflow(self):
+        """||A||_p**p = 4e-200 is normal, its square is not: the stderr
+        would read 0."""
+        mats = [1e-4 * np.eye(4) * (1 + i / 10) for i in range(4)]
+        assert expected_norm(mats, 20).stderr > 0
+        with pytest.raises(ValueError, match=r"p \(--p\) = 50 .*\(largest \|\|A\|\|_p\*\*p\)\*\*2"):
+            expected_norm(mats, 50)
+
+    def test_refuses_a_norm_whose_power_underflows(self):
+        """At p = 2 no SVD is taken: the norm's own square is checked."""
+        with pytest.raises(ValueError, match=r"p \(--p\) = 2 .*\|\|A\|\|_p\*\*p = "):
+            expected_norm([1e-160 * np.eye(4)] * 4, 2)
+
+    def test_zero_statistic_at_large_p(self):
+        est = expected_norm([np.zeros((4, 4))] * 4, 100)
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_self_difference(self):

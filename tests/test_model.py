@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from syklab import model
 from syklab.model import (
     SykInstance,
     _ndtri,
     bernoulli_probability,
+    coupling_groups,
     from_json,
     ordering_map,
     sample_bernoulli_mask,
@@ -219,6 +221,43 @@ class TestSampling:
         assert (inst.couplings == 0.0).all() and not np.signbit(inst.couplings).any()
 
 
+class TestCouplingGroups:
+    """The groups of an average are the stacked rows of the one-sample
+    samplers, index for index."""
+
+    def test_dense_group_is_the_stacked_samples(self):
+        (group,) = coupling_groups(8, 3, 1.3, 71, 5)
+        rows = [sample_dense(8, 3, 1.3, 71, i).couplings for i in range(5)]
+        assert group.tobytes() == np.stack(rows).tobytes()
+
+    def test_sparse_groups_are_the_stacked_samples_under_each_mask(self):
+        n, k, kappa, seed, num_disorder = 10, 4, 4.0, 72, 3
+        groups = list(coupling_groups(n, k, 1.3, seed, num_disorder, kappa, 4))
+        assert len(groups) == 4
+        for b, group in enumerate(groups):
+            mask = sample_bernoulli_mask(n, k, kappa, seed, b)
+            rows = [sample_sparse(n, k, 1.3, kappa, seed, b * num_disorder + i, mask).couplings
+                    for i in range(num_disorder)]
+            assert group.tobytes() == np.stack(rows).tobytes()  # deleted terms are +0.0
+            deleted = group[:, mask == 0]
+            assert deleted.size and (deleted == 0.0).all() and not np.signbit(deleted).any()
+
+    def test_masks_are_drawn_when_their_group_is_reached(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_bernoulli_mask(*args)
+
+        monkeypatch.setattr(model, "sample_bernoulli_mask", counted)
+        groups = coupling_groups(8, 4, 1.0, 73, 2, kappa=4.0, num_bernoulli=32)
+        assert not calls
+        next(groups)
+        assert calls == [(8, 4, 4.0, 73, 0)]
+        next(groups)
+        assert len(calls) == 2
+
+
 class TestSykInstance:
     """An instance checks its (n, k) and that it has one coupling, and one
     mask entry, per term, wherever it is built."""
@@ -283,6 +322,19 @@ class TestSerialization:
         assert np.array_equal(back.mask, inst.mask)
         assert back.p_B == inst.p_B
         assert back.clamped == inst.clamped
+
+
+    def test_keys_are_the_fields_in_order(self):
+        """The document's keys are the instance's fields in field order;
+        these strings pin its bytes."""
+        dense = SykInstance(2, 1, 1.0, 1.0, [0.5, -0.25])
+        sparse = SykInstance(2, 1, 1.0, 1.0, [0.5, -0.25], mask=[1, 0], p_B=1.0, seed=3)
+        assert to_json(dense) == (
+            '{"n": 2, "k": 1, "energy_constant": 1.0, "sigma": 1.0, "couplings": [0.5, -0.25], '
+            '"mask": null, "p_B": null, "seed": 0, "clamped": false}')
+        assert to_json(sparse) == (
+            '{"n": 2, "k": 1, "energy_constant": 1.0, "sigma": 1.0, "couplings": [0.5, 0.0], '
+            '"mask": [1, 0], "p_B": 1.0, "seed": 3, "clamped": false}')
 
 
 def _doc(instance) -> dict:

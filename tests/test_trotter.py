@@ -57,6 +57,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             build_schedule(3)
 
+    def test_rejects_an_order_past_the_sweep_cap(self):
+        """l = 16 holds 2*5**7 sweeps; l = 18's list would be about 79 MiB,
+        so the Trotter path refuses it, while stage_count (the bounds' and
+        gate counts' one use of l) still takes it."""
+        assert build_schedule(16).stages == 2 * 5**7
+        with pytest.raises(ValueError, match=r"order l \(--l\) = 18 exceeds 16"):
+            build_schedule(18)
+        assert stage_count(18) == 2 * 5**8
+
 
 def _steps(schedule, gamma):
     """The schedule as (scale, 0-based term index) steps in application order:
@@ -318,6 +327,12 @@ class TestObservedError:
         e2 = observed_error(inst, 2, 1.0, 64, 2)
         assert e2 <= e1
 
+    def test_large_p_is_refused_not_reported_as_zero(self):
+        inst = sample_dense(8, 4, seed=0)
+        assert observed_error(inst, 2, 1.0, 10, math.inf) > 1e-4
+        with pytest.raises(ValueError, match=r"p \(--p\) = 200 is too large.*s_max\*\*p"):
+            observed_error(inst, 2, 1.0, 10, 200)
+
     def test_error_in_valid_range(self):
         inst = sample_dense(6, 3, seed=31)
         err = observed_error(inst, 1, 50.0, 3, 2)
@@ -457,6 +472,14 @@ class TestAveragedError:
         )
         assert est.value == float(row["observed"])
         assert est.stderr == float(row["observed_stderr"])
+
+    @pytest.mark.parametrize("p", [50, 100])
+    def test_large_p_is_refused_not_reported_as_zero(self, p):
+        """Errors near 2e-4: at p = 50 the p-th powers are normal but their
+        squares (the variance) underflow, at p = 100 s_max**p does."""
+        assert averaged_error(8, 4, 2, 1.0, 10, 4, 7, 4).stderr > 0
+        with pytest.raises(ValueError, match=rf"Schatten order p \(--p\) = {p} is too large"):
+            averaged_error(8, 4, 2, 1.0, 10, p, 7, 4)
 
     @pytest.mark.parametrize("p", [1.5, math.inf, math.nan])
     def test_rejects_p_outside_two_to_inf(self, p):
@@ -725,19 +748,24 @@ def test_averaged_error_checks_the_cap_before_any_draw(kappa, n, k):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("t,r,message", [(1.0, 0, "Trotter number"),
-                                         (math.inf, 4, "time t must be finite"),
-                                         (1.0, 2.5, "Trotter number r .* must be an integer")],
-                         ids=["r", "t", "r-non-integral"])
+@pytest.mark.parametrize("order,t,r,message", [
+    (1, 1.0, 0, "Trotter number"),
+    (1, math.inf, 4, "time t must be finite"),
+    (1, 1.0, 2.5, "Trotter number r .* must be an integer"),
+    (3, 1.0, 4, "order must be 1 or even"),
+    (24, 1.0, 4, r"order l \(--l\) = 24 exceeds 16"),
+], ids=["r", "t", "r-non-integral", "l-odd", "l-sweeps"])
 @pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
-def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, t, r, message):
+def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, order, t, r,
+                                                       message):
+    """t, r and the order l are refused before a coupling or mask is drawn;
+    l = 24 would hold 2*5**11 sweeps (about 10 GB)."""
     def no_draw(*args, **kwargs):
         raise AssertionError("a coupling or mask was drawn")
 
-    for name in ("_coupling_rows", "sample_bernoulli_mask"):
-        monkeypatch.setattr(trotter, name, no_draw)
+    monkeypatch.setattr(trotter, "coupling_groups", no_draw)
     with pytest.raises(ValueError, match=message):
-        averaged_error(8, 4, 1, t, r, 2, 70, 2, kappa=kappa, num_bernoulli=2)
+        averaged_error(8, 4, order, t, r, 2, 70, 2, kappa=kappa, num_bernoulli=2)
 
 
 def test_term_order_changes_s_but_not_u():
