@@ -17,10 +17,13 @@ G_w(H) = sum over weight vectors w_vec with |w_vec| = w of
         ind(pi[eta(w_vec, 2 v_vec)]) )^2,
 
 with eta the unary encoding (term i repeated w_vec_i times, then term j
-repeated 2 v_vec_j times).  The sum over pi in S_g is an exact integer
-count: a depth-first search over orderings of the multiset eta that picks
-the next term only while it anticommutes with the product so far, weighted
-by the copies of that term left (so copies count apart, as in S_g).  The
+repeated 2 v_vec_j times).  The sum over pi in S_g is an exact integer that
+depends only on the multiset, so each termset holds one table of them
+(:meth:`TermSet.surviving`), built forward by multiset size: a multiset U
+with count c and product row a extends by term j iff U is empty or bit j of
+a is set, adding c * (U_j + 1) to U + e_j (its copies of j count apart, as
+in S_g).  Each surviving U of size g is then split into every w_vec with
+w_vec_i in {U_i mod 2, U_i mod 2 + 2, ..., U_i} and |w_vec| = w.  The
 Bernoulli average <G_w> weights each w_vec by prod_{i in Supp(w_vec)} b_i
 outside the square and each v_vec by prod_{j in Supp(v_vec) \\ Supp(w_vec)}
 b_j inside.  Expanding the square, b^2 = b and independent b_i with mean p_B
@@ -33,9 +36,11 @@ give it in closed form:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +82,28 @@ class TermSet:
         packed = np.packbits(build_graph(self), axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
+    @cached_property
+    def _layers(self) -> list[dict[tuple[int, ...], tuple[int, int]]]:
+        return [{(0,) * self.m: (1, 0)}]
+
+    def surviving(self, size: int) -> dict[tuple[int, ...], tuple[int, int]]:
+        """Multisets of ``size`` terms with surviving orderings: count vector
+        U -> (number of orderings pi with ind(pi[eta(U)]) = 1, copies told
+        apart, anticommutation row of the product).  Layers are built once,
+        up to the largest size asked for."""
+        layers, rows = self._layers, self.anticommuting
+        while len(layers) <= size:
+            nxt: dict[tuple[int, ...], tuple[int, int]] = {}
+            for u, (num, row) in layers[-1].items():
+                allowed = row if len(layers) > 1 else (1 << self.m) - 1
+                for j in range(self.m):
+                    if allowed >> j & 1:
+                        v = u[:j] + (u[j] + 1,) + u[j + 1:]
+                        total = nxt[v][0] if v in nxt else 0
+                        nxt[v] = (total + num * (u[j] + 1), row ^ rows[j])
+            layers.append(nxt)
+        return layers[size]
+
 
 def syk_termset(n: int, k: int, edges: Sequence[Sequence[int]] | None = None) -> TermSet:
     """Termset of SYK term operators: those of ``edges``, in order, or by
@@ -106,18 +133,6 @@ def q_max(terms: TermSet) -> int:
     return max((row.bit_count() for row in terms.anticommuting), default=0)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors of given length summing to total
-    (for no parts, the empty vector iff total is 0)."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _check_guards(terms: TermSet, g: int, w: int) -> None:
     if g > MAX_CHAIN_LENGTH:
         raise ValueError(f"cost guard: chain length g <= {MAX_CHAIN_LENGTH}")
@@ -134,42 +149,17 @@ def _support(vec: Sequence[int]) -> int:
     return sum(1 << i for i, c in enumerate(vec) if c)
 
 
-def _surviving_orderings(
-    rows: tuple[int, ...], counts: list[int], acc: int | None = None
-) -> int:
-    """Orderings of the multiset holding term i counts[i] times (copies of a
-    term told apart, as in S_g) that keep the nested commutator nonzero when
-    they extend a chain whose product has anticommutation row ``acc`` (None:
-    an empty chain, so the result is sum of indicator(pi[eta]) over S_g).
-    ``counts`` is restored before returning."""
-    if not any(counts):
-        return 1
-    total = 0
-    for j, c in enumerate(counts):
-        if c and (acc is None or acc >> j & 1):
-            counts[j] = c - 1
-            nxt = rows[j] if acc is None else acc ^ rows[j]
-            total += c * _surviving_orderings(rows, counts, nxt)
-            counts[j] = c
-    return total
-
-
 def _chain_counts(terms: TermSet, g: int, w: int) -> list[list[tuple[int, int]]]:
     """For each w_vec with |w_vec| = w, and each v_vec with |w_vec| + 2|v_vec|
     = g whose chains survive: the support mask Supp(w_vec) u Supp(v_vec) of
-    eta and the count of its surviving orderings."""
-    rows = terms.anticommuting
-    v_vecs = list(_compositions((g - w) // 2, terms.m))
-    table = []
-    for w_vec in _compositions(w, terms.m):
-        inner = []
-        for v_vec in v_vecs:
-            counts = [a + 2 * b for a, b in zip(w_vec, v_vec)]
-            count = _surviving_orderings(rows, counts)
-            if count:
-                inner.append((_support(counts), count))
-        table.append(inner)
-    return table
+    eta and the count of its surviving orderings.  A w_vec with no surviving
+    v_vec has no entry."""
+    splits = defaultdict(list)
+    for u, (count, _) in terms.surviving(g).items():
+        for w_vec in product(*(range(c % 2, c + 1, 2) for c in u)):
+            if sum(w_vec) == w:
+                splits[w_vec].append((_support(u), count))
+    return list(splits.values())
 
 
 def gw_bruteforce(terms: TermSet, g: int, w: int) -> int:

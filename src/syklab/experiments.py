@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -273,8 +274,9 @@ def cmd_gatecount(config: ExperimentConfig) -> str:
     model._validate_nk(n, config.k)
     gamma = math.comb(n, config.k)
     ups = trotter.stage_count(config.l)
+    ups_text = ups if ups <= sys.float_info.max else math.inf  # as gate_counts rounds
     lines = [f"gatecount: n={n} k={config.k} l={config.l} Gamma={gamma} "
-             f"Upsilon={ups} r={config.r}"]
+             f"Upsilon={ups_text} r={config.r}"]
     for overhead, g in bounds.gate_counts(config.l, gamma, config.r, n).items():
         lines.append(f"  [{overhead}]: {g:.6e}")
     return "\n".join(lines)

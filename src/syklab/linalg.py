@@ -88,7 +88,8 @@ def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
 
     ``ham`` is one matrix or a stack (..., W, W) of blocks, each evolved on
     its own.  The stack must be Hermitian within 1e-10 relative to its
-    Frobenius norm (both taken over the whole stack).
+    Frobenius norm (both taken over the whole stack).  At t = 0 it is the
+    identity exactly, not rebuilt from the eigenvectors.
     """
     scale = np.linalg.norm(ham) or 1.0
     if np.linalg.norm(ham - ham.conj().swapaxes(-1, -2)) > _HERMITICITY_TOL * scale:
@@ -96,6 +97,8 @@ def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
     evals, evecs = np.linalg.eigh(ham)
 
     def evolve(t: float) -> np.ndarray:
+        if t == 0:
+            return np.broadcast_to(np.eye(ham.shape[-1], dtype=complex), ham.shape).copy()
         phases = np.exp(1j * evals * t)
         return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 

@@ -76,15 +76,21 @@ __all__ = [
 _STACK_BYTES = 256 * 1024
 
 # Largest order the Trotter path builds: Upsilon = 2*5**7 sweeps; the
-# bounds and gate counts, which need only stage_count, take every even l.
+# bounds and gate counts, which need only stage_count, take every even l
+# whose Upsilon has at most 4300 digits, Python's default int-to-str limit.
 _MAX_ORDER = 16
+_MAX_STAGE_DIGITS = 4300
 
 
 def stage_count(order: int) -> int:
-    """Number of sweeps Upsilon per round: 1 for l=1, 2*5**(l/2-1) for even l."""
+    """Number of sweeps Upsilon per round: 1 for l=1, 2*5**(l/2-1) for even l
+    (refused, before the power is formed, past 4300 digits: l > 12304)."""
     if order == 1:
         return 1
     if order >= 2 and order % 2 == 0:
+        if math.log10(2) + (order // 2 - 1) * math.log10(5) >= _MAX_STAGE_DIGITS:
+            raise ValueError(f"order l (--l) = {order} is too large: its Upsilon = "
+                             f"2*5**(l/2-1) would pass {_MAX_STAGE_DIGITS} digits")
         return 2 * 5 ** (order // 2 - 1)
     raise ValueError(f"order must be 1 or even >= 2, got {order}")
 

@@ -1,7 +1,10 @@
 """Nested-commutator chain combinatorics against dense commutator arithmetic."""
 
 import math
-from itertools import combinations, permutations, product
+from collections import Counter
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import xor
 
 import numpy as np
 import pytest
@@ -9,8 +12,6 @@ import pytest
 from syklab.bounds import q_of
 from syklab.chains import (
     TermSet,
-    _compositions,
-    _surviving_orderings,
     avg_gw_exact,
     build_graph,
     greedy_coloring,
@@ -87,6 +88,61 @@ def reference_indicator(chain, terms):
     return 1
 
 
+def compositions(total, parts):
+    """All nonnegative integer vectors of length ``parts`` summing to total."""
+    return [v for v in product(range(total + 1), repeat=parts) if sum(v) == total]
+
+
+def reference_orderings(rows, counts, acc=None):
+    """Depth-first search over orderings of the multiset holding term i
+    counts[i] times (copies told apart, as in S_g) that keep the nested
+    commutator nonzero when they extend a chain whose product has
+    anticommutation row ``acc`` (None: an empty chain).  ``counts`` is
+    restored before returning."""
+    if not any(counts):
+        return 1
+    total = 0
+    for j, c in enumerate(counts):
+        if c and (acc is None or acc >> j & 1):
+            counts[j] = c - 1
+            nxt = rows[j] if acc is None else acc ^ rows[j]
+            total += c * reference_orderings(rows, counts, nxt)
+            counts[j] = c
+    return total
+
+
+def reference_chain_counts(terms, g, w):
+    """(support mask, count) of each surviving eta(w_vec, 2 v_vec), grouped
+    by w_vec, from the ordering search."""
+    table = []
+    for w_vec in compositions(w, terms.m):
+        inner = []
+        for v_vec in compositions((g - w) // 2, terms.m):
+            counts = [a + 2 * b for a, b in zip(w_vec, v_vec)]
+            count = reference_orderings(terms.anticommuting, counts)
+            if count:
+                inner.append((sum(1 << i for i, c in enumerate(counts) if c), count))
+        table.append(inner)
+    return table
+
+
+def reference_gw(terms, g, w):
+    if (g - w) % 2:
+        return 0
+    return sum(sum(c for _, c in inner) ** 2 for inner in reference_chain_counts(terms, g, w))
+
+
+def reference_avg_gw(terms, g, w, p_b):
+    if (g - w) % 2:
+        return 0.0
+    return math.fsum(
+        count * count2 * p_b ** (mask | mask2).bit_count()
+        for inner in reference_chain_counts(terms, g, w)
+        for mask, count in inner
+        for mask2, count2 in inner
+    )
+
+
 def random_syk_termsets():
     """Random SYK termsets of 4 to 6 distinct terms (k = 2, 3, 4)."""
     rng = np.random.default_rng(2718)
@@ -106,23 +162,33 @@ class TestAnticommutationRows:
 
     @pytest.mark.parametrize("terms", list(random_syk_termsets()))
     def test_multiset_count_matches_permutations(self, terms):
-        """Every eta that gw_bruteforce visits (all g <= 5, w <= g of the
-        same parity): the count equals the sum over permutations(eta)."""
+        """Every multiset of 1 to 5 terms: the table's count equals the sum
+        over permutations(eta) (0 for a multiset absent from the table), and
+        its row is the XOR of the rows of the terms used an odd number of
+        times."""
         rows = terms.anticommuting
-        seen = set()
+        for size in range(1, 6):
+            table = terms.surviving(size)
+            for eta in combinations_with_replacement(range(terms.m), size):
+                counts = tuple(Counter(eta).get(i, 0) for i in range(terms.m))
+                expected = sum(reference_indicator(c, terms) for c in permutations(eta))
+                count, row = table.get(counts, (0, None))
+                assert count == expected, counts
+                if count:
+                    odd = [rows[i] for i, c in enumerate(counts) if c % 2]
+                    assert row == reduce(xor, odd, 0), counts
+        assert terms.surviving(0) == {(0,) * terms.m: (1, 0)}
+
+    @pytest.mark.parametrize("terms", list(random_syk_termsets()) + [TermSet(())])
+    def test_counts_match_the_ordering_search(self, terms):
+        """G_w and <G_w> from the table equal, exactly, their values from the
+        depth-first search over orderings, for every g <= 5 and w <= g."""
         for g in range(1, 6):
-            for w in range(g % 2, g + 1, 2):
-                for w_vec in _compositions(w, terms.m):
-                    for v_vec in _compositions((g - w) // 2, terms.m):
-                        counts = tuple(a + 2 * b for a, b in zip(w_vec, v_vec))
-                        if counts in seen:
-                            continue
-                        seen.add(counts)
-                        eta = [i for i, c in enumerate(counts) for _ in range(c)]
-                        expected = sum(
-                            reference_indicator(c, terms) for c in permutations(eta)
-                        )
-                        assert _surviving_orderings(rows, list(counts)) == expected, counts
+            for w in range(g + 1):
+                assert gw_bruteforce(terms, g, w) == reference_gw(terms, g, w), (g, w)
+                for p_b in (0.0, 0.37, 0.9, 1.0):
+                    assert avg_gw_exact(terms, g, w, p_b) == reference_avg_gw(
+                        terms, g, w, p_b), (g, w, p_b)
 
     @pytest.mark.parametrize("terms", list(random_syk_termsets()) + [
         syk_termset(6, 3), syk_termset(8, 4), XZ_PAIR, ZZ_PAIR, TermSet(()),
@@ -187,14 +253,13 @@ class TestGwBruteforce:
         |w_vec| = w, the inner sum collects every chain whose per-term counts
         dominate w_vec with even slack, weighted by prod(count_i!) for the
         S_g permutation multiplicity — no eta/composition factoring."""
-        from collections import Counter, defaultdict
+        from collections import defaultdict
 
         terms = syk_termset(4, 2, [(1, 2), (1, 3), (2, 3)])
         m = terms.m
-        from syklab.chains import _compositions
 
         inner: dict = defaultdict(int)
-        w_vecs = list(_compositions(w, m))
+        w_vecs = compositions(w, m)
         for chain in product(range(m), repeat=g):
             counts = Counter(chain)
             cvec = tuple(counts.get(i, 0) for i in range(m))

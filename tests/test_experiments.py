@@ -277,12 +277,18 @@ class TestSparseScan:
 
 
 class TestRatio:
-    def test_zero_bound_with_observed_error_is_a_row_error(self):
-        # at t = 0 every bound is 0, but exp(iHt) from eigh leaves round-off
-        row = cmd_scan_n(ExperimentConfig(command="scan-n", **dict(FAST, t=0.0)))[0][0]
+    def test_zero_bound_with_observed_error_is_a_row_error(self, monkeypatch):
+        monkeypatch.setattr(bounds, "error_bound", lambda inp: 0.0)
+        row = cmd_scan_n(ExperimentConfig(command="scan-n", **FAST))[0][0]
         assert row.error == (
             "ZeroDivisionError: error ratio undefined: bound is 0 with observed > 0")
         assert row.bound == 0.0 and row.ratio == 0.0 and row.observed > 0
+
+    def test_zero_time_row_is_exactly_zero(self):
+        # at t = 0 the bound is 0 and exp(iHt) is exactly I, so E = 0
+        row = cmd_scan_n(ExperimentConfig(command="scan-n", **dict(FAST, t=0.0)))[0][0]
+        assert (row.bound, row.observed, row.observed_stderr, row.ratio) == (0.0,) * 4
+        assert row.error == ""
 
     def test_ratio_is_error_ratio(self):
         row = cmd_scan_n(ExperimentConfig(command="scan-n", **FAST))[0][0]
@@ -458,6 +464,27 @@ class TestCli:
         assert main(["gatecount", "--n", "8", "--k", "4", "--r", "1" + "0" * 307]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:] == ["  [none]: inf", "  [log_n]: inf", "  [linear_n]: inf"]
+
+    def test_gatecount_upsilon_beyond_float_range_is_inf(self, capsys):
+        # Upsilon = 2*5**999 has 699 digits, past the float range
+        assert main(["gatecount", "--n", "8", "--k", "4", "--l", "2000", "--r", "10"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "gatecount: n=8 k=4 l=2000 Gamma=70 Upsilon=inf r=10",
+            "  [none]: inf", "  [log_n]: inf", "  [linear_n]: inf"]
+        assert main(["gatecount", "--n", "8", "--k", "4", "--l", "100", "--r", "10"]) == 0
+        assert f"Upsilon={2 * 5**49} r=10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("order", ["12306", "2000000", "20000000000"])
+    def test_gatecount_refuses_an_upsilon_past_4300_digits(self, order, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gatecount", "--n", "8", "--k", "4", "--l", order, "--r", "10"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"syklab: error: order l (--l) = {order} is too large: its Upsilon = "
+            "2*5**(l/2-1) would pass 4300 digits")
+        assert main(["gatecount", "--n", "8", "--k", "4", "--l", "12304", "--r", "10"]) == 0
 
     def test_scan_n_writes_file(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -134,8 +134,11 @@ class TestAssemble:
 
 class TestExactEvolution:
     def test_t_zero(self):
+        # exactly I, not I rebuilt from the eigenvectors, for one matrix or a stack
         ham = dense_hamiltonian(sample_dense(6, 3, seed=7))
-        assert np.allclose(exact_evolution(ham, 0.0), np.eye(8), atol=1e-14)
+        blocks = np.stack([ham[:4, :4], ham[4:, 4:]])
+        assert np.array_equal(exact_evolution(ham, 0.0), np.eye(8))
+        assert np.array_equal(evolution_factory(blocks)(0.0), np.stack([np.eye(4)] * 2))
 
     def test_diagonal_case(self):
         ham = np.diag([1.0, -1.0]).astype(complex)

@@ -66,6 +66,11 @@ class TestSchedule:
             build_schedule(18)
         assert stage_count(18) == 2 * 5**8
 
+    def test_stage_count_refuses_past_4300_digits(self):
+        assert len(str(stage_count(12304))) == 4300
+        with pytest.raises(ValueError, match=r"order l \(--l\) = 12306 is too large"):
+            stage_count(12306)
+
 
 def _steps(schedule, gamma):
     """The schedule as (scale, 0-based term index) steps in application order:
@@ -296,7 +301,8 @@ class TestRoundMatrices:
 class TestObservedError:
     def test_t_zero(self):
         inst = sample_dense(6, 2, seed=26)
-        assert observed_error(inst, 1, 0.0, 4, 2) == pytest.approx(0.0, abs=1e-13)
+        assert observed_error(inst, 1, 0.0, 4, 2) == 0.0
+        assert observed_error(sample_dense(8, 4, seed=26), 2, 0.0, 10, math.inf) == 0.0
 
     def test_large_r_converges(self):
         inst = sample_dense(6, 2, seed=27)
@@ -480,6 +486,13 @@ class TestAveragedError:
         assert averaged_error(8, 4, 2, 1.0, 10, 4, 7, 4).stderr > 0
         with pytest.raises(ValueError, match=rf"Schatten order p \(--p\) = {p} is too large"):
             averaged_error(8, 4, 2, 1.0, 10, p, 7, 4)
+
+    @pytest.mark.parametrize("p", [2, 4, 100])
+    def test_t_zero_is_exactly_zero(self, p):
+        """exp(0) is I exactly, as is the round kernel at tau = 0, so E = 0
+        with no round-off for the large-p check to refuse."""
+        est = averaged_error(8, 4, 2, 0.0, 10, p, 7, 4)
+        assert (est.value, est.stderr) == (0.0, 0.0)
 
     @pytest.mark.parametrize("p", [1.5, math.inf, math.nan])
     def test_rejects_p_outside_two_to_inf(self, p):
