@@ -358,20 +358,30 @@ def to_json(instance: SykInstance) -> str:
                        for key, value in doc.items()})
 
 
-# the JSON value of each instance key whose type numpy does not check
+# the JSON type of each instance key
 _DOC_TYPES = {
     "n": ("an integer", int), "k": ("an integer", int), "seed": ("an integer", int),
     "clamped": ("true or false", bool),
     "energy_constant": ("a number", int, float), "sigma": ("a number", int, float),
     "p_B": ("a number or null", int, float, type(None)),
+    "couplings": ("an array", list), "mask": ("an array or null", list, type(None)),
+}
+
+# the test each entry of an instance array passes: a finite JSON number, an
+# integer 0 or 1 (not a bool, a string or a nested array)
+_ENTRY_CHECKS = {
+    "couplings": ("a finite number",
+                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "mask": ("the integer 0 or 1", lambda v: type(v) is int and v in (0, 1)),
 }
 
 
 def from_json(text: str) -> SykInstance:
     """Parse an instance written by :func:`to_json`, rejecting malformed or
     inconsistent documents (ValueError): a missing, unknown or mistyped key,
-    wrong array lengths, a mask that is not 0/1, non-finite couplings, or a
-    sigma / p_B that does not match the model.  A masked coupling loads as 0."""
+    an array entry that is not a finite number (couplings) or the integer 0
+    or 1 (mask), wrong array lengths, or a sigma / p_B that does not match
+    the model.  A masked coupling loads as 0."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
@@ -383,10 +393,12 @@ def from_json(text: str) -> SykInstance:
     for key, (needs, *kinds) in _DOC_TYPES.items():
         if type(doc[key]) not in kinds:  # so a bool is not a number
             raise ValueError(f"instance key {key!r} needs {needs}, got {doc[key]!r}")
+    for key, (needs, passes) in _ENTRY_CHECKS.items():
+        bad = [v for v in doc[key] or () if not passes(v)]
+        if bad:
+            raise ValueError(f"instance key {key!r} needs {needs} in each entry, got {bad[0]!r}")
     n, k = doc["n"], doc["k"]
     couplings = np.asarray(doc["couplings"], dtype=float)
-    if not np.all(np.isfinite(couplings)):
-        raise ValueError("couplings must be finite")
     mask, p_b = doc["mask"], doc["p_B"]
     if mask is None:
         if p_b is not None:

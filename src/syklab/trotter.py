@@ -25,23 +25,21 @@ samples.  A deleted sparse term is a zero coupling, so the kernel reads only
 couplings and the samples' masks may differ.
 
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
-by one entry, ``_error_operators``, which reads only (n, k) and coupling
-rows: ``observed_error`` and ``fixed_state_error`` pass their instance's one
-row, and ``averaged_error`` each group that ``model.coupling_groups`` yields
-(which samples make up an average is decided there), in stacks of at most
-``_STACK_BYTES``.  Every stage runs once per stack: assembly (H comes from
-``assemble`` as the same block stack), round kernel, eigh, power and E; a
-consumer holds one stack of E at a time, and only the Schatten norm is
-taken per sample.  The entry checks the dense cap before any D-sized array
-is built, as ``assemble`` and ``_round_matrices`` (so ``trotterized``) do,
-then r and t (the one check, which ``trotterized`` shares), and builds the
-schedule, whose order l is capped at ``_MAX_ORDER``; ``averaged_error``
-checks the order, the cap, r and t before it draws a coupling, and
-``observed_error`` checks p before E is formed.  Blocks meet D space
-only where ``fixed_state_error`` splits its state and ``trotterized``
-returns a D x D matrix.  Every round-matrix entry goes through the same
-floating-point operations as a one-matrix, full-D build, so the rounds are
-bit-identical to it.
+by ``_error_operators``, which reads only (n, k), coupling rows and a built
+schedule: ``observed_error`` and ``fixed_state_error`` pass their instance's
+one row, and ``averaged_error`` each group that ``model.coupling_groups``
+yields (which samples make up an average is decided there), in stacks of at
+most ``_STACK_BYTES``.  Every stage runs once per stack: assembly (H comes
+from ``assemble`` as the same block stack), round kernel, eigh, power and E;
+a consumer holds one stack of E at a time, and only the Schatten norm is
+taken per sample.  Each public entry checks its inputs once, before any
+coupling is drawn or D-sized array is built: the order l in
+``build_schedule``, the dense cap, r and t in ``_check_path``; the private
+stages check nothing.  Blocks meet D space only where ``fixed_state_error``
+splits its state and ``trotterized`` returns a D x D matrix; ``trotterized``
+is kept for tests and the benchmark tracer and has no production caller.
+Every round-matrix entry goes through the same floating-point operations as
+a one-matrix, full-D build, so the rounds are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -92,16 +90,19 @@ def stage_count(order: int) -> int:
             raise ValueError(f"order l (--l) = {order} is too large: its Upsilon = "
                              f"2*5**(l/2-1) would pass {_MAX_STAGE_DIGITS} digits")
         return 2 * 5 ** (order // 2 - 1)
-    raise ValueError(f"order must be 1 or even >= 2, got {order}")
+    raise ValueError(f"order must be 1 or even >= 2 (--l), got {order}")
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Product formula S_l as its ``stages`` = Upsilon sweeps over the terms."""
+    """Product formula S_l as its Upsilon sweeps over the terms."""
 
-    order: int
-    stages: int
     sweeps: tuple[tuple[float, bool], ...]  # (scale, forward?) in application order
+
+    @property
+    def stages(self) -> int:
+        """Upsilon, the number of sweeps per round."""
+        return len(self.sweeps)
 
 
 def _sweep_scales(order: int) -> list[tuple[float, bool]]:
@@ -121,20 +122,15 @@ def _sweep_scales(order: int) -> list[tuple[float, bool]]:
     return out
 
 
-def _check_order(order: int) -> None:
-    """The one check of a Trotter-path order l: 1 or even >= 2, as
-    ``stage_count``, and at most ``_MAX_ORDER``, since the path holds its
-    Upsilon sweeps as a list (about 79 MiB at l = 18)."""
+def build_schedule(order: int) -> Schedule:
+    """Schedule for S_l and the one check of a Trotter-path order l: 1 or
+    even >= 2, as ``stage_count``, and at most ``_MAX_ORDER``, since the path
+    holds its Upsilon sweeps as a list (about 79 MiB at l = 18)."""
     if order > _MAX_ORDER and order % 2 == 0:
         raise ValueError(f"order l (--l) = {order} exceeds {_MAX_ORDER}: its "
                          "2*5**(l/2-1) sweeps per round are more than the Trotter path holds")
     stage_count(order)
-
-
-def build_schedule(order: int) -> Schedule:
-    """Schedule for S_l; order 1 or even 2..``_MAX_ORDER``."""
-    _check_order(order)
-    return Schedule(order, stage_count(order), tuple(_sweep_scales(order)))
+    return Schedule(tuple(_sweep_scales(order)))
 
 
 def _round_matrices(
@@ -149,7 +145,6 @@ def _round_matrices(
     sample's coupling on it is nonzero (theta = 0 for every sample is the
     identity).
     """
-    _check_dim_cap(n)
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
     stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
@@ -196,8 +191,10 @@ def _check_r(r: int) -> None:
             f"Trotter number r (--r) must satisfy 1 <= r <= {sys.float_info.max!r}")
 
 
-def _check_t_and_r(t: float, r: int) -> None:
-    """The one check of the evolution time t and Trotter number r."""
+def _check_path(n: int, t: float, r: int) -> None:
+    """The one check of a Trotter-path entry's n, t and r: the dense cap,
+    before any D-sized array is built, then r, then t (finite)."""
+    _check_dim_cap(n)
     _check_r(r)
     if not math.isfinite(t):
         raise ValueError(f"time t must be finite, got {t}")
@@ -206,8 +203,9 @@ def _check_t_and_r(t: float, r: int) -> None:
 def trotterized(
     instance: SykInstance, schedule: Schedule, t: float, r: int
 ) -> np.ndarray:
-    """S_l(t/r)**r as a dense D x D unitary, placed from its parity blocks."""
-    _check_t_and_r(t, r)
+    """S_l(t/r)**r as a dense D x D unitary, placed from its parity blocks;
+    kept for tests and the benchmark tracer, with no production caller."""
+    _check_path(instance.n, t, r)
     rounds = _round_matrices(instance.n, instance.k, instance.couplings[None],
                              schedule, t / r)
     sectors = term_table(instance.n, instance.k).sectors
@@ -217,21 +215,17 @@ def trotterized(
 
 
 def _error_operators(
-    n: int, k: int, couplings: np.ndarray, order: int, t: float, r: int
+    n: int, k: int, couplings: np.ndarray, schedule: Schedule, t: float, r: int
 ) -> Iterator[np.ndarray]:
     """The (B, W, W) parity blocks of the Trotter error operator
     E = exp(iHt) - S_l(t/r)**r for each row of ``couplings`` (N, Gamma), all
-    of one (n, k), in order; the one entry of the error path.  It checks the
-    dense cap, r and t and builds the order-l schedule when first advanced.
+    of one (n, k), in order, for inputs that its caller has checked.
 
     The rows go in stacks of at most ``_STACK_BYTES`` (at least one row), and
     every stage runs once per stack: assembly, round kernel, eigh, power and
     E.  The stack's other arrays are freed before its first E is yielded, so
     a consumer that drops each E holds one stack of E at a time.
     """
-    _check_dim_cap(n)
-    _check_t_and_r(t, r)
-    schedule = build_schedule(order)
     sectors = term_table(n, k).sectors
     per_sample = np.dtype(complex).itemsize * sectors.size * sectors.shape[1]
     size = max(1, _STACK_BYTES // per_sample)
@@ -244,7 +238,9 @@ def _error_operators(
 def observed_error(instance: SykInstance, order: int, t: float, r: int, p: float) -> float:
     """Normalized Trotter error ||E||_p / D**(1/p); p = inf is the operator norm."""
     _check_schatten_order(p)
-    err = next(_error_operators(instance.n, instance.k, instance.couplings[None], order, t, r))
+    _check_path(instance.n, t, r)
+    err = next(_error_operators(instance.n, instance.k, instance.couplings[None],
+                                build_schedule(order), t, r))
     return schatten_norm(err, p) / hilbert_dim(instance.n) ** (1.0 / p)
 
 
@@ -271,12 +267,11 @@ def averaged_error(
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
     if kappa is not None and num_bernoulli < 2:
         raise ValueError("need num_bernoulli >= 2 for a standard error")
-    _check_order(order)
-    _check_dim_cap(n)
-    _check_t_and_r(t, r)
+    schedule = build_schedule(order)
+    _check_path(n, t, r)
     scale = hilbert_dim(n) ** (1.0 / p)
     groups = coupling_groups(n, k, energy_constant, seed, num_disorder, kappa, num_bernoulli)
-    ests = [expected_norm(_error_operators(n, k, rows, order, t, r), p) for rows in groups]
+    ests = [expected_norm(_error_operators(n, k, rows, schedule, t, r), p) for rows in groups]
     values = [est.value / scale for est in ests]
     if kappa is None:
         return NormEstimate(values[0], ests[0].stderr / scale, num_disorder, p)
@@ -310,6 +305,8 @@ def fixed_state_error(
         )
     if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # nan too
         raise ValueError("input state must be normalized to 1 within 1e-12")
-    err = next(_error_operators(instance.n, instance.k, instance.couplings[None], order, t, r))
+    _check_path(instance.n, t, r)
+    err = next(_error_operators(instance.n, instance.k, instance.couplings[None],
+                                build_schedule(order), t, r))
     psi = state[term_table(instance.n, instance.k).sectors, None]
     return float(np.linalg.norm(err @ psi))

@@ -486,6 +486,15 @@ class TestCli:
             "2*5**(l/2-1) would pass 4300 digits")
         assert main(["gatecount", "--n", "8", "--k", "4", "--l", "12304", "--r", "10"]) == 0
 
+    def test_gatecount_refuses_an_odd_order_naming_its_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gatecount", "--n", "8", "--k", "4", "--l", "3"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "syklab: error: order must be 1 or even >= 2 (--l), got 3")
+
     def test_scan_n_writes_file(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main([

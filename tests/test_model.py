@@ -438,6 +438,31 @@ class TestFromJsonValidation:
                          id="sigma-string"),
             pytest.param(lambda d: d.update(p_B="x"),
                          "'p_B' needs a number or null, got 'x'", id="p_B-string"),
+            pytest.param(lambda d: d["couplings"].__setitem__(2, "0.1"),
+                         "'couplings' needs a finite number in each entry, got '0.1'",
+                         id="coupling-string"),
+            pytest.param(lambda d: d["couplings"].__setitem__(2, True),
+                         "'couplings' needs a finite number in each entry, got True",
+                         id="coupling-bool"),
+            pytest.param(lambda d: d.update(couplings=[[c] for c in d["couplings"]]),
+                         "'couplings' needs a finite number in each entry, got [",
+                         id="couplings-nested"),
+            pytest.param(lambda d: d["couplings"].__setitem__(2, 10**400),
+                         "'couplings' needs a finite number in each entry, got 1000",
+                         id="coupling-past-float-range"),
+            pytest.param(lambda d: d.update(couplings="x"),
+                         "'couplings' needs an array, got 'x'", id="couplings-string"),
+            pytest.param(lambda d: d["mask"].__setitem__(0, True),
+                         "'mask' needs the integer 0 or 1 in each entry, got True",
+                         id="mask-bool"),
+            pytest.param(lambda d: d["mask"].__setitem__(0, 1.0),
+                         "'mask' needs the integer 0 or 1 in each entry, got 1.0",
+                         id="mask-float"),
+            pytest.param(lambda d: d["mask"].__setitem__(0, "1"),
+                         "'mask' needs the integer 0 or 1 in each entry, got '1'",
+                         id="mask-string"),
+            pytest.param(lambda d: d.update(mask=1),
+                         "'mask' needs an array or null, got 1", id="mask-scalar"),
         ],
     )
     def test_rejects_malformed_document(self, edit, message):

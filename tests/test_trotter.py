@@ -745,6 +745,32 @@ def test_dense_cap_is_checked_before_any_d_sized_array(name):
     assert "sectors" not in vars(term_table(40, 2))
 
 
+ENTRY_CALLS = {
+    "observed_error": lambda inst, order, t, r: observed_error(inst, order, t, r, 2),
+    "fixed_state_error": lambda inst, order, t, r: fixed_state_error(
+        inst, order, t, r, np.eye(hilbert_dim(inst.n), dtype=complex)[0]),
+    "trotterized": lambda inst, order, t, r: trotterized(inst, build_schedule(order), t, r),
+}
+
+
+@pytest.mark.parametrize("order,t,r,message", [
+    (3, 1.0, 4, r"order must be 1 or even >= 2 \(--l\), got 3"),
+    (18, 1.0, 4, r"order l \(--l\) = 18 exceeds 16"),
+    (2, 1.0, 0, r"Trotter number r \(--r\) must satisfy 1 <= r"),
+    (2, 1.0, 2.5, r"Trotter number r \(--r\) must be an integer, got 2.5"),
+    (2, math.inf, 4, "time t must be finite, got inf"),
+], ids=["l-odd", "l-sweeps", "r", "r-non-integral", "t"])
+@pytest.mark.parametrize("name", ENTRY_CALLS)
+def test_entry_checks_order_t_and_r_before_any_term_table_array(name, order, t, r, message):
+    """Each one-instance entry refuses a bad l, r or t itself, before the
+    term table's sector array is built, as averaged_error does before a draw."""
+    inst = sample_dense(8, 4, seed=71)
+    fermions._build_term_table.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        ENTRY_CALLS[name](inst, order, t, r)
+    assert "sectors" not in vars(term_table(8, 4))
+
+
 @pytest.mark.parametrize("n,k", [(24, 12), (2100, 2)])
 @pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
 def test_averaged_error_checks_the_cap_before_any_draw(kappa, n, k):
@@ -787,7 +813,7 @@ def test_term_order_changes_s_but_not_u():
 
     inst = sample_dense(6, 3, seed=39)
     sched_fwd = build_schedule(1)
-    sched_rev = Schedule(1, 1, ((1.0, False),))
+    sched_rev = Schedule(((1.0, False),))
     t, r = 1.0, 8
     s_fwd = trotterized(inst, sched_fwd, t, r)
     s_rev = trotterized(inst, sched_rev, t, r)
