@@ -18,11 +18,19 @@ of width W = D/2.  Odd k maps one parity to the other and has one sector,
 B = 1 and W = D, in the same code.  Round matrices are built by one kernel,
 ``_round_matrices``, on the (N, B, W, W) parity-block stack of N samples that
 share (n, k), in the (sector, position) coordinates of the one cached term
-set ``fermions.term_table(n, k)``: each live term of each sweep is one
-``take`` of every block's rows along K_g's in-sector permutation j -> j ^
-shifts[g], one coefficient multiply, one cos scale and one add for all N
-samples.  A deleted sparse term is a zero coupling, so the kernel reads only
-couplings and the samples' masks may differ.
+set ``fermions.term_table(n, k)``.  Consecutive terms often share the
+in-sector permutation j -> j ^ shifts[g] (hyperedges that differ only on the
+two Majoranas of one qubit have equal X masks), and a run of them multiplies
+to alpha + beta P_s with (N, B, W) coefficients alpha and beta.  So each
+sweep makes one step per run of equal shift, not per term: one ``take`` of
+every block's rows along the run's permutation, one coefficient multiply,
+one scale and one add for all N samples, about half as many steps as live
+terms at k = 4.  The runs are split in hyperedge order over all C(n, k)
+terms, then restricted to the live ones, so the split is the same for every
+stack of one (n, k).  A deleted sparse term is a zero coupling, so the
+kernel reads only couplings and the samples' masks may differ: a term that
+is dead for some samples of a stack is an exact identity for them, and a
+stack's rounds equal its samples' one-sample calls entry for entry.
 
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
 by ``_error_operators``, which reads only (n, k), coupling rows and a built
@@ -38,8 +46,10 @@ coupling is drawn or D-sized array is built: the order l in
 stages check nothing.  Blocks meet D space only where ``fixed_state_error``
 splits its state and ``trotterized`` returns a D x D matrix; ``trotterized``
 is kept for tests and the benchmark tracer and has no production caller.
-Every round-matrix entry goes through the same floating-point operations as
-a one-matrix, full-D build, so the rounds are bit-identical to it.
+A run of one term takes the floating-point operations of a one-matrix,
+full-D, term-by-term build, entry for entry; a longer run rounds
+differently, so the rounds match such a build to ulps (1e-13 at n <= 12),
+not bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fermions import hilbert_dim, term_table
+from .fermions import TermTable, hilbert_dim, term_table
 from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
@@ -133,6 +143,17 @@ def build_schedule(order: int) -> Schedule:
     return Schedule(tuple(_sweep_scales(order)))
 
 
+def _shift_runs(shifts: np.ndarray, live: np.ndarray) -> list[list[int]]:
+    """The live terms (increasing g) split into runs of equal shift: the
+    maximal runs of consecutive terms of equal ``shifts[g]`` in hyperedge
+    order, each restricted to ``live``.  Runs are cut where the shift
+    changes over all terms, live or not, so a term dead for some samples of
+    a stack leaves their live terms in the runs of their one-sample calls."""
+    run_ids = np.concatenate(([0], np.cumsum(shifts[1:] != shifts[:-1])))
+    cuts = np.flatnonzero(np.diff(run_ids[live])) + 1
+    return [run.tolist() for run in np.split(live, cuts)] if live.size else []
+
+
 def _round_matrices(
     n: int, k: int, couplings: np.ndarray, schedule: Schedule, tau: float
 ) -> np.ndarray:
@@ -140,10 +161,16 @@ def _round_matrices(
     as an (N, B, W, W) stack of parity blocks on the table's sectors.
 
     Each sweep applies, for its live terms in its direction, the exponential
-    cos(theta) + i sin(theta) K_g to the whole stack in place, with K_g read
-    from the cached term table.  A term is live when tau != 0 and some
-    sample's coupling on it is nonzero (theta = 0 for every sample is the
-    identity).
+    cos(theta) + i sin(theta) K_g, with K_g = C_g P_s read from the cached
+    term table (C_g the (B, W) coefficients, P_s the row map j -> j ^ s).  A
+    term is live when tau != 0 and some sample's coupling on it is nonzero
+    (theta = 0 for every sample is the identity).  The live terms go in the
+    runs of ``_shift_runs``, and each run is one step on the whole stack in
+    place: a run of one term is the step M <- cos(theta) M + i sin(theta)
+    C_g M[perm]; a longer run first multiplies its exponentials into
+    alpha + beta P_s, with (N, B, W) coefficients alpha and beta, then takes
+    M <- alpha M + beta M[perm].  A reversed sweep walks the runs, and the
+    terms of each run, in reverse.
     """
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
@@ -151,18 +178,50 @@ def _round_matrices(
     buf = np.empty_like(stack)
     positions = np.arange(width)
     perm = np.empty_like(positions)
-    live = np.flatnonzero(couplings.any(axis=0) & (tau != 0)).tolist()
+    runs = _shift_runs(table.shifts, np.flatnonzero(couplings.any(axis=0) & (tau != 0)))
+    reversed_runs = [run[::-1] for run in runs[::-1]]
     for scale, forward in schedule.sweeps:
-        for i in live if forward else live[::-1]:
-            theta = scale * couplings[:, i] * tau
-            np.bitwise_xor(positions, table.shifts[i], out=perm)
+        for run in runs if forward else reversed_runs:
+            np.bitwise_xor(positions, table.shifts[run[0]], out=perm)
             # perm is in range by construction; mode="clip" skips the copy that
             # take() makes for out= under the default bounds check
             np.take(stack, perm, axis=2, out=buf, mode="clip")
-            buf *= table.permuted_coefficients(i, 1j * np.sin(theta)[:, None, None])[..., None]
-            stack *= np.cos(theta)[:, None, None, None]
+            if len(run) == 1:
+                theta = scale * couplings[:, run[0]] * tau
+                buf *= table.permuted_coefficients(
+                    run[0], 1j * np.sin(theta)[:, None, None])[..., None]
+                stack *= np.cos(theta)[:, None, None, None]
+            else:
+                alpha, beta = _run_coefficients(table, run, couplings, scale, tau, perm)
+                buf *= beta[..., None]
+                stack *= alpha[..., None]
             stack += buf
     return stack
+
+
+def _run_coefficients(
+    table: TermTable, run: list[int], couplings: np.ndarray, scale: float, tau: float,
+    perm: np.ndarray,
+) -> np.ndarray:
+    """(2, N, B, W): (alpha, beta), the product of the run's exponentials, in
+    the run's order, as alpha + beta P_s on the rows.  Applying
+    c + i s C_g P_s to it gives alpha' = c alpha + i s C_g beta[perm] and
+    beta' = c beta + i s C_g alpha[perm], as P_s squares to the identity.
+    theta is formed as in a one-term step, and a term whose theta is 0 for a
+    sample (dead for it) is an exact identity on that sample's coefficients,
+    so each sample's step equals that of its one-sample call."""
+    theta = scale * couplings[:, run] * tau
+    cos, isin = np.cos(theta), 1j * np.sin(theta)
+    coeffs = np.empty((2,) + couplings.shape[:1] + table.sectors.shape, dtype=complex)
+    coeffs[0] = cos[:, 0, None, None]
+    coeffs[1] = table.permuted_coefficients(run[0], isin[:, 0, None, None])
+    swapped = np.empty_like(coeffs)
+    for j, g in enumerate(run[1:], 1):
+        np.take(coeffs[::-1], perm, axis=3, out=swapped, mode="clip")  # (beta, alpha)[perm]
+        swapped *= table.permuted_coefficients(g, isin[:, j, None, None])
+        coeffs *= cos[:, j, None, None]
+        coeffs += swapped
+    return coeffs
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
@@ -291,7 +350,8 @@ def fixed_state_error(
     ``state`` must be a normalized vector of shape (D,).  Costs what one
     ``observed_error`` does before its norm: one ``eigh`` per parity block of
     H (two D/2 blocks for even k, one D block for odd k), one round matrix
-    (Upsilon in-place updates per live term) and its r-th power on the blocks
+    (Upsilon in-place updates per run of live terms of equal shift, about
+    half the live terms at k = 4) and its r-th power on the blocks
     by repeated squaring (log2 r squarings plus one product per further set
     bit of r), then one block matrix-vector product: the state splits by
     parity, ||E psi||^2 = sum_q ||E_q psi_q||^2.

@@ -4,14 +4,16 @@ The files under ``tests/golden/`` were last written by the commands below
 when the config keys ``overhead`` and ``mode``, which no command read, were
 deleted: only their two comment lines (``# overhead = none`` and
 ``# mode = operator_norm``) went, and every data row and fit line stayed
-byte-identical.  Their numbers were last written when eigh, the Trotter
-power and the Schatten norm moved onto the parity blocks of the error
-operator (observed values moved by at most 3.4e-11 relative).  Any change
+byte-identical.  The numbers of the four scan files were last written when
+the round kernel began to fuse each run of consecutive terms of equal shift
+into one step, alpha + beta P_s, instead of one step per term: a longer run
+rounds differently, so observed values moved by at most 2.2e-11 relative
+(before that, when eigh, the Trotter power and the Schatten norm moved onto
+the parity blocks of the error operator, by at most 3.4e-11).  Any change
 to these bytes is a numerical or format change and must be a deliberate one
 (regenerate the files with the same commands and say why).
-``scan_n_odd.csv`` (k = 3: one sector, B = 1) was written later, by its
-command below, before H was assembled as a parity-block stack, and pins the
-odd-k path that the k = 4 files do not reach.
+``scan_n_odd.csv`` (k = 3: one sector, B = 1) pins the odd-k path that the
+k = 4 files do not reach.
 ``bounds.csv`` pins the analytical bounds, which read no random numbers:
 ``repr(error_bound(...))`` (or the error it raises) over a grid of dense and
 sparse inputs, then ``solve-r``'s report for a few (n, k, l).  It was

@@ -167,9 +167,19 @@ class TestTrotterized:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_one_round_is_the_reference_round(self, k):
         inst = sample_dense(8, k, seed=54)
-        sched = build_schedule(2)
-        assert np.array_equal(trotterized(inst, sched, 0.7, 1),
+        for order in (1, 2, 4):
+            sched = build_schedule(order)
+            _assert_ulps_from(trotterized(inst, sched, 0.7, 1),
                               _round_matrix_reference(inst, sched, 0.7))
+
+
+# A fused run of equal-shift terms rounds differently from its term-by-term
+# steps, by a few ulps of the unit-norm round matrix.
+_FUSED_ATOL = 1e-13
+
+
+def _assert_ulps_from(ours, reference):
+    assert np.max(np.abs(ours - reference)) <= _FUSED_ATOL
 
 
 def _round_matrix_reference(instance, schedule, tau):
@@ -214,9 +224,45 @@ def _assert_stack_is_separate_calls(instances, schedule, tau):
     return stack
 
 
+class TestShiftRuns:
+    """The kernel's split of the live terms into runs of equal shift."""
+
+    @staticmethod
+    def _assert_runs_split(n, k, live):
+        shifts = term_table(n, k).shifts
+        runs = trotter._shift_runs(shifts, live)
+        assert [g for run in runs for g in run] == live.tolist()
+        for run in runs:
+            # one shift over the run's whole span in hyperedge order, dead terms too
+            assert np.all(shifts[run[0]:run[-1] + 1] == shifts[run[0]])
+        for before, after in zip(runs, runs[1:]):
+            # the next run starts after a term of another shift, live or not
+            assert np.any(shifts[before[-1] + 1:after[0] + 1] != shifts[before[-1]])
+        return runs
+
+    @pytest.mark.parametrize("n,k", [(10, 4), (12, 3)])
+    def test_dense_runs_partition_every_term(self, n, k):
+        gamma = math.comb(n, k)
+        runs = self._assert_runs_split(n, k, np.arange(gamma))
+        shifts = term_table(n, k).shifts
+        assert all(shifts[a[0]] != shifts[b[0]] for a, b in zip(runs, runs[1:]))
+        assert 1.9 <= gamma / len(runs) <= 2.1
+
+    @pytest.mark.parametrize("n,k", [(10, 4), (12, 3)])
+    def test_sparse_runs_partition_the_kept_terms(self, n, k):
+        masks = np.array([sample_bernoulli_mask(n, k, 4.0, 62, i) for i in range(3)])
+        live = np.flatnonzero(masks.any(axis=0))
+        assert 0 < live.size < masks.shape[1]
+        self._assert_runs_split(n, k, live)
+
+    def test_no_live_term_is_no_run(self):
+        assert trotter._shift_runs(term_table(8, 4).shifts, np.arange(0)) == []
+
+
 class TestRoundMatrices:
     """The stack kernel: N samples at once equal N one-sample calls, and the
-    parity layout equals the full-D reference entry for entry."""
+    parity layout equals the full-D reference to ulps (bit for bit where
+    every run holds one term)."""
 
     @pytest.mark.parametrize("n,k", [(8, 4), (10, 4), (8, 3)])
     def test_dense_stack_is_separate_calls(self, n, k):
@@ -293,9 +339,52 @@ class TestRoundMatrices:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_parity_layout_matches_full_reference(self, n, k):
         inst = sample_dense(n, k, seed=54)
-        sched = build_schedule(2)
-        ours = _stack([inst], sched, 0.7)[0]
-        assert np.array_equal(ours, _round_matrix_reference(inst, sched, 0.7))
+        for order in (1, 2, 4):
+            sched = build_schedule(order)
+            ours = _stack([inst], sched, 0.7)[0]
+            _assert_ulps_from(ours, _round_matrix_reference(inst, sched, 0.7))
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_sparse_stack_of_different_masks_matches_full_reference(self, order):
+        instances = [
+            sample_sparse(10, 4, kappa=4.0, seed=59, coupling_index=i,
+                          mask=sample_bernoulli_mask(10, 4, 4.0, 59, i))
+            for i in range(3)
+        ]
+        sched = build_schedule(order)
+        for inst, ours in zip(instances, _stack(instances, sched, 0.6)):
+            _assert_ulps_from(ours, _round_matrix_reference(inst, sched, 0.6))
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("n,k", [(10, 4), (10, 3)])
+    def test_one_term_runs_are_the_reference_bits(self, n, k, order):
+        """With every coupling zeroed but the first of each equal-shift run,
+        each run holds one live term, whose step is the reference's step
+        operation for operation."""
+        shifts = term_table(n, k).shifts
+        first_of_run = np.concatenate(([True], shifts[1:] != shifts[:-1]))
+        assert not first_of_run.all()
+        instances = [sample_dense(n, k, seed=60, sample_index=i) for i in range(3)]
+        instances = [
+            dataclasses.replace(inst, couplings=np.where(first_of_run, inst.couplings, 0.0))
+            for inst in instances
+        ]
+        sched = build_schedule(order)
+        for inst, ours in zip(instances, _stack(instances, sched, 0.7)):
+            assert np.array_equal(ours, _round_matrix_reference(inst, sched, 0.7))
+
+    def test_fused_rounds_add_no_floor(self):
+        """Fused runs keep each round's parity blocks unitary to round-off,
+        max_q ||S_q^dag S_q - I||_F / sqrt(W) <= 1e-13, at n = 12, k = 4,
+        l = 2, tau = 0.01."""
+        n, k = 12, 4
+        couplings = np.array([sample_dense(n, k, seed=61, sample_index=i).couplings
+                              for i in range(2)])
+        rounds = trotter._round_matrices(n, k, couplings, build_schedule(2), 0.01)
+        width = rounds.shape[-1]
+        defect = np.linalg.norm(np.conj(np.swapaxes(rounds, -1, -2)) @ rounds - np.eye(width),
+                                axis=(-2, -1)) / math.sqrt(width)
+        assert defect.max() <= 1e-13
 
 
 class TestObservedError:
