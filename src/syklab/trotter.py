@@ -166,11 +166,11 @@ def _round_matrices(
     term is live when tau != 0 and some sample's coupling on it is nonzero
     (theta = 0 for every sample is the identity).  The live terms go in the
     runs of ``_shift_runs``, and each run is one step on the whole stack in
-    place: a run of one term is the step M <- cos(theta) M + i sin(theta)
-    C_g M[perm]; a longer run first multiplies its exponentials into
-    alpha + beta P_s, with (N, B, W) coefficients alpha and beta, then takes
-    M <- alpha M + beta M[perm].  A reversed sweep walks the runs, and the
-    terms of each run, in reverse.
+    place: its exponentials multiplied into alpha + beta P_s, with (N, B, W)
+    coefficients alpha and beta, then M <- alpha M + beta M[perm].  For a
+    run of one term that is M <- cos(theta) M + i sin(theta) C_g M[perm],
+    the term-by-term step.  A reversed sweep walks the runs, and the terms
+    of each run, in reverse.
     """
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
@@ -186,15 +186,9 @@ def _round_matrices(
             # perm is in range by construction; mode="clip" skips the copy that
             # take() makes for out= under the default bounds check
             np.take(stack, perm, axis=2, out=buf, mode="clip")
-            if len(run) == 1:
-                theta = scale * couplings[:, run[0]] * tau
-                buf *= table.permuted_coefficients(
-                    run[0], 1j * np.sin(theta)[:, None, None])[..., None]
-                stack *= np.cos(theta)[:, None, None, None]
-            else:
-                alpha, beta = _run_coefficients(table, run, couplings, scale, tau, perm)
-                buf *= beta[..., None]
-                stack *= alpha[..., None]
+            alpha, beta = _run_coefficients(table, run, couplings, scale, tau, perm)
+            buf *= beta[..., None]
+            stack *= alpha[..., None]
             stack += buf
     return stack
 
@@ -202,26 +196,32 @@ def _round_matrices(
 def _run_coefficients(
     table: TermTable, run: list[int], couplings: np.ndarray, scale: float, tau: float,
     perm: np.ndarray,
-) -> np.ndarray:
-    """(2, N, B, W): (alpha, beta), the product of the run's exponentials, in
-    the run's order, as alpha + beta P_s on the rows.  Applying
-    c + i s C_g P_s to it gives alpha' = c alpha + i s C_g beta[perm] and
+) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta), the product of the run's exponentials, in the run's
+    order, as alpha + beta P_s on the rows, each broadcastable to (N, B, W).
+    The first term gives (cos(theta), i sin(theta) C_g); applying each
+    further c + i s C_g P_s gives alpha' = c alpha + i s C_g beta[perm] and
     beta' = c beta + i s C_g alpha[perm], as P_s squares to the identity.
-    theta is formed as in a one-term step, and a term whose theta is 0 for a
-    sample (dead for it) is an exact identity on that sample's coefficients,
-    so each sample's step equals that of its one-sample call."""
+    A term whose theta is 0 for a sample (dead for it) is an exact identity
+    on that sample's coefficients, so each sample's step equals that of its
+    one-sample call."""
     theta = scale * couplings[:, run] * tau
     cos, isin = np.cos(theta), 1j * np.sin(theta)
-    coeffs = np.empty((2,) + couplings.shape[:1] + table.sectors.shape, dtype=complex)
-    coeffs[0] = cos[:, 0, None, None]
-    coeffs[1] = table.permuted_coefficients(run[0], isin[:, 0, None, None])
+    alpha = cos[:, 0, None, None]
+    beta = table.permuted_coefficients(run[0], isin[:, 0, None, None])
+    if len(run) == 1:
+        # Speed, not bits: a one-term run (most runs of a sparse stack) skips
+        # the product buffers, and the step multiplies by its real cos.
+        return alpha, beta
+    coeffs = np.empty((2,) + beta.shape, dtype=complex)
+    coeffs[0], coeffs[1] = alpha, beta
     swapped = np.empty_like(coeffs)
     for j, g in enumerate(run[1:], 1):
         np.take(coeffs[::-1], perm, axis=3, out=swapped, mode="clip")  # (beta, alpha)[perm]
         swapped *= table.permuted_coefficients(g, isin[:, j, None, None])
         coeffs *= cos[:, j, None, None]
         coeffs += swapped
-    return coeffs
+    return coeffs[0], coeffs[1]
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
