@@ -58,6 +58,13 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    """The value of ``--seed``: a non-negative integer, as numpy's SeedSequence takes."""
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"needs a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 # what a converter needs, for the message that rejects a value
 _NEEDS = {int: "an integer", _comma_ints: "comma-separated integers"}
 
@@ -124,7 +131,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--energy-constant", dest="energy_constant", type=_finite)
     parser.add_argument("--n-disorder", dest="N_disorder", type=int)
     parser.add_argument("--n-bernoulli", dest="N_bernoulli", type=int)
-    parser.add_argument("--seed", dest="master_seed", type=int)
+    parser.add_argument("--seed", dest="master_seed", type=_seed)
     parser.add_argument("--prefactor-mode", dest="prefactor_mode",
                         choices=["full", "unit"])
     parser.add_argument("--epsilon", type=_finite)

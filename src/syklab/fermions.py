@@ -90,6 +90,10 @@ def term_operator(hyperedge: Sequence[int], n: int) -> PauliString:
     return PauliString(n // 2, x_mask, z_mask, (evens + k * (k - 1) // 2) % 4)
 
 
+# i**e for e = 0..3, the entries of a Pauli string
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
+
 @dataclass(frozen=True, eq=False)
 class TermTable:
     """Read-only term set of all C(n,k) SYK term operators, in parity-block
@@ -104,17 +108,17 @@ class TermTable:
     2j and 2j + 1 has each parity.  Block q of K_g holds coeff[q, j] at
     (j, j ^ s_g) with s_g = shifts[g] = x_g >> (B - 1) and coeff =
     permuted_coefficients(g), so block q of K_g @ M has row j = coeff[q, j] *
-    M_q[j ^ s_g].  Stored compactly: coeff = phases[g] * signs[g] with int8
-    signs.  ``sectors`` (D * 8 bytes) and ``signs`` (Gamma * D bytes) are
-    built on first read, so a caller that reads only ``terms`` pays for
-    neither; the rest takes at most Gamma * 88 bytes (64 per term).
+    M_q[j ^ s_g].  Every entry of a Pauli string is a power of i, so coeff is
+    stored as its exponents: coeff[q, j] = i**powers[g, q, j].  ``sectors``
+    (D * 8 bytes) and ``powers`` (Gamma * D bytes) are built on first read,
+    so a caller that reads only ``terms`` pays for neither; the rest takes at
+    most Gamma * 72 bytes (64 per term).
     """
 
     n: int
     k: int
     terms: tuple[PauliString, ...]
     shifts: np.ndarray  # (Gamma,) intp, s_g < W: K_g maps position j to j ^ s_g
-    phases: np.ndarray  # (Gamma,) complex, i**phase_exp
 
     @cached_property
     def sectors(self) -> np.ndarray:
@@ -126,19 +130,20 @@ class TermTable:
         return sectors
 
     @cached_property
-    def signs(self) -> np.ndarray:
-        """(Gamma, B, W) int8 +-1: the sign of K_g's entry in row sectors[q, j]."""
-        signs = np.empty((len(self.terms),) + self.sectors.shape, dtype=np.int8)
+    def powers(self) -> np.ndarray:
+        """(Gamma, B, W) uint8: K_g's entry in row b = sectors[q, j] is
+        i**powers[g, q, j], powers = (phase_exp + 2 parity((b ^ x_g) & z_g)) % 4."""
+        powers = np.empty((len(self.terms),) + self.sectors.shape, dtype=np.uint8)
         for g, pauli in enumerate(self.terms):
             parity = np.bitwise_count((self.sectors ^ pauli.x_mask) & pauli.z_mask) & 1
-            signs[g] = 1 - 2 * parity.astype(np.int8)
-        signs.flags.writeable = False
-        return signs
+            powers[g] = (pauli.phase_exp + 2 * parity) % 4
+        powers.flags.writeable = False
+        return powers
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
         """scale * coeff: the (B, W) nonzero entries of scale * K_g; an
         (N, 1, 1) array of scales gives the (N, B, W) entries of N multiples."""
-        return (scale * self.phases[g]) * self.signs[g]
+        return scale * _POWERS_OF_I.take(self.powers[g])
 
 
 _TABLE_LOCK = threading.Lock()
@@ -149,10 +154,8 @@ def _build_term_table(n: int, k: int) -> TermTable:
     terms = tuple(term_operator(edge, n) for edge in ordering_map(n, k))
     # B - 1: even k keeps two parity sectors, odd k one
     shifts = np.array([pauli.x_mask >> (1 - k % 2) for pauli in terms], dtype=np.intp)
-    phases = np.array([1j**pauli.phase_exp for pauli in terms], dtype=complex)
-    for array in (shifts, phases):
-        array.flags.writeable = False
-    return TermTable(n, k, terms, shifts, phases)
+    shifts.flags.writeable = False
+    return TermTable(n, k, terms, shifts)
 
 
 def term_table(n: int, k: int) -> TermTable:

@@ -25,12 +25,14 @@ to alpha + beta P_s with (N, B, W) coefficients alpha and beta.  So each
 sweep makes one step per run of equal shift, not per term: one ``take`` of
 every block's rows along the run's permutation, one coefficient multiply,
 one scale and one add for all N samples, about half as many steps as live
-terms at k = 4.  The runs are split in hyperedge order over all C(n, k)
-terms, then restricted to the live ones, so the split is the same for every
-stack of one (n, k).  A deleted sparse term is a zero coupling, so the
-kernel reads only couplings and the samples' masks may differ: a term that
-is dead for some samples of a stack is an exact identity for them, and a
-stack's rounds equal its samples' one-sample calls entry for entry.
+terms at k = 4.  A run of any length takes that step, with alpha and beta
+formed in two buffers allocated once per call.  The runs are split in
+hyperedge order over all C(n, k) terms, then restricted to the live ones,
+so the split is the same for every stack of one (n, k).  A deleted sparse
+term is a zero coupling, so the kernel reads only couplings and the
+samples' masks may differ: a term that is dead for some samples of a stack
+is an exact identity for them, and a stack's rounds equal its samples'
+one-sample calls entry for entry.
 
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
 by ``_error_operators``, which reads only (n, k), coupling rows and a built
@@ -62,7 +64,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fermions import TermTable, hilbert_dim, term_table
+from .fermions import hilbert_dim, term_table
 from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
@@ -166,16 +168,21 @@ def _round_matrices(
     term is live when tau != 0 and some sample's coupling on it is nonzero
     (theta = 0 for every sample is the identity).  The live terms go in the
     runs of ``_shift_runs``, and each run is one step on the whole stack in
-    place: its exponentials multiplied into alpha + beta P_s, with (N, B, W)
-    coefficients alpha and beta, then M <- alpha M + beta M[perm].  For a
-    run of one term that is M <- cos(theta) M + i sin(theta) C_g M[perm],
-    the term-by-term step.  A reversed sweep walks the runs, and the terms
-    of each run, in reverse.
+    place: its exponentials multiplied, in the run's order, into alpha +
+    beta P_s with (N, B, W) coefficients, then M <- alpha M + beta M[perm].
+    The run's first term gives (alpha, beta) = (cos(theta), i sin(theta)
+    C_g); applying each further c + i s C_g P_s gives alpha' = c alpha +
+    i s C_g beta[perm] and beta' = c beta + i s C_g alpha[perm], as P_s
+    squares to the identity; a term dead for a sample (theta = 0) leaves its
+    coefficients exact.  A reversed sweep walks the runs, and the terms of
+    each run, in reverse.
     """
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
     stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
     buf = np.empty_like(stack)
+    coeffs = np.empty((2,) + stack.shape[:-1], dtype=complex)  # (alpha, beta)
+    swapped = np.empty_like(coeffs)
     positions = np.arange(width)
     perm = np.empty_like(positions)
     runs = _shift_runs(table.shifts, np.flatnonzero(couplings.any(axis=0) & (tau != 0)))
@@ -186,42 +193,20 @@ def _round_matrices(
             # perm is in range by construction; mode="clip" skips the copy that
             # take() makes for out= under the default bounds check
             np.take(stack, perm, axis=2, out=buf, mode="clip")
-            alpha, beta = _run_coefficients(table, run, couplings, scale, tau, perm)
-            buf *= beta[..., None]
-            stack *= alpha[..., None]
+            theta = (scale * couplings[:, run] * tau)[..., None, None]
+            cos, isin = np.cos(theta), 1j * np.sin(theta)
+            coeffs[0] = cos[:, 0]
+            coeffs[1] = table.permuted_coefficients(run[0], isin[:, 0])
+            for j, g in enumerate(run[1:], 1):
+                # (beta, alpha)[perm]
+                np.take(coeffs[::-1], perm, axis=3, out=swapped, mode="clip")
+                swapped *= table.permuted_coefficients(g, isin[:, j])
+                coeffs *= cos[:, j]
+                coeffs += swapped
+            buf *= coeffs[1, ..., None]
+            stack *= coeffs[0, ..., None]
             stack += buf
     return stack
-
-
-def _run_coefficients(
-    table: TermTable, run: list[int], couplings: np.ndarray, scale: float, tau: float,
-    perm: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta), the product of the run's exponentials, in the run's
-    order, as alpha + beta P_s on the rows, each broadcastable to (N, B, W).
-    The first term gives (cos(theta), i sin(theta) C_g); applying each
-    further c + i s C_g P_s gives alpha' = c alpha + i s C_g beta[perm] and
-    beta' = c beta + i s C_g alpha[perm], as P_s squares to the identity.
-    A term whose theta is 0 for a sample (dead for it) is an exact identity
-    on that sample's coefficients, so each sample's step equals that of its
-    one-sample call."""
-    theta = scale * couplings[:, run] * tau
-    cos, isin = np.cos(theta), 1j * np.sin(theta)
-    alpha = cos[:, 0, None, None]
-    beta = table.permuted_coefficients(run[0], isin[:, 0, None, None])
-    if len(run) == 1:
-        # Speed, not bits: a one-term run (most runs of a sparse stack) skips
-        # the product buffers, and the step multiplies by its real cos.
-        return alpha, beta
-    coeffs = np.empty((2,) + beta.shape, dtype=complex)
-    coeffs[0], coeffs[1] = alpha, beta
-    swapped = np.empty_like(coeffs)
-    for j, g in enumerate(run[1:], 1):
-        np.take(coeffs[::-1], perm, axis=3, out=swapped, mode="clip")  # (beta, alpha)[perm]
-        swapped *= table.permuted_coefficients(g, isin[:, j, None, None])
-        coeffs *= cos[:, j, None, None]
-        coeffs += swapped
-    return coeffs[0], coeffs[1]
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
@@ -325,7 +310,7 @@ def averaged_error(
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
     if kappa is not None and num_bernoulli < 2:
-        raise ValueError("need num_bernoulli >= 2 for a standard error")
+        raise ValueError(f"need N_bernoulli >= 2 for a standard error, got {num_bernoulli}")
     schedule = build_schedule(order)
     _check_path(n, t, r)
     scale = hilbert_dim(n) ** (1.0 / p)

@@ -266,7 +266,7 @@ class TestSparseScan:
         config = ExperimentConfig(command="scan-n", model="sparse",
                                   **dict(FAST, l=2, N_bernoulli=num_bernoulli))
         rows, _ = cmd_scan_n(config)
-        assert "num_bernoulli" in rows[0].error
+        assert "N_bernoulli" in rows[0].error
         assert rows[0].observed == 0.0
 
     def test_row_error_captured_not_raised(self):
@@ -671,7 +671,7 @@ class TestCli:
             "scan-n", "--model", "sparse", "--n", "6", "--k", "3", "--l", "2",
             "--r", "4", "--n-disorder", "2", "--n-bernoulli", "0", "--seed", "7",
         ])
-        assert "num_bernoulli" in capsys.readouterr().out
+        assert "N_bernoulli" in capsys.readouterr().out
         assert code == 1
 
     @pytest.mark.parametrize("num_disorder", [0, 1])
@@ -682,6 +682,17 @@ class TestCli:
         code = main(["scan-n", "--n", "6", "--k", "3", "--r", "4",
                      "--n-disorder", str(num_disorder)])
         assert "need N_disorder >= 2" in capsys.readouterr().out
+        assert code == 1
+
+    @pytest.mark.parametrize("num_bernoulli", [0, 1])
+    def test_too_few_masks_is_a_row_error_naming_its_key(self, num_bernoulli, capsys):
+        message = f"ValueError: need N_bernoulli >= 2 for a standard error, got {num_bernoulli}"
+        rows, _ = cmd_scan_n(ExperimentConfig(
+            command="scan-n", model="sparse", **dict(FAST, l=2, N_bernoulli=num_bernoulli)))
+        assert rows[0].error == message
+        code = main(["scan-n", "--model", "sparse", "--n", "6", "--k", "4", "--l", "2",
+                     "--r", "4", "--n-disorder", "2", "--n-bernoulli", str(num_bernoulli)])
+        assert capsys.readouterr().out.endswith(f',"{message}"\n')  # CSV-quoted
         assert code == 1
 
     def test_dense_cap_is_a_row_error_named_by_its_class(self):
@@ -745,6 +756,32 @@ class TestCli:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"syklab: error: {key} ({flag}) needs {need}, got '{value}'")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan-n", "--n", "6", "--k", "4", "--l", "2", "--r", "10", "--n-disorder", "2"],
+        ["gen", "--n", "6", "--k", "4"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, argv, value, tmp_path, capsys):
+        """A negative seed is refused where it enters, by the flag and by its
+        config key, naming both and the value, before any sample is drawn."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [f"--seed={value}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"syklab {argv[0]}: error: argument --seed: "
+            f"needs a non-negative integer, got '{value}'")
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"master_seed = {value}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--config", str(cfg)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"syklab: error: master_seed (--seed) needs a non-negative integer, got '{value}'")
 
     def test_scan_t_with_every_row_failed_keeps_its_csv(self, capsys):
         code = main(["scan-t", "--n", "6", "--k", "3", "--p", "inf", "--t-min", "0.1",

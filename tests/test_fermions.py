@@ -173,7 +173,7 @@ class TestTermTable:
             positions = np.arange(dim // blocks)
             assert np.array_equal(sectors >> (blocks - 1),
                                   np.broadcast_to(positions, sectors.shape))
-            assert table.signs.shape == (len(edges),) + sectors.shape
+            assert table.powers.shape == (len(edges),) + sectors.shape
             for g, edge in enumerate(edges):
                 pauli = term_operator(edge, n)
                 perm, coeff = _coefficients(pauli)
@@ -183,6 +183,18 @@ class TestTermTable:
                 rows = sectors.ravel()
                 assert np.array_equal(to_dense(pauli)[rows, rows ^ pauli.x_mask],
                                       table.permuted_coefficients(g).ravel())
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_scaled_rows_match_term_operators(self, n):
+        """An (N, 1, 1) complex scale, the kernel's call shape, gives the
+        (N, B, W) entries of N multiples of each term."""
+        scale = np.array([0.3 - 1.7j, -2.5j, 1.25])[:, None, None]
+        for k in range(1, min(5, n) + 1):
+            table = term_table(n, k)
+            for g, pauli in enumerate(table.terms):
+                perm, coeff = _coefficients(pauli)
+                assert np.array_equal(table.permuted_coefficients(g, scale),
+                                      scale * coeff[perm][table.sectors])
 
     @pytest.mark.parametrize("n", range(2, 22, 2))
     def test_sectors_are_the_parities_present(self, n):
@@ -197,7 +209,7 @@ class TestTermTable:
     def test_arrays_are_read_only(self):
         for k in (3, 4):
             table = term_table(8, k)
-            for array in (table.shifts, table.phases, table.signs, table.sectors,
+            for array in (table.shifts, table.powers, table.sectors,
                           table.sectors.ravel()):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -217,10 +229,10 @@ class TestTermTable:
         n, k = 8, 4
         assert syk_termset(n, k).anticommuting  # reads only the terms
         assert "sectors" not in vars(term_table(n, k))
-        assert "signs" not in vars(term_table(n, k))
+        assert "powers" not in vars(term_table(n, k))
         assemble(n, k, sample_dense(n, k).couplings[None])
         assert "sectors" in vars(term_table(n, k))
-        assert "signs" in vars(term_table(n, k))
+        assert "powers" in vars(term_table(n, k))
         assert len(term_operator_calls) == math.comb(n, k)
 
     def test_terms_alone_allocate_no_basis(self):
