@@ -20,25 +20,27 @@ later factor's qubit, so moving the Zs past the Xs costs no sign.
 :func:`term_table` is the one term set of each (n, k): the C(n,k) term
 operators as Pauli strings, which ``chains`` reads, and their
 signed-permutation data and parity sectors, which assembly and
-Trotterization read.  It is built once per (n, k) and shared.
+Trotterization read, and its mirror, which the round kernel reads to build a
+reverse sweep from a forward one.  It is built once per (n, k) and shared.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .model import _validate_n, ordering_map
-from .pauli import PauliString
+from .pauli import PauliString, multiply
 
 __all__ = [
     "jordan_wigner",
     "term_operator",
     "TermTable",
+    "Mirror",
     "term_table",
     "hilbert_dim",
 ]
@@ -94,6 +96,30 @@ def term_operator(hyperedge: Sequence[int], n: int) -> PauliString:
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
+def _entry_powers(pauli: PauliString, sectors: np.ndarray) -> np.ndarray:
+    """(B, W) uint8 e with i**e the entry of ``pauli`` in row b = sectors[q, j]:
+    (phase_exp + 2 parity((b ^ x) & z)) % 4."""
+    parity = np.bitwise_count((sectors ^ pauli.x_mask) & pauli.z_mask) & 1
+    return ((pauli.phase_exp + 2 * parity) % 4).astype(np.uint8)
+
+
+@dataclass(frozen=True, eq=False)
+class Mirror:
+    """A Pauli string Q with Q K_g^T Q^dag = K_g for every term of a table,
+    in its parity-block coordinates.
+
+    Q maps row b = sectors[q, j] to column b ^ x_Q = sectors[q ^ swap, j ^
+    shift] with entry c[q, j], a power of i.  So for any block-diagonal F,
+    block q of Q F^T Q^dag has entry phase[q, j, l] * F_{q ^ swap}[l ^ shift,
+    j ^ shift] at (j, l), with phase[q, j, l] = c[q, j] conj(c[q, l]).
+    """
+
+    pauli: PauliString
+    swap: int  # 1 if Q maps parity sector q to 1 - q, else 0
+    shift: int  # Q maps position j to j ^ shift in every sector
+    phase: np.ndarray  # (B, W, W) complex, read-only: c[q, j] conj(c[q, l])
+
+
 @dataclass(frozen=True, eq=False)
 class TermTable:
     """Read-only term set of all C(n,k) SYK term operators, in parity-block
@@ -110,9 +136,9 @@ class TermTable:
     permuted_coefficients(g), so block q of K_g @ M has row j = coeff[q, j] *
     M_q[j ^ s_g].  Every entry of a Pauli string is a power of i, so coeff is
     stored as its exponents: coeff[q, j] = i**powers[g, q, j].  ``sectors``
-    (D * 8 bytes) and ``powers`` (Gamma * D bytes) are built on first read,
-    so a caller that reads only ``terms`` pays for neither; the rest takes at
-    most Gamma * 72 bytes (64 per term).
+    (D * 8 bytes), ``powers`` (Gamma * D bytes) and ``mirror`` (D * W * 16
+    bytes) are built on first read, so a caller that reads only ``terms``
+    pays for none; the rest takes at most Gamma * 72 bytes (64 per term).
     """
 
     n: int
@@ -135,10 +161,36 @@ class TermTable:
         i**powers[g, q, j], powers = (phase_exp + 2 parity((b ^ x_g) & z_g)) % 4."""
         powers = np.empty((len(self.terms),) + self.sectors.shape, dtype=np.uint8)
         for g, pauli in enumerate(self.terms):
-            parity = np.bitwise_count((self.sectors ^ pauli.x_mask) & pauli.z_mask) & 1
-            powers[g] = (pauli.phase_exp + 2 * parity) % 4
+            powers[g] = _entry_powers(pauli, self.sectors)
         powers.flags.writeable = False
         return powers
+
+    @cached_property
+    def mirror(self) -> Mirror | None:
+        """The :class:`Mirror` Q with Q K_g^T Q^dag = K_g for every term, or
+        None.  Q is chi_1 chi_3 ... chi_{n-1} or chi_2 chi_4 ... chi_n,
+        whichever passes for every term; one of them does unless k = 2
+        (mod 4).  Conjugation by a Pauli string Q multiplies K_g by
+        (-1)**(|x_Q & z_g| + |z_Q & x_g|) and transposition by
+        (-1)**|x_g & z_g| (Y^T = -Y), so Q passes iff that sum is even for
+        every g.  Built on first read, like ``powers``."""
+        for first in (1, 2):
+            pauli = reduce(multiply, (jordan_wigner(i, self.n)
+                                      for i in range(first, self.n + 1, 2)))
+            if all(((pauli.x_mask & term.z_mask).bit_count()
+                    + (pauli.z_mask & term.x_mask).bit_count()
+                    + (term.x_mask & term.z_mask).bit_count()) % 2 == 0
+                   for term in self.terms):
+                break
+        else:
+            return None
+        num_blocks = self.sectors.shape[0]
+        powers = _entry_powers(pauli, self.sectors)
+        # c_j conj(c_l) = i**(powers[j] - powers[l]); uint8 wraps mod 256, a multiple of 4
+        phase = _POWERS_OF_I.take((powers[:, :, None] - powers[:, None, :]) % 4)
+        phase.flags.writeable = False
+        return Mirror(pauli, swap=(num_blocks - 1) * (pauli.x_mask.bit_count() & 1),
+                      shift=pauli.x_mask >> (num_blocks - 1), phase=phase)
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
         """scale * coeff: the (B, W) nonzero entries of scale * K_g; an

@@ -25,14 +25,23 @@ to alpha + beta P_s with (N, B, W) coefficients alpha and beta.  So each
 sweep makes one step per run of equal shift, not per term: one ``take`` of
 every block's rows along the run's permutation, one coefficient multiply,
 one scale and one add for all N samples, about half as many steps as live
-terms at k = 4.  A run of any length takes that step, with alpha and beta
-formed in two buffers allocated once per call.  The runs are split in
-hyperedge order over all C(n, k) terms, then restricted to the live ones,
-so the split is the same for every stack of one (n, k).  A deleted sparse
-term is a zero coupling, so the kernel reads only couplings and the
-samples' masks may differ: a term that is dead for some samples of a stack
-is an exact identity for them, and a stack's rounds equal its samples'
-one-sample calls entry for entry.
+terms at k = 4.  The runs are split in hyperedge order over all C(n, k)
+terms, then restricted to the live ones, so the split is the same for every
+stack of one (n, k).  A deleted sparse term is a zero coupling, so the
+kernel reads only couplings and the samples' masks may differ: a term that
+is dead for some samples of a stack is an exact identity for them, and a
+stack's rounds equal its samples' one-sample calls entry for entry.
+
+Every even-l round is a product of Strang pairs S_2(s tau) = F R, F the
+forward sweep at scale s/2 and R the reverse one, with only a few distinct
+scales (one at l = 2, two at l = 4).  The kernel builds each distinct pair
+once and multiplies the pairs, Upsilon/2 - 1 block matmuls per round.  For
+k != 2 (mod 4) the term table's ``mirror``, a Pauli string Q with
+Q K_g^T Q^dag = K_g for every term, gives R = Q F^T Q^dag: a pair is one
+sweep, one gather and one block matmul, so l = 2 builds one sweep and l = 4
+two, against Upsilon.  For k = 2 (mod 4) no such Q exists and each pair is
+its reverse sweep, then its forward sweep, on one stack: two sweeps per
+distinct pair.
 
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
 by ``_error_operators``, which reads only (n, k), coupling rows and a built
@@ -49,9 +58,10 @@ stages check nothing.  Blocks meet D space only where ``fixed_state_error``
 splits its state and ``trotterized`` returns a D x D matrix; ``trotterized``
 is kept for tests and the benchmark tracer and has no production caller.
 A run of one term takes the floating-point operations of a one-matrix,
-full-D, term-by-term build, entry for entry; a longer run rounds
-differently, so the rounds match such a build to ulps (1e-13 at n <= 12),
-not bit for bit.
+full-D, term-by-term build, entry for entry, and so does a round built
+sweep after sweep on one stack: l = 1, and l = 2 without a mirror.  A
+longer run, a mirrored sweep and a product of pairs round differently, so
+the rounds match such a build to ulps (1e-13 at n <= 12), not bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fermions import hilbert_dim, term_table
+from .fermions import Mirror, TermTable, hilbert_dim, term_table
 from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
@@ -81,8 +91,10 @@ __all__ = [
     "fixed_state_error",
 ]
 
-# Bytes of round-matrix parity blocks in one stack: with its take() buffer it
-# stays well inside a 2 MiB L2, and at D = 256 a stack holds one sample.
+# Bytes of round-matrix parity blocks in one stack.  The kernel's working set
+# is a sweep F with its take() buffer, F's mirror and their product (with the
+# pairs and the running product at l >= 4), which stays inside a 2 MiB L2 at
+# l = 2; at D = 256 a stack holds one sample.
 _STACK_BYTES = 256 * 1024
 
 # Largest order the Trotter path builds: Upsilon = 2*5**7 sweeps; the
@@ -156,57 +168,99 @@ def _shift_runs(shifts: np.ndarray, live: np.ndarray) -> list[list[int]]:
     return [run.tolist() for run in np.split(live, cuts)] if live.size else []
 
 
+def _sweep(
+    stack: np.ndarray, table: TermTable, runs: list[list[int]],
+    couplings: np.ndarray, scale: float, tau: float,
+) -> None:
+    """Apply one sweep to the (N, B, W, W) ``stack`` in place: for each run
+    of ``runs``, in the order given, its exponentials cos(theta) + i
+    sin(theta) K_g, theta = scale * J_g * tau, with K_g = C_g P_s read from
+    ``table`` (C_g the (B, W) coefficients, P_s the row map j -> j ^ s).
+    Each run is one step on the whole stack: its exponentials multiplied,
+    in the run's order, into alpha + beta P_s with (N, B, W) coefficients,
+    then M <- alpha M + beta M[perm].  The run's first term
+    gives (alpha, beta) = (cos(theta), i sin(theta) C_g); applying each
+    further c + i s C_g P_s gives alpha' = c alpha + i s C_g beta[perm] and
+    beta' = c beta + i s C_g alpha[perm], as P_s squares to the identity; a
+    term dead for a sample (theta = 0) leaves its coefficients exact.
+    """
+    buf = np.empty_like(stack)
+    coeffs = np.empty((2,) + stack.shape[:-1], dtype=complex)  # (alpha, beta)
+    swapped = np.empty_like(coeffs)
+    positions = np.arange(stack.shape[-1])
+    perm = np.empty_like(positions)
+    for run in runs:
+        np.bitwise_xor(positions, table.shifts[run[0]], out=perm)
+        # perm is in range by construction; mode="clip" skips the copy that
+        # take() makes for out= under the default bounds check
+        np.take(stack, perm, axis=2, out=buf, mode="clip")
+        theta = (scale * couplings[:, run] * tau)[..., None, None]
+        cos, isin = np.cos(theta), 1j * np.sin(theta)
+        coeffs[0] = cos[:, 0]
+        coeffs[1] = table.permuted_coefficients(run[0], isin[:, 0])
+        for j, g in enumerate(run[1:], 1):
+            # (beta, alpha)[perm]
+            np.take(coeffs[::-1], perm, axis=3, out=swapped, mode="clip")
+            swapped *= table.permuted_coefficients(g, isin[:, j])
+            coeffs *= cos[:, j]
+            coeffs += swapped
+        buf *= coeffs[1, ..., None]
+        stack *= coeffs[0, ..., None]
+        stack += buf
+
+
+def _mirrored(stack: np.ndarray, mirror: Mirror) -> np.ndarray:
+    """Q F^T Q^dag for each (B, W, W) block stack F of ``stack``, with Q the
+    term table's ``mirror``: one gather and one phase multiply."""
+    num_blocks, width = stack.shape[-3:-1]
+    sectors = (np.arange(num_blocks) ^ mirror.swap)[:, None, None]
+    perm = np.arange(width) ^ mirror.shift
+    return stack[:, sectors, perm, perm[:, None]] * mirror.phase
+
+
 def _round_matrices(
     n: int, k: int, couplings: np.ndarray, schedule: Schedule, tau: float
 ) -> np.ndarray:
     """S_l(tau) for each row of ``couplings`` (N, Gamma), all of one (n, k),
     as an (N, B, W, W) stack of parity blocks on the table's sectors.
 
-    Each sweep applies, for its live terms in its direction, the exponential
-    cos(theta) + i sin(theta) K_g, with K_g = C_g P_s read from the cached
-    term table (C_g the (B, W) coefficients, P_s the row map j -> j ^ s).  A
-    term is live when tau != 0 and some sample's coupling on it is nonzero
-    (theta = 0 for every sample is the identity).  The live terms go in the
-    runs of ``_shift_runs``, and each run is one step on the whole stack in
-    place: its exponentials multiplied, in the run's order, into alpha +
-    beta P_s with (N, B, W) coefficients, then M <- alpha M + beta M[perm].
-    The run's first term gives (alpha, beta) = (cos(theta), i sin(theta)
-    C_g); applying each further c + i s C_g P_s gives alpha' = c alpha +
-    i s C_g beta[perm] and beta' = c beta + i s C_g alpha[perm], as P_s
-    squares to the identity; a term dead for a sample (theta = 0) leaves its
-    coefficients exact.  A reversed sweep walks the runs, and the terms of
-    each run, in reverse.
+    A sweep is ``_sweep`` on the live terms' runs of ``_shift_runs``,
+    walked in reverse for a reversed sweep; a term is live when tau != 0
+    and some sample's coupling on it is nonzero.  A schedule of Strang
+    pairs (a reverse sweep, then a forward sweep of equal scale: every even
+    l) builds each distinct pair F R once, as F @ Q F^T Q^dag with the
+    table's ``mirror`` Q, else as R then F in place on one identity stack,
+    and multiplies the pairs in application order.  Any other schedule
+    (l = 1) is its sweeps in place on the identity.
     """
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
-    stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
-    buf = np.empty_like(stack)
-    coeffs = np.empty((2,) + stack.shape[:-1], dtype=complex)  # (alpha, beta)
-    swapped = np.empty_like(coeffs)
-    positions = np.arange(width)
-    perm = np.empty_like(positions)
     runs = _shift_runs(table.shifts, np.flatnonzero(couplings.any(axis=0) & (tau != 0)))
     reversed_runs = [run[::-1] for run in runs[::-1]]
-    for scale, forward in schedule.sweeps:
-        for run in runs if forward else reversed_runs:
-            np.bitwise_xor(positions, table.shifts[run[0]], out=perm)
-            # perm is in range by construction; mode="clip" skips the copy that
-            # take() makes for out= under the default bounds check
-            np.take(stack, perm, axis=2, out=buf, mode="clip")
-            theta = (scale * couplings[:, run] * tau)[..., None, None]
-            cos, isin = np.cos(theta), 1j * np.sin(theta)
-            coeffs[0] = cos[:, 0]
-            coeffs[1] = table.permuted_coefficients(run[0], isin[:, 0])
-            for j, g in enumerate(run[1:], 1):
-                # (beta, alpha)[perm]
-                np.take(coeffs[::-1], perm, axis=3, out=swapped, mode="clip")
-                swapped *= table.permuted_coefficients(g, isin[:, j])
-                coeffs *= cos[:, j]
-                coeffs += swapped
-            buf *= coeffs[1, ..., None]
-            stack *= coeffs[0, ..., None]
-            stack += buf
-    return stack
+
+    def swept(sweeps: tuple[tuple[float, bool], ...]) -> np.ndarray:
+        stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
+        for scale, forward in sweeps:
+            _sweep(stack, table, runs if forward else reversed_runs, couplings, scale, tau)
+        return stack
+
+    sweeps = schedule.sweeps
+    scales = [scale for (scale, forward), pair_end in zip(sweeps[::2], sweeps[1::2])
+              if not forward and pair_end == (scale, True)]
+    if not scales or 2 * len(scales) != len(sweeps):
+        return swept(sweeps)
+    mirror = table.mirror
+    pairs = {}
+    for scale in dict.fromkeys(scales):  # each distinct scale once
+        if mirror is None:
+            pairs[scale] = swept(((scale, False), (scale, True)))
+        else:
+            forward = swept(((scale, True),))
+            pairs[scale] = forward @ _mirrored(forward, mirror)
+    rounds = pairs[scales[0]]
+    for scale in scales[1:]:
+        rounds = pairs[scale] @ rounds
+    return rounds
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
@@ -335,8 +389,10 @@ def fixed_state_error(
     ``state`` must be a normalized vector of shape (D,).  Costs what one
     ``observed_error`` does before its norm: one ``eigh`` per parity block of
     H (two D/2 blocks for even k, one D block for odd k), one round matrix
-    (Upsilon in-place updates per run of live terms of equal shift, about
-    half the live terms at k = 4) and its r-th power on the blocks
+    (one sweep per distinct Strang pair, two for k = 2 mod 4, each one
+    in-place update per run of live terms of equal shift, about half the
+    live terms at k = 4, then Upsilon/2 - 1 block matmuls for the pairs'
+    product) and its r-th power on the blocks
     by repeated squaring (log2 r squarings plus one product per further set
     bit of r), then one block matrix-vector product: the state splits by
     parity, ||E psi||^2 = sum_q ||E_q psi_q||^2.

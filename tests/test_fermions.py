@@ -215,6 +215,37 @@ class TestTermTable:
                 with pytest.raises(ValueError):
                     array[0] = 0
 
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 8])
+    def test_mirror_transposes_every_term(self, k):
+        """Q K_g^T Q^dag = K_g for every term on dense matrices, Q a product
+        of every odd or every even Majorana; its block data is Q's entries:
+        row sectors[q, j] holds c[q, j] in column sectors[q ^ swap, j ^
+        shift], and phase = c c^dag in every sector."""
+        for n in range(k + k % 2, 12, 2):
+            table = term_table(n, k)
+            mirror = table.mirror
+            assert mirror.pauli in [
+                reduce(multiply, (jordan_wigner(i, n) for i in range(first, n + 1, 2)))
+                for first in (1, 2)]
+            q_mat = to_dense(mirror.pauli)
+            for pauli in table.terms:
+                term = to_dense(pauli)
+                assert np.array_equal(q_mat @ term.T @ q_mat.conj().T, term)
+            sectors = table.sectors
+            num_blocks, width = sectors.shape
+            columns = sectors[np.arange(num_blocks)[:, None] ^ mirror.swap,
+                              np.arange(width) ^ mirror.shift]
+            assert np.count_nonzero(q_mat) == q_mat.shape[0]
+            entries = q_mat[sectors, columns]
+            assert np.all(np.abs(entries) == 1)
+            assert np.array_equal(mirror.phase,
+                                  entries[:, :, None] * entries[:, None, :].conj())
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_no_mirror_when_k_is_2_mod_4(self, k):
+        for n in range(k + 2, 16, 2):
+            assert term_table(n, k).mirror is None
+
     def test_cached_per_n_k(self):
         assert term_table(8, 4) is term_table(8, 4)
         assert term_table(8, 3) is not term_table(8, 4)
@@ -233,6 +264,7 @@ class TestTermTable:
         assemble(n, k, sample_dense(n, k).couplings[None])
         assert "sectors" in vars(term_table(n, k))
         assert "powers" in vars(term_table(n, k))
+        assert "mirror" not in vars(term_table(n, k))  # read by the round kernel alone
         assert len(term_operator_calls) == math.comb(n, k)
 
     def test_terms_alone_allocate_no_basis(self):

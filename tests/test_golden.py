@@ -4,14 +4,18 @@ The files under ``tests/golden/`` were last written by the commands below
 when the config keys ``overhead`` and ``mode``, which no command read, were
 deleted: only their two comment lines (``# overhead = none`` and
 ``# mode = operator_norm``) went, and every data row and fit line stayed
-byte-identical.  The numbers of the four scan files were last written when
-the round kernel began to fuse each run of consecutive terms of equal shift
-into one step, alpha + beta P_s, instead of one step per term: a longer run
-rounds differently, so observed values moved by at most 2.2e-11 relative
-(before that, when eigh, the Trotter power and the Schatten norm moved onto
-the parity blocks of the error operator, by at most 3.4e-11).  Any change
-to these bytes is a numerical or format change and must be a deliberate one
-(regenerate the files with the same commands and say why).
+byte-identical.  The numbers of the three l = 2 scan files were last
+written when the round kernel began to build each Strang pair F R from one
+forward sweep F, with the reverse sweep R = Q F^T Q^dag for the term
+table's mirror Q: the mirrored sweep and the pair's matmul round
+differently, so observed values moved by at most 1.5e-11 relative and
+their standard errors by at most 7.0e-11 (``scan_t.csv``, at l = 1, kept
+its bytes).  Before that they moved by at most 2.2e-11 when the kernel
+began to fuse each run of consecutive terms of equal shift into one step,
+alpha + beta P_s, and by at most 3.4e-11 when eigh, the Trotter power and
+the Schatten norm moved onto the parity blocks of the error operator.  Any
+change to these bytes is a numerical or format change and must be a
+deliberate one (regenerate the files with the same commands and say why).
 ``scan_n_odd.csv`` (k = 3: one sector, B = 1) pins the odd-k path that the
 k = 4 files do not reach.
 ``bounds.csv`` pins the analytical bounds, which read no random numbers:

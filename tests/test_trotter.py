@@ -262,13 +262,15 @@ class TestShiftRuns:
 class TestRoundMatrices:
     """The stack kernel: N samples at once equal N one-sample calls, and the
     parity layout equals the full-D reference to ulps (bit for bit where
-    every run holds one term)."""
+    every run holds one term and the round is built sweep after sweep)."""
 
-    @pytest.mark.parametrize("n,k", [(8, 4), (10, 4), (8, 3)])
+    @pytest.mark.parametrize("n,k", [(8, 4), (10, 4), (8, 3), (8, 2)])
     def test_dense_stack_is_separate_calls(self, n, k):
+        """Both pair routes, one pair and a product of pairs: a mirror for
+        k = 3 and 4, none for k = 2."""
         instances = [sample_dense(n, k, seed=50, sample_index=i) for i in range(5)]
-        sched = build_schedule(2)
-        _assert_stack_is_separate_calls(instances, sched, 0.3)
+        for order in (2, 4):
+            _assert_stack_is_separate_calls(instances, build_schedule(order), 0.3)
 
     def test_sparse_stack_shares_one_mask(self):
         mask = sample_bernoulli_mask(10, 4, 4.0, 51, 0)
@@ -308,9 +310,11 @@ class TestRoundMatrices:
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_one_exponential_per_sweep_and_live_term(self, monkeypatch, order):
         """A round applies one exponential, one ``permuted_coefficients``
-        call, per sweep and live term: stages x Gamma for dense rows, stages x
-        (terms some row keeps) for a stack of different sparse masks, and
-        none at tau = 0."""
+        call, per built sweep and live term: built x Gamma for dense rows,
+        built x (terms some row keeps) for a stack of different sparse masks,
+        and none at tau = 0.  l = 1 builds its one sweep; an even l builds
+        each distinct Strang pair once, as one forward sweep with the table's
+        mirror and as a reverse and a forward sweep without one."""
         calls = []
         original = fermions.TermTable.permuted_coefficients
 
@@ -319,21 +323,25 @@ class TestRoundMatrices:
             return original(self, g, *args)
 
         monkeypatch.setattr(fermions.TermTable, "permuted_coefficients", counted)
-        n, k = 10, 4
-        dense = np.array([sample_dense(n, k, seed=58, sample_index=i).couplings
-                          for i in range(3)])
-        masks = np.array([sample_bernoulli_mask(n, k, 4.0, 58, i) for i in range(3)])
-        sparse = np.array([sample_sparse(n, k, kappa=4.0, seed=58, coupling_index=i,
-                                         mask=mask).couplings for i, mask in enumerate(masks)])
-        kept = np.count_nonzero(masks.any(axis=0))
-        assert 0 < kept < masks.shape[1]
         sched = build_schedule(order)
-        for couplings, tau, expected in ((dense, 0.3, sched.stages * dense.shape[1]),
-                                         (sparse, 0.3, sched.stages * kept),
-                                         (dense, 0.0, 0)):
-            calls.clear()
-            trotter._round_matrices(n, k, couplings, sched, tau)
-            assert len(calls) == expected
+        for n, k, kappa, built in (
+                (10, 4, 4.0, {1: 1, 2: 1, 4: 2}),  # a mirror: one sweep per distinct pair
+                (10, 2, 1.0, {1: 1, 2: 2, 4: 4})):  # none: two sweeps per distinct pair
+            assert (term_table(n, k).mirror is None) == (k == 2)
+            dense = np.array([sample_dense(n, k, seed=58, sample_index=i).couplings
+                              for i in range(3)])
+            masks = np.array([sample_bernoulli_mask(n, k, kappa, 58, i) for i in range(3)])
+            sparse = np.array([
+                sample_sparse(n, k, kappa=kappa, seed=58, coupling_index=i, mask=mask).couplings
+                for i, mask in enumerate(masks)])
+            kept = np.count_nonzero(masks.any(axis=0))
+            assert 0 < kept < masks.shape[1]
+            for couplings, tau, expected in ((dense, 0.3, built[order] * dense.shape[1]),
+                                             (sparse, 0.3, built[order] * kept),
+                                             (dense, 0.0, 0)):
+                calls.clear()
+                trotter._round_matrices(n, k, couplings, sched, tau)
+                assert len(calls) == expected
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -356,11 +364,13 @@ class TestRoundMatrices:
             _assert_ulps_from(ours, _round_matrix_reference(inst, sched, 0.6))
 
     @pytest.mark.parametrize("order", [1, 2, 4])
-    @pytest.mark.parametrize("n,k", [(10, 4), (10, 3)])
+    @pytest.mark.parametrize("n,k", [(10, 4), (10, 3), (10, 2)])
     def test_one_term_runs_are_the_reference_bits(self, n, k, order):
         """With every coupling zeroed but the first of each equal-shift run,
         each run holds one live term, whose step is the reference's step
-        operation for operation."""
+        operation for operation.  So a round built term by term, l = 1 and,
+        without a mirror (k = 2), l = 2, is the reference's bit for bit; a
+        mirrored sweep or a product of pairs rounds differently, to ulps."""
         shifts = term_table(n, k).shifts
         first_of_run = np.concatenate(([True], shifts[1:] != shifts[:-1]))
         assert not first_of_run.all()
@@ -370,21 +380,51 @@ class TestRoundMatrices:
             for inst in instances
         ]
         sched = build_schedule(order)
+        term_by_term = order == 1 or (order == 2 and term_table(n, k).mirror is None)
         for inst, ours in zip(instances, _stack(instances, sched, 0.7)):
-            assert np.array_equal(ours, _round_matrix_reference(inst, sched, 0.7))
+            reference = _round_matrix_reference(inst, sched, 0.7)
+            if term_by_term:
+                assert np.array_equal(ours, reference)
+            else:
+                _assert_ulps_from(ours, reference)
 
     def test_fused_rounds_add_no_floor(self):
-        """Fused runs keep each round's parity blocks unitary to round-off,
-        max_q ||S_q^dag S_q - I||_F / sqrt(W) <= 1e-13, at n = 12, k = 4,
-        l = 2, tau = 0.01."""
-        n, k = 12, 4
-        couplings = np.array([sample_dense(n, k, seed=61, sample_index=i).couplings
-                              for i in range(2)])
-        rounds = trotter._round_matrices(n, k, couplings, build_schedule(2), 0.01)
-        width = rounds.shape[-1]
-        defect = np.linalg.norm(np.conj(np.swapaxes(rounds, -1, -2)) @ rounds - np.eye(width),
-                                axis=(-2, -1)) / math.sqrt(width)
-        assert defect.max() <= 1e-13
+        """Fused runs, mirrored sweeps (k = 4) and products of pairs (l = 4,
+        with and without a mirror) keep each round's parity blocks unitary
+        to round-off, max_q ||S_q^dag S_q - I||_F / sqrt(W) <= 1e-13, at
+        n = 12, tau = 0.01."""
+        n = 12
+        for k, order in ((4, 2), (4, 4), (2, 4)):
+            assert (term_table(n, k).mirror is None) == (k == 2)
+            couplings = np.array([sample_dense(n, k, seed=61, sample_index=i).couplings
+                                  for i in range(2)])
+            rounds = trotter._round_matrices(n, k, couplings, build_schedule(order), 0.01)
+            width = rounds.shape[-1]
+            defect = np.linalg.norm(
+                np.conj(np.swapaxes(rounds, -1, -2)) @ rounds - np.eye(width),
+                axis=(-2, -1)) / math.sqrt(width)
+            assert defect.max() <= 1e-13
+
+    @pytest.mark.parametrize("n,k", [(8, 1), (10, 3), (10, 4), (10, 5), (10, 8)])
+    def test_mirrored_forward_sweep_is_the_reverse_sweep(self, n, k):
+        """Q F^T Q^dag, F the forward sweep, equals the reverse sweep to
+        ulps, on a dense stack and on a stack of different sparse masks."""
+        mirror = term_table(n, k).mirror
+        dense = np.array([sample_dense(n, k, seed=63, sample_index=i).couplings
+                          for i in range(3)])
+        kappa = math.comb(n, k) / (2 * n)  # each term kept with probability 1/2
+        sparse = np.array([
+            sample_sparse(n, k, kappa=kappa, seed=63, coupling_index=i,
+                          mask=sample_bernoulli_mask(n, k, kappa, 63, i)).couplings
+            for i in range(3)
+        ])
+        assert len({tuple(row != 0) for row in sparse}) == 3
+        for couplings in (dense, sparse):
+            forward, reverse = (
+                trotter._round_matrices(n, k, couplings, trotter.Schedule(((0.35, fwd),)), 0.8)
+                for fwd in (True, False))
+            assert np.max(np.abs(forward - reverse)) > 1e-6  # far above the ulps
+            _assert_ulps_from(trotter._mirrored(forward, mirror), reverse)
 
 
 class TestObservedError:
