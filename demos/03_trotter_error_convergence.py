@@ -35,10 +35,12 @@ for r in (64, 128, 256, 512):
     prev = errs
 print("expected ratios: 2 (first order), 4 (second order)")
 
-# second-order schedule structure: a reverse sweep then a forward sweep over
-# the terms, each at scale 1/2, as (scale, forward?) pairs
-sched = build_schedule(2)
-print(f"\nS_2 sweeps: {sched.sweeps}")
+# schedule structure: S_1 is one forward sweep over the terms, S_2 a reverse
+# then a forward sweep at scale 1/2, and Suzuki's recursion makes S_4 five S_2
+# factors, so a round of S_l has Upsilon sweeps over the terms
+print()
+for l in (1, 2, 4):
+    print(f"sweeps per round of S_{l}: Upsilon = {build_schedule(l).stages}")
 
 # The fixed-state error ||E psi|| and the spectral error ||E||_inf come from
 # the same error operator E = exp(iHt) - S_2(t/r)**r, so the first can never

@@ -1,16 +1,23 @@
 """Lie-Trotter-Suzuki schedules and Trotterized evolution.
 
-A schedule is the product formula S_l(tau) as its sweeps: an ordered list of
-(scale, forward) pairs, listed in application order (sweeps[0] acts on the
-state first), each meaning "apply exp(i * scale * tau * J_g K_g) for every
-live term g, in increasing g if forward, else decreasing".  A term is live
-when tau != 0 and some coupling on it is nonzero; the rest are the identity.
-Suzuki's recursion (J. Math. Phys. 32, 400 (1991))
+A schedule is the product formula S_l(tau) by its order l.  A sweep at scale
+s applies exp(i * s * tau * J_g K_g) for every live term g, in increasing g
+if forward, else decreasing; a term is live when tau != 0 and some coupling
+on it is nonzero, and the rest are the identity.  S_1(tau) is one forward
+sweep at scale 1, and S_2(tau) = F R is the Strang pair: R the reverse
+sweep at scale 1/2, applied first, then F the forward one.  Suzuki's
+recursion (J. Math. Phys. 32, 400 (1991))
 
     S_{2p}(tau) = S_{2p-2}(q_p tau)^2 S_{2p-2}((1-4q_p) tau) S_{2p-2}(q_p tau)^2,
     q_p = 1 / (4 - 4**(1/(2p-1))),
 
-gives Upsilon = 2 * 5**(l/2 - 1) sweeps per round; S_1 is one forward sweep.
+gives every higher even order.  Flattened, a round is Upsilon =
+2 * 5**(l/2 - 1) sweeps (``stage_count``, the count the bounds and gate
+counts use).  The kernel instead evaluates the recursion on round matrices:
+it builds A = S_{l-2}(q_p tau) once and squares it, so a round of order
+l >= 4 builds 2**(l/2 - 1) Strang pairs and takes 3 * (2**(l/2 - 1) - 1)
+block matmuls beyond them (3 at l = 4, 9 at l = 6), where multiplying out
+the flattened pairs would take 5**(l/2 - 1) - 1.
 
 For even k every x_g has even popcount, so H, exp(iHt) and S_l(tau) keep the
 parity of the basis index: each is block diagonal with B = 2 parity sectors
@@ -32,16 +39,12 @@ kernel reads only couplings and the samples' masks may differ: a term that
 is dead for some samples of a stack is an exact identity for them, and a
 stack's rounds equal its samples' one-sample calls entry for entry.
 
-Every even-l round is a product of Strang pairs S_2(s tau) = F R, F the
-forward sweep at scale s/2 and R the reverse one, with only a few distinct
-scales (one at l = 2, two at l = 4).  The kernel builds each distinct pair
-once and multiplies the pairs, Upsilon/2 - 1 block matmuls per round.  For
-k != 2 (mod 4) the term table's ``mirror``, a Pauli string Q with
-Q K_g^T Q^dag = K_g for every term, gives R = Q F^T Q^dag: a pair is one
-sweep, one gather and one block matmul, so l = 2 builds one sweep and l = 4
-two, against Upsilon.  For k = 2 (mod 4) no such Q exists and each pair is
-its reverse sweep, then its forward sweep, on one stack: two sweeps per
-distinct pair.
+For k != 2 (mod 4) the term table's ``mirror``, a Pauli string Q with
+Q K_g^T Q^dag = K_g for every term, gives R = Q F^T Q^dag: a Strang pair is
+one sweep, one gather and one block matmul, so an even-l round builds
+2**(l/2 - 1) sweeps (one at l = 2, two at l = 4, four at l = 6).  For
+k = 2 (mod 4) no such Q exists and each pair is its reverse sweep, then its
+forward sweep, on one stack: twice as many sweeps.
 
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
 by ``_error_operators``, which reads only (n, k), coupling rows and a built
@@ -60,8 +63,9 @@ is kept for tests and the benchmark tracer and has no production caller.
 A run of one term takes the floating-point operations of a one-matrix,
 full-D, term-by-term build, entry for entry, and so does a round built
 sweep after sweep on one stack: l = 1, and l = 2 without a mirror.  A
-longer run, a mirrored sweep and a product of pairs round differently, so
-the rounds match such a build to ulps (1e-13 at n <= 12), not bit for bit.
+longer run, a mirrored sweep and the recursion's products (l >= 4) round
+differently, so the rounds match such a build to ulps (1e-13 at n <= 12),
+not bit for bit.
 """
 
 from __future__ import annotations
@@ -92,14 +96,16 @@ __all__ = [
 ]
 
 # Bytes of round-matrix parity blocks in one stack.  The kernel's working set
-# is a sweep F with its take() buffer, F's mirror and their product (with the
-# pairs and the running product at l >= 4), which stays inside a 2 MiB L2 at
-# l = 2; at D = 256 a stack holds one sample.
+# is a sweep F with its take() buffer, F's mirror and their product, plus at
+# l >= 4 one squared factor A^2 per open level of the recursion (l/2 nested
+# stacks in all), which stays inside a 2 MiB L2 at l = 2; at D = 256 a stack
+# holds one sample.
 _STACK_BYTES = 256 * 1024
 
-# Largest order the Trotter path builds: Upsilon = 2*5**7 sweeps; the
-# bounds and gate counts, which need only stage_count, take every even l
-# whose Upsilon has at most 4300 digits, Python's default int-to-str limit.
+# Largest order the Trotter path builds: 2**7 Strang pairs per round, whose
+# count doubles with each order; the bounds and gate counts, which need only
+# stage_count, take every even l whose Upsilon has at most 4300 digits,
+# Python's default int-to-str limit.
 _MAX_ORDER = 16
 _MAX_STAGE_DIGITS = 4300
 
@@ -119,42 +125,25 @@ def stage_count(order: int) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Product formula S_l as its Upsilon sweeps over the terms."""
+    """Product formula S_l by its order l, as ``build_schedule`` checks it."""
 
-    sweeps: tuple[tuple[float, bool], ...]  # (scale, forward?) in application order
+    order: int
 
     @property
     def stages(self) -> int:
-        """Upsilon, the number of sweeps per round."""
-        return len(self.sweeps)
-
-
-def _sweep_scales(order: int) -> list[tuple[float, bool]]:
-    """List of (scale, forward?) sweeps of S_l in application order."""
-    if order == 1:
-        return [(1.0, True)]
-    if order == 2:
-        # S_2(tau) = (reverse sweep at tau/2)(forward sweep at tau/2):
-        # applied to a state, the reverse sweep acts first.
-        return [(0.5, False), (0.5, True)]
-    p = order // 2
-    q = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * p - 1)))
-    inner = _sweep_scales(order - 2)
-    out: list[tuple[float, bool]] = []
-    for block_scale in (q, q, 1.0 - 4.0 * q, q, q):
-        out.extend((block_scale * s, fwd) for s, fwd in inner)
-    return out
+        """Upsilon, the number of sweeps per round of the flattened formula."""
+        return stage_count(self.order)
 
 
 def build_schedule(order: int) -> Schedule:
     """Schedule for S_l and the one check of a Trotter-path order l: 1 or
-    even >= 2, as ``stage_count``, and at most ``_MAX_ORDER``, since the path
-    holds its Upsilon sweeps as a list (about 79 MiB at l = 18)."""
+    even >= 2, as ``stage_count``, and at most ``_MAX_ORDER``, since a round
+    builds 2**(l/2-1) Strang pairs, twice as many with each order."""
     if order > _MAX_ORDER and order % 2 == 0:
-        raise ValueError(f"order l (--l) = {order} exceeds {_MAX_ORDER}: its "
-                         "2*5**(l/2-1) sweeps per round are more than the Trotter path holds")
+        raise ValueError(f"order l (--l) = {order} exceeds {_MAX_ORDER}: a round "
+                         "would build 2**(l/2-1) Strang pairs, twice as many with each order")
     stage_count(order)
-    return Schedule(tuple(_sweep_scales(order)))
+    return Schedule(order)
 
 
 def _shift_runs(shifts: np.ndarray, live: np.ndarray) -> list[list[int]]:
@@ -222,45 +211,42 @@ def _round_matrices(
     n: int, k: int, couplings: np.ndarray, schedule: Schedule, tau: float
 ) -> np.ndarray:
     """S_l(tau) for each row of ``couplings`` (N, Gamma), all of one (n, k),
-    as an (N, B, W, W) stack of parity blocks on the table's sectors.
+    as an (N, B, W, W) stack of parity blocks on the table's sectors, by
+    Suzuki's recursion on round matrices (counted in the module docstring).
 
     A sweep is ``_sweep`` on the live terms' runs of ``_shift_runs``,
     walked in reverse for a reversed sweep; a term is live when tau != 0
-    and some sample's coupling on it is nonzero.  A schedule of Strang
-    pairs (a reverse sweep, then a forward sweep of equal scale: every even
-    l) builds each distinct pair F R once, as F @ Q F^T Q^dag with the
-    table's ``mirror`` Q, else as R then F in place on one identity stack,
-    and multiplies the pairs in application order.  Any other schedule
-    (l = 1) is its sweeps in place on the identity.
+    and some sample's coupling on it is nonzero.  l = 1 is one forward
+    sweep in place on the identity.  S_2(s tau) is F @ Q F^T Q^dag with the
+    table's ``mirror`` Q, else R then F in place on one identity stack.  For
+    l >= 4, S_l(s tau) builds A = S_{l-2}(q s tau) once and returns
+    A^2 S_{l-2}((1-4q) s tau) A^2.
     """
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
     runs = _shift_runs(table.shifts, np.flatnonzero(couplings.any(axis=0) & (tau != 0)))
     reversed_runs = [run[::-1] for run in runs[::-1]]
 
-    def swept(sweeps: tuple[tuple[float, bool], ...]) -> np.ndarray:
+    def swept(*sweeps: tuple[float, bool]) -> np.ndarray:
         stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
         for scale, forward in sweeps:
             _sweep(stack, table, runs if forward else reversed_runs, couplings, scale, tau)
         return stack
 
-    sweeps = schedule.sweeps
-    scales = [scale for (scale, forward), pair_end in zip(sweeps[::2], sweeps[1::2])
-              if not forward and pair_end == (scale, True)]
-    if not scales or 2 * len(scales) != len(sweeps):
-        return swept(sweeps)
-    mirror = table.mirror
-    pairs = {}
-    for scale in dict.fromkeys(scales):  # each distinct scale once
-        if mirror is None:
-            pairs[scale] = swept(((scale, False), (scale, True)))
-        else:
-            forward = swept(((scale, True),))
-            pairs[scale] = forward @ _mirrored(forward, mirror)
-    rounds = pairs[scales[0]]
-    for scale in scales[1:]:
-        rounds = pairs[scale] @ rounds
-    return rounds
+    def suzuki(order: int, scale: float) -> np.ndarray:
+        if order == 1:
+            return swept((scale, True))
+        if order == 2:
+            if table.mirror is None:
+                return swept((scale / 2, False), (scale / 2, True))
+            forward = swept((scale / 2, True))
+            return forward @ _mirrored(forward, table.mirror)
+        q = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
+        outer = suzuki(order - 2, q * scale)
+        outer = outer @ outer
+        return outer @ suzuki(order - 2, (1.0 - 4.0 * q) * scale) @ outer
+
+    return suzuki(schedule.order, 1.0)
 
 
 def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
@@ -389,11 +375,10 @@ def fixed_state_error(
     ``state`` must be a normalized vector of shape (D,).  Costs what one
     ``observed_error`` does before its norm: one ``eigh`` per parity block of
     H (two D/2 blocks for even k, one D block for odd k), one round matrix
-    (one sweep per distinct Strang pair, two for k = 2 mod 4, each one
-    in-place update per run of live terms of equal shift, about half the
-    live terms at k = 4, then Upsilon/2 - 1 block matmuls for the pairs'
-    product) and its r-th power on the blocks
-    by repeated squaring (log2 r squarings plus one product per further set
+    (its sweeps and block matmuls as the module docstring counts them, each
+    sweep one in-place update per run of live terms of equal shift, about
+    half the live terms at k = 4) and its r-th power on the blocks by
+    repeated squaring (log2 r squarings plus one product per further set
     bit of r), then one block matrix-vector product: the state splits by
     parity, ||E psi||^2 = sum_q ||E_q psi_q||^2.
     """

@@ -29,26 +29,40 @@ from syklab.trotter import (
 class TestSchedule:
     def test_first_order_forward_sweep(self):
         sched = build_schedule(1)
-        assert sched.sweeps == ((1.0, True),)
-        assert sched.stages == 1
+        assert sched.order == sched.stages == 1
+        couplings = np.array([sample_dense(8, 4, seed=19, sample_index=i).couplings
+                              for i in range(2)])
+        assert np.array_equal(trotter._round_matrices(8, 4, couplings, sched, 0.6),
+                              _swept(8, 4, couplings, 0.6, (1.0, True)))
 
     def test_second_order_reverse_then_forward(self):
+        """S_2 is the reverse sweep at scale 1/2, then the forward one: built
+        so without a mirror (k = 2), and through F's mirror to ulps (k = 4)."""
         sched = build_schedule(2)
-        assert sched.sweeps == ((0.5, False), (0.5, True))
-        assert sched.stages == 2
+        assert sched.order == sched.stages == 2
+        for k in (2, 4):
+            couplings = np.array([sample_dense(8, k, seed=19, sample_index=i).couplings
+                                  for i in range(2)])
+            ours = trotter._round_matrices(8, k, couplings, sched, 0.6)
+            swept = _swept(8, k, couplings, 0.6, (0.5, False), (0.5, True))
+            if term_table(8, k).mirror is None:
+                assert np.array_equal(ours, swept)
+            else:
+                _assert_ulps_from(ours, swept)
 
     @pytest.mark.parametrize("order,expected", [(1, 1), (2, 2), (4, 10), (6, 50)])
     def test_stage_counts(self, order, expected):
         assert stage_count(order) == expected
-        sched = build_schedule(order)
-        assert sched.stages == len(sched.sweeps) == expected
+        assert build_schedule(order).stages == len(_sweeps(order)) == expected
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_per_term_coefficients_sum_to_one(self, order):
-        """Every sweep passes every term once, so a term's coefficients are
-        the sweep scales: they sum to 1, half in each direction."""
+        """The reference flattening ``_sweeps``, which the kernel's l >= 4
+        rounds are checked against, passes every term once per sweep, so a
+        term's coefficients are the sweep scales: they sum to 1, half in
+        each direction."""
         sums = {True: 0.0, False: 0.0}
-        for scale, forward in build_schedule(order).sweeps:
+        for scale, forward in _sweeps(order):
             sums[forward] += scale
         assert sums[True] == pytest.approx(0.5, abs=1e-14)
         assert sums[False] == pytest.approx(0.5, abs=1e-14)
@@ -58,9 +72,9 @@ class TestSchedule:
             build_schedule(3)
 
     def test_rejects_an_order_past_the_sweep_cap(self):
-        """l = 16 holds 2*5**7 sweeps; l = 18's list would be about 79 MiB,
-        so the Trotter path refuses it, while stage_count (the bounds' and
-        gate counts' one use of l) still takes it."""
+        """A round of l = 16 builds 2**7 Strang pairs and each order doubles
+        them, so the Trotter path refuses l = 18, while stage_count (the
+        bounds' and gate counts' one use of l) still takes it."""
         assert build_schedule(16).stages == 2 * 5**7
         with pytest.raises(ValueError, match=r"order l \(--l\) = 18 exceeds 16"):
             build_schedule(18)
@@ -72,11 +86,37 @@ class TestSchedule:
             stage_count(12306)
 
 
+def _sweeps(order):
+    """S_l flattened by Suzuki's recursion into (scale, forward?) sweeps in
+    application order, independent of the kernel's recursion on matrices."""
+    if order == 1:
+        return [(1.0, True)]
+    if order == 2:
+        return [(0.5, False), (0.5, True)]
+    q = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
+    return [(block * scale, forward) for block in (q, q, 1.0 - 4.0 * q, q, q)
+            for scale, forward in _sweeps(order - 2)]
+
+
 def _steps(schedule, gamma):
     """The schedule as (scale, 0-based term index) steps in application order:
     each sweep one forward or reverse pass over all ``gamma`` terms."""
-    return [(scale, i) for scale, forward in schedule.sweeps
+    return [(scale, i) for scale, forward in _sweeps(schedule.order)
             for i in (range(gamma) if forward else reversed(range(gamma)))]
+
+
+def _swept(n, k, couplings, tau, *sweeps):
+    """The (N, B, W, W) identity stack with ``trotter._sweep`` applied for
+    each (scale, forward?) of ``sweeps`` in order, on the kernel's runs."""
+    table = term_table(n, k)
+    num_blocks, width = table.sectors.shape
+    runs = trotter._shift_runs(table.shifts,
+                               np.flatnonzero(couplings.any(axis=0) & (tau != 0)))
+    stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
+    for scale, forward in sweeps:
+        walk = runs if forward else [run[::-1] for run in runs[::-1]]
+        trotter._sweep(stack, table, walk, couplings, scale, tau)
+    return stack
 
 
 def _naive_product(instance, order, t, r):
@@ -126,7 +166,7 @@ class TestTrotterized:
         couplings[7] = inst.couplings[7]
         single = dataclasses.replace(inst, couplings=couplings)
         exact = exact_evolution(dense_hamiltonian(single), 1.3)
-        for order, r in ((1, 1), (2, 3), (4, 2)):
+        for order, r in ((1, 1), (2, 3), (4, 2), (6, 2)):
             sched = build_schedule(order)
             approx = trotterized(single, sched, 1.3, r)
             assert np.linalg.norm(exact - approx) < 1e-12
@@ -167,7 +207,7 @@ class TestTrotterized:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_one_round_is_the_reference_round(self, k):
         inst = sample_dense(8, k, seed=54)
-        for order in (1, 2, 4):
+        for order in (1, 2, 4, 6):
             sched = build_schedule(order)
             _assert_ulps_from(trotterized(inst, sched, 0.7, 1),
                               _round_matrix_reference(inst, sched, 0.7))
@@ -204,16 +244,22 @@ def _round_matrix_reference(instance, schedule, tau):
     return mat
 
 
+def _place(blocks, n, k):
+    """Each (B, W, W) parity-block sample of ``blocks`` placed into D x D."""
+    sectors = term_table(n, k).sectors
+    assert blocks.shape[1:] == sectors.shape + sectors.shape[-1:]
+    full = np.zeros((len(blocks), sectors.size, sectors.size), dtype=complex)
+    full[:, sectors[:, :, None], sectors[:, None, :]] = blocks
+    return full
+
+
 def _stack(instances, schedule, tau):
     """The kernel's (N, B, W, W) parity blocks, each sample placed into D x D."""
     first = instances[0]
     couplings = np.array([inst.couplings for inst in instances])
     blocks = trotter._round_matrices(first.n, first.k, couplings, schedule, tau)
-    sectors = term_table(first.n, first.k).sectors
-    assert blocks.shape == (len(instances),) + sectors.shape + sectors.shape[-1:]
-    full = np.zeros((len(instances), sectors.size, sectors.size), dtype=complex)
-    full[:, sectors[:, :, None], sectors[:, None, :]] = blocks
-    return full
+    assert len(blocks) == len(instances)
+    return _place(blocks, first.n, first.k)
 
 
 def _assert_stack_is_separate_calls(instances, schedule, tau):
@@ -307,14 +353,15 @@ class TestRoundMatrices:
         stack = _stack(instances, build_schedule(2), 0.0)
         assert np.array_equal(stack, np.broadcast_to(np.eye(16), stack.shape))
 
-    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2, 4, 6])
     def test_one_exponential_per_sweep_and_live_term(self, monkeypatch, order):
         """A round applies one exponential, one ``permuted_coefficients``
         call, per built sweep and live term: built x Gamma for dense rows,
         built x (terms some row keeps) for a stack of different sparse masks,
         and none at tau = 0.  l = 1 builds its one sweep; an even l builds
-        each distinct Strang pair once, as one forward sweep with the table's
-        mirror and as a reverse and a forward sweep without one."""
+        the 2**(l/2-1) Strang pairs of Suzuki's recursion, each as one forward
+        sweep with the table's mirror and as a reverse and a forward sweep
+        without one."""
         calls = []
         original = fermions.TermTable.permuted_coefficients
 
@@ -325,8 +372,8 @@ class TestRoundMatrices:
         monkeypatch.setattr(fermions.TermTable, "permuted_coefficients", counted)
         sched = build_schedule(order)
         for n, k, kappa, built in (
-                (10, 4, 4.0, {1: 1, 2: 1, 4: 2}),  # a mirror: one sweep per distinct pair
-                (10, 2, 1.0, {1: 1, 2: 2, 4: 4})):  # none: two sweeps per distinct pair
+                (10, 4, 4.0, {1: 1, 2: 1, 4: 2, 6: 4}),  # a mirror: one sweep per pair
+                (10, 2, 1.0, {1: 1, 2: 2, 4: 4, 6: 8})):  # none: two sweeps per pair
             assert (term_table(n, k).mirror is None) == (k == 2)
             dense = np.array([sample_dense(n, k, seed=58, sample_index=i).couplings
                               for i in range(3)])
@@ -389,12 +436,12 @@ class TestRoundMatrices:
                 _assert_ulps_from(ours, reference)
 
     def test_fused_rounds_add_no_floor(self):
-        """Fused runs, mirrored sweeps (k = 4) and products of pairs (l = 4,
-        with and without a mirror) keep each round's parity blocks unitary
-        to round-off, max_q ||S_q^dag S_q - I||_F / sqrt(W) <= 1e-13, at
-        n = 12, tau = 0.01."""
+        """Fused runs, mirrored sweeps (k = 4) and the recursion's products
+        (l = 4 with and without a mirror, l = 6 without) keep each round's
+        parity blocks unitary to round-off, max_q ||S_q^dag S_q - I||_F /
+        sqrt(W) <= 1e-13, at n = 12, tau = 0.01."""
         n = 12
-        for k, order in ((4, 2), (4, 4), (2, 4)):
+        for k, order in ((4, 2), (4, 4), (2, 4), (2, 6)):
             assert (term_table(n, k).mirror is None) == (k == 2)
             couplings = np.array([sample_dense(n, k, seed=61, sample_index=i).couplings
                                   for i in range(2)])
@@ -420,9 +467,8 @@ class TestRoundMatrices:
         ])
         assert len({tuple(row != 0) for row in sparse}) == 3
         for couplings in (dense, sparse):
-            forward, reverse = (
-                trotter._round_matrices(n, k, couplings, trotter.Schedule(((0.35, fwd),)), 0.8)
-                for fwd in (True, False))
+            forward, reverse = (_swept(n, k, couplings, 0.8, (0.35, fwd))
+                                for fwd in (True, False))
             assert np.max(np.abs(forward - reverse)) > 1e-6  # far above the ulps
             _assert_ulps_from(trotter._mirrored(forward, mirror), reverse)
 
@@ -927,7 +973,7 @@ def test_averaged_error_checks_the_cap_before_any_draw(kappa, n, k):
 def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, order, t, r,
                                                        message):
     """t, r and the order l are refused before a coupling or mask is drawn;
-    l = 24 would hold 2*5**11 sweeps (about 10 GB)."""
+    a round of l = 24 would build 2**11 Strang pairs."""
     def no_draw(*args, **kwargs):
         raise AssertionError("a coupling or mask was drawn")
 
@@ -938,14 +984,11 @@ def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, order
 
 def test_term_order_changes_s_but_not_u():
     """A reversed sweep order gives a different S for the same exact U."""
-    from syklab.trotter import Schedule
-
     inst = sample_dense(6, 3, seed=39)
-    sched_fwd = build_schedule(1)
-    sched_rev = Schedule(((1.0, False),))
     t, r = 1.0, 8
-    s_fwd = trotterized(inst, sched_fwd, t, r)
-    s_rev = trotterized(inst, sched_rev, t, r)
+    s_fwd = trotterized(inst, build_schedule(1), t, r)
+    rounds = _swept(6, 3, inst.couplings[None], t / r, (1.0, False))
+    s_rev = _place(trotter._matrix_power(rounds, r), 6, 3)[0]
     assert np.linalg.norm(s_fwd - s_rev) > 1e-8  # S depends on the order
     exact = exact_evolution(dense_hamiltonian(inst), t)  # U does not
     for s in (s_fwd, s_rev):
