@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import _validate_nk, bernoulli_probability, sigma_dense, sigma_sparse
-from .trotter import _check_r, stage_count
+from .trotter import _check_norm_order, _check_r, stage_count
 
 __all__ = [
     "BoundInput",
@@ -85,13 +85,9 @@ class BoundInput:
     prefactor_mode: str = "full"  # "full" | "unit"
 
     def __post_init__(self) -> None:
-        if not 2 <= self.p < math.inf:
-            raise ValueError(
-                f"norm order p (--p) must satisfy 2 <= p < inf (got {self.p}); "
-                "for the operator norm use solve-r's finite p* = log(e^2 D/delta)"
-            )
+        _check_norm_order(self.p)
         if not self.t >= 0:  # nan too
-            raise ValueError("time t must be nonnegative")
+            raise ValueError(f"time t (--t) must be nonnegative, got {self.t}")
         _check_r(self.r)
         if self.prefactor_mode not in ("full", "unit"):
             raise ValueError(f"unknown prefactor_mode {self.prefactor_mode!r}")
@@ -253,9 +249,8 @@ def error_bound(inp: BoundInput) -> float:
 
 @dataclass(frozen=True)
 class SolverInput:
-    """Inputs for the concentration-inequality Trotter-number solver.
-
-    The solver bounds the error by ``error_bound`` at ``base`` with its p and
+    """Inputs for the concentration-inequality Trotter-number solver, and its
+    criterion lambda(r) <= target: ``error_bound`` at ``base`` with its p and
     r replaced, so ``base.kappa`` alone selects the sparse bound.
     """
 
@@ -273,20 +268,26 @@ class SolverInput:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.base.t <= 0:  # at t = 0 every r meets any epsilon
             raise ValueError(f"the solver needs time t (--t) > 0, got {self.base.t}")
+        if q_of(self.base.n, self.base.k) == 0:  # k = n: one term, exact at every r
+            raise ValueError(f"the solver needs Q(n, k) > 0, got k (--k) = n = {self.base.n}")
 
     def p_star(self) -> float:
         """log(e^2 ||I||_p^p / delta): D = 2^(n/2) in operator mode, 1 fixed-state."""
         log_dim = 0.5 * self.base.n * math.log(2.0) if self.mode == "operator_norm" else 0.0
         return 2.0 + log_dim - math.log(self.delta)
 
+    def lam(self, r: int) -> float:
+        """lambda(r) = Delta(p*, r)/p* for the bound of ``base``."""
+        p_star = self.p_star()
+        return error_bound(replace(self.base, p=p_star, r=r)) / p_star
+
+    def target(self) -> float:
+        """epsilon/(e p*): r meets epsilon when lambda(r) <= target."""
+        return self.epsilon / (math.e * self.p_star())
+
 
 class ContractError(ValueError):
     """The bound violated the solver's monotonicity contract."""
-
-
-def _lambda_factory(inp: SolverInput):
-    """lambda(p, r) = Delta(p, r)/p for the bound of ``inp.base``."""
-    return lambda p, r: error_bound(replace(inp.base, p=p, r=r)) / p
 
 
 def solve_trotter_number(inp: SolverInput) -> int:
@@ -297,15 +298,12 @@ def solve_trotter_number(inp: SolverInput) -> int:
     result is verified by back substitution (and r-1 checked to violate the
     inequality).
     """
-    p_star = inp.p_star()
-    lam = _lambda_factory(inp)
-    target = inp.epsilon / (math.e * p_star)
-
-    if not lam(p_star, 1) > 0 or lam(p_star, 2) >= lam(p_star, 1):
+    target = inp.target()
+    if not inp.lam(1) > 0 or inp.lam(2) >= inp.lam(1):
         raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
 
     def ok(r: int) -> bool:
-        return lam(p_star, r) <= target
+        return inp.lam(r) <= target
 
     hi = 1
     while not ok(hi):

@@ -257,13 +257,8 @@ def cmd_solve_r(config: ExperimentConfig) -> str:
     for mode in ("operator_norm", "fixed_state"):
         sinp = bounds.SolverInput(config.epsilon, config.delta, mode, base)
         r = bounds.solve_trotter_number(sinp)
-        p_star = sinp.p_star()
-        lam = bounds._lambda_factory(sinp)(p_star, r)
-        target = config.epsilon / (math.e * p_star)
-        lines.append(
-            f"  {mode}: r = {r}  (lambda(p*, r) = {lam:.6e} <= {target:.6e}, "
-            f"p* = {p_star:.4f})"
-        )
+        lines.append(f"  {mode}: r = {r}  (lambda(p*, r) = {sinp.lam(r):.6e} <= "
+                     f"{sinp.target():.6e}, p* = {sinp.p_star():.4f})")
         for overhead, g in bounds.gate_counts(config.l, gamma, r, n).items():
             lines.append(f"    gate count [{overhead}]: {g:.6e}")
     return "\n".join(lines)

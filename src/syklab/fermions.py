@@ -109,15 +109,15 @@ class Mirror:
     in its parity-block coordinates.
 
     Q maps row b = sectors[q, j] to column b ^ x_Q = sectors[q ^ swap, j ^
-    shift] with entry c[q, j], a power of i.  So for any block-diagonal F,
-    block q of Q F^T Q^dag has entry phase[q, j, l] * F_{q ^ swap}[l ^ shift,
-    j ^ shift] at (j, l), with phase[q, j, l] = c[q, j] conj(c[q, l]).
+    shift] with entry c[q, j] = i**powers[q, j].  So for any block-diagonal
+    F, block q of Q F^T Q^dag has entry c[q, j] conj(c[q, l]) F_{q ^ swap}[l
+    ^ shift, j ^ shift] at (j, l).
     """
 
     pauli: PauliString
     swap: int  # 1 if Q maps parity sector q to 1 - q, else 0
     shift: int  # Q maps position j to j ^ shift in every sector
-    phase: np.ndarray  # (B, W, W) complex, read-only: c[q, j] conj(c[q, l])
+    powers: np.ndarray  # (B, W) uint8, read-only: Q's row as a term's in TermTable.powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +136,9 @@ class TermTable:
     permuted_coefficients(g), so block q of K_g @ M has row j = coeff[q, j] *
     M_q[j ^ s_g].  Every entry of a Pauli string is a power of i, so coeff is
     stored as its exponents: coeff[q, j] = i**powers[g, q, j].  ``sectors``
-    (D * 8 bytes), ``powers`` (Gamma * D bytes) and ``mirror`` (D * W * 16
-    bytes) are built on first read, so a caller that reads only ``terms``
-    pays for none; the rest takes at most Gamma * 72 bytes (64 per term).
+    (D * 8 bytes), ``powers`` (Gamma * D bytes) and ``mirror`` (D bytes) are
+    built on first read, so a caller that reads only ``terms`` pays for none;
+    the rest takes at most Gamma * 72 bytes (64 per term).
     """
 
     n: int
@@ -168,29 +168,23 @@ class TermTable:
     @cached_property
     def mirror(self) -> Mirror | None:
         """The :class:`Mirror` Q with Q K_g^T Q^dag = K_g for every term, or
-        None.  Q is chi_1 chi_3 ... chi_{n-1} or chi_2 chi_4 ... chi_n,
-        whichever passes for every term; one of them does unless k = 2
-        (mod 4).  Conjugation by a Pauli string Q multiplies K_g by
-        (-1)**(|x_Q & z_g| + |z_Q & x_g|) and transposition by
-        (-1)**|x_g & z_g| (Y^T = -Y), so Q passes iff that sum is even for
-        every g.  Built on first read, like ``powers``."""
-        for first in (1, 2):
-            pauli = reduce(multiply, (jordan_wigner(i, self.n)
-                                      for i in range(first, self.n + 1, 2)))
-            if all(((pauli.x_mask & term.z_mask).bit_count()
-                    + (pauli.z_mask & term.x_mask).bit_count()
-                    + (term.x_mask & term.z_mask).bit_count()) % 2 == 0
-                   for term in self.terms):
-                break
-        else:
+        None, chosen from (n, k): K_g^T = (-1)**(k(k-1)/2 + e_g) K_g, e_g the
+        even indices of g (Y^T = -Y), and the product of the m = n/2 odd (even)
+        Majoranas conjugates chi_i to (-1)**m chi_i, or (-1)**(m-1) chi_i for
+        its own factors, so Q K_g^T Q^dag = (-1)**(k(k-1)/2 + k(m-1)) K_g for
+        Q = chi_1 chi_3 ... chi_{n-1} and (-1)**(k(k-1)/2 + k m) K_g for chi_2
+        chi_4 ... chi_n, whatever g.  Both are odd for k = 2 (mod 4): None.
+        Built on first read, like ``powers``."""
+        if self.k % 4 == 2:
             return None
+        # the odd product where its exponent is even (every k = 0 (mod 4)), else the even one
+        first = 1 if (self.k * (self.k - 1) // 2 + self.k * (self.n // 2 - 1)) % 2 == 0 else 2
+        pauli = reduce(multiply, (jordan_wigner(i, self.n) for i in range(first, self.n + 1, 2)))
         num_blocks = self.sectors.shape[0]
         powers = _entry_powers(pauli, self.sectors)
-        # c_j conj(c_l) = i**(powers[j] - powers[l]); uint8 wraps mod 256, a multiple of 4
-        phase = _POWERS_OF_I.take((powers[:, :, None] - powers[:, None, :]) % 4)
-        phase.flags.writeable = False
+        powers.flags.writeable = False
         return Mirror(pauli, swap=(num_blocks - 1) * (pauli.x_mask.bit_count() & 1),
-                      shift=pauli.x_mask >> (num_blocks - 1), phase=phase)
+                      shift=pauli.x_mask >> (num_blocks - 1), powers=powers)
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
         """scale * coeff: the (B, W) nonzero entries of scale * K_g; an

@@ -108,7 +108,7 @@ def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
 def _check_schatten_order(p: float) -> None:
     """The one check of a Schatten order: p >= 1, inf allowed."""
     if not p >= 1:  # nan too
-        raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
+        raise ValueError(f"Schatten order p (--p) must satisfy p >= 1, got {p}")
 
 
 def _check_power(base: float, power: float, p: float, what: str) -> None:

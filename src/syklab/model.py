@@ -118,7 +118,7 @@ def bernoulli_probability(n: int, k: int, kappa: float) -> tuple[float, bool]:
     """
     _validate_nk(n, k)
     if not kappa >= 0:  # nan too: min(1.0, nan) would keep every term
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+        raise ValueError(f"kappa (--kappa) must be nonnegative, got {kappa}")
     gamma = math.comb(n, k)
     try:
         raw = kappa * n / gamma

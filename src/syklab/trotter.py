@@ -55,11 +55,11 @@ most ``_STACK_BYTES``.  Every stage runs once per stack: assembly (H comes
 from ``assemble`` as the same block stack), round kernel, eigh, power and E;
 a consumer holds one stack of E at a time, and only the Schatten norm is
 taken per sample.  Each public entry checks its inputs once, before any
-coupling is drawn or D-sized array is built: the order l in
-``build_schedule``, the dense cap, r and t in ``_check_path``; the private
-stages check nothing.  Blocks meet D space only where ``fixed_state_error``
-splits its state and ``trotterized`` returns a D x D matrix; ``trotterized``
-is kept for tests and the benchmark tracer and has no production caller.
+coupling is drawn or D-sized array is built: the order l in ``Schedule``,
+the dense cap, r and t in ``_check_path``; the private stages check
+nothing.  Blocks meet D space only where ``fixed_state_error`` splits its
+state and ``trotterized`` returns a D x D matrix; ``trotterized`` is kept
+for tests and the benchmark tracer and has no production caller.
 A run of one term takes the floating-point operations of a one-matrix,
 full-D, term-by-term build, entry for entry, and so does a round built
 sweep after sweep on one stack: l = 1, and l = 2 without a mirror.  A
@@ -78,7 +78,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fermions import Mirror, TermTable, hilbert_dim, term_table
+from .fermions import _POWERS_OF_I, Mirror, TermTable, hilbert_dim, term_table
 from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
@@ -125,9 +125,17 @@ def stage_count(order: int) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Product formula S_l by its order l, as ``build_schedule`` checks it."""
+    """Product formula S_l by its order l, checked here: 1 or even >= 2, as
+    ``stage_count``, and at most ``_MAX_ORDER``, since a round builds
+    2**(l/2-1) Strang pairs, twice as many with each order."""
 
     order: int
+
+    def __post_init__(self) -> None:
+        if self.order > _MAX_ORDER and self.order % 2 == 0:
+            raise ValueError(f"order l (--l) = {self.order} exceeds {_MAX_ORDER}: a round "
+                             "would build 2**(l/2-1) Strang pairs, twice as many with each order")
+        stage_count(self.order)
 
     @property
     def stages(self) -> int:
@@ -136,13 +144,7 @@ class Schedule:
 
 
 def build_schedule(order: int) -> Schedule:
-    """Schedule for S_l and the one check of a Trotter-path order l: 1 or
-    even >= 2, as ``stage_count``, and at most ``_MAX_ORDER``, since a round
-    builds 2**(l/2-1) Strang pairs, twice as many with each order."""
-    if order > _MAX_ORDER and order % 2 == 0:
-        raise ValueError(f"order l (--l) = {order} exceeds {_MAX_ORDER}: a round "
-                         "would build 2**(l/2-1) Strang pairs, twice as many with each order")
-    stage_count(order)
+    """Schedule for S_l; ``Schedule`` checks l."""
     return Schedule(order)
 
 
@@ -200,11 +202,14 @@ def _sweep(
 
 def _mirrored(stack: np.ndarray, mirror: Mirror) -> np.ndarray:
     """Q F^T Q^dag for each (B, W, W) block stack F of ``stack``, with Q the
-    term table's ``mirror``: one gather and one phase multiply."""
+    term table's ``mirror``: one gather and one multiply by the mirror's
+    (B, W, W) phase, formed here from Q's (B, W) entries once per stack."""
     num_blocks, width = stack.shape[-3:-1]
     sectors = (np.arange(num_blocks) ^ mirror.swap)[:, None, None]
     perm = np.arange(width) ^ mirror.shift
-    return stack[:, sectors, perm, perm[:, None]] * mirror.phase
+    # c_j conj(c_l) = i**(powers[j] - powers[l]); uint8 wraps mod 256, a multiple of 4
+    phase = _POWERS_OF_I.take((mirror.powers[:, :, None] - mirror.powers[:, None, :]) % 4)
+    return stack[:, sectors, perm, perm[:, None]] * phase
 
 
 def _round_matrices(
@@ -275,6 +280,14 @@ def _check_r(r: int) -> None:
             f"Trotter number r (--r) must satisfy 1 <= r <= {sys.float_info.max!r}")
 
 
+def _check_norm_order(p: float) -> None:
+    """The one check of the norm order p of a disorder average or a bound,
+    which BoundInput and averaged_error share: 2 <= p < inf."""
+    if not 2 <= p < math.inf:
+        raise ValueError(f"norm order p (--p) must satisfy 2 <= p < inf (got {p}); for the "
+                         "operator norm use solve-r's finite p* = log(e^2 D/delta)")
+
+
 def _check_path(n: int, t: float, r: int) -> None:
     """The one check of a Trotter-path entry's n, t and r: the dense cap,
     before any D-sized array is built, then r, then t (finite)."""
@@ -322,9 +335,9 @@ def _error_operators(
 def observed_error(instance: SykInstance, order: int, t: float, r: int, p: float) -> float:
     """Normalized Trotter error ||E||_p / D**(1/p); p = inf is the operator norm."""
     _check_schatten_order(p)
+    schedule = build_schedule(order)
     _check_path(instance.n, t, r)
-    err = next(_error_operators(instance.n, instance.k, instance.couplings[None],
-                                build_schedule(order), t, r))
+    err = next(_error_operators(instance.n, instance.k, instance.couplings[None], schedule, t, r))
     return schatten_norm(err, p) / hilbert_dim(instance.n) ** (1.0 / p)
 
 
@@ -342,11 +355,7 @@ def averaged_error(
     expectation (inside).  The order, the dense cap, t and r are checked
     before the first group is drawn.
     """
-    if not 2 <= p < math.inf:
-        raise ValueError(
-            f"need 2 <= p < inf for the disorder-averaged error (--p; got {p}); "
-            "for the operator norm use solve-r's finite p* = log(e^2 D/delta)"
-        )
+    _check_norm_order(p)
     if num_disorder < 2:
         raise ValueError(f"need N_disorder >= 2 for a standard error, got {num_disorder}")
     if kappa is not None and num_bernoulli < 2:
@@ -391,8 +400,8 @@ def fixed_state_error(
         )
     if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # nan too
         raise ValueError("input state must be normalized to 1 within 1e-12")
+    schedule = build_schedule(order)
     _check_path(instance.n, t, r)
-    err = next(_error_operators(instance.n, instance.k, instance.couplings[None],
-                                build_schedule(order), t, r))
+    err = next(_error_operators(instance.n, instance.k, instance.couplings[None], schedule, t, r))
     psi = state[term_table(instance.n, instance.k).sectors, None]
     return float(np.linalg.norm(err @ psi))

@@ -192,12 +192,10 @@ def test_criterion_10_solver_soundness(criterion_report):
                     sinp = bounds.SolverInput(epsilon, delta, mode, base)
                     r = bounds.solve_trotter_number(sinp)
                     rs[mode] = r
-                    lam = bounds._lambda_factory(sinp)
-                    p_star = sinp.p_star()
-                    target = epsilon / (math.e * p_star)
-                    ok &= lam(p_star, r) <= target
+                    target = epsilon / (math.e * sinp.p_star())
+                    ok &= sinp.lam(r) <= target
                     if r > 1:
-                        ok &= lam(p_star, r - 1) > target
+                        ok &= sinp.lam(r - 1) > target
                 ok &= rs["fixed_state"] <= rs["operator_norm"]
     criterion_report(10, "Trotter-number solver soundness (3x3x2 grid)", ok)
     assert ok

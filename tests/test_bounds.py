@@ -128,7 +128,7 @@ class TestDelta1:
 
     @pytest.mark.parametrize("t", [-1.0, math.nan])
     def test_negative_or_nan_t_rejected(self, t):
-        with pytest.raises(ValueError, match="time t must be nonnegative"):
+        with pytest.raises(ValueError, match=rf"time t \(--t\) must be nonnegative, got {t}"):
             BoundInput(n=8, k=4, l=1, p=2, t=t, r=10)
 
     @pytest.mark.parametrize("r", [0, 10**400], ids=["zero", "beyond-float-range"])
@@ -348,19 +348,18 @@ class TestSolver:
     @pytest.mark.parametrize("l", [1, 2])
     @pytest.mark.parametrize("mode", ["operator_norm", "fixed_state"])
     def test_minimality_and_back_substitution(self, l, mode):
-        from syklab.bounds import _lambda_factory
-
         inp = SolverInput(
             epsilon=0.05, delta=0.02, mode=mode,
             base=BoundInput(n=10, k=4, l=l, p=2, t=1.0, r=1),
         )
         r = solve_trotter_number(inp)
-        lam = _lambda_factory(inp)
         p_star = inp.p_star()
         target = inp.epsilon / (math.e * p_star)
-        assert lam(p_star, r) <= target
+        assert inp.lam(r) == error_bound(BoundInput(n=10, k=4, l=l, p=p_star, t=1.0, r=r)) / p_star
+        assert inp.target() == target
+        assert inp.lam(r) <= target
         if r > 1:
-            assert lam(p_star, r - 1) > target
+            assert inp.lam(r - 1) > target
 
     def test_fixed_state_needs_fewer_rounds(self):
         for n in (8, 10, 12):

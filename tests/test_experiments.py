@@ -580,6 +580,14 @@ class TestCli:
         (["bounds", "--n", "1000000000", "--k", "41", "--l", "2"],
          "the coupling variance (k-1)! J0^2 / (k n^(k-1)) at n=1000000000 (--n), k=41 "
          "(--k) is below the normal float range"),
+        # k = n: one term, Q = 0, and the product formula is exact at every r
+        (["solve-r", "--n", "8", "--k", "8", "--l", "2"],
+         "the solver needs Q(n, k) > 0, got k (--k) = n = 8"),
+        (["evolve", "--n", "8", "--p", "0.5"],
+         "Schatten order p (--p) must satisfy p >= 1, got 0.5"),
+        (["bounds", "--n", "8", "--t", "-1"], "time t (--t) must be nonnegative, got -1.0"),
+        (["bounds", "--n", "8", "--model", "sparse", "--kappa", "-1"],
+         "kappa (--kappa) must be nonnegative, got -1.0"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -220,7 +220,7 @@ class TestTermTable:
         """Q K_g^T Q^dag = K_g for every term on dense matrices, Q a product
         of every odd or every even Majorana; its block data is Q's entries:
         row sectors[q, j] holds c[q, j] in column sectors[q ^ swap, j ^
-        shift], and phase = c c^dag in every sector."""
+        shift], stored as the (B, W) powers of i that a term has in powers."""
         for n in range(k + k % 2, 12, 2):
             table = term_table(n, k)
             mirror = table.mirror
@@ -237,9 +237,28 @@ class TestTermTable:
                               np.arange(width) ^ mirror.shift]
             assert np.count_nonzero(q_mat) == q_mat.shape[0]
             entries = q_mat[sectors, columns]
-            assert np.all(np.abs(entries) == 1)
-            assert np.array_equal(mirror.phase,
-                                  entries[:, :, None] * entries[:, None, :].conj())
+            assert np.array_equal(np.array([1, 1j, -1, -1j])[mirror.powers], entries)
+            assert mirror.powers.shape == sectors.shape and not mirror.powers.flags.writeable
+
+    def test_mirror_formula_is_the_term_by_term_search(self):
+        """The mirror picked from (n, k) is the first of the odd and the even
+        Majorana product that passes for every term, tested term by term:
+        conjugation by Q multiplies K_g by (-1)**(|x_Q & z_g| + |z_Q & x_g|)
+        and transposition by (-1)**|x_g & z_g|; every even n <= 16, 1 <= k <= n."""
+        for n in range(2, 17, 2):
+            for k in range(1, n + 1):
+                table = term_table(n, k)
+                searched = None
+                for first in (1, 2):
+                    pauli = reduce(multiply, (jordan_wigner(i, n) for i in range(first, n + 1, 2)))
+                    if all(((pauli.x_mask & term.z_mask).bit_count()
+                            + (pauli.z_mask & term.x_mask).bit_count()
+                            + (term.x_mask & term.z_mask).bit_count()) % 2 == 0
+                           for term in table.terms):
+                        searched = pauli
+                        break
+                mirror = table.mirror
+                assert (None if mirror is None else mirror.pauli) == searched, (n, k)
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_no_mirror_when_k_is_2_mod_4(self, k):

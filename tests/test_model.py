@@ -150,7 +150,8 @@ class TestBernoulliProbability:
     @pytest.mark.parametrize("kappa", [-1.0, math.nan])
     def test_rejects_negative_or_nan_kappa(self, kappa):
         """A nan kappa would clamp to p_B = 1 and keep every term."""
-        with pytest.raises(ValueError, match="kappa must be nonnegative"):
+        with pytest.raises(ValueError,
+                           match=rf"kappa \(--kappa\) must be nonnegative, got {kappa}"):
             bernoulli_probability(8, 4, kappa)
 
 

@@ -17,6 +17,7 @@ from syklab.linalg import ResourceError, exact_evolution
 from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
 from syklab.pauli import _coefficients, to_dense
 from syklab.trotter import (
+    Schedule,
     averaged_error,
     build_schedule,
     fixed_state_error,
@@ -671,7 +672,7 @@ class TestAveragedError:
 
     @pytest.mark.parametrize("p", [1.5, math.inf, math.nan])
     def test_rejects_p_outside_two_to_inf(self, p):
-        with pytest.raises(ValueError, match=r"need 2 <= p < inf .*\(--p"):
+        with pytest.raises(ValueError, match=r"norm order p \(--p\) must satisfy 2 <= p < inf"):
             averaged_error(6, 3, 1, 0.5, 4, p, 41, 3)
 
     def test_dense_is_normalized_mean_over_disorder(self):
@@ -925,6 +926,7 @@ ENTRY_CALLS = {
     "fixed_state_error": lambda inst, order, t, r: fixed_state_error(
         inst, order, t, r, np.eye(hilbert_dim(inst.n), dtype=complex)[0]),
     "trotterized": lambda inst, order, t, r: trotterized(inst, build_schedule(order), t, r),
+    "trotterized-Schedule": lambda inst, order, t, r: trotterized(inst, Schedule(order), t, r),
 }
 
 
@@ -934,11 +936,13 @@ ENTRY_CALLS = {
     (2, 1.0, 0, r"Trotter number r \(--r\) must satisfy 1 <= r"),
     (2, 1.0, 2.5, r"Trotter number r \(--r\) must be an integer, got 2.5"),
     (2, math.inf, 4, "time t must be finite, got inf"),
-], ids=["l-odd", "l-sweeps", "r", "r-non-integral", "t"])
+    (3, 1.0, 0, r"order must be 1 or even >= 2 \(--l\), got 3"),
+], ids=["l-odd", "l-sweeps", "r", "r-non-integral", "t", "l-before-r"])
 @pytest.mark.parametrize("name", ENTRY_CALLS)
 def test_entry_checks_order_t_and_r_before_any_term_table_array(name, order, t, r, message):
     """Each one-instance entry refuses a bad l, r or t itself, before the
-    term table's sector array is built, as averaged_error does before a draw."""
+    term table's sector array is built, as averaged_error does before a draw;
+    a bad l is reported before a bad r, and a Schedule cannot hold one."""
     inst = sample_dense(8, 4, seed=71)
     fermions._build_term_table.cache_clear()
     with pytest.raises(ValueError, match=message):
@@ -968,7 +972,8 @@ def test_averaged_error_checks_the_cap_before_any_draw(kappa, n, k):
     (1, 1.0, 2.5, "Trotter number r .* must be an integer"),
     (3, 1.0, 4, "order must be 1 or even"),
     (24, 1.0, 4, r"order l \(--l\) = 24 exceeds 16"),
-], ids=["r", "t", "r-non-integral", "l-odd", "l-sweeps"])
+    (3, 1.0, 0, "order must be 1 or even"),
+], ids=["r", "t", "r-non-integral", "l-odd", "l-sweeps", "l-before-r"])
 @pytest.mark.parametrize("kappa", [None, 4.0], ids=["dense", "sparse"])
 def test_averaged_error_checks_t_and_r_before_any_draw(monkeypatch, kappa, order, t, r,
                                                        message):
