@@ -48,6 +48,7 @@ __all__ = [
     "delta_l_sparse",
     "error_bound",
     "solve_trotter_number",
+    "term_count",
     "gate_counts",
     "error_ratio",
     "loglog_fit",
@@ -294,18 +295,21 @@ def solve_trotter_number(inp: SolverInput) -> int:
     """Minimal Trotter number r with lambda(p_star, r)/epsilon <= 1/(e*p_star).
 
     p_star = log(e^2 2^(n/2)/delta) in operator_norm mode, log(e^2/delta) in
-    fixed_state mode.  Exponential bracketing from r = 1 plus bisection.  The
-    result is verified by back substitution (and r-1 checked to violate the
-    inequality).
+    fixed_state mode.  Exponential bracketing and bisection from r0, the first
+    power of two with finite lambda, where the contract is checked.  The result
+    is verified by back substitution (and r-1 checked to violate the inequality).
     """
     target = inp.target()
-    if not inp.lam(1) > 0 or inp.lam(2) >= inp.lam(1):
+    hi, lam0 = 1, inp.lam(1)  # hi = r0, where the bracket starts
+    while not math.isfinite(lam0) and hi < 1 << 62:
+        hi *= 2
+        lam0 = inp.lam(hi)
+    if not 0 < lam0 < math.inf or inp.lam(2 * hi) >= lam0:
         raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
 
     def ok(r: int) -> bool:
         return inp.lam(r) <= target
 
-    hi = 1
     while not ok(hi):
         hi *= 2
         if hi > 1 << 62:
@@ -317,21 +321,34 @@ def solve_trotter_number(inp: SolverInput) -> int:
             hi = mid
         else:
             lo = mid + 1
-    r = lo
-    assert ok(r) and (r == 1 or not ok(r - 1))
-    return r
+    if not ok(lo) or (lo > 1 and ok(lo - 1)):  # back substitution
+        raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
+    return lo
 
 
-def gate_counts(order: int, gamma: int, r: int, n: int) -> dict[str, float]:
+def term_count(n: int, k: int, kappa: float | None = None) -> int | float:
+    """Gamma of a gate count: C(n,k), or for the sparse model (``kappa`` set)
+    the expected kept terms p_B C(n,k) = min(kappa n, C(n,k)), as the minimum
+    so that an integer kappa n stays exact (and an int)."""
+    _validate_nk(n, k)
+    if kappa is None:
+        return math.comb(n, k)
+    bernoulli_probability(n, k, kappa)  # checks kappa as the sampler does
+    kept = min(kappa * n, math.comb(n, k))
+    return int(kept) if kept == int(kept) else kept
+
+
+def gate_counts(order: int, gamma: int | float, r: int, n: int) -> dict[str, float]:
     """Gate complexity Upsilon(l) * Gamma * r of n Majoranas under each
     fermion-to-qubit overhead: {"none": 1, "log_n": log2(n) (ternary tree),
-    "linear_n": n (Jordan-Wigner)} times the plain product; inf beyond the
-    float range."""
+    "linear_n": n (Jordan-Wigner)} times the plain product, formed exactly
+    and rounded once; inf beyond the float range."""
     _check_r(r)
-    base = stage_count(order) * gamma * r
+    num, den = gamma.as_integer_ratio()  # exact, for an int or a float Gamma
+    base = stage_count(order) * num * r
 
     def rounded(count: int) -> float:
-        return float(count) if count <= sys.float_info.max else math.inf
+        return count / den if count // den <= sys.float_info.max else math.inf
 
     return {"none": rounded(base), "log_n": rounded(base) * math.log2(n),
             "linear_n": rounded(base * n)}

@@ -249,7 +249,8 @@ def cmd_solve_r(config: ExperimentConfig) -> str:
     """Minimal Trotter numbers and implied gate counts, both solver modes."""
     n = _one_n(config)
     base = _bound_input(config, n, config.t, p=2.0, r=1)  # the solver sets p = p*, r
-    gamma = math.comb(n, config.k)
+    gamma = bounds.term_count(n, config.k, base.kappa)
+    gates = "expected gate count" if base.kappa is not None else "gate count"
     lines = [
         f"solve-r: n={n} k={config.k} l={config.l} model={config.model} "
         f"epsilon={config.epsilon} delta={config.delta}"
@@ -260,17 +261,18 @@ def cmd_solve_r(config: ExperimentConfig) -> str:
         lines.append(f"  {mode}: r = {r}  (lambda(p*, r) = {sinp.lam(r):.6e} <= "
                      f"{sinp.target():.6e}, p* = {sinp.p_star():.4f})")
         for overhead, g in bounds.gate_counts(config.l, gamma, r, n).items():
-            lines.append(f"    gate count [{overhead}]: {g:.6e}")
+            lines.append(f"    {gates} [{overhead}]: {g:.6e}")
     return "\n".join(lines)
 
 
 def cmd_gatecount(config: ExperimentConfig) -> str:
     n = _one_n(config)
-    model._validate_nk(n, config.k)
-    gamma = math.comb(n, config.k)
+    sparse = config.model == "sparse"
+    gamma = bounds.term_count(n, config.k, config.kappa if sparse else None)
+    expected = f" (expected kept terms at kappa={config.kappa})" if sparse else ""
     ups = trotter.stage_count(config.l)
     ups_text = ups if ups <= sys.float_info.max else math.inf  # as gate_counts rounds
-    lines = [f"gatecount: n={n} k={config.k} l={config.l} Gamma={gamma} "
+    lines = [f"gatecount: n={n} k={config.k} l={config.l} Gamma={gamma}{expected} "
              f"Upsilon={ups_text} r={config.r}"]
     for overhead, g in bounds.gate_counts(config.l, gamma, config.r, n).items():
         lines.append(f"  [{overhead}]: {g:.6e}")

@@ -20,7 +20,7 @@ later factor's qubit, so moving the Zs past the Xs costs no sign.
 :func:`term_table` is the one term set of each (n, k): the C(n,k) term
 operators as Pauli strings, which ``chains`` reads, and their
 signed-permutation data and parity sectors, which assembly and
-Trotterization read, and its mirror, which the round kernel reads to build a
+Trotterization read, and its mirror, with which the round kernel builds a
 reverse sweep from a forward one.  It is built once per (n, k) and shared.
 """
 
@@ -40,7 +40,6 @@ __all__ = [
     "jordan_wigner",
     "term_operator",
     "TermTable",
-    "Mirror",
     "term_table",
     "hilbert_dim",
 ]
@@ -104,23 +103,6 @@ def _entry_powers(pauli: PauliString, sectors: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Mirror:
-    """A Pauli string Q with Q K_g^T Q^dag = K_g for every term of a table,
-    in its parity-block coordinates.
-
-    Q maps row b = sectors[q, j] to column b ^ x_Q = sectors[q ^ swap, j ^
-    shift] with entry c[q, j] = i**powers[q, j].  So for any block-diagonal
-    F, block q of Q F^T Q^dag has entry c[q, j] conj(c[q, l]) F_{q ^ swap}[l
-    ^ shift, j ^ shift] at (j, l).
-    """
-
-    pauli: PauliString
-    swap: int  # 1 if Q maps parity sector q to 1 - q, else 0
-    shift: int  # Q maps position j to j ^ shift in every sector
-    powers: np.ndarray  # (B, W) uint8, read-only: Q's row as a term's in TermTable.powers
-
-
-@dataclass(frozen=True, eq=False)
 class TermTable:
     """Read-only term set of all C(n,k) SYK term operators, in parity-block
     coordinates.
@@ -136,9 +118,9 @@ class TermTable:
     permuted_coefficients(g), so block q of K_g @ M has row j = coeff[q, j] *
     M_q[j ^ s_g].  Every entry of a Pauli string is a power of i, so coeff is
     stored as its exponents: coeff[q, j] = i**powers[g, q, j].  ``sectors``
-    (D * 8 bytes), ``powers`` (Gamma * D bytes) and ``mirror`` (D bytes) are
-    built on first read, so a caller that reads only ``terms`` pays for none;
-    the rest takes at most Gamma * 72 bytes (64 per term).
+    (D * 8 bytes), ``powers`` (Gamma * D bytes) and ``mirror`` are built on
+    first read, so a caller that reads only ``terms`` pays for none; the rest
+    takes at most Gamma * 72 bytes (64 per term).
     """
 
     n: int
@@ -166,25 +148,35 @@ class TermTable:
         return powers
 
     @cached_property
-    def mirror(self) -> Mirror | None:
-        """The :class:`Mirror` Q with Q K_g^T Q^dag = K_g for every term, or
+    def mirror(self) -> PauliString | None:
+        """The Pauli string Q with Q K_g^T Q^dag = K_g for every term, or
         None, chosen from (n, k): K_g^T = (-1)**(k(k-1)/2 + e_g) K_g, e_g the
         even indices of g (Y^T = -Y), and the product of the m = n/2 odd (even)
         Majoranas conjugates chi_i to (-1)**m chi_i, or (-1)**(m-1) chi_i for
         its own factors, so Q K_g^T Q^dag = (-1)**(k(k-1)/2 + k(m-1)) K_g for
         Q = chi_1 chi_3 ... chi_{n-1} and (-1)**(k(k-1)/2 + k m) K_g for chi_2
-        chi_4 ... chi_n, whatever g.  Both are odd for k = 2 (mod 4): None.
-        Built on first read, like ``powers``."""
+        chi_4 ... chi_n, whatever g.  Both are odd for k = 2 (mod 4): None."""
         if self.k % 4 == 2:
             return None
         # the odd product where its exponent is even (every k = 0 (mod 4)), else the even one
         first = 1 if (self.k * (self.k - 1) // 2 + self.k * (self.n // 2 - 1)) % 2 == 0 else 2
-        pauli = reduce(multiply, (jordan_wigner(i, self.n) for i in range(first, self.n + 1, 2)))
-        num_blocks = self.sectors.shape[0]
-        powers = _entry_powers(pauli, self.sectors)
-        powers.flags.writeable = False
-        return Mirror(pauli, swap=(num_blocks - 1) * (pauli.x_mask.bit_count() & 1),
-                      shift=pauli.x_mask >> (num_blocks - 1), powers=powers)
+        return reduce(multiply, (jordan_wigner(i, self.n) for i in range(first, self.n + 1, 2)))
+
+    def mirrored(self, stack: np.ndarray) -> np.ndarray:
+        """Q F^T Q^dag for each (B, W, W) block stack F of an (N, B, W, W)
+        ``stack``, Q = ``mirror``: Q maps row sectors[q, j] to column
+        sectors[q ^ swap, j ^ shift] with entry c[q, j] = i**e[q, j], so block
+        q of Q F^T Q^dag is c[q, j] conj(c[q, l]) F_{q ^ swap}[l ^ shift, j ^
+        shift] at (j, l): one gather and one (B, W, W) phase multiply."""
+        num_blocks, width = self.sectors.shape
+        x_mask = self.mirror.x_mask
+        swap = (num_blocks - 1) * (x_mask.bit_count() & 1)  # 1 if Q flips parity
+        sectors = (np.arange(num_blocks) ^ swap)[:, None, None]
+        perm = np.arange(width) ^ (x_mask >> (num_blocks - 1))
+        powers = _entry_powers(self.mirror, self.sectors)
+        # c_j conj(c_l) = i**(e[j] - e[l]); uint8 wraps mod 256, a multiple of 4
+        phase = _POWERS_OF_I.take((powers[:, :, None] - powers[:, None, :]) % 4)
+        return stack[:, sectors, perm, perm[:, None]] * phase
 
     def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
         """scale * coeff: the (B, W) nonzero entries of scale * K_g; an

@@ -40,11 +40,11 @@ is dead for some samples of a stack is an exact identity for them, and a
 stack's rounds equal its samples' one-sample calls entry for entry.
 
 For k != 2 (mod 4) the term table's ``mirror``, a Pauli string Q with
-Q K_g^T Q^dag = K_g for every term, gives R = Q F^T Q^dag: a Strang pair is
-one sweep, one gather and one block matmul, so an even-l round builds
-2**(l/2 - 1) sweeps (one at l = 2, two at l = 4, four at l = 6).  For
-k = 2 (mod 4) no such Q exists and each pair is its reverse sweep, then its
-forward sweep, on one stack: twice as many sweeps.
+Q K_g^T Q^dag = K_g for every term, gives R = Q F^T Q^dag (its ``mirrored``):
+one sweep, one gather and one block matmul make a Strang pair, so an even-l
+round builds 2**(l/2 - 1) sweeps (one at l = 2, two at l = 4, four at l = 6).
+For k = 2 (mod 4) no such Q exists and each pair is its reverse sweep, then
+its forward sweep, on one stack: twice as many sweeps.
 
 The error operator E = exp(iHt) - S_l(t/r)**r is formed on parity blocks
 by ``_error_operators``, which reads only (n, k), coupling rows and a built
@@ -78,7 +78,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fermions import _POWERS_OF_I, Mirror, TermTable, hilbert_dim, term_table
+from .fermions import TermTable, hilbert_dim, term_table
 from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
@@ -200,18 +200,6 @@ def _sweep(
         stack += buf
 
 
-def _mirrored(stack: np.ndarray, mirror: Mirror) -> np.ndarray:
-    """Q F^T Q^dag for each (B, W, W) block stack F of ``stack``, with Q the
-    term table's ``mirror``: one gather and one multiply by the mirror's
-    (B, W, W) phase, formed here from Q's (B, W) entries once per stack."""
-    num_blocks, width = stack.shape[-3:-1]
-    sectors = (np.arange(num_blocks) ^ mirror.swap)[:, None, None]
-    perm = np.arange(width) ^ mirror.shift
-    # c_j conj(c_l) = i**(powers[j] - powers[l]); uint8 wraps mod 256, a multiple of 4
-    phase = _POWERS_OF_I.take((mirror.powers[:, :, None] - mirror.powers[:, None, :]) % 4)
-    return stack[:, sectors, perm, perm[:, None]] * phase
-
-
 def _round_matrices(
     n: int, k: int, couplings: np.ndarray, schedule: Schedule, tau: float
 ) -> np.ndarray:
@@ -222,9 +210,9 @@ def _round_matrices(
     A sweep is ``_sweep`` on the live terms' runs of ``_shift_runs``,
     walked in reverse for a reversed sweep; a term is live when tau != 0
     and some sample's coupling on it is nonzero.  l = 1 is one forward
-    sweep in place on the identity.  S_2(s tau) is F @ Q F^T Q^dag with the
-    table's ``mirror`` Q, else R then F in place on one identity stack.  For
-    l >= 4, S_l(s tau) builds A = S_{l-2}(q s tau) once and returns
+    sweep in place on the identity.  S_2(s tau) is F @ Q F^T Q^dag, the
+    table's ``mirrored(F)``, else R then F in place on one identity stack.
+    For l >= 4, S_l(s tau) builds A = S_{l-2}(q s tau) once and returns
     A^2 S_{l-2}((1-4q) s tau) A^2.
     """
     table = term_table(n, k)
@@ -245,7 +233,7 @@ def _round_matrices(
             if table.mirror is None:
                 return swept((scale / 2, False), (scale / 2, True))
             forward = swept((scale / 2, True))
-            return forward @ _mirrored(forward, table.mirror)
+            return forward @ table.mirrored(forward)
         q = 1.0 / (4.0 - 4.0 ** (1.0 / (order - 1)))
         outer = suzuki(order - 2, q * scale)
         outer = outer @ outer

@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,7 @@ from syklab.bounds import (
     loglog_fit,
     q_of,
     solve_trotter_number,
+    term_count,
 )
 from syklab.linalg import NormEstimate
 from syklab.model import bernoulli_probability, sigma_dense
@@ -404,6 +406,23 @@ class TestSolver:
         base = BoundInput(n=10, k=4, l=2, p=2, t=1, r=1, kappa=4)
         assert solve_trotter_number(SolverInput(0.1, 0.01, "operator_norm", base)) == 4_159_544
 
+    @pytest.mark.parametrize("n,kappa,r_operator", [(6400, None, 1_729_450_923_864_442),
+                                                    (1600, 4.0, 3_527_971_558_710_782)])
+    @pytest.mark.parametrize("mode", ["operator_norm", "fixed_state"])
+    def test_solves_where_lambda_is_inf_at_small_r(self, n, kappa, r_operator, mode):
+        """solve-r --n 6400 --k 3 --l 20 and the sparse n = 1600, kappa = 4
+        one: in operator-norm mode lambda is inf at r = 1 and 2 (the bound
+        leaves the float range), so the contract is checked from the first
+        power of two where lambda is finite, and the solved r is minimal."""
+        inp = SolverInput(0.1, 0.01, mode, BoundInput(n=n, k=3, l=20, p=2, t=1.0, r=1,
+                                                      kappa=kappa))
+        if mode == "operator_norm":
+            assert inp.lam(1) == inp.lam(2) == math.inf
+        r = solve_trotter_number(inp)
+        assert inp.lam(r) <= inp.target() < inp.lam(r - 1)
+        if mode == "operator_norm":
+            assert r == r_operator
+
 
 @pytest.mark.parametrize("n,k", [(1260, 100), (400, 150)])
 def test_bounds_where_n_to_the_k_leaves_float_range(n, k):
@@ -440,6 +459,21 @@ class TestGateCount:
         assert counts == {"none": math.inf, "log_n": math.inf, "linear_n": math.inf}
         # below the float range the exact integer count is rounded once
         assert gate_counts(2, 70, 3**40, 16)["linear_n"] == float(2 * 70 * 3**40 * 16)
+
+    def test_non_integer_gamma_is_exact(self):
+        """A sparse expected Gamma such as 10.4 is multiplied out exactly,
+        and past the float range, from Upsilon or r, the counts are inf."""
+        assert gate_counts(2, 10.4, 3**40, 8)["linear_n"] == float(
+            2 * Fraction(10.4) * 3**40 * 8)
+        assert set(gate_counts(2000, 10.4, 10, 8).values()) == {math.inf}
+        assert set(gate_counts(2, 10.4, 10**308, 8).values()) == {math.inf}
+
+    @pytest.mark.parametrize("kappa,gamma", [(None, 70), (4.0, 32), (1.3, 10.4), (12.5, 70),
+                                             (1e308, 70), (0.0, 0)])
+    def test_term_count(self, kappa, gamma):
+        """C(n,k) dense; min(kappa n, C(n,k)) sparse, an int where kappa n is one."""
+        count = term_count(8, 4, kappa)
+        assert count == gamma and type(count) is type(gamma)
 
     def test_fourth_order_stage_factor(self):
         assert gate_counts(4, 10, 10, 8)["none"] == 10 * 10 * stage_count(4)

@@ -460,6 +460,19 @@ class TestCli:
         assert main(["gatecount", "--n", "8", "--k", "4", "--r", "100"]) == 0
         assert "Gamma=70" in capsys.readouterr().out
 
+    def test_sparse_gatecount_counts_the_expected_kept_terms(self, capsys):
+        """Sparse Gamma is p_B C(n,k) = min(kappa n, C(n,k)): 32 of the 70
+        terms at n = 8, kappa = 4, and all 70 once kappa n passes C(n,k)."""
+        assert main(["gatecount", "--n", "8", "--k", "4", "--l", "2", "--r", "100",
+                     "--model", "sparse"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "gatecount: n=8 k=4 l=2 Gamma=32 (expected kept terms at kappa=4.0) "
+            "Upsilon=2 r=100",
+            "  [none]: 6.400000e+03", "  [log_n]: 1.920000e+04", "  [linear_n]: 5.120000e+04"]
+        assert main(["gatecount", "--n", "8", "--k", "4", "--r", "100", "--model", "sparse",
+                     "--kappa", "12.5"]) == 0
+        assert "Gamma=70 (expected kept terms at kappa=12.5)" in capsys.readouterr().out
+
     def test_gatecount_beyond_float_range_is_inf(self, capsys):
         assert main(["gatecount", "--n", "8", "--k", "4", "--r", "1" + "0" * 307]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -218,27 +218,31 @@ class TestTermTable:
     @pytest.mark.parametrize("k", [1, 3, 4, 5, 8])
     def test_mirror_transposes_every_term(self, k):
         """Q K_g^T Q^dag = K_g for every term on dense matrices, Q a product
-        of every odd or every even Majorana; its block data is Q's entries:
-        row sectors[q, j] holds c[q, j] in column sectors[q ^ swap, j ^
-        shift], stored as the (B, W) powers of i that a term has in powers."""
+        of every odd or every even Majorana, and ``mirrored`` is Q F^T Q^dag
+        on the blocks of a random block-diagonal F: the dense product is
+        block diagonal and its blocks are the stack's, entry for entry."""
+        rng = np.random.default_rng(59)
         for n in range(k + k % 2, 12, 2):
             table = term_table(n, k)
-            mirror = table.mirror
-            assert mirror.pauli in [
+            assert table.mirror in [
                 reduce(multiply, (jordan_wigner(i, n) for i in range(first, n + 1, 2)))
                 for first in (1, 2)]
-            q_mat = to_dense(mirror.pauli)
+            q_mat = to_dense(table.mirror)
             for pauli in table.terms:
                 term = to_dense(pauli)
                 assert np.array_equal(q_mat @ term.T @ q_mat.conj().T, term)
             sectors = table.sectors
             num_blocks, width = sectors.shape
-            columns = sectors[np.arange(num_blocks)[:, None] ^ mirror.swap,
-                              np.arange(width) ^ mirror.shift]
-            assert np.count_nonzero(q_mat) == q_mat.shape[0]
-            entries = q_mat[sectors, columns]
-            assert np.array_equal(np.array([1, 1j, -1, -1j])[mirror.powers], entries)
-            assert mirror.powers.shape == sectors.shape and not mirror.powers.flags.writeable
+            stack = (rng.standard_normal((2, num_blocks, width, width))
+                     + 1j * rng.standard_normal((2, num_blocks, width, width)))
+            rows, cols = sectors[:, :, None], sectors[:, None, :]
+            for blocks, mirrored in zip(stack, table.mirrored(stack)):
+                dense = np.zeros((sectors.size, sectors.size), dtype=complex)
+                dense[rows, cols] = blocks
+                expected = q_mat @ dense.T @ q_mat.conj().T
+                assert np.array_equal(expected[rows, cols], mirrored)
+                expected[rows, cols] = 0
+                assert not expected.any()
 
     def test_mirror_formula_is_the_term_by_term_search(self):
         """The mirror picked from (n, k) is the first of the odd and the even
@@ -257,8 +261,7 @@ class TestTermTable:
                            for term in table.terms):
                         searched = pauli
                         break
-                mirror = table.mirror
-                assert (None if mirror is None else mirror.pauli) == searched, (n, k)
+                assert table.mirror == searched, (n, k)
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_no_mirror_when_k_is_2_mod_4(self, k):

@@ -23,7 +23,10 @@ k = 4 files do not reach.
 sparse inputs, then ``solve-r``'s report for a few (n, k, l).  It was
 recorded by ``python tests/test_golden.py`` before the (Gamma, Q) evaluators
 were folded into the SYK bound functions, and leaves out k = n (Q = 0) and
-inputs whose squares overflow a float.
+inputs whose squares overflow a float.  Its two sparse ``solve-r`` reports
+were last rewritten when sparse gate counts began to take the expected
+number of kept terms, min(kappa n, C(n,k)), for Gamma: only their gate-count
+lines changed.
 The byte identity is promised within one numpy/BLAS build.
 """
 

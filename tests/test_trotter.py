@@ -457,7 +457,7 @@ class TestRoundMatrices:
     def test_mirrored_forward_sweep_is_the_reverse_sweep(self, n, k):
         """Q F^T Q^dag, F the forward sweep, equals the reverse sweep to
         ulps, on a dense stack and on a stack of different sparse masks."""
-        mirror = term_table(n, k).mirror
+        table = term_table(n, k)
         dense = np.array([sample_dense(n, k, seed=63, sample_index=i).couplings
                           for i in range(3)])
         kappa = math.comb(n, k) / (2 * n)  # each term kept with probability 1/2
@@ -471,7 +471,7 @@ class TestRoundMatrices:
             forward, reverse = (_swept(n, k, couplings, 0.8, (0.35, fwd))
                                 for fwd in (True, False))
             assert np.max(np.abs(forward - reverse)) > 1e-6  # far above the ulps
-            _assert_ulps_from(trotter._mirrored(forward, mirror), reverse)
+            _assert_ulps_from(table.mirrored(forward), reverse)
 
 
 class TestObservedError:
