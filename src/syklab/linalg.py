@@ -8,6 +8,10 @@ is built.  Evolution and norms take one W x W matrix or a stack (..., W, W) of
 the diagonal blocks of a block-diagonal operator, such as its parity sectors:
 exp(iHt) is formed block by block and the norm is that of the whole operator.
 
+``schatten_norm`` takes no SVD at even p: p = 2 is the Frobenius norm, and
+p = 2m >= 4 sums s**p as Tr((E^dag E)**m), the squared Frobenius norm of a
+product of Gram matrices.  Other finite p and p = inf use the SVD.
+
 A finite Schatten order p so large that a p-th power leaves the normal float
 range is refused (ValueError naming p), not reported as a silent 0: in
 ``schatten_norm`` when s_max**p is not normal for s_max > 0 (p != 2), and in
@@ -125,13 +129,31 @@ def schatten_norm(mat: np.ndarray, p: float) -> float:
 
     ``mat`` is one matrix or a stack (..., W, W) of the diagonal blocks of a
     block-diagonal operator, whose singular values are those of all blocks
-    together.  p = 2 is the Frobenius norm of the stack (no SVD); p = inf the
-    largest singular value of any block.  Another p with s_max**p not a
-    normal float is refused (see the module docstring).
+    together.  p = 2 is the Frobenius norm of the stack (no SVD).  An even
+    p = 2m >= 4 takes no SVD either: with G = E^dag E per block, the sum of
+    s**p is ||G**(m/2)||_F**2 for even m and ||E G**((m-1)/2)||_F**2 for odd
+    m, G's power built by repeated squaring.  That sum S is returned only
+    when #s * float_min <= S < inf (#s singular values in all), where
+    s_max**p is normal too, since S / #s <= s_max**p <= S; outside that
+    range the SVD below decides.  Other finite p and p = inf use the SVD;
+    p = inf is the largest singular value of any block.  A finite p with
+    s_max**p not a normal float is refused (see the module docstring).
     """
     _check_schatten_order(p)
     if p == 2:
         return float(np.linalg.norm(mat))
+    if p < math.inf and p % 2 == 0:
+        m = int(p) // 2
+        # a sum out of range (0, inf, or nan from inf * 0) goes to the SVD
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            gram = mat.conj().swapaxes(-1, -2) @ mat
+            root = np.linalg.matrix_power(gram, m // 2)
+            if m % 2:
+                root = mat @ root
+            total = np.vdot(root, root).real
+        count = math.prod(mat.shape[:-2]) * min(mat.shape[-2:])
+        if count * sys.float_info.min <= total < math.inf:
+            return float(total ** (1.0 / p))
     svals = np.linalg.svd(mat, compute_uv=False)
     if np.isinf(p):
         return float(svals.max(initial=0.0))

@@ -4,7 +4,10 @@ The files under ``tests/golden/`` were last written by the commands below
 when the config keys ``overhead`` and ``mode``, which no command read, were
 deleted: only their two comment lines (``# overhead = none`` and
 ``# mode = operator_norm``) went, and every data row and fit line stayed
-byte-identical.  The numbers of the three l = 2 scan files were last
+byte-identical.  ``scan_t.csv`` (p = 4) was last rewritten when even
+Schatten orders began to sum s**p from Gram products instead of the SVD:
+values in 3 of its 4 rows moved by at most 4.7e-16 relative, and its fit
+lines kept their bytes.  The numbers of the three l = 2 scan files were last
 written when the round kernel began to build each Strang pair F R from one
 forward sweep F, with the reverse sweep R = Q F^T Q^dag for the term
 table's mirror Q: the mirrored sweep and the pair's matmul round

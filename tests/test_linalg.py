@@ -23,6 +23,7 @@ from syklab.linalg import (
 )
 from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
 from syklab.pauli import to_dense
+from syklab.trotter import _error_operators, build_schedule
 
 
 def _assemble(*instances):
@@ -230,7 +231,7 @@ class TestSchattenNorm:
         with pytest.raises(ValueError, match=r"Schatten order p \(--p\) = 200 .*s_max\*\*p"):
             schatten_norm(scale * np.eye(4), 200)
 
-    @pytest.mark.parametrize("p", [2, 3, 4, np.inf])
+    @pytest.mark.parametrize("p", [2, 3, 4, 6, 8, np.inf])
     def test_stack_is_its_block_diagonal_matrix(self, p):
         """A (B, W, W) stack has the norm of the block-diagonal matrix of its
         blocks; the largest singular value sits in the last block."""
@@ -242,6 +243,63 @@ class TestSchattenNorm:
         )
         if p == np.inf:
             assert schatten_norm(stack, p) == max(schatten_norm(b, p) for b in stack)
+
+    @staticmethod
+    def _svd_norm(mat, p):
+        svals = np.linalg.svd(mat, compute_uv=False)
+        return float(np.sum(svals**p) ** (1.0 / p))
+
+    # p = 4 and 8 take the even-m branch of the Gram ladder, 6 and 10 the odd
+    _EVEN_P = [4, 6, 8, 10]
+
+    @pytest.mark.parametrize("p", _EVEN_P)
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 7), (7, 5), (2, 16, 16), (3, 6, 6)])
+    def test_gram_norm_matches_svd_on_random_matrices(self, p, shape):
+        rng = np.random.default_rng(31)
+        mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert schatten_norm(mat, p) == pytest.approx(self._svd_norm(mat, p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", _EVEN_P)
+    @pytest.mark.parametrize("r", [100, 10**5], ids=["r=100", "floor"])
+    def test_gram_norm_matches_svd_on_error_blocks(self, p, r):
+        """Real (2, 8, 8) Trotter error blocks at n = 8, k = 4, l = 2; at
+        r = 1e5 the error sits on the floor, ||E||_F ~ 3e-10."""
+        inst = sample_dense(8, 4, seed=5, sample_index=0)
+        err = next(_error_operators(8, 4, inst.couplings[None], build_schedule(2), 1.0, r))
+        assert err.shape == (2, 8, 8)
+        if r == 10**5:
+            assert np.linalg.norm(err) < 1e-9
+        assert schatten_norm(err, p) == pytest.approx(self._svd_norm(err, p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", _EVEN_P)
+    @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["underflow", "overflow"])
+    def test_gram_ladder_out_of_range_refuses_as_the_svd_does(self, p, scale):
+        """The Gram sum underflows to 0 or overflows to inf (and to nan past
+        the first product, inf * 0): the SVD's refusal is raised, not a
+        floating-point warning."""
+        with pytest.raises(ValueError, match=rf"p \(--p\) = {p} .*s_max\*\*p = "):
+            schatten_norm(scale * np.eye(4, dtype=complex), p)
+
+    def test_even_p_takes_no_svd(self, monkeypatch):
+        """Even p >= 4 in the normal range never calls the SVD; p = 3, p = inf
+        and an even p whose s_max**p is not normal still do."""
+        rng = np.random.default_rng(37)
+        stack = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+
+        class SvdCalled(Exception):
+            pass
+
+        def no_svd(*args, **kwargs):
+            raise SvdCalled
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for p in (2, 4, 6, 8, 10, 20):
+            assert schatten_norm(stack, p) > 0
+        for p in (3, np.inf):
+            with pytest.raises(SvdCalled):
+                schatten_norm(stack, p)
+        with pytest.raises(SvdCalled):
+            schatten_norm(1e3 * np.eye(4), 200)
 
 
 class TestExpectedNorm:
