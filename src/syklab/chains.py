@@ -3,6 +3,12 @@
 Everything here is oracle-grade: exact counts at small sizes, used to verify
 the counting lemmas behind the higher-order bounds.
 
+A :class:`TermSet` is its terms' X and Z mask arrays first: the full SYK set
+of :func:`syk_termset` takes them from ``fermions.term_table(n, k)``, an
+explicit list of terms derives them from its Pauli strings, and
+:func:`build_graph` reads nothing else.  The terms as :class:`PauliString`
+objects are formed only on demand (``TermSet.terms``).
+
 For a chain (j_0, ..., j_{g-1}) over a set of m Pauli terms, the nested
 commutator L_{j_{g-1}} ... L_{j_1}[H_{j_0}] (L_a = [H_a, .]) is nonzero iff
 at every step the next term anticommutes with the accumulated product, since
@@ -22,8 +28,9 @@ depends only on the multiset, so each termset holds one table of them
 (:meth:`TermSet.surviving`), built forward by multiset size: a multiset U
 with count c and product row a extends by term j iff U is empty or bit j of
 a is set, adding c * (U_j + 1) to U + e_j (its copies of j count apart, as
-in S_g).  Each surviving U of size g is then split into every w_vec with
-w_vec_i in {U_i mod 2, U_i mod 2 + 2, ..., U_i} and |w_vec| = w.  The
+in S_g).  Each surviving U of size g is then split, once for every w, into
+each w_vec with w_vec_i in {U_i mod 2, U_i mod 2 + 2, ..., U_i}; the counts
+are kept on the termset per (g, |w_vec|).  The
 Bernoulli average <G_w> weights each w_vec by prod_{i in Supp(w_vec)} b_i
 outside the square and each v_vec by prod_{j in Supp(v_vec) \\ Supp(w_vec)}
 b_j inside.  Expanding the square, b^2 = b and independent b_i with mean p_B
@@ -37,14 +44,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .fermions import term_operator, term_table
+from .fermions import TermTable, _read_only, term_operator, term_table
 from .pauli import PauliString
 
 __all__ = [
@@ -62,17 +68,61 @@ __all__ = [
 
 MAX_CHAIN_LENGTH = 5
 MAX_TERMS = 6
+_WORD = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+def _mask_words(x: list[int], z: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, W) word arrays of :class:`TermSet` for lists of X and Z masks."""
+    biggest = max(x + z, default=0)
+    if biggest <= _WORD:
+        dtype = np.min_scalar_type(biggest)
+        words = [np.array(masks, dtype=dtype)[:, None] for masks in (x, z)]
+    else:
+        shifts = range(0, biggest.bit_length(), 64)
+        words = [np.array([[mask >> s & _WORD for s in shifts] for mask in masks],
+                          dtype=np.uint64) for masks in (x, z)]
+    _read_only(*words)
+    return words[0], words[1]
+
+
 class TermSet:
-    """m Hermitian Pauli terms (any pair commutes or anticommutes)."""
+    """m Hermitian Pauli terms (any pair commutes or anticommutes).
 
-    terms: tuple[PauliString, ...]
+    The terms are held as their masks: ``x`` and ``z`` are (m, W) read-only
+    arrays of the X and Z masks' 64-bit words, least significant first.
+    Masks that fit 64 bits take one word (W = 1) in the narrowest unsigned
+    dtype that holds all of them (uint8 up to 8 qubits).  ``TermSet(terms)``
+    takes a sequence of :class:`PauliString` and derives its masks from
+    them; the full set of :func:`syk_termset` takes the term table's arrays,
+    and its ``terms`` are the table's, formed on first read.
+    """
+
+    _table: TermTable | None = None  # the full SYK set's, which holds its terms
+
+    def __init__(self, terms: Sequence[PauliString]) -> None:
+        self._terms = tuple(terms)
+        self.x, self.z = _mask_words([t.x_mask for t in self._terms],
+                                     [t.z_mask for t in self._terms])
+
+    @classmethod
+    def _of_table(cls, table: TermTable) -> TermSet:
+        termset = cls.__new__(cls)
+        termset._table = table
+        biggest = int(max(table.x_masks.max(initial=0), table.z_masks.max(initial=0)))
+        dtype = np.min_scalar_type(biggest)
+        termset.x, termset.z = (masks.astype(dtype)[:, None]
+                                for masks in (table.x_masks, table.z_masks))
+        _read_only(termset.x, termset.z)
+        return termset
+
+    @property
+    def terms(self) -> tuple[PauliString, ...]:
+        """The terms as Pauli strings; a full SYK set reads its table's."""
+        return self._terms if self._table is None else self._table.terms
 
     @property
     def m(self) -> int:
-        return len(self.terms)
+        return len(self.x)
 
     @cached_property
     def anticommuting(self) -> tuple[int, ...]:
@@ -85,6 +135,10 @@ class TermSet:
     @cached_property
     def _layers(self) -> list[dict[tuple[int, ...], tuple[int, int]]]:
         return [{(0,) * self.m: (1, 0)}]
+
+    @cached_property
+    def _counts(self) -> dict[int, dict[int, list[list[tuple[int, int]]]]]:
+        return {}  # g -> w -> the chain counts of _chain_counts
 
     def surviving(self, size: int) -> dict[tuple[int, ...], tuple[int, int]]:
         """Multisets of ``size`` terms with surviving orderings: count vector
@@ -109,7 +163,7 @@ def syk_termset(n: int, k: int, edges: Sequence[Sequence[int]] | None = None) ->
     """Termset of SYK term operators: those of ``edges``, in order, or by
     default all C(n,k) terms of the cached ``fermions.term_table(n, k)``."""
     if edges is None:
-        return TermSet(term_table(n, k).terms)
+        return TermSet._of_table(term_table(n, k))
     return TermSet(tuple(term_operator(e, n) for e in edges))
 
 
@@ -153,13 +207,17 @@ def _chain_counts(terms: TermSet, g: int, w: int) -> list[list[tuple[int, int]]]
     """For each w_vec with |w_vec| = w, and each v_vec with |w_vec| + 2|v_vec|
     = g whose chains survive: the support mask Supp(w_vec) u Supp(v_vec) of
     eta and the count of its surviving orderings.  A w_vec with no surviving
-    v_vec has no entry."""
-    splits = defaultdict(list)
-    for u, (count, _) in terms.surviving(g).items():
-        for w_vec in product(*(range(c % 2, c + 1, 2) for c in u)):
-            if sum(w_vec) == w:
-                splits[w_vec].append((_support(u), count))
-    return list(splits.values())
+    v_vec has no entry.  The first call for (terms, g) splits each surviving
+    multiset once, into its w_vecs of every w, and keeps the result on
+    ``terms``."""
+    if g not in terms._counts:
+        splits = defaultdict(dict)  # w -> w_vec -> [(support, count)]
+        for u, (count, _) in terms.surviving(g).items():
+            support = _support(u)
+            for w_vec in product(*(range(c % 2, c + 1, 2) for c in u)):
+                splits[sum(w_vec)].setdefault(w_vec, []).append((support, count))
+        terms._counts[g] = {size: list(inner.values()) for size, inner in splits.items()}
+    return terms._counts[g].get(w, [])
 
 
 def gw_bruteforce(terms: TermSet, g: int, w: int) -> int:
@@ -211,13 +269,18 @@ def lemma_e_bound(g: int, w: int, m: int, qmax: int, p_b: float) -> float:
 def build_graph(terms: TermSet) -> np.ndarray:
     """The anticommutation graph as its (m, m) bool adjacency: entry (i, j)
     is set iff terms i and j anticommute (the diagonal is clear), from
-    vectorized symplectic parities."""
-    ts = terms.terms
-    dtype = np.min_scalar_type(max((max(t.x_mask, t.z_mask) for t in ts), default=0))
-    x = np.array([t.x_mask for t in ts], dtype=dtype)
-    z = np.array([t.z_mask for t in ts], dtype=dtype)
-    # |x_i & z_j| + |z_i & x_j| = |(x_i & z_j) ^ (z_i & x_j)| (mod 2)
-    adj = (np.bitwise_count((x[:, None] & z) ^ (z[:, None] & x)) & 1).astype(bool)
+    vectorized symplectic parities of the termset's mask arrays, in their
+    dtype."""
+    m = terms.m
+    # |x_i & z_j| + |z_i & x_j| = |(x_i & z_j) ^ (z_i & x_j)| (mod 2), and
+    # the parities of a mask's words add up (mod 2) as their XOR does
+    acc = np.zeros((m, m), dtype=terms.x.dtype)
+    for x, z in zip(terms.x.T, terms.z.T):
+        acc ^= x[:, None] & z
+        acc ^= z[:, None] & x
+    adj = np.bitwise_count(acc)
+    adj &= 1
+    adj = adj.view(bool)
     np.fill_diagonal(adj, False)
     return adj
 

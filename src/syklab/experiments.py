@@ -202,9 +202,19 @@ def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) ->
     return row
 
 
+def _check_many_terms(name: str, config: ExperimentConfig, ns) -> None:
+    """A scan is refused at k = n, before any row: Q(n, k) = 0, one term, so
+    the product formula is exact, the bound is 0 and an observed error is
+    round-off, with no ratio between them."""
+    if config.k in ns:
+        raise ValueError(f"{name} needs Q(n, k) > 0, got k (--k) = n = {config.k}: "
+                         "one term, so the product formula is exact")
+
+
 def cmd_scan_n(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     """Observed error, bound, and ratio for each n (rows sorted by n)."""
     ns = sorted(config.n_list)
+    _check_many_terms("scan-n", config, ns)
     rows = _run_points(ns, lambda i, n: _scan_point(config, i, n, config.t))
     return rows, rows_to_csv(config, rows)
 
@@ -220,6 +230,7 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
         raise ValueError("t scan needs 0 < t_min (--t-min) < t_max (--t-max) < inf, "
                          f"got t_min={config.t_min}, t_max={config.t_max}")
     n = _one_n(config)
+    _check_many_terms("scan-t", config, (n,))
     ts = np.logspace(
         math.log10(config.t_min), math.log10(config.t_max), config.t_points
     )
@@ -295,11 +306,11 @@ def _check_sign_law() -> tuple[bool, str]:
     included) at n = 8, k = 2, 3, 4."""
     bad = 0
     for k in (2, 3, 4):
-        ts, edges = chains.syk_termset(8, k), model.ordering_map(8, k)
-        for i in range(ts.m):
-            for j in range(i, ts.m):
+        terms, edges = chains.syk_termset(8, k).terms, model.ordering_map(8, k)
+        for i in range(len(terms)):
+            for j in range(i, len(terms)):
                 m_overlap = len(set(edges[i]) & set(edges[j]))
-                bad += commutes(ts.terms[i], ts.terms[j]) != ((k + m_overlap) % 2 == 0)
+                bad += commutes(terms[i], terms[j]) != ((k + m_overlap) % 2 == 0)
     return bad == 0, f"{bad} violations"
 
 

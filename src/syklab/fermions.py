@@ -17,23 +17,28 @@ for an even index, Y = iXZ), and its phase exponent the number of even
 indices plus k(k-1)/2.  In increasing order no factor's Z string reaches a
 later factor's qubit, so moving the Zs past the Xs costs no sign.
 
-:func:`term_table` is the one term set of each (n, k): the C(n,k) term
-operators as Pauli strings, which ``chains`` reads, and their
-signed-permutation data and parity sectors, which assembly and
-Trotterization read, and its mirror, with which the round kernel builds a
-reverse sweep from a forward one.  It is built once per (n, k) and shared.
+:func:`term_table` is the one term set of each (n, k), built from arrays:
+the (C(n,k), k) hyperedges give, by the same closed form in one vectorized
+pass, every term's X and Z masks (uint64) and phase exponent, and from them
+the shifts.  ``chains`` reads the masks; assembly and Trotterization read the
+shifts and the entry powers, parity sectors and mirror built from them on
+first read (the mirror lets the round kernel build a reverse sweep from a
+forward one).  The terms as :class:`PauliString` objects are formed only
+when something reads them.  The table is built once per (n, k) and shared.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
 
-from .model import _validate_n, ordering_map
+from .model import _validate_n, _validate_nk
 from .pauli import PauliString, multiply
 
 __all__ = [
@@ -94,21 +99,46 @@ def term_operator(hyperedge: Sequence[int], n: int) -> PauliString:
 # i**e for e = 0..3, the entries of a Pauli string
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
+# entries of the (terms, B, W) mask transient in each chunk of _entry_powers
+_CHUNK_ENTRIES = 1 << 16
 
-def _entry_powers(pauli: PauliString, sectors: np.ndarray) -> np.ndarray:
-    """(B, W) uint8 e with i**e the entry of ``pauli`` in row b = sectors[q, j]:
-    (phase_exp + 2 parity((b ^ x) & z)) % 4."""
-    parity = np.bitwise_count((sectors ^ pauli.x_mask) & pauli.z_mask) & 1
-    return ((pauli.phase_exp + 2 * parity) % 4).astype(np.uint8)
+
+def _entry_powers(x: np.ndarray, z: np.ndarray, phase_exps: np.ndarray,
+                  sectors: np.ndarray) -> np.ndarray:
+    """(G, B, W) uint8 e with i**e[g, q, j] the entry of the g-th Pauli string
+    (``x``, ``z`` uint64 masks, ``phase_exps``) in row b = sectors[q, j]:
+    (phase_exp + 2 parity((b ^ x) & z)) % 4, where parity((b ^ x) & z) =
+    parity(x & z) ^ parity(b & z).  b and z are below D, so b & z is taken in
+    the narrowest dtype that holds D - 1, a chunk of terms at a time: the
+    transient stays small next to the G * D-byte result."""
+    dtype = np.min_scalar_type(sectors.size - 1)
+    rows, z_rows = sectors.astype(dtype), z.astype(dtype)[:, None, None]
+    offsets = ((phase_exps + 2 * (np.bitwise_count(x & z) & 1)) % 4)[:, None, None]
+    powers = np.empty((len(z),) + sectors.shape, dtype=np.uint8)
+    step = max(1, _CHUNK_ENTRIES // sectors.size)
+    for lo in range(0, len(z), step):
+        block = powers[lo:lo + step]
+        np.bitwise_count(z_rows[lo:lo + step] & rows, out=block)
+        block &= 1
+        block <<= 1
+        block += offsets[lo:lo + step]
+        block &= 3
+    return powers
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
 class TermTable:
-    """Read-only term set of all C(n,k) SYK term operators, in parity-block
-    coordinates.
+    """Read-only term set of all C(n,k) SYK term operators, as arrays, in
+    parity-block coordinates.
 
-    Term g belongs to the g-th hyperedge of ``model.ordering_map(n, k)``;
-    ``terms[g]`` is its :class:`PauliString` K_g.  Every K_g keeps the B
+    Term g belongs to the g-th hyperedge of ``model.ordering_map(n, k)``; its
+    term operator K_g = i**phase_exps[g] X**x_masks[g] Z**z_masks[g] is read
+    as a :class:`PauliString` from ``terms[g]``.  Every K_g keeps the B
     parity sectors of width W = D/B that ``sectors`` lists in increasing
     order: even and odd popcount for even k (B = 2), all D indices for odd k
     (B = 1).  This is the one map from a basis index b to its (sector,
@@ -117,16 +147,28 @@ class TermTable:
     (j, j ^ s_g) with s_g = shifts[g] = x_g >> (B - 1) and coeff =
     permuted_coefficients(g), so block q of K_g @ M has row j = coeff[q, j] *
     M_q[j ^ s_g].  Every entry of a Pauli string is a power of i, so coeff is
-    stored as its exponents: coeff[q, j] = i**powers[g, q, j].  ``sectors``
-    (D * 8 bytes), ``powers`` (Gamma * D bytes) and ``mirror`` are built on
-    first read, so a caller that reads only ``terms`` pays for none; the rest
-    takes at most Gamma * 72 bytes (64 per term).
+    stored as its exponents: coeff[q, j] = i**powers[g, q, j].
+
+    The masks, phase exponents and shifts are built with the table, Gamma *
+    25 bytes.  The rest is built on first read: ``terms`` (Gamma * 72 bytes,
+    a Pauli string and its tuple slot, plus up to 64 for mask integers past
+    256), ``sectors`` (D * 8 bytes), ``powers`` (Gamma * D bytes) and
+    ``mirror``.  A caller that reads only the arrays (``chains.build_graph``,
+    assembly, the round kernel) forms no Pauli string.
     """
 
     n: int
     k: int
-    terms: tuple[PauliString, ...]
+    x_masks: np.ndarray  # (Gamma,) uint64
+    z_masks: np.ndarray  # (Gamma,) uint64
+    phase_exps: np.ndarray  # (Gamma,) uint8, 0..3
     shifts: np.ndarray  # (Gamma,) intp, s_g < W: K_g maps position j to j ^ s_g
+
+    @cached_property
+    def terms(self) -> tuple[PauliString, ...]:
+        """The C(n,k) term operators as Pauli strings, in hyperedge order."""
+        return tuple(map(partial(PauliString, self.n // 2), self.x_masks.tolist(),
+                         self.z_masks.tolist(), self.phase_exps.tolist()))
 
     @cached_property
     def sectors(self) -> np.ndarray:
@@ -134,17 +176,15 @@ class TermTable:
         basis = np.arange(hilbert_dim(self.n))
         parity = np.bitwise_count(basis) & 1 if self.k % 2 == 0 else np.zeros_like(basis)
         sectors = np.stack([basis[parity == q] for q in range(2 - self.k % 2)])
-        sectors.flags.writeable = False
+        _read_only(sectors)
         return sectors
 
     @cached_property
     def powers(self) -> np.ndarray:
         """(Gamma, B, W) uint8: K_g's entry in row b = sectors[q, j] is
         i**powers[g, q, j], powers = (phase_exp + 2 parity((b ^ x_g) & z_g)) % 4."""
-        powers = np.empty((len(self.terms),) + self.sectors.shape, dtype=np.uint8)
-        for g, pauli in enumerate(self.terms):
-            powers[g] = _entry_powers(pauli, self.sectors)
-        powers.flags.writeable = False
+        powers = _entry_powers(self.x_masks, self.z_masks, self.phase_exps, self.sectors)
+        _read_only(powers)
         return powers
 
     @cached_property
@@ -173,7 +213,10 @@ class TermTable:
         swap = (num_blocks - 1) * (x_mask.bit_count() & 1)  # 1 if Q flips parity
         sectors = (np.arange(num_blocks) ^ swap)[:, None, None]
         perm = np.arange(width) ^ (x_mask >> (num_blocks - 1))
-        powers = _entry_powers(self.mirror, self.sectors)
+        mirror = self.mirror
+        powers = _entry_powers(np.array([mirror.x_mask], np.uint64),
+                               np.array([mirror.z_mask], np.uint64),
+                               np.array([mirror.phase_exp], np.uint8), self.sectors)[0]
         # c_j conj(c_l) = i**(e[j] - e[l]); uint8 wraps mod 256, a multiple of 4
         phase = _POWERS_OF_I.take((powers[:, :, None] - powers[:, None, :]) % 4)
         return stack[:, sectors, perm, perm[:, None]] * phase
@@ -187,20 +230,43 @@ class TermTable:
 _TABLE_LOCK = threading.Lock()
 
 
+def _hyperedges(n: int, k: int) -> np.ndarray:
+    """(C(n,k), k) uint8: the hyperedges of ``model.ordering_map(n, k)``, one
+    per row, in its order."""
+    count = math.comb(n, k)
+    flat = chain.from_iterable(combinations(range(1, n + 1), k))
+    return np.fromiter(flat, dtype=np.uint8, count=count * k).reshape(count, k)
+
+
 @lru_cache(maxsize=32)
 def _build_term_table(n: int, k: int) -> TermTable:
-    terms = tuple(term_operator(edge, n) for edge in ordering_map(n, k))
+    """The closed form of :func:`term_operator`, on every hyperedge at once."""
+    edges = _hyperedges(n, k)
+    bits = np.left_shift(np.uint64(1), ((edges - 1) >> 1).astype(np.uint64))  # qubit of chi_i
+    evens = edges % 2 == 0  # chi_{2j} carries Y = i X Z
+    x_masks = np.bitwise_xor.reduce(bits, axis=1)
+    z_masks = np.bitwise_xor.reduce((bits - 1) ^ (bits * evens), axis=1)
+    phase_exps = ((evens.sum(axis=1) + k * (k - 1) // 2) % 4).astype(np.uint8)
     # B - 1: even k keeps two parity sectors, odd k one
-    shifts = np.array([pauli.x_mask >> (1 - k % 2) for pauli in terms], dtype=np.intp)
-    shifts.flags.writeable = False
-    return TermTable(n, k, terms, shifts)
+    shifts = (x_masks >> (1 - k % 2)).astype(np.intp)
+    _read_only(x_masks, z_masks, phase_exps, shifts)
+    return TermTable(n, k, x_masks, z_masks, phase_exps, shifts)
 
 
 def term_table(n: int, k: int) -> TermTable:
     """The cached :class:`TermTable` of all C(n,k) terms among n Majoranas.
 
-    Built on first use and shared afterwards; the lock makes concurrent
-    first calls build it once.
+    Its masks are uint64 and its shifts intp, so it holds n <= 128 for even
+    k and n <= 126 for odd k (the shift x >> (B - 1) of an odd-k term can
+    take bit n/2 - 1); past that it raises ValueError.  Built on first use
+    and shared afterwards; the lock makes concurrent first calls build it
+    once.
     """
+    _validate_nk(n, k)
+    limit = 128 if k % 2 == 0 else 126
+    if n > limit:
+        parity = "even" if k % 2 == 0 else "odd"
+        raise ValueError(f"a term table at {parity} k holds n <= {limit} Majoranas "
+                         f"(its shifts are 63-bit), got n={n}")
     with _TABLE_LOCK:
         return _build_term_table(n, k)

@@ -69,8 +69,8 @@ def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
     """
     _check_dim_cap(n)
     table = term_table(n, k)
-    if couplings.shape[1:] != (len(table.terms),):
-        raise ValueError(f"couplings must have shape (N, C(n,k)) = (N, {len(table.terms)}), "
+    if couplings.shape[1:] != table.shifts.shape:
+        raise ValueError(f"couplings must have shape (N, C(n,k)) = (N, {len(table.shifts)}), "
                          f"got {couplings.shape}")
     width = table.sectors.shape[1]
     ham = np.zeros((len(couplings),) + table.sectors.shape + (width,), dtype=complex)

@@ -1,6 +1,8 @@
 """Nested-commutator chain combinatorics against dense commutator arithmetic."""
 
 import math
+import random
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -9,6 +11,7 @@ from operator import xor
 import numpy as np
 import pytest
 
+from syklab import fermions
 from syklab.bounds import q_of
 from syklab.chains import (
     TermSet,
@@ -22,7 +25,8 @@ from syklab.chains import (
     q_max,
     syk_termset,
 )
-from syklab.fermions import jordan_wigner
+from syklab.experiments import _lemma_termsets
+from syklab.fermions import jordan_wigner, term_table
 from syklab.pauli import PauliString, commutes, to_dense
 
 
@@ -208,6 +212,39 @@ class TestAnticommutationRows:
     def test_rows_cached(self):
         terms = syk_termset(6, 3)
         assert terms.anticommuting is terms.anticommuting
+
+
+def uncached_chain_counts(terms, g, w):
+    """The chain counts of one w with nothing kept between calls: every
+    surviving multiset of size g split into its w_vecs of weight w."""
+    splits = {}
+    for u, (count, _) in terms.surviving(g).items():
+        support = sum(1 << i for i, c in enumerate(u) if c)
+        for w_vec in product(*(range(c % 2, c + 1, 2) for c in u)):
+            if sum(w_vec) == w:
+                splits.setdefault(w_vec, []).append((support, count))
+    return list(splits.values())
+
+
+class TestCachedChainCounts:
+    @pytest.mark.parametrize("seed,draws", [(808, 4), (909, 1)], ids=["lemma-d", "lemma-e"])
+    def test_cache_matches_uncached_enumeration(self, seed, draws):
+        """G_w and <G_w> from the counts kept per (termset, g) equal those of
+        a fresh termset's uncached split, for every g <= 5 and w <= g, asked
+        in shuffled order with every (g, w) asked twice."""
+        asked = [(g, w) for g in range(1, 6) for w in range(g + 1)] * 2
+        random.Random(seed).shuffle(asked)
+        p_b = 0.37
+        for terms in _lemma_termsets(seed, draws):
+            fresh = TermSet(terms.terms)
+            for g, w in asked:
+                inner = uncached_chain_counts(fresh, g, w) if (g - w) % 2 == 0 else []
+                assert gw_bruteforce(terms, g, w) == sum(
+                    sum(c for _, c in counts) ** 2 for counts in inner), (g, w)
+                assert avg_gw_exact(terms, g, w, p_b) == math.fsum(
+                    c * c2 * p_b ** (mask | mask2).bit_count()
+                    for counts in inner for mask, c in counts for mask2, c2 in counts), (g, w)
+            assert sorted(terms._counts) == [1, 2, 3, 4, 5]
 
 
 class TestQMax:
@@ -441,6 +478,30 @@ class TestGraph:
             for j in range(terms.m):
                 expected = i != j and not commutes(terms.terms[i], terms.terms[j])
                 assert bool(adj[i, j]) == expected
+
+    def test_full_table_graph_forms_no_pauli_string(self, monkeypatch):
+        """n = 16, k = 4: the graph is read from the table's mask arrays,
+        uint8 on 8 qubits, with no PauliString formed, and the build's traced
+        peak stays under 16 MiB (a uint64 (1820, 1820) temporary is 26 MB)."""
+        def refuse(self):
+            raise AssertionError("a PauliString was formed")
+
+        fermions._build_term_table.cache_clear()
+        monkeypatch.setattr(PauliString, "__post_init__", refuse)
+        tracemalloc.start()
+        try:
+            terms = syk_termset(16, 4)
+            adj = build_graph(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert "terms" not in vars(term_table(16, 4))
+        assert terms.x.dtype == terms.z.dtype == np.uint8
+        assert peak < 16 << 20
+        rng = np.random.default_rng(16)
+        for i, j in rng.integers(0, terms.m, size=(2000, 2)):
+            assert adj[i, j] == (i != j and not commutes(terms.terms[i], terms.terms[j]))
 
     def test_matches_pairwise_commutes_uint16_masks(self):
         """n = 18 puts the masks on 9 qubits, past uint8."""

@@ -601,6 +601,14 @@ class TestCli:
         (["bounds", "--n", "8", "--t", "-1"], "time t (--t) must be nonnegative, got -1.0"),
         (["bounds", "--n", "8", "--model", "sparse", "--kappa", "-1"],
          "kappa (--kappa) must be nonnegative, got -1.0"),
+        # k = n in a scan: refused before any row, as the solver refuses it
+        (["scan-n", "--n", "6,8", "--k", "8", "--l", "2", "--r", "10", "--n-disorder", "2"],
+         "scan-n needs Q(n, k) > 0, got k (--k) = n = 8: one term, so the product "
+         "formula is exact"),
+        (["scan-t", "--n", "8", "--k", "8", "--r", "10", "--n-disorder", "2", "--t-points",
+          "3", "--t-min", "1", "--t-max", "2"],
+         "scan-t needs Q(n, k) > 0, got k (--k) = n = 8: one term, so the product "
+         "formula is exact"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

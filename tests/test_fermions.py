@@ -23,7 +23,7 @@ from syklab.pauli import (
     multiply,
     to_dense,
 )
-from syklab.trotter import observed_error
+from syklab.trotter import averaged_error, observed_error
 
 from conftest import dense_oracle
 
@@ -139,18 +139,18 @@ def test_anticommutation_sign_law(k):
 
 
 @pytest.fixture
-def term_operator_calls(monkeypatch):
-    """Edges passed to term_operator from here on, with an empty table cache."""
-    calls = []
-    original = fermions.term_operator
+def table_builds(monkeypatch):
+    """(n, k) of each term table built from here on, with an empty table cache."""
+    builds = []
+    original = fermions._hyperedges
 
-    def counting(edge, n):
-        calls.append(edge)
-        return original(edge, n)
+    def counting(n, k):
+        builds.append((n, k))
+        return original(n, k)
 
-    monkeypatch.setattr(fermions, "term_operator", counting)
+    monkeypatch.setattr(fermions, "_hyperedges", counting)
     fermions._build_term_table.cache_clear()
-    return calls
+    return builds
 
 
 class TestTermTable:
@@ -209,8 +209,8 @@ class TestTermTable:
     def test_arrays_are_read_only(self):
         for k in (3, 4):
             table = term_table(8, k)
-            for array in (table.shifts, table.powers, table.sectors,
-                          table.sectors.ravel()):
+            for array in (table.x_masks, table.z_masks, table.phase_exps, table.shifts,
+                          table.powers, table.sectors, table.sectors.ravel()):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -278,16 +278,17 @@ class TestTermTable:
         assert syk_termset(n, k).terms is table.terms
         assert table.terms == tuple(term_operator(e, n) for e in ordering_map(n, k))
 
-    def test_signs_built_on_first_read(self, term_operator_calls):
+    def test_signs_built_on_first_read(self, table_builds):
         n, k = 8, 4
-        assert syk_termset(n, k).anticommuting  # reads only the terms
-        assert "sectors" not in vars(term_table(n, k))
-        assert "powers" not in vars(term_table(n, k))
+        assert syk_termset(n, k).anticommuting  # reads only the mask arrays
+        for name in ("terms", "sectors", "powers"):
+            assert name not in vars(term_table(n, k))
         assemble(n, k, sample_dense(n, k).couplings[None])
         assert "sectors" in vars(term_table(n, k))
         assert "powers" in vars(term_table(n, k))
         assert "mirror" not in vars(term_table(n, k))  # read by the round kernel alone
-        assert len(term_operator_calls) == math.comb(n, k)
+        assert "terms" not in vars(term_table(n, k))
+        assert table_builds == [(n, k)]
 
     def test_terms_alone_allocate_no_basis(self):
         """At n = 40 (D = 2**20) the sectors alone take 8 MiB; the 780 terms
@@ -301,20 +302,31 @@ class TestTermTable:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_term_operator_runs_once_per_term(self, term_operator_calls):
+    def test_one_table_build_per_n_k(self, table_builds):
         n, k = 8, 4
         for i in range(3):
             for inst in (sample_dense(n, k, seed=i), sample_sparse(n, k, seed=i)):
                 observed_error(inst, 2, 1.0, 4, 2)  # assemble and the round kernel
-        assert len(term_operator_calls) == math.comb(n, k)
+        assert table_builds == [(n, k)]
 
-    def test_concurrent_first_calls_build_one_table(self, term_operator_calls):
+    @pytest.mark.parametrize("call", [
+        lambda: observed_error(sample_dense(8, 4, seed=3), 2, 1.0, 4, 2),
+        lambda: averaged_error(8, 4, 2, 1.0, 4, 2, 5, 2),
+        lambda: averaged_error(8, 4, 2, 1.0, 4, 2, 5, 2, kappa=4.0, num_bernoulli=2),
+    ], ids=["observed_error", "averaged_error", "averaged_error-sparse"])
+    def test_error_paths_form_no_pauli_string(self, call):
+        fermions._build_term_table.cache_clear()
+        call()
+        assert "powers" in vars(term_table(8, 4))
+        assert "terms" not in vars(term_table(8, 4))
+
+    def test_concurrent_first_calls_build_one_table(self, table_builds):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
                 fermions._build_term_table.cache_clear()
-                term_operator_calls.clear()
+                table_builds.clear()
                 tables = []
                 start = threading.Barrier(8, timeout=60)
 
@@ -329,6 +341,53 @@ class TestTermTable:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 assert len(tables) == 8 and all(t is tables[0] for t in tables)
-                assert len(term_operator_calls) == math.comb(10, 3)
+                assert table_builds == [(10, 3)]
         finally:
             sys.setswitchinterval(interval)
+
+
+def _per_term_table(n: int, k: int) -> tuple[list[PauliString], np.ndarray, np.ndarray]:
+    """Terms, shifts and powers as built one term_operator at a time."""
+    terms = [term_operator(edge, n) for edge in ordering_map(n, k)]
+    shifts = np.array([t.x_mask >> (1 - k % 2) for t in terms], dtype=np.intp)
+    if n > 20:
+        return terms, shifts, None
+    sectors = term_table(n, k).sectors
+    powers = np.stack([(t.phase_exp + 2 * (np.bitwise_count((sectors ^ t.x_mask) & t.z_mask) & 1)) % 4
+                       for t in terms]).astype(np.uint8)
+    return terms, shifts, powers
+
+
+class TestArrayTable:
+    """The vectorized table build against term_operator, one term at a time."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 17, 2) for k in range(1, n + 1)]
+                             + [(40, 2), (126, 1), (128, 2)])
+    def test_arrays_match_term_operators(self, n, k):
+        table = term_table(n, k)
+        terms, shifts, powers = _per_term_table(n, k)
+        assert table.x_masks.dtype == table.z_masks.dtype == np.uint64
+        assert table.x_masks.tolist() == [t.x_mask for t in terms]
+        assert table.z_masks.tolist() == [t.z_mask for t in terms]
+        assert table.phase_exps.tolist() == [t.phase_exp for t in terms]
+        assert table.shifts.dtype == np.intp
+        assert np.array_equal(table.shifts, shifts)
+        if powers is not None:
+            assert np.array_equal(table.powers, powers)
+        assert table.terms == tuple(terms)
+
+    @pytest.mark.parametrize("n,k", [(128, 1), (128, 3), (130, 2), (130, 130), (200, 4)])
+    def test_past_the_shift_range_is_refused(self, n, k):
+        with pytest.raises(ValueError, match=f"got n={n}$"):
+            term_table(n, k)
+        with pytest.raises(ValueError, match=f"got n={n}$"):
+            syk_termset(n, k)
+
+    def test_explicit_edges_past_64_qubits_build_their_graph(self):
+        """Explicit-edge termsets keep any n: their masks take several words."""
+        terms = syk_termset(200, 2, [(1, 2), (1, 199), (2, 200)])
+        assert terms.x.shape == (3, 2)
+        assert terms.anticommuting == (6, 1, 1)
+        for i, a in enumerate(terms.terms):
+            for j, b in enumerate(terms.terms):
+                assert bool(terms.anticommuting[i] >> j & 1) == (not commutes(a, b))
