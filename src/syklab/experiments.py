@@ -202,19 +202,24 @@ def _scan_point(config: ExperimentConfig, point_index: int, n: int, t: float) ->
     return row
 
 
-def _check_many_terms(name: str, config: ExperimentConfig, ns) -> None:
-    """A scan is refused at k = n, before any row: Q(n, k) = 0, one term, so
-    the product formula is exact, the bound is 0 and an observed error is
-    round-off, with no ratio between them."""
+def _check_scan(name: str, config: ExperimentConfig, ns) -> None:
+    """A scan's model is checked before any row, as gatecount and evolve
+    check theirs.  k = n is refused: Q(n, k) = 0, one term, so the product
+    formula is exact, the bound is 0 and an observed error is round-off,
+    with no ratio between them.  Then every n with k and the energy
+    constant, by ``model.sigma_dense`` (every row's bound and couplings take
+    it).  The dense cap stays a row error: that row still has its bound."""
     if config.k in ns:
         raise ValueError(f"{name} needs Q(n, k) > 0, got k (--k) = n = {config.k}: "
                          "one term, so the product formula is exact")
+    for n in ns:
+        model.sigma_dense(n, config.k, config.energy_constant)
 
 
 def cmd_scan_n(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
     """Observed error, bound, and ratio for each n (rows sorted by n)."""
     ns = sorted(config.n_list)
-    _check_many_terms("scan-n", config, ns)
+    _check_scan("scan-n", config, ns)
     rows = _run_points(ns, lambda i, n: _scan_point(config, i, n, config.t))
     return rows, rows_to_csv(config, rows)
 
@@ -230,7 +235,7 @@ def cmd_scan_t(config: ExperimentConfig) -> tuple[list[ResultRow], str]:
         raise ValueError("t scan needs 0 < t_min (--t-min) < t_max (--t-max) < inf, "
                          f"got t_min={config.t_min}, t_max={config.t_max}")
     n = _one_n(config)
-    _check_many_terms("scan-t", config, (n,))
+    _check_scan("scan-t", config, (n,))
     ts = np.logspace(
         math.log10(config.t_min), math.log10(config.t_max), config.t_points
     )

@@ -21,10 +21,12 @@ later factor's qubit, so moving the Zs past the Xs costs no sign.
 the (C(n,k), k) hyperedges give, by the same closed form in one vectorized
 pass, every term's X and Z masks (uint64) and phase exponent, and from them
 the shifts.  ``chains`` reads the masks; assembly and Trotterization read the
-shifts and the entry powers, parity sectors and mirror built from them on
-first read (the mirror lets the round kernel build a reverse sweep from a
-forward one).  The terms as :class:`PauliString` objects are formed only
-when something reads them.  The table is built once per (n, k) and shared.
+shifts and the entry powers, parity sectors, sweep order and mirror built
+from them on first read (the sweep order groups commuting terms of equal
+shift into fewer kernel steps, the mirror lets the round kernel build a
+reverse sweep from a forward one).  The terms as :class:`PauliString`
+objects are formed only when something reads them.  The table is built once
+per (n, k) and shared.
 """
 
 from __future__ import annotations
@@ -144,17 +146,19 @@ class TermTable:
     (B = 1).  This is the one map from a basis index b to its (sector,
     position) coordinates: b = sectors[q, j] with j = b >> (B - 1), as one of
     2j and 2j + 1 has each parity.  Block q of K_g holds coeff[q, j] at
-    (j, j ^ s_g) with s_g = shifts[g] = x_g >> (B - 1) and coeff =
-    permuted_coefficients(g), so block q of K_g @ M has row j = coeff[q, j] *
-    M_q[j ^ s_g].  Every entry of a Pauli string is a power of i, so coeff is
-    stored as its exponents: coeff[q, j] = i**powers[g, q, j].
+    (j, j ^ s_g) with s_g = shifts[g] = x_g >> (B - 1), so block q of K_g @ M
+    has row j = coeff[q, j] * M_q[j ^ s_g].  Every entry of a Pauli string is
+    a power of i, so coeff is stored as its exponents: coeff[q, j] =
+    i**powers[g, q, j].  Terms of one shift share one X mask; ``sweep_order``
+    lists the terms as the round kernel applies them, in runs of one shift.
 
     The masks, phase exponents and shifts are built with the table, Gamma *
     25 bytes.  The rest is built on first read: ``terms`` (Gamma * 72 bytes,
     a Pauli string and its tuple slot, plus up to 64 for mask integers past
-    256), ``sectors`` (D * 8 bytes), ``powers`` (Gamma * D bytes) and
-    ``mirror``.  A caller that reads only the arrays (``chains.build_graph``,
-    assembly, the round kernel) forms no Pauli string.
+    256), ``sectors`` (D * 8 bytes), ``powers`` (Gamma * D bytes),
+    ``sweep_order`` (Gamma * 8 bytes) and ``mirror``.  A caller that reads
+    only the arrays (``chains.build_graph``, assembly, the round kernel)
+    forms no Pauli string.
     """
 
     n: int
@@ -186,6 +190,43 @@ class TermTable:
         powers = _entry_powers(self.x_masks, self.z_masks, self.phase_exps, self.sectors)
         _read_only(powers)
         return powers
+
+    @cached_property
+    def sweep_order(self) -> np.ndarray:
+        """(Gamma,) intp: the terms in the order a forward sweep applies them,
+        a permutation of hyperedge order made of runs of one shift, which the
+        round kernel takes one step each.  Taken in hyperedge order, each term
+        moves back past the runs whose terms all commute with it and joins
+        the latest run of its own shift if it reaches one, else it starts a
+        new run at the end.  Exponentials of commuting terms commute, so the
+        sweep is the same operator: anticommuting pairs and same-shift terms
+        keep hyperedge order.  Adjacent runs differ in shift, so the runs are
+        the maximal equal-shift stretches of the order.  K_g and K_h commute
+        iff popcount((x_g & z_h) ^ (z_g & x_h)) is even; a run's terms share
+        one X mask x_r, so that parity is popcount(x_g & z_h) + popcount(z_g &
+        x_r) for a term h of the run."""
+        runs: list[tuple[int, list[int], list[int]]] = []  # (x_r, Z masks, terms)
+        latest: dict[int, int] = {}  # shift -> index of its latest run
+        for g, (x, z, shift) in enumerate(zip(self.x_masks.tolist(), self.z_masks.tolist(),
+                                              self.shifts.tolist())):
+            target = latest.get(shift, -1)
+            i = len(runs) - 1
+            while i > target:
+                run_x, run_zs, _ = runs[i]
+                parity = (z & run_x).bit_count()
+                if any((parity + (x & run_z).bit_count()) & 1 for run_z in run_zs):
+                    break
+                i -= 1
+            if i == target >= 0:
+                runs[i][1].append(z)
+                runs[i][2].append(g)
+            else:
+                latest[shift] = len(runs)
+                runs.append((x, [z], [g]))
+        order = np.fromiter(chain.from_iterable(terms for _, _, terms in runs),
+                            dtype=np.intp, count=len(self.shifts))
+        _read_only(order)
+        return order
 
     @cached_property
     def mirror(self) -> PauliString | None:
@@ -220,11 +261,6 @@ class TermTable:
         # c_j conj(c_l) = i**(e[j] - e[l]); uint8 wraps mod 256, a multiple of 4
         phase = _POWERS_OF_I.take((powers[:, :, None] - powers[:, None, :]) % 4)
         return stack[:, sectors, perm, perm[:, None]] * phase
-
-    def permuted_coefficients(self, g: int, scale: complex = 1.0) -> np.ndarray:
-        """scale * coeff: the (B, W) nonzero entries of scale * K_g; an
-        (N, 1, 1) array of scales gives the (N, B, W) entries of N multiples."""
-        return scale * _POWERS_OF_I.take(self.powers[g])
 
 
 _TABLE_LOCK = threading.Lock()

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fermions import hilbert_dim, term_table
+from .fermions import _POWERS_OF_I, hilbert_dim, term_table
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -62,10 +62,11 @@ def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
     """H = sum_g J_g K_g for each row J of ``couplings`` (N, C(n,k)), as the
     (N, B, W, W) stack of its parity blocks on ``term_table(n, k).sectors``.
 
-    Block q of K_g holds coeff[q, j] at (j, j ^ s_g), whose flat index in the
-    stack is that of the diagonal entry (j, j) XOR s_g: each term that some
-    sample keeps is one 1-D update of all N samples.  Raises
-    :class:`ResourceError` when D exceeds ``DEFAULT_DIM_CAP``.
+    Block q of K_g holds coeff[q, j] at (j, j ^ s_g), so the terms of one
+    shift s fill the same entries and no others: each shift class that some
+    sample keeps is summed from 0 in increasing g, as term-by-term additions
+    into H would be, and written with one scatter for all N samples.
+    Raises :class:`ResourceError` when D exceeds ``DEFAULT_DIM_CAP``.
     """
     _check_dim_cap(n)
     table = term_table(n, k)
@@ -74,11 +75,17 @@ def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
                          f"got {couplings.shape}")
     width = table.sectors.shape[1]
     ham = np.zeros((len(couplings),) + table.sectors.shape + (width,), dtype=complex)
-    diagonal = np.flatnonzero(np.broadcast_to(np.eye(width, dtype=bool), ham.shape))
+    positions = np.arange(width)
     # a term zero in one sample only adds a +-0 product there: no bit moves
-    for g in np.flatnonzero(couplings.any(axis=0)):
-        coeff = table.permuted_coefficients(g, couplings[:, g, None, None])
-        ham.reshape(-1)[diagonal ^ table.shifts[g]] += coeff.ravel()
+    live = np.flatnonzero(couplings.any(axis=0))
+    by_shift = live[np.argsort(table.shifts[live], kind="stable")]
+    cuts = np.flatnonzero(np.diff(table.shifts[by_shift])) + 1
+    for terms in np.split(by_shift, cuts) if live.size else ():
+        # (N, terms, B, W); add.reduce runs over the terms axis in order,
+        # from the initial 0, for every entry
+        coeffs = couplings[:, terms, None, None] * _POWERS_OF_I.take(table.powers[terms])
+        ham[..., positions, positions ^ table.shifts[terms[0]]] = np.add.reduce(
+            coeffs, axis=1, initial=0)
     return ham
 
 
@@ -87,16 +94,29 @@ def exact_evolution(ham: np.ndarray, t: float) -> np.ndarray:
     return evolution_factory(ham)(t)
 
 
+def _hermiticity(ham: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of a stack and of its anti-Hermitian defect H - H^dag."""
+    return float(np.linalg.norm(ham)), float(np.linalg.norm(ham - ham.conj().swapaxes(-1, -2)))
+
+
 def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
     """Return t -> exp(i*H*t), reusing one eigendecomposition across t values.
 
     ``ham`` is one matrix or a stack (..., W, W) of blocks, each evolved on
-    its own.  The stack must be Hermitian within 1e-10 relative to its
-    Frobenius norm (both taken over the whole stack).  At t = 0 it is the
+    its own.  The stack must be finite and Hermitian within 1e-10 relative
+    to its Frobenius norm (both taken over the whole stack).  Where a norm
+    overflows (entries past about 1e154), both are taken again on ham
+    divided by its largest real or imaginary part.  At t = 0 it is the
     identity exactly, not rebuilt from the eigenvectors.
     """
-    scale = np.linalg.norm(ham) or 1.0
-    if np.linalg.norm(ham - ham.conj().swapaxes(-1, -2)) > _HERMITICITY_TOL * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # compared below
+        scale, defect = _hermiticity(ham)
+        if not math.isfinite(scale):
+            peak = max(np.max(np.abs(ham.real)), np.max(np.abs(ham.imag)))
+            if not math.isfinite(peak):  # inf or nan
+                raise ValueError("matrix entries must be finite")
+            scale, defect = _hermiticity(ham / peak)
+    if not defect <= _HERMITICITY_TOL * (scale or 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(ham)
 

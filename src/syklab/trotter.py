@@ -2,10 +2,11 @@
 
 A schedule is the product formula S_l(tau) by its order l.  A sweep at scale
 s applies exp(i * s * tau * J_g K_g) for every live term g, in increasing g
-if forward, else decreasing; a term is live when tau != 0 and some coupling
-on it is nonzero, and the rest are the identity.  S_1(tau) is one forward
-sweep at scale 1, and S_2(tau) = F R is the Strang pair: R the reverse
-sweep at scale 1/2, applied first, then F the forward one.  Suzuki's
+if forward, else decreasing (the kernel applies them in an order that swaps
+only commuting terms, the same operator); a term is live when tau != 0 and
+some coupling on it is nonzero, and the rest are the identity.  S_1(tau) is
+one forward sweep at scale 1, and S_2(tau) = F R is the Strang pair: R the
+reverse sweep at scale 1/2, applied first, then F the forward one.  Suzuki's
 recursion (J. Math. Phys. 32, 400 (1991))
 
     S_{2p}(tau) = S_{2p-2}(q_p tau)^2 S_{2p-2}((1-4q_p) tau) S_{2p-2}(q_p tau)^2,
@@ -25,19 +26,26 @@ of width W = D/2.  Odd k maps one parity to the other and has one sector,
 B = 1 and W = D, in the same code.  Round matrices are built by one kernel,
 ``_round_matrices``, on the (N, B, W, W) parity-block stack of N samples that
 share (n, k), in the (sector, position) coordinates of the one cached term
-set ``fermions.term_table(n, k)``.  Consecutive terms often share the
-in-sector permutation j -> j ^ shifts[g] (hyperedges that differ only on the
-two Majoranas of one qubit have equal X masks), and a run of them multiplies
-to alpha + beta P_s with (N, B, W) coefficients alpha and beta.  So each
-sweep makes one step per run of equal shift, not per term: one ``take`` of
-every block's rows along the run's permutation, one coefficient multiply,
-one scale and one add for all N samples, about half as many steps as live
-terms at k = 4.  The runs are split in hyperedge order over all C(n, k)
-terms, then restricted to the live ones, so the split is the same for every
-stack of one (n, k).  A deleted sparse term is a zero coupling, so the
-kernel reads only couplings and the samples' masks may differ: a term that
-is dead for some samples of a stack is an exact identity for them, and a
-stack's rounds equal its samples' one-sample calls entry for entry.
+set ``fermions.term_table(n, k)``.  Terms with equal X masks share the
+in-sector permutation j -> j ^ shifts[g] (hyperedges that differ only on
+the two Majoranas of one qubit have equal X masks), and a run of them
+multiplies to alpha + beta P_s with (N, B, W) coefficients alpha and beta.
+So each sweep makes one step per run of equal shift, not per term: one
+``take`` of every block's rows along the run's permutation, one coefficient
+multiply, one scale and one add for all N samples.  A sweep applies the
+terms in the table's ``sweep_order``, not in hyperedge order: each term
+moves back past the terms it commutes with to join an earlier run of its
+shift, which leaves the sweep the same operator (only anticommuting pairs
+and same-shift terms must keep their order) and makes its runs longer.  A
+forward sweep of all terms then takes 187 steps for 495 terms at (n, k) =
+(12, 4), where hyperedge order takes 246, and 36 for 120 at (16, 2), against
+63.  A reverse sweep walks the same runs backwards.  The runs are cut in
+the sweep order over all C(n, k) terms, then restricted to the live ones,
+so the split is the same for every stack of one (n, k).  A deleted sparse
+term is a zero coupling, so the kernel reads only couplings and the
+samples' masks may differ: a term that is dead for some samples of a stack
+is an exact identity for them, and a stack's rounds equal its samples'
+one-sample calls entry for entry.
 
 For k != 2 (mod 4) the term table's ``mirror``, a Pauli string Q with
 Q K_g^T Q^dag = K_g for every term, gives R = Q F^T Q^dag (its ``mirrored``):
@@ -61,11 +69,12 @@ nothing.  Blocks meet D space only where ``fixed_state_error`` splits its
 state and ``trotterized`` returns a D x D matrix; ``trotterized`` is kept
 for tests and the benchmark tracer and has no production caller.
 A run of one term takes the floating-point operations of a one-matrix,
-full-D, term-by-term build, entry for entry, and so does a round built
-sweep after sweep on one stack: l = 1, and l = 2 without a mirror.  A
-longer run, a mirrored sweep and the recursion's products (l >= 4) round
-differently, so the rounds match such a build to ulps (1e-13 at n <= 12),
-not bit for bit.
+full-D, term-by-term build in the sweep order, entry for entry, and so does
+a round built sweep after sweep on one stack: l = 1, and l = 2 without a
+mirror.  A longer run, a mirrored sweep and the recursion's products
+(l >= 4) round differently, and so does the sweep order against hyperedge
+order, so the rounds match a term-by-term build in hyperedge order to ulps
+(1e-13 at n <= 12), not bit for bit.
 """
 
 from __future__ import annotations
@@ -74,11 +83,12 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
-from .fermions import TermTable, hilbert_dim, term_table
+from .fermions import _POWERS_OF_I, TermTable, hilbert_dim, term_table
 from .linalg import (
     NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
     expected_norm, schatten_norm,
@@ -148,15 +158,18 @@ def build_schedule(order: int) -> Schedule:
     return Schedule(order)
 
 
-def _shift_runs(shifts: np.ndarray, live: np.ndarray) -> list[list[int]]:
-    """The live terms (increasing g) split into runs of equal shift: the
-    maximal runs of consecutive terms of equal ``shifts[g]`` in hyperedge
-    order, each restricted to ``live``.  Runs are cut where the shift
-    changes over all terms, live or not, so a term dead for some samples of
-    a stack leaves their live terms in the runs of their one-sample calls."""
+def _sweep_runs(table: TermTable, live: np.ndarray) -> list[list[int]]:
+    """The live terms (``live`` a bool mask over all terms) in the table's
+    ``sweep_order``, split into its runs of equal shift.  Runs are cut where
+    the shift changes over all terms, live or not, so a term dead for some
+    samples of a stack leaves their live terms in the runs of their
+    one-sample calls."""
+    order = table.sweep_order
+    shifts = table.shifts[order]
     run_ids = np.concatenate(([0], np.cumsum(shifts[1:] != shifts[:-1])))
-    cuts = np.flatnonzero(np.diff(run_ids[live])) + 1
-    return [run.tolist() for run in np.split(live, cuts)] if live.size else []
+    kept = live[order]
+    cuts = np.flatnonzero(np.diff(run_ids[kept])) + 1
+    return [run.tolist() for run in np.split(order[kept], cuts)] if kept.any() else []
 
 
 def _sweep(
@@ -167,36 +180,46 @@ def _sweep(
     of ``runs``, in the order given, its exponentials cos(theta) + i
     sin(theta) K_g, theta = scale * J_g * tau, with K_g = C_g P_s read from
     ``table`` (C_g the (B, W) coefficients, P_s the row map j -> j ^ s).
-    Each run is one step on the whole stack: its exponentials multiplied,
-    in the run's order, into alpha + beta P_s with (N, B, W) coefficients,
-    then M <- alpha M + beta M[perm].  The run's first term
-    gives (alpha, beta) = (cos(theta), i sin(theta) C_g); applying each
-    further c + i s C_g P_s gives alpha' = c alpha + i s C_g beta[perm] and
-    beta' = c beta + i s C_g alpha[perm], as P_s squares to the identity; a
-    term dead for a sample (theta = 0) leaves its coefficients exact.
+    theta, its cosine and i sin(theta) i**e (e = 0..3) are formed once for
+    the sweep's terms, so a term's coefficients i sin(theta) C_g are one
+    ``take`` into a preallocated (N, B, W) buffer.  Each run is one step on
+    the whole stack: its exponentials multiplied, in the run's order, into
+    alpha + beta P_s with (N, B, W) coefficients, then M <- alpha M + beta
+    M[perm].  The run's first term gives (alpha, beta) = (cos(theta), i
+    sin(theta) C_g); applying each further c + i s C_g P_s gives alpha' = c
+    alpha + i s C_g beta[perm] and beta' = c beta + i s C_g alpha[perm], as
+    P_s squares to the identity; a term dead for a sample (theta = 0) leaves
+    its coefficients exact.
     """
+    theta = scale * couplings[:, list(chain.from_iterable(runs))] * tau
+    cos = np.cos(theta).T  # (terms, N)
+    isin = (1j * np.sin(theta)).T[..., None] * _POWERS_OF_I  # (terms, N, 4)
     buf = np.empty_like(stack)
     coeffs = np.empty((2,) + stack.shape[:-1], dtype=complex)  # (alpha, beta)
+    alpha, beta = coeffs
     swapped = np.empty_like(coeffs)
+    term = np.empty_like(beta)
     positions = np.arange(stack.shape[-1])
     perm = np.empty_like(positions)
+    j = 0
     for run in runs:
         np.bitwise_xor(positions, table.shifts[run[0]], out=perm)
-        # perm is in range by construction; mode="clip" skips the copy that
-        # take() makes for out= under the default bounds check
-        np.take(stack, perm, axis=2, out=buf, mode="clip")
-        theta = (scale * couplings[:, run] * tau)[..., None, None]
-        cos, isin = np.cos(theta), 1j * np.sin(theta)
-        coeffs[0] = cos[:, 0]
-        coeffs[1] = table.permuted_coefficients(run[0], isin[:, 0])
-        for j, g in enumerate(run[1:], 1):
+        # perm and the powers are in range by construction; mode="clip" skips
+        # the copy that take() makes for out= under the default bounds check
+        stack.take(perm, axis=2, out=buf, mode="clip")
+        alpha[...] = cos[j, :, None, None]
+        isin[j].take(table.powers[run[0]], axis=1, out=beta, mode="clip")
+        for g in run[1:]:
+            j += 1
             # (beta, alpha)[perm]
-            np.take(coeffs[::-1], perm, axis=3, out=swapped, mode="clip")
-            swapped *= table.permuted_coefficients(g, isin[:, j])
-            coeffs *= cos[:, j]
+            coeffs[::-1].take(perm, axis=3, out=swapped, mode="clip")
+            isin[j].take(table.powers[g], axis=1, out=term, mode="clip")
+            swapped *= term
+            coeffs *= cos[j, :, None, None]
             coeffs += swapped
-        buf *= coeffs[1, ..., None]
-        stack *= coeffs[0, ..., None]
+        j += 1
+        buf *= beta[..., None]
+        stack *= alpha[..., None]
         stack += buf
 
 
@@ -207,7 +230,7 @@ def _round_matrices(
     as an (N, B, W, W) stack of parity blocks on the table's sectors, by
     Suzuki's recursion on round matrices (counted in the module docstring).
 
-    A sweep is ``_sweep`` on the live terms' runs of ``_shift_runs``,
+    A sweep is ``_sweep`` on the live terms' runs of ``_sweep_runs``,
     walked in reverse for a reversed sweep; a term is live when tau != 0
     and some sample's coupling on it is nonzero.  l = 1 is one forward
     sweep in place on the identity.  S_2(s tau) is F @ Q F^T Q^dag, the
@@ -217,7 +240,7 @@ def _round_matrices(
     """
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
-    runs = _shift_runs(table.shifts, np.flatnonzero(couplings.any(axis=0) & (tau != 0)))
+    runs = _sweep_runs(table, couplings.any(axis=0) & (tau != 0))
     reversed_runs = [run[::-1] for run in runs[::-1]]
 
     def swept(*sweeps: tuple[float, bool]) -> np.ndarray:
@@ -373,8 +396,9 @@ def fixed_state_error(
     ``observed_error`` does before its norm: one ``eigh`` per parity block of
     H (two D/2 blocks for even k, one D block for odd k), one round matrix
     (its sweeps and block matmuls as the module docstring counts them, each
-    sweep one in-place update per run of live terms of equal shift, about
-    half the live terms at k = 4) and its r-th power on the blocks by
+    sweep one in-place update per run of live terms of equal shift in the
+    term table's sweep order, 187 for the 495 terms of a dense (12, 4)
+    sweep) and its r-th power on the blocks by
     repeated squaring (log2 r squarings plus one product per further set
     bit of r), then one block matrix-vector product: the state splits by
     parity, ||E psi||^2 = sum_q ||E_q psi_q||^2.

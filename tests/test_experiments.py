@@ -609,6 +609,19 @@ class TestCli:
           "3", "--t-min", "1", "--t-max", "2"],
          "scan-t needs Q(n, k) > 0, got k (--k) = n = 8: one term, so the product "
          "formula is exact"),
+        # a scan's model is checked before any row, every n of the list
+        (["scan-n", "--n", "7", "--k", "4"], "n must be even and >= 2, got 7"),
+        (["scan-n", "--n", "8,7", "--k", "4"], "n must be even and >= 2, got 7"),
+        (["scan-n", "--n", "8", "--k", "0"], "k must satisfy 1 <= k <= n, got k=0, n=8"),
+        (["scan-n", "--n", "6,8", "--k", "7"], "k must satisfy 1 <= k <= n, got k=7, n=6"),
+        (["scan-n", "--n", "8", "--energy-constant", "0"],
+         "energy constant must be positive and finite, got 0.0"),
+        (["scan-n", "--model", "sparse", "--n", "8", "--energy-constant", "1e200"],
+         "energy constant (--energy-constant) squared exceeds the float range, got 1e+200"),
+        (["scan-t", "--n", "7", "--k", "4"], "n must be even and >= 2, got 7"),
+        (["scan-t", "--n", "8", "--k", "9"], "k must satisfy 1 <= k <= n, got k=9, n=8"),
+        (["scan-t", "--n", "8", "--energy-constant", "-1"],
+         "energy constant must be positive and finite, got -1.0"),
     ])
     def test_input_error_is_a_one_line_message(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

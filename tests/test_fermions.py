@@ -179,22 +179,25 @@ class TestTermTable:
                 perm, coeff = _coefficients(pauli)
                 assert table.shifts[g] == pauli.x_mask >> (blocks - 1)
                 assert np.array_equal(sectors[:, positions ^ table.shifts[g]], perm[sectors])
-                assert np.array_equal(table.permuted_coefficients(g), coeff[perm][sectors])
+                entries = fermions._POWERS_OF_I.take(table.powers[g])
+                assert np.array_equal(entries, coeff[perm][sectors])
                 rows = sectors.ravel()
                 assert np.array_equal(to_dense(pauli)[rows, rows ^ pauli.x_mask],
-                                      table.permuted_coefficients(g).ravel())
+                                      entries.ravel())
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_scaled_rows_match_term_operators(self, n):
-        """An (N, 1, 1) complex scale, the kernel's call shape, gives the
-        (N, B, W) entries of N multiples of each term."""
-        scale = np.array([0.3 - 1.7j, -2.5j, 1.25])[:, None, None]
+        """N scales times i**e (e = 0..3), taken at a term's powers as the
+        round kernel takes them, give the (N, B, W) entries of N multiples
+        of each term."""
+        scale = np.array([0.3 - 1.7j, -2.5j, 1.25])
+        scaled_powers = scale[:, None] * fermions._POWERS_OF_I
         for k in range(1, min(5, n) + 1):
             table = term_table(n, k)
             for g, pauli in enumerate(table.terms):
                 perm, coeff = _coefficients(pauli)
-                assert np.array_equal(table.permuted_coefficients(g, scale),
-                                      scale * coeff[perm][table.sectors])
+                assert np.array_equal(np.take(scaled_powers, table.powers[g], axis=1),
+                                      scale[:, None, None] * coeff[perm][table.sectors])
 
     @pytest.mark.parametrize("n", range(2, 22, 2))
     def test_sectors_are_the_parities_present(self, n):
@@ -210,7 +213,8 @@ class TestTermTable:
         for k in (3, 4):
             table = term_table(8, k)
             for array in (table.x_masks, table.z_masks, table.phase_exps, table.shifts,
-                          table.powers, table.sectors, table.sectors.ravel()):
+                          table.powers, table.sectors, table.sectors.ravel(),
+                          table.sweep_order):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -281,12 +285,13 @@ class TestTermTable:
     def test_signs_built_on_first_read(self, table_builds):
         n, k = 8, 4
         assert syk_termset(n, k).anticommuting  # reads only the mask arrays
-        for name in ("terms", "sectors", "powers"):
+        for name in ("terms", "sectors", "powers", "sweep_order"):
             assert name not in vars(term_table(n, k))
         assemble(n, k, sample_dense(n, k).couplings[None])
         assert "sectors" in vars(term_table(n, k))
         assert "powers" in vars(term_table(n, k))
-        assert "mirror" not in vars(term_table(n, k))  # read by the round kernel alone
+        for name in ("mirror", "sweep_order"):  # read by the round kernel alone
+            assert name not in vars(term_table(n, k))
         assert "terms" not in vars(term_table(n, k))
         assert table_builds == [(n, k)]
 
@@ -344,6 +349,42 @@ class TestTermTable:
                 assert table_builds == [(10, 3)]
         finally:
             sys.setswitchinterval(interval)
+
+
+_SWEEP_CASES = [(n, k) for n in range(2, 13, 2) for k in range(1, n + 1)] + [(16, 2), (20, 4)]
+
+
+class TestSweepOrder:
+    """``TermTable.sweep_order`` reorders only what commutes: the anticommuting
+    pairs and the same-shift terms keep hyperedge order, so a sweep in that
+    order is the same operator, and its runs of one shift are what the round
+    kernel steps through."""
+
+    @pytest.mark.parametrize("n,k", _SWEEP_CASES, ids=lambda case: str(case))
+    def test_only_commuting_terms_change_order(self, n, k):
+        table = term_table(n, k)
+        order = table.sweep_order
+        assert sorted(order.tolist()) == list(range(math.comb(n, k)))
+        position = np.argsort(order)
+        # T_g T_h = (-1)**(k + m) T_h T_g with m the hyperedges' overlap
+        edges = np.bitwise_or.reduce(
+            np.left_shift(1, np.array(ordering_map(n, k), dtype=np.int64) - 1), axis=1)
+        for g in range(len(edges) - 1):
+            later = np.arange(g + 1, len(edges))
+            anticommuting = (k + np.bitwise_count(edges[g] & edges[later])) % 2 == 1
+            same_shift = table.shifts[later] == table.shifts[g]
+            assert np.all(position[later[anticommuting | same_shift]] > position[g])
+
+    @pytest.mark.parametrize("n,k", [(10, 4), (12, 3), (16, 2)])
+    def test_adjacent_runs_differ_in_shift(self, n, k):
+        """A term reaching a run of its own shift joins it, so the runs are
+        the maximal equal-shift stretches of the order."""
+        table = term_table(n, k)
+        shifts = table.shifts[table.sweep_order]
+        cuts = np.flatnonzero(shifts[1:] != shifts[:-1]) + 1
+        runs = np.split(shifts, cuts)
+        assert all(np.all(run == run[0]) for run in runs)
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 
 
 def _per_term_table(n: int, k: int) -> tuple[list[PauliString], np.ndarray, np.ndarray]:

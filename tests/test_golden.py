@@ -4,19 +4,23 @@ The files under ``tests/golden/`` were last written by the commands below
 when the config keys ``overhead`` and ``mode``, which no command read, were
 deleted: only their two comment lines (``# overhead = none`` and
 ``# mode = operator_norm``) went, and every data row and fit line stayed
-byte-identical.  ``scan_t.csv`` (p = 4) was last rewritten when even
-Schatten orders began to sum s**p from Gram products instead of the SVD:
-values in 3 of its 4 rows moved by at most 4.7e-16 relative, and its fit
-lines kept their bytes.  The numbers of the three l = 2 scan files were last
-written when the round kernel began to build each Strang pair F R from one
-forward sweep F, with the reverse sweep R = Q F^T Q^dag for the term
-table's mirror Q: the mirrored sweep and the pair's matmul round
-differently, so observed values moved by at most 1.5e-11 relative and
-their standard errors by at most 7.0e-11 (``scan_t.csv``, at l = 1, kept
-its bytes).  Before that they moved by at most 2.2e-11 when the kernel
-began to fuse each run of consecutive terms of equal shift into one step,
-alpha + beta P_s, and by at most 3.4e-11 when eigh, the Trotter power and
-the Schatten norm moved onto the parity blocks of the error operator.  Any
+byte-identical.  The numbers of all four scan files were last written when
+the round kernel began to apply each sweep's terms in the term table's
+sweep order, which moves terms only past terms they commute with and fuses
+them into fewer runs of equal shift: the same operators, rounded
+differently, so observed values moved by at most 8.4e-12 relative and
+their standard errors by at most 2.4e-11 (``scan_t.csv`` by at most
+4.2e-13, its observed fit line in its last digits; the first n = 6 row of
+``scan_n_odd.csv`` kept its bytes).  Before that, ``scan_t.csv`` (p = 4)
+moved by at most 4.7e-16 when even Schatten orders began to sum s**p from
+Gram products instead of the SVD, and the three l = 2 files by at most
+1.5e-11 (standard errors 7.0e-11) when the round kernel began to build
+each Strang pair F R from one forward sweep F, with the reverse sweep R =
+Q F^T Q^dag for the term table's mirror Q.  Before that they moved by at
+most 2.2e-11 when the kernel began to fuse each run of consecutive terms
+of equal shift into one step, alpha + beta P_s, and by at most 3.4e-11 when
+eigh, the Trotter power and the Schatten norm moved onto the parity blocks
+of the error operator.  Any
 change to these bytes is a numerical or format change and must be a
 deliberate one (regenerate the files with the same commands and say why).
 ``scan_n_odd.csv`` (k = 3: one sector, B = 1) pins the odd-k path that the

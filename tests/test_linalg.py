@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.linalg import block_diag
 from scipy.stats import unitary_group
 
 from conftest import dense_hamiltonian
+from syklab import fermions
 from syklab.fermions import hilbert_dim, term_operator, term_table
 from syklab.linalg import (
     NormEstimate,
@@ -37,6 +39,19 @@ def _gather(mat, n, k):
     (n, k) term table."""
     sectors = term_table(n, k).sectors
     return mat[sectors[:, :, None], sectors[:, None, :]]
+
+
+def _per_term_sum(n, k, couplings):
+    """H's parity blocks built by adding J_g K_g for each term some row keeps,
+    in increasing g, into a zero stack."""
+    table = term_table(n, k)
+    width = table.sectors.shape[1]
+    ham = np.zeros((len(couplings),) + table.sectors.shape + (width,), dtype=complex)
+    positions = np.arange(width)
+    for g in np.flatnonzero(couplings.any(axis=0)):
+        entries = couplings[:, g, None, None] * fermions._POWERS_OF_I.take(table.powers[g])
+        ham[..., positions, positions ^ table.shifts[g]] += entries
+    return ham
 
 
 class TestAssemble:
@@ -119,6 +134,26 @@ class TestAssemble:
             assert np.count_nonzero(ref[cross]) == 0
             assert np.array_equal(blocks, _gather(ref, n, k))
 
+    @pytest.mark.parametrize("n,k", [(6, 2), (8, 4), (8, 3), (10, 4), (10, 5), (12, 6)])
+    def test_bytes_are_the_per_term_sum(self, n, k):
+        """One scatter per shift class writes, byte for byte, what adding
+        J_g K_g into H term by term in increasing g writes, zero signs too:
+        for dense rows (one negated, one all zero) and for a stack of
+        different sparse masks."""
+        dense = np.array([sample_dense(n, k, seed=21, sample_index=i).couplings
+                          for i in range(3)])
+        dense[1] *= -1
+        dense[2] = 0.0
+        kappa = math.comb(n, k) / (2 * n)  # each term kept with probability 1/2
+        sparse = np.array([
+            sample_sparse(n, k, kappa=kappa, seed=21, coupling_index=i,
+                          mask=sample_bernoulli_mask(n, k, kappa, 21, i)).couplings
+            for i in range(3)
+        ])
+        assert len({tuple(row != 0) for row in sparse}) == 3
+        for couplings in (dense, sparse):
+            assert assemble(n, k, couplings).tobytes() == _per_term_sum(n, k, couplings).tobytes()
+
     @pytest.mark.parametrize("n,k", [(8, 4), (8, 3), (10, 2)])
     def test_stack_is_separate_calls(self, n, k):
         instances = [sample_dense(n, k, seed=20, sample_index=i) for i in range(4)]
@@ -170,6 +205,23 @@ class TestExactEvolution:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             exact_evolution(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_hermiticity_check_survives_overflowing_norms(self):
+        """At entries of 1e200 the Frobenius norms overflow; the check is
+        then made on the rescaled matrix, so a non-Hermitian matrix is still
+        refused and a Hermitian one evolves with no numpy warning."""
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolution_factory(1e200 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        ham = 1e200 * np.array([[1.0, 2j], [-2j, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unitary = evolution_factory(ham)(0.5)
+        assert np.allclose(unitary @ unitary.conj().T, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, entry):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            evolution_factory(np.array([[entry, 0.0], [0.0, 1.0]]))
 
     def test_stack_is_separate_calls(self):
         rng = np.random.default_rng(16)

@@ -99,11 +99,13 @@ def _sweeps(order):
             for scale, forward in _sweeps(order - 2)]
 
 
-def _steps(schedule, gamma):
+def _steps(schedule, gamma, order=None):
     """The schedule as (scale, 0-based term index) steps in application order:
-    each sweep one forward or reverse pass over all ``gamma`` terms."""
+    each sweep one forward or reverse pass over all ``gamma`` terms, in
+    ``order`` (a permutation; hyperedge order if None)."""
+    order = range(gamma) if order is None else order
     return [(scale, i) for scale, forward in _sweeps(schedule.order)
-            for i in (range(gamma) if forward else reversed(range(gamma)))]
+            for i in (order if forward else reversed(order))]
 
 
 def _swept(n, k, couplings, tau, *sweeps):
@@ -111,8 +113,7 @@ def _swept(n, k, couplings, tau, *sweeps):
     each (scale, forward?) of ``sweeps`` in order, on the kernel's runs."""
     table = term_table(n, k)
     num_blocks, width = table.sectors.shape
-    runs = trotter._shift_runs(table.shifts,
-                               np.flatnonzero(couplings.any(axis=0) & (tau != 0)))
+    runs = trotter._sweep_runs(table, couplings.any(axis=0) & (tau != 0))
     stack = np.tile(np.eye(width, dtype=complex), (len(couplings), num_blocks, 1, 1))
     for scale, forward in sweeps:
         walk = runs if forward else [run[::-1] for run in runs[::-1]]
@@ -223,15 +224,15 @@ def _assert_ulps_from(ours, reference):
     assert np.max(np.abs(ours - reference)) <= _FUSED_ATOL
 
 
-def _round_matrix_reference(instance, schedule, tau):
+def _round_matrix_reference(instance, schedule, tau, order=None):
     """Reference kernel: one round S_l(tau) as a full D x D matrix, built by
     applying each step exponential cos(theta) + i sin(theta) K_g to the
     accumulating matrix in place, K_g in natural basis order (not the term
-    table's sector order)."""
+    table's sector order), each sweep in hyperedge order or in ``order``."""
     terms = _natural_terms(instance)
     mat = np.eye(hilbert_dim(instance.n), dtype=complex)
     buf = np.empty_like(mat)
-    for a_j, i in _steps(schedule, instance.gamma_count):
+    for a_j, i in _steps(schedule, instance.gamma_count, order):
         if instance.mask is not None and instance.mask[i] == 0:
             continue
         theta = a_j * instance.couplings[i] * tau
@@ -272,38 +273,61 @@ def _assert_stack_is_separate_calls(instances, schedule, tau):
 
 
 class TestShiftRuns:
-    """The kernel's split of the live terms into runs of equal shift."""
+    """The kernel's split of the live terms, in the table's sweep order,
+    into runs of equal shift."""
 
     @staticmethod
     def _assert_runs_split(n, k, live):
-        shifts = term_table(n, k).shifts
-        runs = trotter._shift_runs(shifts, live)
-        assert [g for run in runs for g in run] == live.tolist()
+        table = term_table(n, k)
+        order = table.sweep_order
+        runs = trotter._sweep_runs(table, live)
+        assert [g for run in runs for g in run] == order[live[order]].tolist()
+        position = np.argsort(order)  # each term's place in the sweep order
+        shifts = table.shifts[order]
         for run in runs:
-            # one shift over the run's whole span in hyperedge order, dead terms too
-            assert np.all(shifts[run[0]:run[-1] + 1] == shifts[run[0]])
+            # one shift over the run's whole span in the sweep order, dead terms too
+            span = shifts[position[run[0]]:position[run[-1]] + 1]
+            assert np.all(span == shifts[position[run[0]]])
         for before, after in zip(runs, runs[1:]):
             # the next run starts after a term of another shift, live or not
-            assert np.any(shifts[before[-1] + 1:after[0] + 1] != shifts[before[-1]])
+            between = shifts[position[before[-1]] + 1:position[after[0]] + 1]
+            assert np.any(between != table.shifts[before[-1]])
         return runs
 
     @pytest.mark.parametrize("n,k", [(10, 4), (12, 3)])
     def test_dense_runs_partition_every_term(self, n, k):
         gamma = math.comb(n, k)
-        runs = self._assert_runs_split(n, k, np.arange(gamma))
+        runs = self._assert_runs_split(n, k, np.ones(gamma, dtype=bool))
         shifts = term_table(n, k).shifts
         assert all(shifts[a[0]] != shifts[b[0]] for a, b in zip(runs, runs[1:]))
-        assert 1.9 <= gamma / len(runs) <= 2.1
+        assert len(runs) < _hyperedge_runs(shifts)
 
     @pytest.mark.parametrize("n,k", [(10, 4), (12, 3)])
     def test_sparse_runs_partition_the_kept_terms(self, n, k):
         masks = np.array([sample_bernoulli_mask(n, k, 4.0, 62, i) for i in range(3)])
-        live = np.flatnonzero(masks.any(axis=0))
-        assert 0 < live.size < masks.shape[1]
+        live = masks.any(axis=0)
+        assert 0 < np.count_nonzero(live) < masks.shape[1]
         self._assert_runs_split(n, k, live)
 
     def test_no_live_term_is_no_run(self):
-        assert trotter._shift_runs(term_table(8, 4).shifts, np.arange(0)) == []
+        assert trotter._sweep_runs(term_table(8, 4), np.zeros(70, dtype=bool)) == []
+
+    @pytest.mark.parametrize("n,k,hyperedge,steps", [
+        (8, 4, 33, 29), (10, 4, 102, 83), (12, 4, 246, 187), (16, 4, 927, 641),
+        (20, 4, 2492, 1623), (10, 3, 60, 46), (16, 2, 63, 36),
+    ])
+    def test_steps_per_sweep(self, n, k, hyperedge, steps):
+        """A dense sweep takes one step per run of the sweep order, fewer than
+        the runs of equal shift in hyperedge order (pinned, so that a change
+        in how far terms fuse shows here)."""
+        table = term_table(n, k)
+        assert _hyperedge_runs(table.shifts) == hyperedge
+        assert len(trotter._sweep_runs(table, np.ones(len(table.shifts), dtype=bool))) == steps
+
+
+def _hyperedge_runs(shifts):
+    """The number of maximal runs of equal shift in hyperedge order."""
+    return 1 + int(np.count_nonzero(shifts[1:] != shifts[:-1]))
 
 
 class TestRoundMatrices:
@@ -356,21 +380,20 @@ class TestRoundMatrices:
 
     @pytest.mark.parametrize("order", [1, 2, 4, 6])
     def test_one_exponential_per_sweep_and_live_term(self, monkeypatch, order):
-        """A round applies one exponential, one ``permuted_coefficients``
-        call, per built sweep and live term: built x Gamma for dense rows,
-        built x (terms some row keeps) for a stack of different sparse masks,
-        and none at tau = 0.  l = 1 builds its one sweep; an even l builds
-        the 2**(l/2-1) Strang pairs of Suzuki's recursion, each as one forward
-        sweep with the table's mirror and as a reverse and a forward sweep
-        without one."""
-        calls = []
-        original = fermions.TermTable.permuted_coefficients
+        """A round applies one exponential per built sweep and live term:
+        built x Gamma for dense rows, built x (terms some row keeps) for a
+        stack of different sparse masks, and none at tau = 0.  l = 1 builds
+        its one sweep; an even l builds the 2**(l/2-1) Strang pairs of
+        Suzuki's recursion, each as one forward sweep with the table's mirror
+        and as a reverse and a forward sweep without one."""
+        applied = []
+        original = trotter._sweep
 
-        def counted(self, g, *args):
-            calls.append(g)
-            return original(self, g, *args)
+        def counted(stack, table, runs, *args):
+            applied.extend(g for run in runs for g in run)
+            return original(stack, table, runs, *args)
 
-        monkeypatch.setattr(fermions.TermTable, "permuted_coefficients", counted)
+        monkeypatch.setattr(trotter, "_sweep", counted)
         sched = build_schedule(order)
         for n, k, kappa, built in (
                 (10, 4, 4.0, {1: 1, 2: 1, 4: 2, 6: 4}),  # a mirror: one sweep per pair
@@ -382,14 +405,14 @@ class TestRoundMatrices:
             sparse = np.array([
                 sample_sparse(n, k, kappa=kappa, seed=58, coupling_index=i, mask=mask).couplings
                 for i, mask in enumerate(masks)])
-            kept = np.count_nonzero(masks.any(axis=0))
-            assert 0 < kept < masks.shape[1]
-            for couplings, tau, expected in ((dense, 0.3, built[order] * dense.shape[1]),
-                                             (sparse, 0.3, built[order] * kept),
-                                             (dense, 0.0, 0)):
-                calls.clear()
+            kept = np.flatnonzero(masks.any(axis=0))
+            assert 0 < len(kept) < masks.shape[1]
+            for couplings, tau, live in ((dense, 0.3, np.arange(dense.shape[1])),
+                                         (sparse, 0.3, kept),
+                                         (dense, 0.0, np.arange(0))):
+                applied.clear()
                 trotter._round_matrices(n, k, couplings, sched, tau)
-                assert len(calls) == expected
+                assert sorted(applied) == sorted(live.tolist() * built[order])
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -414,13 +437,16 @@ class TestRoundMatrices:
     @pytest.mark.parametrize("order", [1, 2, 4])
     @pytest.mark.parametrize("n,k", [(10, 4), (10, 3), (10, 2)])
     def test_one_term_runs_are_the_reference_bits(self, n, k, order):
-        """With every coupling zeroed but the first of each equal-shift run,
-        each run holds one live term, whose step is the reference's step
-        operation for operation.  So a round built term by term, l = 1 and,
-        without a mirror (k = 2), l = 2, is the reference's bit for bit; a
-        mirrored sweep or a product of pairs rounds differently, to ulps."""
-        shifts = term_table(n, k).shifts
-        first_of_run = np.concatenate(([True], shifts[1:] != shifts[:-1]))
+        """With every coupling zeroed but the first of each run of the sweep
+        order, each run holds one live term, whose step is the reference's
+        step operation for operation.  So a round built term by term, l = 1
+        and, without a mirror (k = 2), l = 2, is bit for bit the reference
+        applied in the sweep order; a mirrored sweep or a product of pairs
+        rounds differently, to ulps."""
+        table = term_table(n, k)
+        shifts = table.shifts[table.sweep_order]
+        first_of_run = np.zeros(len(shifts), dtype=bool)
+        first_of_run[table.sweep_order] = np.concatenate(([True], shifts[1:] != shifts[:-1]))
         assert not first_of_run.all()
         instances = [sample_dense(n, k, seed=60, sample_index=i) for i in range(3)]
         instances = [
@@ -428,9 +454,9 @@ class TestRoundMatrices:
             for inst in instances
         ]
         sched = build_schedule(order)
-        term_by_term = order == 1 or (order == 2 and term_table(n, k).mirror is None)
+        term_by_term = order == 1 or (order == 2 and table.mirror is None)
         for inst, ours in zip(instances, _stack(instances, sched, 0.7)):
-            reference = _round_matrix_reference(inst, sched, 0.7)
+            reference = _round_matrix_reference(inst, sched, 0.7, table.sweep_order)
             if term_by_term:
                 assert np.array_equal(ours, reference)
             else:
