@@ -28,6 +28,7 @@ Delta_l by l.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -261,7 +262,7 @@ class SolverInput:
     base: BoundInput  # r is ignored; p is replaced by p_star
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # nan too
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
@@ -314,13 +315,7 @@ def solve_trotter_number(inp: SolverInput) -> int:
         hi *= 2
         if hi > 1 << 62:
             raise ContractError("no satisfying Trotter number below 2^62")
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    lo = bisect.bisect_left(range(1, hi + 1), True, key=ok) + 1
     if not ok(lo) or (lo > 1 and ok(lo - 1)):  # back substitution
         raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
     return lo

@@ -1,5 +1,7 @@
 """Dense complex backend: Hamiltonian assembly, exact evolution, Schatten
-norms, and the Monte-Carlo expected-norm estimator.
+norms, and the Monte-Carlo expected-norm estimator.  ``_mean_sem`` is the
+one mean and standard error of both disorder averages, its sums exactly
+rounded by ``math.fsum``, so no estimate depends on the sample order.
 
 ``assemble`` builds H for N samples of one (n, k) as (N, B, W, W) parity
 blocks, D = 2**(n/2) = B * W; ``DEFAULT_DIM_CAP`` (2**10) caps D to guard
@@ -193,19 +195,14 @@ class NormEstimate:
     p: float
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Fixed-order pairwise tree reduction: the fixed order the golden CSVs
-    were written with.  ``math.fsum`` (exactly rounded) would be
-    order-invariant too, but it moves the last bits of the means: with it,
-    ``tests/golden/scan_n_dense.csv`` and ``scan_n_sparse.csv`` no longer
-    match (4 of the 6 golden cases fail)."""
-    vals = list(values)
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+def _mean_sem(values: Sequence[float]) -> tuple[float, float]:
+    """Sample mean of ``values`` and its standard error, sqrt(s^2 / N) with
+    the N - 1 variance s^2, both sums exactly rounded by ``math.fsum``, so
+    neither depends on the order of the values."""
+    num = len(values)
+    mean = math.fsum(values) / num
+    var_mean = math.fsum((x - mean) ** 2 for x in values) / (num - 1) / num
+    return mean, math.sqrt(var_mean)
 
 
 def _pth_power(norm: float, p: float) -> float:
@@ -219,11 +216,12 @@ def expected_norm(matrices: Iterable[np.ndarray], p: float) -> NormEstimate:
     """Estimate (E ||A_i||_p^p)**(1/p) from per-sample matrices A_i (each
     one matrix or a block stack, as :func:`schatten_norm` takes).
 
-    ``matrices`` is consumed once, in index order, and its p-th powers are
-    reduced with a fixed-order pairwise tree, so the estimate is
-    deterministic.  Each matrix is dropped before the next one is asked
-    for, so a generator keeps one of them alive at a time.  A p whose powers
-    or their squares underflow is refused (see the module docstring).
+    ``matrices`` is consumed once, in index order, and the mean of its p-th
+    powers and their standard error are taken by ``_mean_sem`` (exactly
+    rounded sums), so the estimate does not depend on the sample order.
+    Each matrix is dropped before the next one is asked for, so a generator
+    keeps one of them alive at a time.  A p whose powers or their squares
+    underflow is refused (see the module docstring).
     """
     # map() releases each matrix before it asks for the next one; the loop
     # variable of a list comprehension would still hold the previous one
@@ -233,10 +231,7 @@ def expected_norm(matrices: Iterable[np.ndarray], p: float) -> NormEstimate:
         raise ValueError("need num_samples >= 2 for a standard error")
     top = max(powers)
     _check_power(top, top * top, p, "(largest ||A||_p**p)**2")
-    mean = _pairwise_sum(powers) / num_samples
-    centered = [(x - mean) ** 2 for x in powers]
-    var_mean = _pairwise_sum(centered) / (num_samples - 1) / num_samples
-    sem = var_mean**0.5
+    mean, sem = _mean_sem(powers)
     value = mean ** (1.0 / p) if mean > 0 else 0.0
     # delta method: d(m**(1/p))/dm = m**(1/p - 1)/p
     stderr = (mean ** (1.0 / p - 1.0) / p) * sem if mean > 0 else 0.0

@@ -380,8 +380,9 @@ def from_json(text: str) -> SykInstance:
     """Parse an instance written by :func:`to_json`, rejecting malformed or
     inconsistent documents (ValueError): a missing, unknown or mistyped key,
     an array entry that is not a finite number (couplings) or the integer 0
-    or 1 (mask), wrong array lengths, or a sigma / p_B that does not match
-    the model.  A masked coupling loads as 0."""
+    or 1 (mask), wrong array lengths, a sigma / p_B that does not match
+    the model, or ``clamped`` true where p_B is not 1.  A masked coupling
+    loads as 0."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
@@ -408,6 +409,9 @@ def from_json(text: str) -> SykInstance:
         if p_b is None or not 0.0 <= p_b <= 1.0:
             raise ValueError(f"a sparse instance needs 0 <= p_B <= 1, got {p_b!r}")
         sigma = sigma_sparse(n, k, doc["energy_constant"], p_b)
+    if doc["clamped"] and not (mask is not None and p_b == 1.0):
+        raise ValueError(f"instance key 'clamped' is true only for a sparse instance with "
+                         f"p_B = 1, got p_B = {p_b!r}")
     if not math.isclose(doc["sigma"], sigma, rel_tol=1e-12):
         raise ValueError(f"sigma {doc['sigma']!r} != {sigma!r} implied by n, k, "
                          "energy_constant and p_B")

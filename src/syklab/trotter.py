@@ -90,8 +90,8 @@ import numpy as np
 
 from .fermions import _POWERS_OF_I, TermTable, hilbert_dim, term_table
 from .linalg import (
-    NormEstimate, _check_dim_cap, _check_schatten_order, assemble, exact_evolution,
-    expected_norm, schatten_norm,
+    NormEstimate, _check_dim_cap, _check_schatten_order, _mean_sem, assemble,
+    exact_evolution, expected_norm, schatten_norm,
 )
 from .model import SykInstance, coupling_groups
 
@@ -265,21 +265,6 @@ def _round_matrices(
     return suzuki(schedule.order, 1.0)
 
 
-def _matrix_power(mat: np.ndarray, power: int) -> np.ndarray:
-    """Repeated-squaring power (power >= 1) of a matrix or of each block of
-    a (..., W, W) stack, for the r rounds S_l(t/r)**r: log2(power) squarings
-    and one product per further set bit."""
-    result = None
-    base = mat
-    while True:
-        if power & 1:
-            result = base if result is None else base @ result
-        power >>= 1
-        if not power:
-            return result
-        base = base @ base
-
-
 def _check_r(r: int) -> None:
     """The one check of a Trotter number r, which BoundInput and gate_counts
     share: an integer (numpy's too), as the r-th power needs, with 1 <= r <=
@@ -318,7 +303,7 @@ def trotterized(
                              schedule, t / r)
     sectors = term_table(instance.n, instance.k).sectors
     full = np.zeros((sectors.size, sectors.size), dtype=complex)
-    full[sectors[:, :, None], sectors[:, None, :]] = _matrix_power(rounds[0], r)
+    full[sectors[:, :, None], sectors[:, None, :]] = np.linalg.matrix_power(rounds[0], r)
     return full
 
 
@@ -339,7 +324,7 @@ def _error_operators(
     size = max(1, _STACK_BYTES // per_sample)
     for start in range(0, len(couplings), size):
         stack = couplings[start:start + size]
-        yield from exact_evolution(assemble(n, k, stack), t) - _matrix_power(
+        yield from exact_evolution(assemble(n, k, stack), t) - np.linalg.matrix_power(
             _round_matrices(n, k, stack, schedule, t / r), r)
 
 
@@ -363,8 +348,9 @@ def averaged_error(
     over the rows of the one group of ``model.coupling_groups``.  Sparse
     (Xu-Susskind-Su-Swingle): the plain mean over its ``num_bernoulli``
     groups, one per Bernoulli mask (outside), of that Gaussian-disorder
-    expectation (inside).  The order, the dense cap, t and r are checked
-    before the first group is drawn.
+    expectation (inside), with its standard error; both averages take their
+    mean and standard error from ``linalg._mean_sem``.  The order, the dense
+    cap, t and r are checked before the first group is drawn.
     """
     _check_norm_order(p)
     if num_disorder < 2:
@@ -379,8 +365,7 @@ def averaged_error(
     values = [est.value / scale for est in ests]
     if kappa is None:
         return NormEstimate(values[0], ests[0].stderr / scale, num_disorder, p)
-    stderr = float(np.std(values, ddof=1) / math.sqrt(num_bernoulli))
-    return NormEstimate(float(np.mean(values)), stderr, num_bernoulli, p)
+    return NormEstimate(*_mean_sem(values), num_bernoulli, p)
 
 
 def fixed_state_error(

@@ -390,6 +390,13 @@ class TestSolver:
         r = solve_trotter_number(inp)
         assert r >= 1
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_epsilon_not_positive_rejected(self, epsilon):
+        """nan too: it would double r up to 2^62 and report no solution."""
+        base = BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=1)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            SolverInput(epsilon, 0.01, "operator_norm", base)
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
     def test_delta_outside_zero_one_rejected(self, delta):
         base = BoundInput(n=8, k=4, l=1, p=2, t=1.0, r=1)

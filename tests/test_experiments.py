@@ -882,6 +882,16 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"syklab: error: unknown config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,r", [
+        (["--n", "6400", "--k", "3", "--l", "20"], 1729450923864442),
+        (["--n", "1600", "--k", "3", "--l", "20", "--model", "sparse", "--kappa", "4"],
+         3527971558710782),
+    ], ids=["dense", "sparse"])
+    def test_solve_r_where_lambda_overflows_at_small_r(self, capsys, args, r):
+        """The command's operator-norm r where lambda is inf at r = 1, 2."""
+        assert main(["solve-r"] + args) == 0
+        assert f"  operator_norm: r = {r}  (" in capsys.readouterr().out
+
     def test_solve_r_ignores_p(self, capsys):
         assert main(["solve-r", "--n", "8", "--k", "4"]) == 0
         default = capsys.readouterr().out

@@ -1,39 +1,24 @@
 """Golden CSVs: scan output must stay byte-identical across refactors.
 
-The files under ``tests/golden/`` were last written by the commands below
-when the config keys ``overhead`` and ``mode``, which no command read, were
-deleted: only their two comment lines (``# overhead = none`` and
-``# mode = operator_norm``) went, and every data row and fit line stayed
-byte-identical.  The numbers of all four scan files were last written when
-the round kernel began to apply each sweep's terms in the term table's
-sweep order, which moves terms only past terms they commute with and fuses
-them into fewer runs of equal shift: the same operators, rounded
-differently, so observed values moved by at most 8.4e-12 relative and
-their standard errors by at most 2.4e-11 (``scan_t.csv`` by at most
-4.2e-13, its observed fit line in its last digits; the first n = 6 row of
-``scan_n_odd.csv`` kept its bytes).  Before that, ``scan_t.csv`` (p = 4)
-moved by at most 4.7e-16 when even Schatten orders began to sum s**p from
-Gram products instead of the SVD, and the three l = 2 files by at most
-1.5e-11 (standard errors 7.0e-11) when the round kernel began to build
-each Strang pair F R from one forward sweep F, with the reverse sweep R =
-Q F^T Q^dag for the term table's mirror Q.  Before that they moved by at
-most 2.2e-11 when the kernel began to fuse each run of consecutive terms
-of equal shift into one step, alpha + beta P_s, and by at most 3.4e-11 when
-eigh, the Trotter power and the Schatten norm moved onto the parity blocks
-of the error operator.  Any
-change to these bytes is a numerical or format change and must be a
-deliberate one (regenerate the files with the same commands and say why).
-``scan_n_odd.csv`` (k = 3: one sector, B = 1) pins the odd-k path that the
-k = 4 files do not reach.
+Each scan file under ``tests/golden/`` is written by its command in
+``CASES`` (``python -m syklab <args> -o tests/golden/<name>``) and pins a row
+per grid point and the fit lines: ``scan_n_dense.csv`` and
+``scan_n_sparse.csv`` the k = 4 Strang scans (dense, and sparse with
+kappa = 4), ``scan_n_odd.csv`` (k = 3: one sector, B = 1) the odd-k path
+that the k = 4 files do not reach, and ``scan_t.csv`` the p = 4 first-order
+t-scan.  Their numbers were last written when the Trotter power became
+``np.linalg.matrix_power`` and both disorder averages began to take their
+mean and standard error as exactly rounded sums (``math.fsum``): observed
+values moved by at most 1.2e-12 relative and their standard errors by at
+most 1.3e-11, the ``scan_t.csv`` fit lines in their last digits, and every
+``bound`` cell kept its bytes.  Any change to these bytes is a numerical or
+format change and must be a deliberate one (regenerate the files with the
+same commands and say why).
 ``bounds.csv`` pins the analytical bounds, which read no random numbers:
 ``repr(error_bound(...))`` (or the error it raises) over a grid of dense and
-sparse inputs, then ``solve-r``'s report for a few (n, k, l).  It was
-recorded by ``python tests/test_golden.py`` before the (Gamma, Q) evaluators
-were folded into the SYK bound functions, and leaves out k = n (Q = 0) and
-inputs whose squares overflow a float.  Its two sparse ``solve-r`` reports
-were last rewritten when sparse gate counts began to take the expected
-number of kept terms, min(kappa n, C(n,k)), for Gamma: only their gate-count
-lines changed.
+sparse inputs, then ``solve-r``'s report for a few (n, k, l).  It is
+written by ``python tests/test_golden.py`` and leaves out k = n (Q = 0) and
+inputs whose squares overflow a float.
 The byte identity is promised within one numpy/BLAS build.
 """
 

@@ -401,6 +401,15 @@ class TestExpectedNorm:
         # ratio should be ~ 1/2; allow generous statistical slack
         assert large.stderr < small.stderr
 
+    def test_sample_order_does_not_move_bits(self):
+        """The mean and standard error are exactly rounded sums, so every
+        permutation of the samples gives the same bits."""
+        rng = np.random.default_rng(61)
+        mats = list(rng.standard_normal((32, 8, 8)) * rng.uniform(0.5, 2.0, (32, 1, 1)))
+        est = expected_norm(mats, 4)
+        for _ in range(200):
+            assert expected_norm([mats[i] for i in rng.permutation(32)], 4) == est
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             expected_norm([np.eye(2)], 2)

@@ -392,6 +392,11 @@ class TestFromJsonValidation:
         inst = sample_sparse(8, 3, seed=2) if sparse else sample_dense(8, 3, seed=2)
         assert from_json(json.dumps(_doc(inst))).gamma_count == 56
 
+    def test_clamped_round_trip_is_accepted(self):
+        """``clamped`` true loads where p_B is clamped at 1."""
+        inst = sample_sparse(8, 3, kappa=1e3, seed=2)
+        assert inst.clamped and from_json(json.dumps(_doc(inst))).clamped
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -435,6 +440,15 @@ class TestFromJsonValidation:
                          "'clamped' needs true or false, got 'yes'", id="clamped-string"),
             pytest.param(lambda d: d.update(clamped=1),
                          "'clamped' needs true or false, got 1", id="clamped-int"),
+            pytest.param(lambda d: d.update(clamped=True),
+                         "'clamped' is true only for a sparse instance with p_B = 1, "
+                         "got p_B = 0.57",
+                         id="clamped-sparse"),
+            pytest.param(lambda d: d.update(clamped=True, mask=None, p_B=None,
+                                            sigma=sigma_dense(8, 3, 1.0)),
+                         "'clamped' is true only for a sparse instance with p_B = 1, "
+                         "got p_B = None",
+                         id="clamped-dense"),
             pytest.param(lambda d: d.update(sigma="x"), "'sigma' needs a number, got 'x'",
                          id="sigma-string"),
             pytest.param(lambda d: d.update(p_B="x"),

@@ -13,8 +13,12 @@ from scipy.linalg import expm
 from conftest import dense_hamiltonian
 from syklab import fermions, trotter
 from syklab.fermions import hilbert_dim, term_operator, term_table
-from syklab.linalg import ResourceError, exact_evolution
-from syklab.model import ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse
+from syklab.linalg import (
+    NormEstimate, ResourceError, _mean_sem, exact_evolution, expected_norm,
+)
+from syklab.model import (
+    coupling_groups, ordering_map, sample_bernoulli_mask, sample_dense, sample_sparse,
+)
 from syklab.pauli import _coefficients, to_dense
 from syklab.trotter import (
     Schedule,
@@ -763,6 +767,17 @@ class TestAveragedError:
         with pytest.raises(ValueError, match="Trotter number"):
             averaged_error(6, 3, 1, 0.5, 0, 2, 41, 3)
 
+    def test_sparse_is_mean_sem_of_the_per_mask_estimates(self):
+        """The outer average is ``_mean_sem`` of the normalized per-mask
+        expected norms, bit for bit."""
+        n, k, t, r, p, seed, num_disorder, num_bernoulli = 8, 4, 1.0, 10, 4, 58, 3, 4
+        est = averaged_error(n, k, 2, t, r, p, seed, num_disorder, kappa=4.0,
+                             num_bernoulli=num_bernoulli)
+        groups = coupling_groups(n, k, 1.0, seed, num_disorder, 4.0, num_bernoulli)
+        values = [expected_norm(trotter._error_operators(n, k, rows, build_schedule(2), t, r),
+                                p).value / hilbert_dim(n) ** (1 / p) for rows in groups]
+        assert est == NormEstimate(*_mean_sem(values), num_bernoulli, p)
+
     @pytest.mark.parametrize("stack_bytes,stacks", [(None, 1), (1, 10)])
     def test_assembles_once_per_stack(self, monkeypatch, stack_bytes, stacks):
         """H is assembled and exp(iHt) formed once per stack, both as
@@ -1019,7 +1034,7 @@ def test_term_order_changes_s_but_not_u():
     t, r = 1.0, 8
     s_fwd = trotterized(inst, build_schedule(1), t, r)
     rounds = _swept(6, 3, inst.couplings[None], t / r, (1.0, False))
-    s_rev = _place(trotter._matrix_power(rounds, r), 6, 3)[0]
+    s_rev = _place(np.linalg.matrix_power(rounds, r), 6, 3)[0]
     assert np.linalg.norm(s_fwd - s_rev) > 1e-8  # S depends on the order
     exact = exact_evolution(dense_hamiltonian(inst), t)  # U does not
     for s in (s_fwd, s_rev):
