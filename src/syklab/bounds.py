@@ -28,7 +28,6 @@ Delta_l by l.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -292,33 +291,82 @@ class ContractError(ValueError):
     """The bound violated the solver's monotonicity contract."""
 
 
+_R_CAP = 1 << 62  # the largest Trotter number the solver tries
+
+
+def _loglog_root(r_a: int, lam_a: float, r_b: int, lam_b: float, target: float) -> float | None:
+    """log r where the line through two probes in (log r, log lambda) meets
+    log target, at most log 2^62; None where that line is undefined: lambda
+    is inf or 0 at either probe, or either log is equal at both."""
+    if not (0 < lam_a < math.inf and 0 < lam_b < math.inf):
+        return None
+    rise, run = math.log(lam_b) - math.log(lam_a), math.log(r_b) - math.log(r_a)
+    if rise == 0 or run == 0:
+        return None
+    return min(math.log(r_b) + (math.log(target) - math.log(lam_b)) * run / rise,
+               math.log(_R_CAP))
+
+
 def solve_trotter_number(inp: SolverInput) -> int:
     """Minimal Trotter number r with lambda(p_star, r)/epsilon <= 1/(e*p_star).
 
     p_star = log(e^2 2^(n/2)/delta) in operator_norm mode, log(e^2/delta) in
-    fixed_state mode.  Exponential bracketing and bisection from r0, the first
-    power of two with finite lambda, where the contract is checked.  The result
-    is verified by back substitution (and r-1 checked to violate the inequality).
+    fixed_state mode.  The search starts from r0, the first power of two
+    with finite lambda, where the contract is checked, and is a safeguarded
+    secant on (log r, log lambda), where the bound is nearly a line:
+
+    - hi is pushed out to where the line through the last two probes meets
+      the target, at least doubling each step and capped at 2^62;
+    - the bracket [lo, hi], lambda(lo) > target >= lambda(hi), then shrinks
+      by probing the integer where the line through its ends meets the
+      target, clamped inside the bracket;
+    - the midpoint is probed instead (or hi doubled) where that line is
+      undefined: lambda inf or 0, or equal at both ends.  At large r,
+      lambda is a float step function (r ~ 2^53, and earlier where log r
+      rounds), so a probe that lands on the lambda of the end it replaces
+      also sends the next probe to the midpoint;
+    - so does a bracket that has not halved in two steps.
+
+    Wherever lambda is non-increasing in r the result is the minimal r, the
+    one a bisection finds, in about a dozen evaluations of lambda.  It is
+    verified by back substitution (and r-1 checked to violate the inequality).
     """
     target = inp.target()
-    hi, lam0 = 1, inp.lam(1)  # hi = r0, where the bracket starts
-    while not math.isfinite(lam0) and hi < 1 << 62:
-        hi *= 2
-        lam0 = inp.lam(hi)
-    if not 0 < lam0 < math.inf or inp.lam(2 * hi) >= lam0:
+    r0, lam0 = 1, inp.lam(1)
+    while not math.isfinite(lam0) and r0 < _R_CAP:
+        r0 *= 2
+        lam0 = inp.lam(r0)
+    lam_twice = inp.lam(2 * r0)
+    if not 0 < lam0 < math.inf or lam_twice >= lam0:
         raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
 
-    def ok(r: int) -> bool:
-        return inp.lam(r) <= target
+    def lam(r: int) -> float:
+        return lam_twice if r == 2 * r0 else inp.lam(r)
 
-    while not ok(hi):
-        hi *= 2
-        if hi > 1 << 62:
+    lo, lam_lo, hi, lam_hi = r0 // 2, math.inf, r0, lam0  # lambda(r0 // 2) is inf, or r0 = 1
+    while lam_hi > target:
+        if hi >= _R_CAP:
             raise ContractError("no satisfying Trotter number below 2^62")
-    lo = bisect.bisect_left(range(1, hi + 1), True, key=ok) + 1
-    if not ok(lo) or (lo > 1 and ok(lo - 1)):  # back substitution
+        log_r = _loglog_root(lo, lam_lo, hi, lam_hi, target)
+        grown = 2 * hi if log_r is None else max(2 * hi, math.ceil(math.exp(log_r)))
+        lo, lam_lo, hi = hi, lam_hi, min(grown, _R_CAP)
+        lam_hi = lam(hi)
+    widths, flat = [hi - lo], False
+    while hi - lo > 1:
+        log_r = None if flat else _loglog_root(lo, lam_lo, hi, lam_hi, target)
+        if log_r is None or (len(widths) > 2 and 2 * widths[-1] > widths[-3]):
+            r = (lo + hi) // 2
+        else:
+            r = min(max(math.ceil(math.exp(log_r)), lo + 1), hi - 1)
+        lam_r = lam(r)
+        if lam_r <= target:  # flat: r is on the plateau of the end it replaces
+            flat, hi, lam_hi = lam_r == lam_hi, r, lam_r
+        else:
+            flat, lo, lam_lo = lam_r == lam_lo, r, lam_r
+        widths.append(hi - lo)
+    if not inp.lam(hi) <= target or (hi > 1 and inp.lam(hi - 1) <= target):  # back substitution
         raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
-    return lo
+    return hi
 
 
 def term_count(n: int, k: int, kappa: float | None = None) -> int | float:

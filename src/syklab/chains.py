@@ -69,6 +69,7 @@ __all__ = [
 MAX_CHAIN_LENGTH = 5
 MAX_TERMS = 6
 _WORD = (1 << 64) - 1
+_ROW_BLOCK = 128  # adjacency rows build_graph forms at a time
 
 
 def _mask_words(x: list[int], z: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -270,30 +271,48 @@ def build_graph(terms: TermSet) -> np.ndarray:
     """The anticommutation graph as its (m, m) bool adjacency: entry (i, j)
     is set iff terms i and j anticommute (the diagonal is clear), from
     vectorized symplectic parities of the termset's mask arrays, in their
-    dtype."""
+    dtype.  Rows are formed ``_ROW_BLOCK`` (128) at a time in two reused
+    (rows, m) buffers and written into the result, so no (m, m) temporary
+    is made."""
     m = terms.m
+    adj = np.empty((m, m), dtype=bool)
+    acc = np.empty((min(m, _ROW_BLOCK), m), dtype=terms.x.dtype)
+    tmp = np.empty_like(acc)
     # |x_i & z_j| + |z_i & x_j| = |(x_i & z_j) ^ (z_i & x_j)| (mod 2), and
     # the parities of a mask's words add up (mod 2) as their XOR does
-    acc = np.zeros((m, m), dtype=terms.x.dtype)
-    for x, z in zip(terms.x.T, terms.z.T):
-        acc ^= x[:, None] & z
-        acc ^= z[:, None] & x
-    adj = np.bitwise_count(acc)
-    adj &= 1
-    adj = adj.view(bool)
+    for start in range(0, m, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, m)
+        block, scratch = acc[: stop - start], tmp[: stop - start]
+        block.fill(0)
+        for x, z in zip(terms.x.T, terms.z.T):
+            np.bitwise_and(x[start:stop, None], z, out=scratch)
+            block ^= scratch
+            np.bitwise_and(z[start:stop, None], x, out=scratch)
+            block ^= scratch
+        np.bitwise_count(block, out=block)
+        np.bitwise_and(block, 1, out=adj[start:stop].view(np.uint8))
     np.fill_diagonal(adj, False)
     return adj
 
 
 def greedy_coloring(adjacency: np.ndarray) -> int:
-    """Sequential greedy coloring of the graph with (m, m) bool adjacency
-    ``adjacency``, in vertex-index order (vertex v takes the smallest color
-    that no neighbour u < v has); returns the number of colors used, at most
-    maxdegree + 1."""
+    """Sequential greedy coloring of the graph with symmetric (m, m) bool
+    adjacency ``adjacency``, in vertex-index order (vertex v takes the
+    smallest color that no neighbour u < v has); returns the number of
+    colors used, at most maxdegree + 1.
+
+    A (colors, m) bool table holds the forbidden colors: row c marks the
+    vertices with a lower neighbour of color c.  Vertex v takes the first
+    clear entry of column v, and its higher neighbours are OR-ed into that
+    color's row, a contiguous update.  The table starts at 64 colors and
+    doubles when full."""
     m = len(adjacency)
-    colors = np.zeros(m, dtype=np.int64)
+    forbidden = np.zeros((64, m), dtype=bool)
+    used = 0
     for v in range(m):
-        taken = np.zeros(v + 1, dtype=bool)  # colors so far are all < v + 1
-        taken[colors[:v][adjacency[v, :v]]] = True
-        colors[v] = taken.argmin()  # the first color not taken
-    return int(colors.max()) + 1 if m else 0
+        if used == len(forbidden):
+            forbidden = np.concatenate((forbidden, np.zeros_like(forbidden)))
+        color = int(forbidden[: used + 1, v].argmin())  # row `used` is clear
+        forbidden[color, v + 1:] |= adjacency[v, v + 1:]
+        used = max(used, color + 1)
+    return used

@@ -20,7 +20,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -326,9 +326,10 @@ def _check_q() -> tuple[bool, str]:
     mism = []
     for nn in range(2, 15, 2):
         for k in range(1, min(5, nn) + 1):
-            fixed = set(range(1, k + 1))
-            counts = {sum((k + len(fixed & set(e))) % 2
-                          for e in combinations(range(1, nn + 1), k))}
+            edges = np.fromiter(chain.from_iterable(combinations(range(1, nn + 1), k)),
+                                dtype=np.int64).reshape(-1, k)
+            overlaps = np.count_nonzero(edges <= k, axis=1)  # |e & {1..k}|
+            counts = {int(np.count_nonzero((k + overlaps) % 2))}
             if nn <= 12:
                 graph = chains.build_graph(chains.syk_termset(nn, k))
                 counts |= set(graph.sum(axis=1).tolist())

@@ -1,5 +1,6 @@
 """Bound evaluators, Trotter-number solver, gate counts, log-log fits."""
 
+import bisect
 import math
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 
 from syklab.bounds import (
     BoundInput,
+    ContractError,
     SolverInput,
     delta1_dense,
     delta_l_dense,
@@ -25,6 +27,7 @@ from syklab.bounds import (
     solve_trotter_number,
     term_count,
 )
+from syklab.experiments import ExperimentConfig, _bound_input
 from syklab.linalg import NormEstimate
 from syklab.model import bernoulli_probability, sigma_dense
 from syklab.trotter import stage_count
@@ -429,6 +432,110 @@ class TestSolver:
         assert inp.lam(r) <= inp.target() < inp.lam(r - 1)
         if mode == "operator_norm":
             assert r == r_operator
+
+
+def _doubling_bisection(inp: SolverInput) -> int:
+    """The solver's search before the secant: double r from r0 until the
+    criterion holds, then bisect over [1, hi].  The r0 probe, contract check
+    and back substitution are the solver's."""
+    target = inp.target()
+    hi, lam0 = 1, inp.lam(1)
+    while not math.isfinite(lam0) and hi < 1 << 62:
+        hi *= 2
+        lam0 = inp.lam(hi)
+    if not 0 < lam0 < math.inf or inp.lam(2 * hi) >= lam0:
+        raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
+
+    def ok(r: int) -> bool:
+        return inp.lam(r) <= target
+
+    while not ok(hi):
+        hi *= 2
+        if hi > 1 << 62:
+            raise ContractError("no satisfying Trotter number below 2^62")
+    lo = bisect.bisect_left(range(1, hi + 1), True, key=ok) + 1
+    if not ok(lo) or (lo > 1 and ok(lo - 1)):
+        raise ContractError("lambda(p, r) must be positive and strictly decreasing in r")
+    return lo
+
+
+def _outcome(solve, inp: SolverInput):
+    try:
+        return solve(inp)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# 13 n x 4 k x 12 (model, l) x 2 modes = 1,248 solves, r from 1 to ~5e16
+SOLVER_GRID = [
+    (n, k, l, kappa, mode)
+    for n in (6, 8, 10, 12, 16, 24, 50, 100, 200, 400, 800, 1600, 6400)
+    for k in (1, 2, 3, 4)
+    for kappa, orders in ((None, (1, 2, 4, 6, 12, 20)), (4.0, (2, 4, 6, 8, 12, 20)))
+    for l in orders
+    for mode in ("operator_norm", "fixed_state")
+]
+
+
+class TestSolverSearch:
+    """The secant search returns what doubling and bisection return."""
+
+    def test_grid_matches_doubling_bisection(self):
+        assert len(SOLVER_GRID) == 1248
+        mismatches = []
+        for n, k, l, kappa, mode in SOLVER_GRID:
+            inp = SolverInput(0.1, 0.01, mode, BoundInput(n=n, k=k, l=l, p=2, t=1.0, r=1,
+                                                          kappa=kappa))
+            got, want = _outcome(solve_trotter_number, inp), _outcome(_doubling_bisection, inp)
+            if got != want:
+                mismatches.append((n, k, l, kappa, mode, got, want))
+        assert mismatches == []
+
+    def test_float_plateau(self):
+        """solve-r --n 6400 --k 1 --l 20 --model sparse --kappa 4: past
+        r ~ 2^53 lambda takes equal values on runs of r, where the log-log
+        line through two probes is undefined."""
+        inp = SolverInput(0.1, 0.01, "operator_norm",
+                          BoundInput(n=6400, k=1, l=20, p=2, t=1.0, r=1, kappa=4.0))
+        r = solve_trotter_number(inp)
+        assert r == 47_884_881_848_796_581 > 2**53
+        assert inp.lam(r) <= inp.target() < inp.lam(r - 1)
+        assert inp.lam(r + 1) == inp.lam(r)  # a plateau
+
+    @pytest.mark.parametrize("l,kappa", [(1, None), (2, None), (20, 4.0)])
+    def test_unreachable_epsilon_raises_as_before(self, l, kappa):
+        inp = SolverInput(1e-300, 0.01, "operator_norm",
+                          BoundInput(n=10, k=4, l=l, p=2, t=1.0, r=1, kappa=kappa))
+        with pytest.raises(ContractError, match="no satisfying Trotter number below 2"):
+            solve_trotter_number(inp)
+        assert _outcome(solve_trotter_number, inp) == _outcome(_doubling_bisection, inp)
+
+    @pytest.mark.parametrize("lam", [lambda r: 1.0, lambda r: 0.0, lambda r: math.inf,
+                                     lambda r: float(r)])
+    def test_contract_violations_raise_as_before(self, monkeypatch, lam):
+        inp = SolverInput(0.1, 0.01, "operator_norm", BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=1))
+        monkeypatch.setattr(SolverInput, "lam", lambda self, r: lam(r))
+        with pytest.raises(ContractError, match="strictly decreasing"):
+            solve_trotter_number(inp)
+        assert _outcome(solve_trotter_number, inp) == _outcome(_doubling_bisection, inp)
+
+    def test_probes_per_oracle_sweep(self, monkeypatch):
+        """The lambda evaluations of the 40 solves of the benchmark's oracle
+        workload (solve-r defaults at n = 8..16, k = 3, 4, l = 1, 2, both
+        modes); doubling and bisection took 1,378.  Pinned, so that a change
+        in the search's cost shows here."""
+        calls = []
+        lam = SolverInput.lam
+        monkeypatch.setattr(SolverInput, "lam", lambda self, r: calls.append(r) or lam(self, r))
+        for n in (8, 10, 12, 14, 16):
+            for k in (3, 4):
+                for l in (1, 2):
+                    config = ExperimentConfig(command="solve-r", n_list=(n,), k=k, l=l)
+                    base = _bound_input(config, n, config.t, p=2.0, r=1)
+                    for mode in ("operator_norm", "fixed_state"):
+                        solve_trotter_number(
+                            SolverInput(config.epsilon, config.delta, mode, base))
+        assert len(calls) == 390
 
 
 @pytest.mark.parametrize("n,k", [(1260, 100), (400, 150)])

@@ -503,6 +503,19 @@ class TestGraph:
         for i, j in rng.integers(0, terms.m, size=(2000, 2)):
             assert adj[i, j] == (i != j and not commutes(terms.terms[i], terms.terms[j]))
 
+    def test_two_word_masks_past_one_row_block(self):
+        """chi_1 ... chi_130 at n = 130: 65 qubits put the masks on two
+        words, and 130 rows are one full block of build_graph and part of a
+        second.  They pairwise anticommute: K_130."""
+        terms = TermSet(tuple(jordan_wigner(i, 130) for i in range(1, 131)))
+        assert terms.x.shape == terms.z.shape == (130, 2)
+        adj = build_graph(terms)
+        for i in range(terms.m):
+            for j in range(terms.m):
+                expected = i != j and not commutes(terms.terms[i], terms.terms[j])
+                assert bool(adj[i, j]) == expected
+        assert adj.sum() == 130 * 129
+
     def test_matches_pairwise_commutes_uint16_masks(self):
         """n = 18 puts the masks on 9 qubits, past uint8."""
         rng = np.random.default_rng(18)
@@ -526,9 +539,10 @@ class TestColoring:
         assert greedy_coloring(build_graph(ZZ_PAIR)) == 1
 
     def test_complete_graph_needs_m_colors(self):
-        # chi_1 ... chi_m pairwise anticommute: K_m
-        for m in (2, 3, 5):
-            terms = TermSet(tuple(jordan_wigner(i, 6) for i in range(1, m + 1)))
+        # chi_1 ... chi_m pairwise anticommute: K_m; K_130 needs more colors
+        # than the 64 rows the color table starts with
+        for n, m in ((6, 2), (6, 3), (6, 5), (130, 130)):
+            terms = TermSet(tuple(jordan_wigner(i, n) for i in range(1, m + 1)))
             adj = build_graph(terms)
             assert adj.sum() == m * (m - 1)  # each edge once in each direction
             assert greedy_coloring(adj) == m
@@ -539,17 +553,18 @@ class TestColoring:
         assert 1 <= colors <= q_of(n, 4) + 1
 
     def test_proper_coloring_reconstruction(self):
-        """Re-run the greedy loop and verify no edge is monochromatic."""
-        terms = syk_termset(8, 4)
-        adj = build_graph(terms)
-        m = len(adj)
-        colors = np.full(m, -1)
-        for v in range(m):
-            used = set(colors[adj[v]][colors[adj[v]] >= 0].tolist())
-            c = 0
-            while c in used:
-                c += 1
-            colors[v] = c
-        assert int(colors.max()) + 1 == greedy_coloring(adj)
-        for i, j in zip(*np.nonzero(adj)):
-            assert colors[i] != colors[j]
+        """Re-run the greedy loop and verify no edge is monochromatic, at
+        n = 8 and at n = 16, which needs 167 colors (past the color table's
+        first doubling)."""
+        for n in (8, 16):
+            adj = build_graph(syk_termset(n, 4))
+            colors = np.full(len(adj), -1)
+            for v in range(len(adj)):
+                used = set(colors[adj[v]][colors[adj[v]] >= 0].tolist())
+                c = 0
+                while c in used:
+                    c += 1
+                colors[v] = c
+            assert int(colors.max()) + 1 == greedy_coloring(adj) == {8: 8, 16: 167}[n]
+            i, j = np.nonzero(adj)
+            assert not np.any(colors[i] == colors[j])
