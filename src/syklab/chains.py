@@ -72,12 +72,14 @@ _WORD = (1 << 64) - 1
 _ROW_BLOCK = 128  # adjacency rows build_graph forms at a time
 
 
-def _mask_words(x: list[int], z: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, W) word arrays of :class:`TermSet` for lists of X and Z masks."""
-    biggest = max(x + z, default=0)
+def _mask_words(x: Sequence[int] | np.ndarray,
+                z: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, W) word arrays of :class:`TermSet` for X and Z masks given as
+    lists of ints or as uint64 arrays."""
+    biggest = int(max(np.max(x, initial=0), np.max(z, initial=0)))
     if biggest <= _WORD:
         dtype = np.min_scalar_type(biggest)
-        words = [np.array(masks, dtype=dtype)[:, None] for masks in (x, z)]
+        words = [np.asarray(masks, dtype=dtype)[:, None] for masks in (x, z)]
     else:
         shifts = range(0, biggest.bit_length(), 64)
         words = [np.array([[mask >> s & _WORD for s in shifts] for mask in masks],
@@ -109,11 +111,7 @@ class TermSet:
     def _of_table(cls, table: TermTable) -> TermSet:
         termset = cls.__new__(cls)
         termset._table = table
-        biggest = int(max(table.x_masks.max(initial=0), table.z_masks.max(initial=0)))
-        dtype = np.min_scalar_type(biggest)
-        termset.x, termset.z = (masks.astype(dtype)[:, None]
-                                for masks in (table.x_masks, table.z_masks))
-        _read_only(termset.x, termset.z)
+        termset.x, termset.z = _mask_words(table.x_masks, table.z_masks)
         return termset
 
     @property

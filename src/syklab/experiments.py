@@ -20,12 +20,11 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import chain, combinations
 
 import numpy as np
 
 from . import bounds, chains, model, trotter
-from .fermions import jordan_wigner
+from .fermions import _hyperedges, jordan_wigner
 from .pauli import commutes
 
 __all__ = [
@@ -326,8 +325,7 @@ def _check_q() -> tuple[bool, str]:
     mism = []
     for nn in range(2, 15, 2):
         for k in range(1, min(5, nn) + 1):
-            edges = np.fromiter(chain.from_iterable(combinations(range(1, nn + 1), k)),
-                                dtype=np.int64).reshape(-1, k)
+            edges = _hyperedges(nn, k)
             overlaps = np.count_nonzero(edges <= k, axis=1)  # |e & {1..k}|
             counts = {int(np.count_nonzero((k + overlaps) % 2))}
             if nn <= 12:
@@ -346,7 +344,7 @@ def _lemma_termsets(seed: int, draws: int) -> list[chains.TermSet]:
     """n = 6, k = 3 SYK termsets: a fixed one, then for m = 2..5 in turn
     ``draws`` sets of m distinct hyperedges drawn by ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    edges = list(combinations(range(1, 7), 3))
+    edges = model.ordering_map(6, 3)
     picked = [[(1, 2, 3), (1, 2, 4), (3, 4, 5), (1, 5, 6)]] + [
         [edges[i] for i in rng.choice(len(edges), m, replace=False)]
         for m in (2, 3, 4, 5) for _ in range(draws)

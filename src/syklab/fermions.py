@@ -21,8 +21,8 @@ later factor's qubit, so moving the Zs past the Xs costs no sign.
 the (C(n,k), k) hyperedges give, by the same closed form in one vectorized
 pass, every term's X and Z masks (uint64) and phase exponent, and from them
 the shifts.  ``chains`` reads the masks; assembly and Trotterization read the
-shifts and the entry powers, parity sectors, sweep order and mirror built
-from them on first read (the sweep order groups commuting terms of equal
+shifts and the entry powers, parity sectors, sweep runs and mirror built
+from them on first read (the sweep runs group commuting terms of equal
 shift into fewer kernel steps, the mirror lets the round kernel build a
 reverse sweep from a forward one).  The terms as :class:`PauliString`
 objects are formed only when something reads them.  The table is built once
@@ -149,16 +149,17 @@ class TermTable:
     (j, j ^ s_g) with s_g = shifts[g] = x_g >> (B - 1), so block q of K_g @ M
     has row j = coeff[q, j] * M_q[j ^ s_g].  Every entry of a Pauli string is
     a power of i, so coeff is stored as its exponents: coeff[q, j] =
-    i**powers[g, q, j].  Terms of one shift share one X mask; ``sweep_order``
+    i**powers[g, q, j].  Terms of one shift share one X mask; ``sweep_runs``
     lists the terms as the round kernel applies them, in runs of one shift.
 
     The masks, phase exponents and shifts are built with the table, Gamma *
     25 bytes.  The rest is built on first read: ``terms`` (Gamma * 72 bytes,
     a Pauli string and its tuple slot, plus up to 64 for mask integers past
     256), ``sectors`` (D * 8 bytes), ``powers`` (Gamma * D bytes),
-    ``sweep_order`` (Gamma * 8 bytes) and ``mirror``.  A caller that reads
-    only the arrays (``chains.build_graph``, assembly, the round kernel)
-    forms no Pauli string.
+    ``sweep_runs`` (Gamma * 8 bytes, plus about 120 per run for an array
+    header and its tuple slot) and ``mirror``.  A caller that reads only the
+    arrays (``chains.build_graph``, assembly, the round kernel) forms no
+    Pauli string.
     """
 
     n: int
@@ -192,19 +193,19 @@ class TermTable:
         return powers
 
     @cached_property
-    def sweep_order(self) -> np.ndarray:
-        """(Gamma,) intp: the terms in the order a forward sweep applies them,
-        a permutation of hyperedge order made of runs of one shift, which the
-        round kernel takes one step each.  Taken in hyperedge order, each term
-        moves back past the runs whose terms all commute with it and joins
-        the latest run of its own shift if it reaches one, else it starts a
-        new run at the end.  Exponentials of commuting terms commute, so the
-        sweep is the same operator: anticommuting pairs and same-shift terms
-        keep hyperedge order.  Adjacent runs differ in shift, so the runs are
-        the maximal equal-shift stretches of the order.  K_g and K_h commute
-        iff popcount((x_g & z_h) ^ (z_g & x_h)) is even; a run's terms share
-        one X mask x_r, so that parity is popcount(x_g & z_h) + popcount(z_g &
-        x_r) for a term h of the run."""
+    def sweep_runs(self) -> tuple[np.ndarray, ...]:
+        """The terms in the order a forward sweep applies them, as runs of one
+        shift (read-only intp arrays), which the round kernel takes one step
+        each; together a permutation of hyperedge order.  Taken in hyperedge
+        order, each term moves back past the runs whose terms all commute
+        with it and joins the latest run of its own shift if it reaches one,
+        else it starts a new run at the end.  Exponentials of commuting terms
+        commute, so the sweep is the same operator: anticommuting pairs and
+        same-shift terms keep hyperedge order.  Adjacent runs differ in
+        shift, as a term whose shift is the last run's joins it.  K_g and K_h
+        commute iff popcount((x_g & z_h) ^ (z_g & x_h)) is even; a run's terms
+        share one X mask x_r, so that parity is popcount(x_g & z_h) +
+        popcount(z_g & x_r) for a term h of the run."""
         runs: list[tuple[int, list[int], list[int]]] = []  # (x_r, Z masks, terms)
         latest: dict[int, int] = {}  # shift -> index of its latest run
         for g, (x, z, shift) in enumerate(zip(self.x_masks.tolist(), self.z_masks.tolist(),
@@ -223,10 +224,9 @@ class TermTable:
             else:
                 latest[shift] = len(runs)
                 runs.append((x, [z], [g]))
-        order = np.fromiter(chain.from_iterable(terms for _, _, terms in runs),
-                            dtype=np.intp, count=len(self.shifts))
-        _read_only(order)
-        return order
+        sweep = tuple(np.array(terms, dtype=np.intp) for _, _, terms in runs)
+        _read_only(*sweep)
+        return sweep
 
     @cached_property
     def mirror(self) -> PauliString | None:

@@ -33,19 +33,19 @@ multiplies to alpha + beta P_s with (N, B, W) coefficients alpha and beta.
 So each sweep makes one step per run of equal shift, not per term: one
 ``take`` of every block's rows along the run's permutation, one coefficient
 multiply, one scale and one add for all N samples.  A sweep applies the
-terms in the table's ``sweep_order``, not in hyperedge order: each term
+terms in the table's ``sweep_runs``, not in hyperedge order: each term
 moves back past the terms it commutes with to join an earlier run of its
 shift, which leaves the sweep the same operator (only anticommuting pairs
 and same-shift terms must keep their order) and makes its runs longer.  A
 forward sweep of all terms then takes 187 steps for 495 terms at (n, k) =
 (12, 4), where hyperedge order takes 246, and 36 for 120 at (16, 2), against
-63.  A reverse sweep walks the same runs backwards.  The runs are cut in
-the sweep order over all C(n, k) terms, then restricted to the live ones,
-so the split is the same for every stack of one (n, k).  A deleted sparse
-term is a zero coupling, so the kernel reads only couplings and the
-samples' masks may differ: a term that is dead for some samples of a stack
-is an exact identity for them, and a stack's rounds equal its samples'
-one-sample calls entry for entry.
+63.  A reverse sweep walks the same runs backwards.  A stack drops its dead
+terms from the table's runs, and the runs that leaves empty, so every stack
+of one (n, k) splits its terms along the same runs.  A deleted sparse term
+is a zero coupling, so the kernel reads only couplings and the samples'
+masks may differ: a term that is dead for some samples of a stack is an
+exact identity for them, and a stack's rounds equal its samples' one-sample
+calls entry for entry.
 
 For k != 2 (mod 4) the term table's ``mirror``, a Pauli string Q with
 Q K_g^T Q^dag = K_g for every term, gives R = Q F^T Q^dag (its ``mirrored``):
@@ -159,17 +159,12 @@ def build_schedule(order: int) -> Schedule:
 
 
 def _sweep_runs(table: TermTable, live: np.ndarray) -> list[list[int]]:
-    """The live terms (``live`` a bool mask over all terms) in the table's
-    ``sweep_order``, split into its runs of equal shift.  Runs are cut where
-    the shift changes over all terms, live or not, so a term dead for some
-    samples of a stack leaves their live terms in the runs of their
-    one-sample calls."""
-    order = table.sweep_order
-    shifts = table.shifts[order]
-    run_ids = np.concatenate(([0], np.cumsum(shifts[1:] != shifts[:-1])))
-    kept = live[order]
-    cuts = np.flatnonzero(np.diff(run_ids[kept])) + 1
-    return [run.tolist() for run in np.split(order[kept], cuts)] if kept.any() else []
+    """The table's ``sweep_runs`` without their dead terms (``live`` a bool
+    mask over all terms), and without the runs that leaves empty.  A term
+    dead for some samples of a stack so leaves their live terms in the runs
+    of their one-sample calls."""
+    runs = (run[live[run]] for run in table.sweep_runs)
+    return [run.tolist() for run in runs if run.size]
 
 
 def _sweep(
@@ -382,7 +377,7 @@ def fixed_state_error(
     H (two D/2 blocks for even k, one D block for odd k), one round matrix
     (its sweeps and block matmuls as the module docstring counts them, each
     sweep one in-place update per run of live terms of equal shift in the
-    term table's sweep order, 187 for the 495 terms of a dense (12, 4)
+    term table's sweep runs, 187 for the 495 terms of a dense (12, 4)
     sweep) and its r-th power on the blocks by
     repeated squaring (log2 r squarings plus one product per further set
     bit of r), then one block matrix-vector product: the state splits by

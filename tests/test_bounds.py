@@ -502,6 +502,21 @@ class TestSolverSearch:
         assert inp.lam(r) <= inp.target() < inp.lam(r - 1)
         assert inp.lam(r + 1) == inp.lam(r)  # a plateau
 
+    def test_plateau_while_r_grows(self, monkeypatch):
+        """lambda flat above the target over several growth probes (r = 2, 8,
+        16, 32, 64): the log-log line through two of them never meets the target,
+        so hi doubles until lambda falls again."""
+        def lam(self, r):
+            target = self.target()
+            if r == 1:
+                return 8 * target
+            return 4 * target if r < 64 else 4 * target * (64 / r) ** 2
+
+        inp = SolverInput(0.1, 0.01, "operator_norm", BoundInput(n=10, k=4, l=2, p=2, t=1.0, r=1))
+        monkeypatch.setattr(SolverInput, "lam", lam)
+        assert solve_trotter_number(inp) == 128
+        assert _outcome(solve_trotter_number, inp) == _outcome(_doubling_bisection, inp)
+
     @pytest.mark.parametrize("l,kappa", [(1, None), (2, None), (20, 4.0)])
     def test_unreachable_epsilon_raises_as_before(self, l, kappa):
         inp = SolverInput(1e-300, 0.01, "operator_norm",

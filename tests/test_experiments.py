@@ -334,6 +334,16 @@ class TestReports:
         assert report.count("(x)") == 1  # a passing check's detail stays out
         assert main(["oracle"]) == 1
 
+    def test_q_check_lists_every_mismatch(self, monkeypatch):
+        """With Q(n, k) off by one, as the oracle reads it, every (n, k) of
+        the Q check is a mismatch, listed in order."""
+        q_of = bounds.q_of
+        monkeypatch.setattr(bounds, "q_of", lambda n, k: q_of(n, k) + 1)
+        ok, detail = experiments._check_q()
+        assert not ok
+        pairs = [(n, k) for n in range(2, 15, 2) for k in range(1, min(5, n) + 1)]
+        assert detail == f"mismatches: {pairs}"
+
 
 class TestGenEvolve:
     def test_gen_round_trip(self):

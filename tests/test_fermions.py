@@ -118,6 +118,13 @@ class TestTermOperator:
         with pytest.raises(ValueError):
             term_operator((1, 1), 4)
 
+    def test_rejects_empty_or_out_of_range(self):
+        with pytest.raises(ValueError, match="hyperedge must be non-empty"):
+            term_operator((), 4)
+        for edge in ((0, 1), (1, 5)):
+            with pytest.raises(ValueError, match=r"has entries outside \[1, 4\]"):
+                term_operator(edge, 4)
+
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_anticommutation_sign_law(k):
@@ -214,7 +221,7 @@ class TestTermTable:
             table = term_table(8, k)
             for array in (table.x_masks, table.z_masks, table.phase_exps, table.shifts,
                           table.powers, table.sectors, table.sectors.ravel(),
-                          table.sweep_order):
+                          *table.sweep_runs):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -285,12 +292,12 @@ class TestTermTable:
     def test_signs_built_on_first_read(self, table_builds):
         n, k = 8, 4
         assert syk_termset(n, k).anticommuting  # reads only the mask arrays
-        for name in ("terms", "sectors", "powers", "sweep_order"):
+        for name in ("terms", "sectors", "powers", "sweep_runs"):
             assert name not in vars(term_table(n, k))
         assemble(n, k, sample_dense(n, k).couplings[None])
         assert "sectors" in vars(term_table(n, k))
         assert "powers" in vars(term_table(n, k))
-        for name in ("mirror", "sweep_order"):  # read by the round kernel alone
+        for name in ("mirror", "sweep_runs"):  # read by the round kernel alone
             assert name not in vars(term_table(n, k))
         assert "terms" not in vars(term_table(n, k))
         assert table_builds == [(n, k)]
@@ -355,15 +362,16 @@ _SWEEP_CASES = [(n, k) for n in range(2, 13, 2) for k in range(1, n + 1)] + [(16
 
 
 class TestSweepOrder:
-    """``TermTable.sweep_order`` reorders only what commutes: the anticommuting
-    pairs and the same-shift terms keep hyperedge order, so a sweep in that
-    order is the same operator, and its runs of one shift are what the round
-    kernel steps through."""
+    """``TermTable.sweep_runs`` reorders only what commutes: the anticommuting
+    pairs and the same-shift terms keep hyperedge order, so a sweep in the
+    runs' order is the same operator, and its runs of one shift are what the
+    round kernel steps through."""
 
     @pytest.mark.parametrize("n,k", _SWEEP_CASES, ids=lambda case: str(case))
     def test_only_commuting_terms_change_order(self, n, k):
         table = term_table(n, k)
-        order = table.sweep_order
+        assert all(run.dtype == np.intp and run.size for run in table.sweep_runs)
+        order = np.concatenate(table.sweep_runs)
         assert sorted(order.tolist()) == list(range(math.comb(n, k)))
         position = np.argsort(order)
         # T_g T_h = (-1)**(k + m) T_h T_g with m the hyperedges' overlap
@@ -377,12 +385,11 @@ class TestSweepOrder:
 
     @pytest.mark.parametrize("n,k", [(10, 4), (12, 3), (16, 2)])
     def test_adjacent_runs_differ_in_shift(self, n, k):
-        """A term reaching a run of its own shift joins it, so the runs are
-        the maximal equal-shift stretches of the order."""
+        """Each run has one shift, and a term reaching a run of its own shift
+        joins it, so the runs are the maximal equal-shift stretches of the
+        order."""
         table = term_table(n, k)
-        shifts = table.shifts[table.sweep_order]
-        cuts = np.flatnonzero(shifts[1:] != shifts[:-1]) + 1
-        runs = np.split(shifts, cuts)
+        runs = [table.shifts[run] for run in table.sweep_runs]
         assert all(np.all(run == run[0]) for run in runs)
         assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 

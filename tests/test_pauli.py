@@ -28,6 +28,26 @@ def pauli_strategy(num_qubits: int):
     )
 
 
+class TestConstruction:
+    def test_rejects_no_qubits(self):
+        with pytest.raises(ValueError, match="num_qubits must be positive"):
+            PauliString(0, 0, 0)
+
+    @pytest.mark.parametrize("x,z", [(0b100, 0), (0, 0b100), (-1, 0)])
+    def test_rejects_masks_past_num_qubits(self, x, z):
+        with pytest.raises(ValueError, match="mask does not fit in num_qubits bits"):
+            PauliString(2, x, z)
+
+    def test_labels(self):
+        assert PauliString(1, 1, 0).label() == "X"
+        assert PauliString(1, 1, 1, 1).label() == "Y"  # Y = i X Z
+        assert PauliString(2, 0, 0b10, 2).label() == "(-) IZ"
+        # (Z_1 X_2)(X_1 Y_3) = (Z_1 X_1) X_2 Y_3 = (i Y_1) X_2 Y_3
+        prod = multiply(PauliString(3, 0b010, 0b001), PauliString(3, 0b101, 0b100, 1))
+        assert prod.label() == "(i) YXY"
+        assert multiply(PauliString(1, 1, 0), PauliString(1, 0, 1)).label() == "(-i) Y"
+
+
 class TestMultiply:
     def test_involution(self):
         x1 = PauliString(3, 0b001, 0)  # X on qubit 1

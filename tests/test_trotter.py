@@ -277,13 +277,13 @@ def _assert_stack_is_separate_calls(instances, schedule, tau):
 
 
 class TestShiftRuns:
-    """The kernel's split of the live terms, in the table's sweep order,
-    into runs of equal shift."""
+    """The kernel's split of the live terms, in the order of the table's
+    sweep runs, into runs of equal shift."""
 
     @staticmethod
     def _assert_runs_split(n, k, live):
         table = term_table(n, k)
-        order = table.sweep_order
+        order = np.concatenate(table.sweep_runs)
         runs = trotter._sweep_runs(table, live)
         assert [g for run in runs for g in run] == order[live[order]].tolist()
         position = np.argsort(order)  # each term's place in the sweep order
@@ -302,6 +302,7 @@ class TestShiftRuns:
     def test_dense_runs_partition_every_term(self, n, k):
         gamma = math.comb(n, k)
         runs = self._assert_runs_split(n, k, np.ones(gamma, dtype=bool))
+        assert runs == [run.tolist() for run in term_table(n, k).sweep_runs]
         shifts = term_table(n, k).shifts
         assert all(shifts[a[0]] != shifts[b[0]] for a, b in zip(runs, runs[1:]))
         assert len(runs) < _hyperedge_runs(shifts)
@@ -321,7 +322,7 @@ class TestShiftRuns:
         (20, 4, 2492, 1623), (10, 3, 60, 46), (16, 2, 63, 36),
     ])
     def test_steps_per_sweep(self, n, k, hyperedge, steps):
-        """A dense sweep takes one step per run of the sweep order, fewer than
+        """A dense sweep takes one step per sweep run of the table, fewer than
         the runs of equal shift in hyperedge order (pinned, so that a change
         in how far terms fuse shows here)."""
         table = term_table(n, k)
@@ -441,16 +442,15 @@ class TestRoundMatrices:
     @pytest.mark.parametrize("order", [1, 2, 4])
     @pytest.mark.parametrize("n,k", [(10, 4), (10, 3), (10, 2)])
     def test_one_term_runs_are_the_reference_bits(self, n, k, order):
-        """With every coupling zeroed but the first of each run of the sweep
-        order, each run holds one live term, whose step is the reference's
+        """With every coupling zeroed but the first of each of the table's
+        sweep runs, each run holds one live term, whose step is the reference's
         step operation for operation.  So a round built term by term, l = 1
         and, without a mirror (k = 2), l = 2, is bit for bit the reference
         applied in the sweep order; a mirrored sweep or a product of pairs
         rounds differently, to ulps."""
         table = term_table(n, k)
-        shifts = table.shifts[table.sweep_order]
-        first_of_run = np.zeros(len(shifts), dtype=bool)
-        first_of_run[table.sweep_order] = np.concatenate(([True], shifts[1:] != shifts[:-1]))
+        first_of_run = np.zeros(len(table.shifts), dtype=bool)
+        first_of_run[[run[0] for run in table.sweep_runs]] = True
         assert not first_of_run.all()
         instances = [sample_dense(n, k, seed=60, sample_index=i) for i in range(3)]
         instances = [
@@ -460,7 +460,8 @@ class TestRoundMatrices:
         sched = build_schedule(order)
         term_by_term = order == 1 or (order == 2 and table.mirror is None)
         for inst, ours in zip(instances, _stack(instances, sched, 0.7)):
-            reference = _round_matrix_reference(inst, sched, 0.7, table.sweep_order)
+            reference = _round_matrix_reference(inst, sched, 0.7,
+                                                np.concatenate(table.sweep_runs))
             if term_by_term:
                 assert np.array_equal(ours, reference)
             else:
