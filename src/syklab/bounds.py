@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,11 +56,14 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None, typed=True)
 def q_of(n: int, k: int) -> int:
     """Number of hyperedges whose term anticommutes with a fixed hyperedge.
 
     Q(n,k) = sum over overlap sizes s of the right parity (odd for even k,
     even for odd k), max(0, k-(n-k)) <= s <= k-1, of C(n-k, k-s) * C(k, s).
+    Each bound evaluation reads it, so it is summed once per (n, k); an
+    invalid (n, k) raises on every call.
     """
     _validate_nk(n, k)
     mu = max(0, k - (n - k))
@@ -278,9 +282,13 @@ class SolverInput:
         return 2.0 + log_dim - math.log(self.delta)
 
     def lam(self, r: int) -> float:
-        """lambda(r) = Delta(p*, r)/p* for the bound of ``base``."""
-        p_star = self.p_star()
-        return error_bound(replace(self.base, p=p_star, r=r)) / p_star
+        """lambda(r) = Delta(p*, r)/p* for the bound of ``base``: the probe
+        is ``base`` with p* and r in place of its p and r, built directly
+        (its checks run as in ``dataclasses.replace``)."""
+        p_star, b = self.p_star(), self.base
+        probe = BoundInput(b.n, b.k, b.l, p_star, b.t, r, b.energy_constant, b.kappa,
+                           b.prefactor_mode)
+        return error_bound(probe) / p_star
 
     def target(self) -> float:
         """epsilon/(e p*): r meets epsilon when lambda(r) <= target."""

@@ -30,7 +30,8 @@ with count c and product row a extends by term j iff U is empty or bit j of
 a is set, adding c * (U_j + 1) to U + e_j (its copies of j count apart, as
 in S_g).  Each surviving U of size g is then split, once for every w, into
 each w_vec with w_vec_i in {U_i mod 2, U_i mod 2 + 2, ..., U_i}; the counts
-are kept on the termset per (g, |w_vec|).  The
+are kept on the termset per (g, |w_vec|), and the support and w_vecs of a
+count vector are formed once per distinct U (:func:`_split`).  The
 Bernoulli average <G_w> weights each w_vec by prod_{i in Supp(w_vec)} b_i
 outside the square and each v_vec by prod_{j in Supp(v_vec) \\ Supp(w_vec)}
 b_j inside.  Expanding the square, b^2 = b and independent b_i with mean p_B
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -70,6 +71,13 @@ MAX_CHAIN_LENGTH = 5
 MAX_TERMS = 6
 _WORD = (1 << 64) - 1
 _ROW_BLOCK = 128  # adjacency rows build_graph forms at a time
+
+
+def _packed_rows(adjacency: np.ndarray) -> tuple[int, ...]:
+    """The rows of an (m, m) bool adjacency as integers: bit j of entry i is
+    entry (i, j)."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def _mask_words(x: Sequence[int] | np.ndarray,
@@ -128,8 +136,7 @@ class TermSet:
         """Anticommutation rows: bit j of entry i is set iff terms i and j
         anticommute (a term commutes with itself, so bit i is clear); the
         rows of :func:`build_graph`'s adjacency, packed into integers."""
-        packed = np.packbits(build_graph(self), axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+        return _packed_rows(build_graph(self))
 
     @cached_property
     def _layers(self) -> list[dict[tuple[int, ...], tuple[int, int]]]:
@@ -168,16 +175,18 @@ def syk_termset(n: int, k: int, edges: Sequence[Sequence[int]] | None = None) ->
 
 def indicator(chain: Sequence[int], terms: TermSet) -> int:
     """1 iff the nested commutator over ``chain`` (0-based indices,
-    chain[0] innermost) is nonzero."""
+    chain[0] innermost) is nonzero.  Every index must lie in [0, m)."""
     if len(chain) == 0:
         raise ValueError("chain must be non-empty")
     rows = terms.anticommuting
+    if not 0 <= min(chain) <= max(chain) < len(rows):
+        bad = next(j for j in chain if not 0 <= j < len(rows))
+        raise ValueError(f"chain index {bad} is outside the termset's {len(rows)} terms")
     acc = rows[chain[0]]
     for j in chain[1:]:
-        row = rows[j]  # an index outside the termset raises here
         if not acc >> j & 1:
             return 0
-        acc ^= row
+        acc ^= rows[j]
     return 1
 
 
@@ -197,9 +206,16 @@ def _check_guards(terms: TermSet, g: int, w: int) -> None:
         raise ValueError(f"need 0 <= w <= g, got w={w}, g={g}")
 
 
-def _support(vec: Sequence[int]) -> int:
-    """Bit mask of the indices where ``vec`` is nonzero."""
-    return sum(1 << i for i, c in enumerate(vec) if c)
+# keyed on count vectors of at most MAX_TERMS entries summing to at most
+# MAX_CHAIN_LENGTH (the chain guards): 917 of them with g >= 1
+@lru_cache(maxsize=None)
+def _split(u: tuple[int, ...]) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The support mask of the count vector u (bit i set iff u_i > 0), and
+    each w_vec with w_vec_i in {u_i mod 2, u_i mod 2 + 2, ..., u_i}, with
+    its size |w_vec|: the weight vectors u splits into."""
+    w_vecs = product(*(range(c % 2, c + 1, 2) for c in u))
+    return (sum(1 << i for i, c in enumerate(u) if c),
+            tuple((sum(w_vec), w_vec) for w_vec in w_vecs))
 
 
 def _chain_counts(terms: TermSet, g: int, w: int) -> list[list[tuple[int, int]]]:
@@ -212,9 +228,9 @@ def _chain_counts(terms: TermSet, g: int, w: int) -> list[list[tuple[int, int]]]
     if g not in terms._counts:
         splits = defaultdict(dict)  # w -> w_vec -> [(support, count)]
         for u, (count, _) in terms.surviving(g).items():
-            support = _support(u)
-            for w_vec in product(*(range(c % 2, c + 1, 2) for c in u)):
-                splits[sum(w_vec)].setdefault(w_vec, []).append((support, count))
+            support, w_vecs = _split(u)
+            for size, w_vec in w_vecs:
+                splits[size].setdefault(w_vec, []).append((support, count))
         terms._counts[g] = {size: list(inner.values()) for size, inner in splits.items()}
     return terms._counts[g].get(w, [])
 
@@ -299,18 +315,20 @@ def greedy_coloring(adjacency: np.ndarray) -> int:
     smallest color that no neighbour u < v has); returns the number of
     colors used, at most maxdegree + 1.
 
-    A (colors, m) bool table holds the forbidden colors: row c marks the
-    vertices with a lower neighbour of color c.  Vertex v takes the first
-    clear entry of column v, and its higher neighbours are OR-ed into that
-    color's row, a contiguous update.  The table starts at 64 colors and
-    doubles when full."""
-    m = len(adjacency)
-    forbidden = np.zeros((64, m), dtype=bool)
-    used = 0
-    for v in range(m):
-        if used == len(forbidden):
-            forbidden = np.concatenate((forbidden, np.zeros_like(forbidden)))
-        color = int(forbidden[: used + 1, v].argmin())  # row `used` is clear
-        forbidden[color, v + 1:] |= adjacency[v, v + 1:]
-        used = max(used, color + 1)
+    The colors are formed one class at a time on the rows packed into
+    integers: class c takes, in index order, each uncolored vertex with no
+    neighbour in the class so far (the lowest still free, whose neighbours
+    then stop being free).  By induction on c this is the vertex-order
+    coloring: a vertex gets color c exactly when it has no lower color and
+    no lower neighbour of color c."""
+    rows = _packed_rows(adjacency)
+    uncolored, used = (1 << len(rows)) - 1, 0
+    while uncolored:
+        free = uncolored
+        while free:
+            low = free & -free
+            uncolored ^= low
+            free ^= low
+            free &= ~rows[low.bit_length() - 1]
+        used += 1
     return used

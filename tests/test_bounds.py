@@ -63,6 +63,23 @@ class TestQ:
         for k in range(1, min(5, n) + 1):
             assert q_of(n, k) == brute_force_q(n, k), (n, k)
 
+    @pytest.mark.parametrize("n,k,message", [(7, 3, "n must be even"), (1, 1, "n must be even"),
+                                             (8, 0, "k must satisfy"), (8, 9, "k must satisfy")])
+    def test_invalid_nk_raises_on_every_call(self, n, k, message):
+        """Q(n, k) is summed once per (n, k); an invalid pair is never kept,
+        so a repeated call raises again."""
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                q_of(n, k)
+
+    def test_float_n_is_not_the_int_n(self):
+        """Q(8, 4) is summed once and kept, but a float n still reaches
+        ``math.comb``, which refuses it, as on the first call."""
+        assert q_of(8, 4) == q_of(8, 4) == brute_force_q(8, 4)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                q_of(8.0, 4)
+
 
 def independent_delta1(n, k, p, t, r, j0=1.0):
     """Separately coded arithmetic for the first-order bound."""
@@ -335,7 +352,46 @@ class TestErrorBound:
             error_bound(BoundInput(n=10, k=4, l=1, p=2, t=1.0, r=50, kappa=4.0))
 
 
+# the bases of the probe tests: dense l = 1, 2, 4 and sparse l = 2, 4, both
+# prefactor modes and a coupling scale J0 != 1
+PROBE_BASES = [
+    BoundInput(n=n, k=k, l=l, p=2, t=t, r=1, energy_constant=j0, kappa=kappa,
+               prefactor_mode=mode)
+    for n, k, t, j0 in ((8, 4, 1.0, 1.0), (12, 3, 0.25, 1.5), (1600, 4, 7.0, 1.0))
+    for kappa, orders in ((None, (1, 2, 4)), (4.0, (2, 4)))
+    for l in orders
+    for mode in ("full", "unit")
+]
+
+
 class TestSolver:
+    @pytest.mark.parametrize("mode", ["operator_norm", "fixed_state"])
+    @pytest.mark.parametrize("base", PROBE_BASES, ids=lambda b: (
+        f"n{b.n}-k{b.k}-l{b.l}-{'dense' if b.kappa is None else 'sparse'}-{b.prefactor_mode}"))
+    def test_lam_is_the_replaced_base_bound(self, base, mode):
+        """lambda(r) is bit for bit the bound at ``base`` with p* and r put
+        in by ``dataclasses.replace``, for r from 1 to 2^62."""
+        inp = SolverInput(0.1, 0.01, mode, base)
+        p_star = inp.p_star()
+        for r in [1, 2, 3, 7, 100, 12345, 10**9 + 7, 2**53 + 1, 10**17, 2**62 - 1, 2**62]:
+            assert inp.lam(r) == error_bound(replace(base, p=p_star, r=r)) / p_star, r
+
+    @pytest.mark.parametrize("base,r", [
+        (BoundInput(n=8, k=4, l=2, p=2, t=1.0, r=1), 0),
+        (BoundInput(n=8, k=4, l=2, p=2, t=1.0, r=1), -3),
+        (BoundInput(n=10, k=4, l=1, p=2, t=1.0, r=1, kappa=4.0), 5),
+    ], ids=["r-zero", "r-negative", "sparse-first-order"])
+    def test_lam_probe_fails_as_replace_does(self, base, r):
+        """The probe is a checked BoundInput: an r below 1, or a sparse base
+        at l = 1, raises what the bound at ``replace(base, p=p*, r=r)``
+        raises."""
+        inp = SolverInput(0.1, 0.01, "operator_norm", base)
+        with pytest.raises(ValueError) as direct:
+            inp.lam(r)
+        with pytest.raises(ValueError) as replaced:
+            error_bound(replace(base, p=inp.p_star(), r=r))
+        assert str(direct.value) == str(replaced.value)
+
     def test_algebraic_inversion_first_order(self):
         """For lambda ~ a/r (t/r**2 term negligible) r ~ ceil(e p* a / eps)."""
         inp = SolverInput(

@@ -74,10 +74,23 @@ class TestIndicator:
             indicator([], XZ_PAIR)
 
     def test_index_outside_termset_rejected(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="chain index 2 is outside"):
             indicator([0, 2], XZ_PAIR)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="chain index 3 is outside"):
             indicator([3], XZ_PAIR)
+        # refused even where an earlier commuting step would end the chain
+        with pytest.raises(ValueError, match="chain index 2 is outside"):
+            indicator([0, 0, 2], XZ_PAIR)
+
+    @pytest.mark.parametrize("chain", [[-1], [-20, 0], [0, -1], [0, 1, -1]],
+                             ids=["first", "first-of-two", "second", "third"])
+    def test_negative_index_rejected(self, chain):
+        """A negative index would read a row from the end of the termset
+        (row -1 of the (6, 3) set is term 19's), or shift by a negative
+        count; it is refused at any position, naming the index."""
+        bad = next(j for j in chain if j < 0)
+        with pytest.raises(ValueError, match=f"chain index {bad} is outside the termset's 20"):
+            indicator(chain, syk_termset(6, 3))
 
 
 def reference_indicator(chain, terms):
@@ -531,6 +544,31 @@ class TestGraph:
                 assert bool(adj[i, j]) == expected
 
 
+def vertex_order_coloring(adj: np.ndarray) -> np.ndarray:
+    """The colors of the vertex-order greedy loop: vertex v, in index order,
+    takes the smallest color that none of its already colored (lower)
+    neighbours has."""
+    colors = np.full(len(adj), -1)
+    for v in range(len(adj)):
+        used = set(colors[adj[v]][colors[adj[v]] >= 0].tolist())
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def random_symmetric_graphs(count: int, seed: int):
+    """``count`` seeded random symmetric bool adjacencies, diagonal clear:
+    m = 0 and 300, then m drawn from 0..300, with edge densities cycling
+    through 0, 0.1, ..., 1."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m = (0, 300)[i] if i < 2 else int(rng.integers(0, 301))
+        upper = np.triu(rng.random((m, m)) < (i % 11) / 10, 1)
+        yield upper | upper.T
+
+
 class TestColoring:
     def test_empty(self):
         assert greedy_coloring(build_graph(TermSet(()))) == 0
@@ -539,8 +577,8 @@ class TestColoring:
         assert greedy_coloring(build_graph(ZZ_PAIR)) == 1
 
     def test_complete_graph_needs_m_colors(self):
-        # chi_1 ... chi_m pairwise anticommute: K_m; K_130 needs more colors
-        # than the 64 rows the color table starts with
+        # chi_1 ... chi_m pairwise anticommute: K_m; K_130 needs 130 color
+        # classes, more than fit one 64-bit word
         for n, m in ((6, 2), (6, 3), (6, 5), (130, 130)):
             terms = TermSet(tuple(jordan_wigner(i, n) for i in range(1, m + 1)))
             adj = build_graph(terms)
@@ -552,19 +590,33 @@ class TestColoring:
         colors = greedy_coloring(build_graph(syk_termset(n, 4)))
         assert 1 <= colors <= q_of(n, 4) + 1
 
+    @pytest.mark.parametrize("n,colors", [(6, 7), (8, 8), (10, 29), (12, 62), (14, 113),
+                                          (16, 167)])
+    def test_pinned_syk_color_counts(self, n, colors):
+        """The color counts the oracle's coloring check reports, n = 6..16."""
+        assert greedy_coloring(build_graph(syk_termset(n, 4))) == colors
+
+    def test_matches_vertex_order_loop_on_random_graphs(self):
+        """The class-by-class coloring on packed rows uses as many colors as
+        the vertex-order loop on 220 random symmetric graphs: sizes that are
+        not multiples of 8 (padding bits in the packed rows), every density
+        from edgeless to complete, and graphs past 64 colors."""
+        sizes, most = set(), 0
+        for adj in random_symmetric_graphs(220, seed=38):
+            expected = int(vertex_order_coloring(adj).max(initial=-1)) + 1
+            assert greedy_coloring(adj) == expected, (len(adj), int(adj.sum()))
+            sizes.add(len(adj))
+            most = max(most, expected)
+        assert {0, 300} <= sizes and any(m % 8 for m in sizes)
+        assert most > 64
+
     def test_proper_coloring_reconstruction(self):
         """Re-run the greedy loop and verify no edge is monochromatic, at
-        n = 8 and at n = 16, which needs 167 colors (past the color table's
-        first doubling)."""
+        n = 8 and at n = 16, which needs 167 colors (more color classes than
+        fit one 64-bit word, and 1,820-bit packed rows)."""
         for n in (8, 16):
             adj = build_graph(syk_termset(n, 4))
-            colors = np.full(len(adj), -1)
-            for v in range(len(adj)):
-                used = set(colors[adj[v]][colors[adj[v]] >= 0].tolist())
-                c = 0
-                while c in used:
-                    c += 1
-                colors[v] = c
+            colors = vertex_order_coloring(adj)
             assert int(colors.max()) + 1 == greedy_coloring(adj) == {8: 8, 16: 167}[n]
             i, j = np.nonzero(adj)
             assert not np.any(colors[i] == colors[j])
