@@ -10,6 +10,18 @@ is built.  Evolution and norms take one W x W matrix or a stack (..., W, W) of
 the diagonal blocks of a block-diagonal operator, such as its parity sectors:
 exp(iHt) is formed block by block and the norm is that of the whole operator.
 
+``exact_evolution`` picks each block's route from ||Ht||_1 alone, against
+theta_18 = 1.0909, the degree-18 Taylor threshold of Al-Mohy and Higham
+(SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1).  A block that s <= 3
+halvings bring below it gets the Taylor polynomial by Paterson-Stockmeyer
+and s squarings, 7 + s block products; any other block gets exp(iHt) from
+its eigendecomposition, the route ``evolution_factory`` keeps for reuse
+across t.  The scans' blocks (W = 8 to 32, ||Ht||_1 of 0.7 to 4.9 at t = 1)
+take products, at 0.44 to 0.66 of the eigh route's time there (numpy's
+OpenBLAS, one thread of a Xeon vCPU), where LAPACK's ``zheevd`` costs
+20-25 block products; the t-scan benchmark's W = 128 blocks (||Ht||_1 >=
+8.8) keep ``eigh``, which products past s = 3 do not beat.
+
 ``schatten_norm`` takes no SVD at even p: p = 2 is the Frobenius norm, and
 p = 2m >= 4 sums s**p as Tr((E^dag E)**m), the squared Frobenius norm of a
 product of Gram matrices.  Other finite p and p = inf use the SVD.
@@ -91,9 +103,10 @@ def assemble(n: int, k: int, couplings: np.ndarray) -> np.ndarray:
     return ham
 
 
-def exact_evolution(ham: np.ndarray, t: float) -> np.ndarray:
-    """U = exp(i*H*t) from the Hermitian eigendecomposition."""
-    return evolution_factory(ham)(t)
+def _check_time(t: float) -> None:
+    """The one check of an evolution time t: finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
 
 
 def _hermiticity(ham: np.ndarray) -> tuple[float, float]:
@@ -101,16 +114,9 @@ def _hermiticity(ham: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(ham)), float(np.linalg.norm(ham - ham.conj().swapaxes(-1, -2)))
 
 
-def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Return t -> exp(i*H*t), reusing one eigendecomposition across t values.
-
-    ``ham`` is one matrix or a stack (..., W, W) of blocks, each evolved on
-    its own.  The stack must be finite and Hermitian within 1e-10 relative
-    to its Frobenius norm (both taken over the whole stack).  Where a norm
-    overflows (entries past about 1e154), both are taken again on ham
-    divided by its largest real or imaginary part.  At t = 0 it is the
-    identity exactly, not rebuilt from the eigenvectors.
-    """
+def _check_hermitian(ham: np.ndarray) -> None:
+    """The one Hermiticity check of both evolution entries, as
+    :func:`evolution_factory` states it."""
     with np.errstate(over="ignore", invalid="ignore"):  # compared below
         scale, defect = _hermiticity(ham)
         if not math.isfinite(scale):
@@ -120,15 +126,130 @@ def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
             scale, defect = _hermiticity(ham / peak)
     if not defect <= _HERMITICITY_TOL * (scale or 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
+
+
+def _identity(shape: tuple[int, ...]) -> np.ndarray:
+    """A stack of identity blocks of ``shape`` (..., W, W), exact."""
+    return np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
+
+
+# theta_18 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011), Table
+# 3.1): the largest ||A||_1 at which the degree-18 Taylor polynomial of e^A
+# has backward error at most 2**-53 (recomputed with mpmath: 1.0908637...).
+# A block with ||Ht||_1 <= theta_18 * 2**s takes the product route with s
+# halvings; _PRODUCT_NORMS holds those limits for s = 0 .. 3.
+_THETA_18 = 1.0908637192900362
+_PRODUCT_NORMS = _THETA_18 * 2.0 ** np.arange(4)
+_TAYLOR_COEFFS = [1.0 / math.factorial(j) for j in range(19)]
+
+
+def _taylor_evolution(blocks: np.ndarray, t: float, squarings: int) -> np.ndarray:
+    """exp(i*H*t) for a (M, W, W) stack of H with ||Ht||_1 <= theta_18 *
+    2**squarings: the degree-18 Taylor polynomial of A = i*H*t / 2**squarings
+    by Paterson-Stockmeyer, then ``squarings`` squarings.
+
+    With B_j = sum_{i<3} A^i / (3j + i)!, T_18(A) = B_0 + A^3 (B_1 + A^3 (B_2
+    + A^3 (B_3 + A^3 (B_4 + A^3 (B_5 + A^3 / 18!))))): A^2, A^3 and five
+    Horner products, 7 block matmuls, as many as a Horner in A^4 takes with
+    one power fewer held.  Besides A, A^2 and A^3 it holds the accumulator
+    and one buffer, which takes each product and lends the freed
+    accumulator as scratch for the B_j terms.  Every step is per block, so
+    a block's result does not depend on the rest of the stack.
+    """
+    a = blocks * (1j * (t / 2**squarings))
+    a2 = a @ a
+    a3 = a2 @ a
+    diagonal = (slice(None), slice(None, None, a.shape[-1] + 1))
+
+    def add_chunk(out: np.ndarray, scratch: np.ndarray, j: int) -> None:
+        """out += B_j, using ``scratch`` for the scaled powers."""
+        for power, coeff in ((a, _TAYLOR_COEFFS[3 * j + 1]), (a2, _TAYLOR_COEFFS[3 * j + 2])):
+            np.multiply(power, coeff, out=scratch)
+            out += scratch
+        out.reshape(len(out), -1)[diagonal] += _TAYLOR_COEFFS[3 * j]
+
+    acc = a3 * _TAYLOR_COEFFS[18]
+    buf = np.empty_like(a)
+    add_chunk(acc, buf, 5)
+    for j in (4, 3, 2, 1, 0):
+        np.matmul(a3, acc, out=buf)
+        add_chunk(buf, acc, j)
+        acc, buf = buf, acc
+    for _ in range(squarings):
+        np.matmul(acc, acc, out=buf)
+        acc, buf = buf, acc
+    return acc
+
+
+def exact_evolution(ham: np.ndarray, t: float) -> np.ndarray:
+    """U = exp(i*H*t) for one matrix or a stack (..., W, W) of blocks, each
+    evolved on its own by the route its ||Ht||_1 sets (module docstring):
+    the degree-18 Taylor polynomial and s <= 3 squarings
+    (``_taylor_evolution``), else the eigendecomposition.
+
+    t must be finite (ValueError naming t), and the stack passes the one
+    Hermiticity check of :func:`evolution_factory` before either route
+    runs; at t = 0 it is the identity exactly.  Blocks are grouped by route
+    and every step is per block, so a stack equals its blocks' separate
+    calls bit for bit.
+    """
+    _check_time(t)
+    _check_hermitian(ham)
+    if t == 0:
+        return _identity(ham.shape)
+    width = ham.shape[-1]
+    blocks = ham.reshape(-1, width, width)
+    with np.errstate(over="ignore"):  # an infinite norm takes eigh
+        norms = abs(t) * np.abs(blocks).sum(axis=1).max(axis=1)
+    # s where s <= 3, else len(_PRODUCT_NORMS): eigh (an overflowed norm too)
+    routes = np.searchsorted(_PRODUCT_NORMS, norms)
+    groups = sorted(set(routes.tolist()))
+    if len(groups) == 1:
+        return _routed_evolution(blocks, t, groups[0]).reshape(ham.shape)
+    out = np.empty(blocks.shape, dtype=complex)
+    for route in groups:
+        rows = routes == route
+        out[rows] = _routed_evolution(blocks[rows], t, route)
+    return out.reshape(ham.shape)
+
+
+def _routed_evolution(blocks: np.ndarray, t: float, route: int) -> np.ndarray:
+    """exp(i*H*t) for a (M, W, W) stack of one route: s = ``route``
+    squarings of the Taylor polynomial, or eigh past the last s."""
+    if route < len(_PRODUCT_NORMS):
+        return _taylor_evolution(blocks, t, route)
+    return _eigen_evolution(blocks)(t)
+
+
+def _eigen_evolution(ham: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> exp(i*H*t) from one ``eigh`` of the stack, for checked H."""
     evals, evecs = np.linalg.eigh(ham)
 
     def evolve(t: float) -> np.ndarray:
+        _check_time(t)
         if t == 0:
-            return np.broadcast_to(np.eye(ham.shape[-1], dtype=complex), ham.shape).copy()
+            return _identity(ham.shape)
         phases = np.exp(1j * evals * t)
         return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
     return evolve
+
+
+def evolution_factory(ham: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Return t -> exp(i*H*t), reusing one eigendecomposition across t values:
+    the eigh route of :func:`exact_evolution`, for callers that evolve one H
+    to many t.
+
+    ``ham`` is one matrix or a stack (..., W, W) of blocks, each evolved on
+    its own.  The stack must be finite and Hermitian within 1e-10 relative
+    to its Frobenius norm (both taken over the whole stack).  Where a norm
+    overflows (entries past about 1e154), both are taken again on ham
+    divided by its largest real or imaginary part.  Each t must be finite
+    (ValueError naming t); at t = 0 it is the identity exactly, not rebuilt
+    from the eigenvectors.
+    """
+    _check_hermitian(ham)
+    return _eigen_evolution(ham)
 
 
 def _check_schatten_order(p: float) -> None:

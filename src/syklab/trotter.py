@@ -60,7 +60,8 @@ schedule: ``observed_error`` and ``fixed_state_error`` pass their instance's
 one row, and ``averaged_error`` each group that ``model.coupling_groups``
 yields (which samples make up an average is decided there), in stacks of at
 most ``_STACK_BYTES``.  Every stage runs once per stack: assembly (H comes
-from ``assemble`` as the same block stack), round kernel, eigh, power and E;
+from ``assemble`` as the same block stack), round kernel, exact evolution
+(``exact_evolution``: Taylor products or eigh, block by block), power and E;
 a consumer holds one stack of E at a time, and only the Schatten norm is
 taken per sample.  Each public entry checks its inputs once, before any
 coupling is drawn or D-sized array is built: the order l in ``Schedule``,
@@ -90,8 +91,8 @@ import numpy as np
 
 from .fermions import _POWERS_OF_I, TermTable, hilbert_dim, term_table
 from .linalg import (
-    NormEstimate, _check_dim_cap, _check_schatten_order, _mean_sem, assemble,
-    exact_evolution, expected_norm, schatten_norm,
+    NormEstimate, _check_dim_cap, _check_schatten_order, _check_time, _mean_sem,
+    assemble, exact_evolution, expected_norm, schatten_norm,
 )
 from .model import SykInstance, coupling_groups
 
@@ -284,8 +285,7 @@ def _check_path(n: int, t: float, r: int) -> None:
     before any D-sized array is built, then r, then t (finite)."""
     _check_dim_cap(n)
     _check_r(r)
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
+    _check_time(t)
 
 
 def trotterized(
@@ -310,9 +310,10 @@ def _error_operators(
     of one (n, k), in order, for inputs that its caller has checked.
 
     The rows go in stacks of at most ``_STACK_BYTES`` (at least one row), and
-    every stage runs once per stack: assembly, round kernel, eigh, power and
-    E.  The stack's other arrays are freed before its first E is yielded, so
-    a consumer that drops each E holds one stack of E at a time.
+    every stage runs once per stack: assembly, round kernel, exact evolution
+    (one ``exact_evolution`` call), power and E.  The stack's other arrays
+    are freed before its first E is yielded, so a consumer that drops each E
+    holds one stack of E at a time.
     """
     sectors = term_table(n, k).sectors
     per_sample = np.dtype(complex).itemsize * sectors.size * sectors.shape[1]
@@ -373,8 +374,10 @@ def fixed_state_error(
     """l2 norm of E |state> = (exp(iHt) - S_l(t/r)**r) |state>.
 
     ``state`` must be a normalized vector of shape (D,).  Costs what one
-    ``observed_error`` does before its norm: one ``eigh`` per parity block of
-    H (two D/2 blocks for even k, one D block for odd k), one round matrix
+    ``observed_error`` does before its norm: exp(iHt) on each parity block of
+    H (two D/2 blocks for even k, one D block for odd k), by 7 to 10 block
+    matmuls where ||Ht||_1 <= 8 theta_18 and one ``eigh`` elsewhere (see
+    ``linalg.exact_evolution``), one round matrix
     (its sweeps and block matmuls as the module docstring counts them, each
     sweep one in-place update per run of live terms of equal shift in the
     term table's sweep runs, 187 for the 495 terms of a dense (12, 4)

@@ -6,12 +6,13 @@ per grid point and the fit lines: ``scan_n_dense.csv`` and
 ``scan_n_sparse.csv`` the k = 4 Strang scans (dense, and sparse with
 kappa = 4), ``scan_n_odd.csv`` (k = 3: one sector, B = 1) the odd-k path
 that the k = 4 files do not reach, and ``scan_t.csv`` the p = 4 first-order
-t-scan.  Their numbers were last written when the Trotter power became
-``np.linalg.matrix_power`` and both disorder averages began to take their
-mean and standard error as exactly rounded sums (``math.fsum``): observed
-values moved by at most 1.2e-12 relative and their standard errors by at
-most 1.3e-11, the ``scan_t.csv`` fit lines in their last digits, and every
-``bound`` cell kept its bytes.  Any change to these bytes is a numerical or
+t-scan.  Their numbers were last written when ``exact_evolution`` began to
+form exp(iHt) of blocks with ||Ht||_1 <= 8 theta_18 from the degree-18
+Taylor polynomial and squarings instead of ``eigh``: observed values moved
+by at most 2.0e-11 relative (5.1e-14 in ``scan_t.csv``, whose t = 10 row
+keeps ``eigh`` and its bytes) and their standard errors by at most 1.4e-10,
+the ``scan_t.csv`` fit lines in their last digits, and every ``bound`` cell
+kept its bytes.  Any change to these bytes is a numerical or
 format change and must be a deliberate one (regenerate the files with the
 same commands and say why).
 ``bounds.csv`` pins the analytical bounds, which read no random numbers:

@@ -7,11 +7,11 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 from scipy.stats import unitary_group
 
 from conftest import dense_hamiltonian
-from syklab import fermions
+from syklab import fermions, linalg
 from syklab.fermions import hilbert_dim, term_operator, term_table
 from syklab.linalg import (
     NormEstimate,
@@ -170,11 +170,17 @@ class TestAssemble:
 
 class TestExactEvolution:
     def test_t_zero(self):
-        # exactly I, not I rebuilt from the eigenvectors, for one matrix or a stack
+        # exactly I, not I rebuilt from the eigenvectors or a Taylor
+        # polynomial, for one matrix or a stack, also for blocks that take
+        # eigh at any t != 0 of order one
         ham = dense_hamiltonian(sample_dense(6, 3, seed=7))
         blocks = np.stack([ham[:4, :4], ham[4:, 4:]])
         assert np.array_equal(exact_evolution(ham, 0.0), np.eye(8))
         assert np.array_equal(evolution_factory(blocks)(0.0), np.stack([np.eye(4)] * 2))
+        large = np.array([_hermitian(np.random.default_rng(5), 8, norm) for norm in (1.0, 1e3)])
+        for t in (0.0, -0.0):
+            assert np.array_equal(exact_evolution(large, t), np.stack([np.eye(8)] * 2))
+            assert np.array_equal(evolution_factory(large)(t), np.stack([np.eye(8)] * 2))
 
     def test_diagonal_case(self):
         ham = np.diag([1.0, -1.0]).astype(complex)
@@ -209,13 +215,17 @@ class TestExactEvolution:
     def test_hermiticity_check_survives_overflowing_norms(self):
         """At entries of 1e200 the Frobenius norms overflow; the check is
         then made on the rescaled matrix, so a non-Hermitian matrix is still
-        refused and a Hermitian one evolves with no numpy warning."""
-        with pytest.raises(ValueError, match="not Hermitian"):
-            evolution_factory(1e200 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        refused and a Hermitian one evolves with no numpy warning, through
+        either entry (``exact_evolution`` by eigh, ||Ht||_1 being far past
+        the product route)."""
+        for entry in (evolution_factory, lambda ham: exact_evolution(ham, 0.5)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                entry(1e200 * np.array([[0.0, 1.0], [0.0, 0.0]]))
         ham = 1e200 * np.array([[1.0, 2j], [-2j, 3.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             unitary = evolution_factory(ham)(0.5)
+            assert np.array_equal(exact_evolution(ham, 0.5), unitary)
         assert np.allclose(unitary @ unitary.conj().T, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("entry", [math.inf, math.nan])
@@ -240,6 +250,84 @@ class TestExactEvolution:
         stack[1, 0, 1] = 1.0
         with pytest.raises(ValueError):
             evolution_factory(stack)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        """A non-finite t is refused by name at both entries, not returned
+        as a NaN matrix (an infinite ||Ht||_1 has no squaring count)."""
+        with pytest.raises(ValueError, match="time t must be finite"):
+            exact_evolution(np.eye(2), t)
+        evolve = evolution_factory(np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="time t must be finite"):
+            evolve(t)
+
+
+def _hermitian(rng, width, norm=1.0):
+    """A random Hermitian W x W matrix scaled to ||H||_1 = ``norm``."""
+    mat = rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width))
+    ham = mat + mat.conj().T
+    return ham * (norm / np.abs(ham).sum(axis=0).max())
+
+
+def _route_times(scales=(0.999, 1.001)):
+    """Times t at which ||Ht||_1 = scale * theta_18 * 2**j for ||H||_1 = 1,
+    j = 0..3: both sides of each step of the squaring count s, from s = 0
+    to s = 4 (the first eigh block)."""
+    return [scale * linalg._THETA_18 * 2**j for j in range(4) for scale in scales]
+
+
+class TestProductRoute:
+    """``exact_evolution``'s products: blocks with ||Ht||_1 <= theta_18 * 2**3
+    take the degree-18 Taylor polynomial and s squarings, the rest eigh."""
+
+    @pytest.mark.parametrize("width", [2, 5, 16, 32, 64])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_agrees_with_eigh_and_expm_across_every_boundary(self, width, sign):
+        ham = _hermitian(np.random.default_rng(width), width)
+        for t in _route_times():
+            t *= sign
+            unitary = exact_evolution(ham, t)
+            reference = expm(1j * ham * t)
+            assert np.max(np.abs(unitary - evolution_factory(ham)(t))) < 1e-13
+            assert np.max(np.abs(unitary - reference)) < 1e-13
+            defect = unitary @ unitary.conj().T - np.eye(width)
+            assert np.linalg.norm(defect) < 1e-13
+
+    def test_route_is_set_by_the_norm(self, monkeypatch):
+        """s <= 3 takes products with s squarings, s = 4 takes eigh; the
+        blocks at each step of s are sent where the rule says."""
+        taylor, eigen = [], []
+        original_taylor = linalg._taylor_evolution
+        original_eigen = linalg._eigen_evolution
+
+        def spy_taylor(blocks, t, squarings):
+            taylor.append((len(blocks), squarings))
+            return original_taylor(blocks, t, squarings)
+
+        def spy_eigen(blocks):
+            eigen.append(len(blocks))
+            return original_eigen(blocks)
+
+        monkeypatch.setattr(linalg, "_taylor_evolution", spy_taylor)
+        monkeypatch.setattr(linalg, "_eigen_evolution", spy_eigen)
+        ham = _hermitian(np.random.default_rng(3), 8)
+        for t, route in zip(_route_times(), [0, 1, 1, 2, 2, 3, 3, 4]):
+            taylor.clear()
+            eigen.clear()
+            exact_evolution(ham, t)
+            assert (taylor, eigen) == (([(1, route)], []) if route < 4 else ([], [1]))
+
+    def test_mixed_stack_equals_separate_calls_bit_for_bit(self):
+        """A stack whose blocks take every route (s = 0..3 and eigh), in a
+        shuffled order, equals each block's own call entry for entry."""
+        rng = np.random.default_rng(21)
+        norms = [0.5, 1.5, 3.0, 6.0, 12.0, 40.0, 0.9, 7.9]
+        blocks = np.array([_hermitian(rng, 16, norm) for norm in norms]).reshape(2, 4, 16, 16)
+        for t in (1.0, -0.7):
+            stack = exact_evolution(blocks, t)
+            assert stack.shape == blocks.shape
+            for got, ham in zip(stack.reshape(-1, 16, 16), blocks.reshape(-1, 16, 16)):
+                assert np.array_equal(got, exact_evolution(ham, t))
 
 
 class TestSchattenNorm:
